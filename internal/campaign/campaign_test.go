@@ -11,7 +11,7 @@ import (
 	"ihc/internal/topology"
 )
 
-func mustIHC(t *testing.T, g *topology.Graph) *core.IHC {
+func mustIHC(t testing.TB, g *topology.Graph) *core.IHC {
 	t.Helper()
 	cycles, err := hamilton.Decompose(g)
 	if err != nil {

@@ -81,28 +81,13 @@ func RunRepairedPoint(x *core.IHC, t int, cfg Search, seed int64) (*RepairedRepo
 			return ErrCanceled
 		default:
 		}
-		res := topology.New("residual", g.N())
-		dead := make(map[int]bool, len(elems))
-		for _, ei := range elems {
-			dead[ei] = true
-		}
-		for i, e := range edges {
-			if !dead[i] {
-				res.AddEdge(e.U, e.V)
-			}
-		}
-		if !res.Connected() {
-			rep.PartitionedSkipped++
-			return nil
-		}
-		tp := &fault.TemporalPlan{Seed: seed}
-		for _, ei := range elems {
-			e := edges[ei]
-			tp.Links = append(tp.Links, fault.LinkFault{U: e.U, V: e.V, Until: fault.Forever})
-		}
-		out, err := reliable.EvaluateRepaired(x, tp, false, nil, core.Config{}, repair.Config{})
+		out, connected, err := gradeRepaired(x, edges, elems, seed)
 		if err != nil {
 			return fmt.Errorf("campaign: repaired grading on %s t=%d: %w", g.Name(), t, err)
+		}
+		if !connected {
+			rep.PartitionedSkipped++
+			return nil
 		}
 		rep.Placements++
 		rep.Timeouts += int64(out.Stats.Timeouts)
@@ -143,6 +128,33 @@ func RunRepairedPoint(x *core.IHC, t int, cfg Search, seed int64) (*RepairedRepo
 	}
 	rep.ElapsedSec = time.Since(start).Seconds()
 	return rep, nil
+}
+
+// gradeRepaired is the repaired campaign's unit of work: it screens
+// one broken-link placement (elems index edges) and, when the residual
+// graph stays connected, grades it through the engine with the repair
+// layer attached. connected is false for a screened-out placement.
+func gradeRepaired(x *core.IHC, edges []topology.Edge, elems []int, seed int64) (out reliable.RepairedOutcome, connected bool, err error) {
+	res := topology.New("residual", x.N())
+	dead := make(map[int]bool, len(elems))
+	for _, ei := range elems {
+		dead[ei] = true
+	}
+	for i, e := range edges {
+		if !dead[i] {
+			res.AddEdge(e.U, e.V)
+		}
+	}
+	if !res.Connected() {
+		return out, false, nil
+	}
+	tp := &fault.TemporalPlan{Seed: seed}
+	for _, ei := range elems {
+		e := edges[ei]
+		tp.Links = append(tp.Links, fault.LinkFault{U: e.U, V: e.V, Until: fault.Forever})
+	}
+	out, err = reliable.EvaluateRepaired(x, tp, false, nil, core.Config{}, repair.Config{})
+	return out, true, err
 }
 
 // RepairedFrontier walks t = 1, 2, ... up to maxT and returns the per-t

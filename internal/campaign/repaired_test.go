@@ -1,6 +1,7 @@
 package campaign
 
 import (
+	"math/rand"
 	"testing"
 
 	"ihc/internal/topology"
@@ -47,5 +48,37 @@ func TestRunRepairedPointRange(t *testing.T) {
 	}
 	if _, err := RunRepairedPoint(x, x.Graph().M()+1, DefaultSearch(), 1); err == nil {
 		t.Fatal("t beyond edge count accepted")
+	}
+}
+
+// BenchmarkRepairedPointQ6 times the repaired campaign's unit of work on
+// the repair-q6 benchmark distribution: Q6, t alternating between γ and
+// γ+1 permanently broken links, one seeded placement per operation (the
+// connectivity screen, then the repaired engine run and the grade for a
+// connected placement). ns/event divides the loop's time by the engine
+// events of the repaired runs.
+func BenchmarkRepairedPointQ6(b *testing.B) {
+	x := mustIHC(b, topology.MustHypercube(6))
+	edges := x.Graph().Edges()
+	gamma := x.Gamma()
+	rng := rand.New(rand.NewSource(6))
+	elems := make([]int, gamma+1)
+	var events int64
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		pl := elems[:gamma+i%2]
+		sampleSubset(rng, len(edges), pl)
+		out, _, err := gradeRepaired(x, edges, pl, int64(i))
+		if err != nil {
+			b.Fatal(err)
+		}
+		if violates(out.Outcome) {
+			b.Fatalf("placement %v: %d wrong, %d missing after repair", pl, out.Wrong, out.Missing)
+		}
+		events += out.Events
+	}
+	if events > 0 {
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(events), "ns/event")
 	}
 }

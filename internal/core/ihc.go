@@ -304,7 +304,13 @@ func (r *Result) absorb(s *simnet.Result) {
 	if r.Copies != nil && s.Copies != nil {
 		r.Copies.Merge(s.Copies)
 	}
-	r.Deliveriesv = append(r.Deliveriesv, s.Deliveriesv...)
+	// Each stage run returns a fresh log, so the first one is adopted
+	// rather than copied.
+	if r.Deliveriesv == nil {
+		r.Deliveriesv = s.Deliveriesv
+	} else {
+		r.Deliveriesv = append(r.Deliveriesv, s.Deliveriesv...)
+	}
 }
 
 func (x *IHC) validate(cfg *Config) error {

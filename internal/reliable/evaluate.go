@@ -99,6 +99,7 @@ func EvaluateIHC(x *core.IHC, plan *fault.Plan, signed bool, kr *Keyring) (Outco
 // the shared back half of the combinatorial and timed evaluators.
 func gradeCopies(n int, copies [][][]Copy, signed bool, faulty func(topology.Node) bool) Outcome {
 	var out Outcome
+	truth := truthPayloads(n)
 	for r := 0; r < n; r++ {
 		if faulty(topology.Node(r)) {
 			continue
@@ -118,7 +119,7 @@ func gradeCopies(n int, copies [][][]Copy, signed bool, faulty func(topology.Nod
 			switch {
 			case !ok:
 				out.Missing++
-			case string(payload) == string(TruthPayload(topology.Node(s))):
+			case string(payload) == string(truth[s]):
 				out.Correct++
 			default:
 				out.Wrong++

@@ -21,6 +21,8 @@ type RepairedOutcome struct {
 	Finish      int64
 	Baseline    int64
 	OverheadPct float64
+	// Events counts the engine events of the repaired run.
+	Events int64
 }
 
 // EvaluateRepaired runs the IHC all-to-all broadcast through the simnet
@@ -66,33 +68,9 @@ func EvaluateRepaired(x *core.IHC, tplan *fault.TemporalPlan, signed bool, kr *K
 			kind[nf.Node] = nf.Kind
 		}
 	}
-	copies := make([][][]Copy, n)
-	for r := range copies {
-		copies[r] = make([][]Copy, n)
-	}
-	for _, d := range res.Deliveriesv {
-		if d.ID.Seq < 0 {
-			continue // NAK control traffic, not a payload copy
-		}
-		src, recv := d.ID.Source, d.Node
-		payload := TruthPayload(src)
-		if kind[src] == fault.Byzantine && d.ID.Channel%2 == 1 {
-			payload = TwoFacedPayload(src)
-		}
-		cp := Copy{Payload: payload, Valid: true}
-		if d.Corrupted {
-			cp = Copy{Payload: CorruptPayload(payload), Valid: false}
-		}
-		if signed && kr != nil && cp.Valid {
-			msg, serr := kr.Sign(Message{Source: src, Payload: cp.Payload})
-			if serr == nil {
-				cp.Valid, serr = kr.Verify(msg)
-			}
-			if serr != nil {
-				return RepairedOutcome{}, fmt.Errorf("reliable: repaired evaluation: %w", serr)
-			}
-		}
-		copies[recv][src] = append(copies[recv][src], cp)
+	copies, err := deliveredCopies(n, res.Deliveriesv, kind, signed, kr)
+	if err != nil {
+		return RepairedOutcome{}, fmt.Errorf("reliable: repaired evaluation: %w", err)
 	}
 	out := RepairedOutcome{
 		Outcome: gradeCopies(n, copies, signed, func(v topology.Node) bool {
@@ -101,6 +79,7 @@ func EvaluateRepaired(x *core.IHC, tplan *fault.TemporalPlan, signed bool, kr *K
 		Stats:    st,
 		Finish:   int64(res.Finish),
 		Baseline: int64(baseRes.Finish),
+		Events:   res.Events,
 	}
 	if out.Baseline > 0 {
 		out.OverheadPct = 100 * float64(out.Finish-out.Baseline) / float64(out.Baseline)

@@ -5,6 +5,7 @@ import (
 
 	"ihc/internal/core"
 	"ihc/internal/fault"
+	"ihc/internal/simnet"
 	"ihc/internal/topology"
 )
 
@@ -55,32 +56,74 @@ func EvaluateTimed(x *core.IHC, tplan *fault.TemporalPlan, signed bool, kr *Keyr
 			kind[nf.Node] = nf.Kind
 		}
 	}
+	copies, err := deliveredCopies(n, res.Deliveriesv, kind, signed, kr)
+	if err != nil {
+		return Outcome{}, fmt.Errorf("reliable: timed evaluation: %w", err)
+	}
+	return gradeCopies(n, copies, signed, func(v topology.Node) bool {
+		return kind[v] != fault.Healthy
+	}), nil
+}
+
+// deliveredCopies turns an engine delivery log into the per-(receiver,
+// source) copy lists the voters grade, in delivery order. A source's
+// payload — its truth, or for a Byzantine source the two-faced
+// alternative on odd channels — is computed once and shared by all its
+// intact copies; a corrupted copy carries its own corrupted payload and
+// is invalid. In signed mode every intact copy round-trips through the
+// keyring's MAC. All lists share one backing array, sized by a counting
+// pass. NAK control packets (negative Seq, repair runs only) are not
+// payload copies and are skipped.
+func deliveredCopies(n int, ds []simnet.Delivery, kind []fault.Kind, signed bool, kr *Keyring) ([][][]Copy, error) {
+	count := make([]int32, n*n)
+	total := 0
+	for _, d := range ds {
+		if d.ID.Seq >= 0 {
+			count[int(d.Node)*n+int(d.ID.Source)]++
+			total++
+		}
+	}
+	flat := make([]Copy, total)
+	lists := make([][]Copy, n*n)
+	off := 0
+	for i, c := range count {
+		lists[i] = flat[off : off : off+int(c)]
+		off += int(c)
+	}
 	copies := make([][][]Copy, n)
 	for r := range copies {
-		copies[r] = make([][]Copy, n)
+		copies[r] = lists[r*n : (r+1)*n : (r+1)*n]
 	}
-	for _, d := range res.Deliveriesv {
+	truth := truthPayloads(n)
+	twoFaced := make([][]byte, n)
+	for v, k := range kind {
+		if k == fault.Byzantine {
+			twoFaced[v] = TwoFacedPayload(topology.Node(v))
+		}
+	}
+	for _, d := range ds {
+		if d.ID.Seq < 0 {
+			continue
+		}
 		src, recv := d.ID.Source, d.Node
-		payload := TruthPayload(src)
-		if kind[src] == fault.Byzantine && d.ID.Channel%2 == 1 {
-			payload = TwoFacedPayload(src)
+		payload := truth[src]
+		if twoFaced[src] != nil && d.ID.Channel%2 == 1 {
+			payload = twoFaced[src]
 		}
 		cp := Copy{Payload: payload, Valid: true}
 		if d.Corrupted {
 			cp = Copy{Payload: CorruptPayload(payload), Valid: false}
 		}
 		if signed && kr != nil && cp.Valid {
-			msg, serr := kr.Sign(Message{Source: src, Payload: cp.Payload})
-			if serr == nil {
-				cp.Valid, serr = kr.Verify(msg)
+			msg, err := kr.Sign(Message{Source: src, Payload: cp.Payload})
+			if err == nil {
+				cp.Valid, err = kr.Verify(msg)
 			}
-			if serr != nil {
-				return Outcome{}, fmt.Errorf("reliable: timed evaluation: %w", serr)
+			if err != nil {
+				return nil, err
 			}
 		}
 		copies[recv][src] = append(copies[recv][src], cp)
 	}
-	return gradeCopies(n, copies, signed, func(v topology.Node) bool {
-		return kind[v] != fault.Healthy
-	}), nil
+	return copies, nil
 }

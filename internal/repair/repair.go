@@ -118,23 +118,45 @@ type track struct {
 	sched bool
 }
 
-type arc struct{ u, v topology.Node }
-
 // Manager implements simnet.Controller. One Manager serves every stage
 // of an IHC run (attach it via core.Config.Control and
 // core.Config.PatchRoutes): per-stage tracking resets on Attach, while
 // fault diagnosis (suspected and dead links) persists, which is what
 // lets later stages route around earlier stages' losses.
+//
+// Link state is kept in slices indexed by the graph's dense directed-arc
+// id — the topology.Graph.Arcs order, the same numbering simnet uses for
+// its link table — so diagnosis and route patching never hash.
 type Manager struct {
 	x   *core.IHC
 	g   *topology.Graph
 	p   simnet.Params
 	cfg Config
 
-	suspect  map[arc]int
-	deadLink map[topology.Edge]bool
-	deadInc  map[topology.Node]int // dead links incident to the node
-	deadNode map[topology.Node]bool
+	arcBase []int32 // arcBase[u] = number of arcs leaving nodes < u
+
+	// Per arc: loss evidence, and whether the underlying link has been
+	// diagnosed dead (both directions are set together).
+	suspect []int32
+	dead    []bool
+	// Per node: dead links incident to it, and whether that made it a
+	// relay to avoid.
+	deadInc  []int32
+	deadNode []bool
+
+	// Route patching scratch, per arc: used[a] == gen marks an arc the
+	// route being built already takes, remaining[a] counts the original
+	// route's arcs not yet walked. Both are back to neutral between
+	// patches (gen advances; every count is decremented again).
+	used      []uint32
+	gen       uint32
+	remaining []int32
+	routeArcs []int32
+	// detours caches each arc's edge-disjoint detour candidates
+	// (EdgeDisjointPathRoutes of its endpoints), computed on first use;
+	// they depend only on the graph, so one max-flow per arc serves the
+	// Manager's whole lifetime.
+	detours [][][]topology.Node
 
 	stats Stats
 
@@ -148,13 +170,35 @@ type Manager struct {
 // are computed from them).
 func NewManager(x *core.IHC, p simnet.Params, cfg Config) *Manager {
 	p = p.Defaulted()
-	return &Manager{
-		x: x, g: x.Graph(), p: p, cfg: cfg.withDefaults(p),
-		suspect:  map[arc]int{},
-		deadLink: map[topology.Edge]bool{},
-		deadInc:  map[topology.Node]int{},
-		deadNode: map[topology.Node]bool{},
+	g := x.Graph()
+	n := g.N()
+	m := &Manager{
+		x: x, g: g, p: p, cfg: cfg.withDefaults(p),
+		arcBase:  make([]int32, n+1),
+		deadInc:  make([]int32, n),
+		deadNode: make([]bool, n),
 	}
+	for u := 0; u < n; u++ {
+		m.arcBase[u+1] = m.arcBase[u] + int32(g.Degree(topology.Node(u)))
+	}
+	arcs := m.arcBase[n]
+	m.suspect = make([]int32, arcs)
+	m.dead = make([]bool, arcs)
+	m.used = make([]uint32, arcs)
+	m.remaining = make([]int32, arcs)
+	m.detours = make([][][]topology.Node, arcs)
+	return m
+}
+
+// arcID returns the dense id of the directed arc u→v, or -1 when {u,v}
+// is not an edge.
+func (m *Manager) arcID(u, v topology.Node) int32 {
+	for i, w := range m.g.Neighbors(u) {
+		if w == v {
+			return m.arcBase[u] + int32(i)
+		}
+	}
+	return -1
 }
 
 // Stats returns a snapshot of the accumulated counters.
@@ -162,18 +206,12 @@ func (m *Manager) Stats() Stats { return m.stats }
 
 // DeadLinkList returns the diagnosed-dead links in sorted order.
 func (m *Manager) DeadLinkList() []topology.Edge {
-	out := make([]topology.Edge, 0, len(m.deadLink))
-	for e := range m.deadLink {
-		out = append(out, e)
-	}
-	// Insertion sort: the list is tiny (diagnosed faults).
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0; j-- {
-			a, b := out[j-1], out[j]
-			if a.U < b.U || (a.U == b.U && a.V <= b.V) {
-				break
+	out := make([]topology.Edge, 0, m.stats.DeadLinks)
+	for u := 0; u < m.g.N(); u++ {
+		for i, v := range m.g.Neighbors(topology.Node(u)) {
+			if topology.Node(u) < v && m.dead[m.arcBase[u]+int32(i)] {
+				out = append(out, topology.Edge{U: topology.Node(u), V: v})
 			}
-			out[j-1], out[j] = b, a
 		}
 	}
 	return out
@@ -231,9 +269,15 @@ func (m *Manager) Attach(rt *simnet.Runtime, specs []simnet.PacketSpec) {
 	m.rt = rt
 	m.tracked = m.tracked[:0]
 	n := m.x.N()
+	// One allocation each for the stage's origins, data tracks and
+	// coverage bitmaps instead of three per spec.
+	origins := make([]origin, len(specs))
+	tracks := make([]track, len(specs))
+	got := make([]bool, len(specs)*n)
 	for i := range specs {
 		s := &specs[i]
-		o := &origin{specIdx: int32(i), id: s.ID, route: s.Route, got: make([]bool, n)}
+		o := &origins[i]
+		*o = origin{specIdx: int32(i), id: s.ID, route: s.Route, got: got[i*n : (i+1)*n : (i+1)*n]}
 		o.got[s.Route[0]] = true
 		for _, v := range s.Route[1:] {
 			if !o.got[v] {
@@ -255,9 +299,10 @@ func (m *Manager) Attach(rt *simnet.Runtime, specs []simnet.PacketSpec) {
 		// every spec then needs the generous slack (convictions remain
 		// sound: with enough slack a miss still means loss).
 		sched := len(s.Route) == n
-		m.tracked = append(m.tracked, &track{kind: kindData, route: s.Route, got: o.got, o: o, sched: sched})
+		tracks[i] = track{kind: kindData, route: s.Route, got: o.got, o: o, sched: sched}
+		m.tracked = append(m.tracked, &tracks[i])
 		perHop := simnet.Time(0)
-		if !sched || len(m.deadLink) > 0 {
+		if !sched || m.stats.DeadLinks > 0 {
 			perHop = m.recoverySlackPerHop()
 		}
 		rt.SetTimer(m.deadline(s.Inject, len(s.Route), s.Flits, perHop), token(int32(i), tokDeadline))
@@ -391,15 +436,14 @@ func firstMissing(tr *track) int {
 // accumulating two dead links is flagged so detours avoid relaying
 // through it.
 func (m *Manager) suspectArc(u, v topology.Node) {
-	a := arc{u, v}
+	a, r := m.arcID(u, v), m.arcID(v, u)
 	m.suspect[a]++
-	e := topology.NewEdge(u, v)
-	if m.deadLink[e] || m.suspect[a]+m.suspect[arc{v, u}] < m.cfg.SuspectThreshold {
+	if m.dead[a] || int(m.suspect[a]+m.suspect[r]) < m.cfg.SuspectThreshold {
 		return
 	}
-	m.deadLink[e] = true
+	m.dead[a], m.dead[r] = true, true
 	m.stats.DeadLinks++
-	for _, w := range []topology.Node{u, v} {
+	for _, w := range [2]topology.Node{u, v} {
 		m.deadInc[w]++
 		if m.deadInc[w] >= 2 && !m.deadNode[w] {
 			m.deadNode[w] = true

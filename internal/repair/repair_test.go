@@ -209,8 +209,8 @@ func TestPatchedRouteValidity(t *testing.T) {
 		m.suspectArc(e.U, e.V)
 		m.suspectArc(e.U, e.V)
 	}
-	if len(m.deadLink) != 3 {
-		t.Fatalf("diagnosed %d links, want 3", len(m.deadLink))
+	if n := len(m.DeadLinkList()); n != 3 {
+		t.Fatalf("diagnosed %d links, want 3", n)
 	}
 	for j := 0; j < x.Gamma(); j++ {
 		c := x.DirectedCycle(j)
@@ -219,7 +219,7 @@ func TestPatchedRouteValidity(t *testing.T) {
 		if !ok {
 			t.Fatalf("cycle %d: patch failed", j)
 		}
-		seen := map[arc]bool{}
+		seen := map[topology.Arc]bool{}
 		for h := 0; h+1 < len(out); h++ {
 			u, w := out[h], out[h+1]
 			if !g.HasEdge(u, w) {
@@ -228,10 +228,10 @@ func TestPatchedRouteValidity(t *testing.T) {
 			if m.deadEdge(u, w) {
 				t.Fatalf("cycle %d: patched route still crosses dead link {%d,%d}", j, u, w)
 			}
-			if seen[arc{u, w}] {
+			if seen[topology.Arc{From: u, To: w}] {
 				t.Fatalf("cycle %d: patched route reuses directed arc %d→%d", j, u, w)
 			}
-			seen[arc{u, w}] = true
+			seen[topology.Arc{From: u, To: w}] = true
 		}
 		// Every node of the original route is still visited.
 		vis := map[topology.Node]bool{}

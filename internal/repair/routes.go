@@ -12,7 +12,8 @@ import (
 
 // deadEdge reports whether the link {u,v} has been diagnosed dead.
 func (m *Manager) deadEdge(u, v topology.Node) bool {
-	return m.deadLink[topology.NewEdge(u, v)]
+	a := m.arcID(u, v)
+	return a >= 0 && m.dead[a]
 }
 
 // nakRoute picks the shortest surviving return path from the detector v
@@ -71,37 +72,39 @@ func (m *Manager) cycleSegmentDead(j int, v topology.Node, l int) bool {
 // unique (the engine rejects a route using one directed link twice).
 // Returns (route, false, true) untouched when nothing on it is dead.
 func (m *Manager) patched(route []topology.Node) (out []topology.Node, changed, ok bool) {
+	arcs := m.routeArcs[:0]
 	needs := false
 	for h := 0; h+1 < len(route); h++ {
-		if m.deadEdge(route[h], route[h+1]) {
-			needs = true
-			break
-		}
+		a := m.arcID(route[h], route[h+1])
+		arcs = append(arcs, a)
+		needs = needs || m.dead[a]
 	}
+	m.routeArcs = arcs
 	if !needs {
 		return route, false, true
 	}
-	used := make(map[arc]bool, len(route))
-	tail := make(map[arc]int, len(route))
-	for h := 0; h+1 < len(route); h++ {
-		tail[arc{route[h], route[h+1]}]++
+	m.gen++
+	for _, a := range arcs {
+		m.remaining[a]++
 	}
 	out = make([]topology.Node, 1, len(route)+8)
 	out[0] = route[0]
-	for h := 0; h+1 < len(route); h++ {
-		u, w := route[h], route[h+1]
-		tail[arc{u, w}]--
-		if !m.deadEdge(u, w) && !used[arc{u, w}] {
-			used[arc{u, w}] = true
-			out = append(out, w)
+	for h, a := range arcs {
+		m.remaining[a]--
+		if !m.dead[a] && m.used[a] != m.gen {
+			m.used[a] = m.gen
+			out = append(out, route[h+1])
 			continue
 		}
-		d := m.detour(u, w, used, tail)
+		d := m.detour(route[h], route[h+1])
 		if d == nil {
+			for _, b := range arcs[h+1:] {
+				m.remaining[b]--
+			}
 			return nil, true, false
 		}
 		for i := 1; i < len(d); i++ {
-			used[arc{d[i-1], d[i]}] = true
+			m.used[m.arcID(d[i-1], d[i])] = m.gen
 			out = append(out, d[i])
 		}
 	}
@@ -109,16 +112,17 @@ func (m *Manager) patched(route []topology.Node) (out []topology.Node, changed, 
 }
 
 // detour finds a u→w replacement path that avoids dead links, directed
-// arcs already consumed by the route being built, and — preferably —
+// arcs already consumed by the route being patched, and — preferably —
 // arcs the rest of the original route still needs. Edge-disjoint path
 // candidates (the flow decomposition of EdgeDisjointPaths) are tried
 // first: at most one of them can contain any given dead link, so with
 // γ ≥ 2 one usually survives; BFS handles the remainder.
-func (m *Manager) detour(u, w topology.Node, used map[arc]bool, tail map[arc]int) []topology.Node {
+func (m *Manager) detour(u, w topology.Node) []topology.Node {
 	avoidFull := func(a, b topology.Node) bool {
-		return m.deadEdge(a, b) || used[arc{a, b}] || tail[arc{a, b}] > 0 || (b != w && m.deadNode[b])
+		id := m.arcID(a, b)
+		return m.dead[id] || m.used[id] == m.gen || m.remaining[id] > 0 || (b != w && m.deadNode[b])
 	}
-	for _, cand := range m.g.EdgeDisjointPathRoutes(u, w) {
+	for _, cand := range m.detourCandidates(u, w) {
 		good := true
 		for i := 1; i < len(cand); i++ {
 			if avoidFull(cand[i-1], cand[i]) {
@@ -136,8 +140,25 @@ func (m *Manager) detour(u, w topology.Node, used map[arc]bool, tail map[arc]int
 	// Last resort: allow stealing arcs the original route still wants;
 	// the stolen hop will itself be detoured when its turn comes.
 	return m.g.ShortestPathAvoiding(u, w, func(a, b topology.Node) bool {
-		return m.deadEdge(a, b) || used[arc{a, b}]
+		id := m.arcID(a, b)
+		return m.dead[id] || m.used[id] == m.gen
 	})
+}
+
+// detourCandidates returns the edge-disjoint u→w paths for the arc u→w,
+// computing them on the arc's first detour. The returned paths are
+// shared by every later detour of the arc and must not be modified.
+func (m *Manager) detourCandidates(u, w topology.Node) [][]topology.Node {
+	a := m.arcID(u, w)
+	if c := m.detours[a]; c != nil {
+		return c
+	}
+	c := m.g.EdgeDisjointPathRoutes(u, w)
+	if c == nil {
+		c = [][]topology.Node{}
+	}
+	m.detours[a] = c
+	return c
 }
 
 // recoveryRoutes builds the retransmission route set for an origin: the
@@ -177,7 +198,7 @@ func (m *Manager) recoveryRoutes(o *origin) [][]topology.Node {
 // of retrying into it. Routes are swapped, never edited in place (they
 // alias the IHC's shared backing storage).
 func (m *Manager) PatchSpecs(specs []simnet.PacketSpec) {
-	if len(m.deadLink) == 0 {
+	if m.stats.DeadLinks == 0 {
 		return
 	}
 	for i := range specs {

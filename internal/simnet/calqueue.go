@@ -40,22 +40,27 @@ import (
 // the immediate-successor key of the event that spawned it (same packet
 // and hop, evCut→evSend, and no key exists between the two kinds), so
 // routing it through the `same` slip and handling it right after its
-// spawner reproduces the heap's order exactly. Controller runs attach
-// timers whose same-tick ordering is not successor-shaped, so they run
-// in heap mode: every push goes straight to the overflow heap and the
-// caller pops one event at a time — byte-for-byte the old engine.
+// spawner reproduces the heap's order exactly.
+//
+// Controller timers wait in a heap of their own, keyed after every
+// packet event of their tick and every earlier timer (timerKeyBit | set
+// sequence): the drain pops a tick's timers after its packet events, in
+// set order, timers set for the tick while it drains included. A packet
+// a timer injects at the open tick (τ_S = 0) has a fresh spec index, so
+// its key lies between the tick's packet keys and every timer key: the
+// heap would pop it right after that timer, where the `same` slip does.
 type calQueue struct {
 	buckets [][]event // ring: events for tick t at slot t&mask; nil when empty
 	occ     []uint64  // occupancy bitmap over ring slots
 	mask    Time      // span-1; span is a power of two
 	lo      Time      // ring window start: every ring event has t in [lo, lo+span)
 	ringN   int       // events currently in the ring
-	over    eventHeap // events outside the ring window (and everything, in heap mode)
+	over    eventHeap // events outside the ring window
 	free    [][]event // drained bucket arrays awaiting reuse
 	same    []event   // respawns at the tick being drained (see push)
 	sameN   int       // consumption cursor into same
+	timers  eventHeap // controller timers (see above)
 	open    Time      // tick currently being drained; noTick otherwise
-	heap    bool      // heap mode: controller runs bypass the calendar entirely
 }
 
 // noTick marks "no bucket open"; simulated times are non-negative, so it
@@ -77,7 +82,7 @@ func spanForParams(p Params) Time {
 }
 
 // reset prepares the queue for a new run, retaining every backing array.
-func (q *calQueue) reset(span Time, heapMode bool) {
+func (q *calQueue) reset(span Time) {
 	if q.ringN > 0 {
 		// A previous run aborted mid-drain (panic recovered upstream);
 		// scrub the ring so stale events cannot leak into this run.
@@ -99,24 +104,20 @@ func (q *calQueue) reset(span Time, heapMode bool) {
 	q.over.a = q.over.a[:0]
 	q.same = q.same[:0]
 	q.sameN = 0
+	q.timers.a = q.timers.a[:0]
 	q.open = noTick
-	q.heap = heapMode
 }
 
 // empty reports whether no events are pending (unconsumed same-tick
 // respawns are the drain loop's to finish, not pending work).
 func (q *calQueue) empty() bool {
-	return q.ringN == 0 && len(q.over.a) == 0
+	return q.ringN == 0 && len(q.over.a) == 0 && len(q.timers.a) == 0
 }
 
-// push enqueues an event. O(1) amortized: a bucket append plus an
+// push enqueues a packet event. O(1) amortized: a bucket append plus an
 // occupancy bit, except for events outside the ring window (overflow
 // heap) and same-tick respawns (the `same` slip).
 func (q *calQueue) push(ev event) {
-	if q.heap {
-		q.over.push(ev)
-		return
-	}
 	if ev.t == q.open {
 		// Respawn at the tick being drained: its key is the immediate
 		// successor of the spawning event's key (see the type comment),
@@ -151,7 +152,10 @@ func (q *calQueue) push(ev event) {
 func (q *calQueue) nextTick() (Time, bool) {
 	if q.ringN == 0 {
 		if len(q.over.a) == 0 {
-			return 0, false
+			if len(q.timers.a) == 0 {
+				return 0, false
+			}
+			return q.timers.a[0].t, true
 		}
 		// Ring empty: re-base the window to the overflow frontier so the
 		// migration below captures it.
@@ -186,6 +190,9 @@ func (q *calQueue) nextTick() (Time, bool) {
 	if len(q.over.a) > 0 && q.over.a[0].t < t {
 		t = q.over.a[0].t
 	}
+	if len(q.timers.a) > 0 && q.timers.a[0].t < t {
+		t = q.timers.a[0].t
+	}
 	return t, true
 }
 
@@ -211,11 +218,11 @@ func (q *calQueue) ringNext() Time {
 	panic("simnet: calendar queue occupancy bitmap inconsistent with ring count")
 }
 
-// takeTick removes and returns every pending event at tick t, sorted by
-// key — the caller's flat batch to drain in one tight loop. While the
-// batch is being handled, pushes at tick t are routed to the same-tick
-// slip (consume them via takeSame after each handled event); when the
-// batch and slip are done, hand the slice back through finishTick.
+// takeTick removes and returns every pending packet event at tick t,
+// sorted by key — the caller's flat batch to drain in one tight loop.
+// While the batch is being handled, pushes at tick t are routed to the
+// same-tick slip (consume it after each handled event); when the batch
+// and slip are done, hand the slice back through finishTick.
 func (q *calQueue) takeTick(t Time) []event {
 	var b []event
 	if t >= q.lo && t <= q.lo+q.mask {
@@ -235,16 +242,6 @@ func (q *calQueue) takeTick(t Time) []event {
 	return b
 }
 
-// takeSame pops the next unconsumed same-tick respawn, if any.
-func (q *calQueue) takeSame() (event, bool) {
-	if q.sameN >= len(q.same) {
-		return event{}, false
-	}
-	ev := q.same[q.sameN]
-	q.sameN++
-	return ev, true
-}
-
 // finishTick closes the drain of tick t: the bucket array returns to
 // the free list, the same-tick slip resets, and the window advances —
 // every event at or before t has been handled, so lo can move past it,
@@ -261,12 +258,6 @@ func (q *calQueue) finishTick(t Time, b []event) {
 		q.lo = t + 1
 	}
 }
-
-// popHeap pops the globally least event in heap mode.
-func (q *calQueue) popHeap() event { return q.over.pop() }
-
-// heapLen reports pending events in heap mode.
-func (q *calQueue) heapLen() int { return len(q.over.a) }
 
 // sortBucket orders a drained bucket by event key (all entries share one
 // tick, so the (t, key) order reduces to the key). The common case is

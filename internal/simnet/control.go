@@ -59,7 +59,7 @@ func (rt *Runtime) Spec(i int32) PacketSpec { return rt.st.specs[i] }
 
 // SetTimer schedules OnTimer(at, token) — at is clamped to Now() so a
 // timer can never fire in the simulated past. The token travels through
-// the event's arr field (both are int64-sized), so timers cost one heap
+// the event's arr field (both are int64-sized), so timers cost one queue
 // slot and no allocation.
 func (rt *Runtime) SetTimer(at Time, token int64) {
 	st := rt.st
@@ -96,26 +96,13 @@ func (rt *Runtime) Inject(spec PacketSpec) (int32, error) {
 	// that is safe: previously compiled specArcs windows keep aliasing the
 	// old backing array (whose contents never change), only new windows
 	// land in the grown one.
-	base := len(st.arcs)
-	for h := 0; h+1 < len(spec.Route); h++ {
-		from, to := spec.Route[h], spec.Route[h+1]
-		idx := st.net.arcIndex(from, to)
-		if idx < 0 {
-			st.arcs = st.arcs[:base]
-			return -1, fmt.Errorf("simnet: injected packet %v route step %d: {%d,%d} not an edge of %s",
-				spec.ID, h, from, to, st.net.g.Name())
-		}
-		if st.arcStamp[idx] == i+1 {
-			st.arcs = st.arcs[:base]
-			return -1, fmt.Errorf("simnet: injected packet %v route uses directed link %d→%d twice",
-				spec.ID, from, to)
-		}
-		st.arcStamp[idx] = i + 1
-		st.arcs = append(st.arcs, idx)
+	arcs, err := st.compileRoute(spec.Route, i+1)
+	if err != nil {
+		return -1, fmt.Errorf("simnet: injected packet %v %w", spec.ID, err)
 	}
 	st.specs = append(st.specs, spec)
 	st.ownSpecs = st.specs
-	st.specArcs = append(st.specArcs, st.arcs[base:len(st.arcs):len(st.arcs)])
+	st.specArcs = append(st.specArcs, arcs)
 	st.children = append(st.children, nil)
 	st.unmet = append(st.unmet, nil)
 	st.ready = append(st.ready, 0)

@@ -190,7 +190,10 @@ func TestRuntimeInjectRejectsBadRoutes(t *testing.T) {
 		{ID: PacketID{Seq: 3}, Route: []topology.Node{0, 1, 0, 1}},            // duplicate directed link
 		{ID: PacketID{Seq: 4}, Route: []topology.Node{0, 1}, After: []int{0}}, // dependencies unsupported
 	}
-	inj := &badInjector{specs: bad}
+	inj := &badInjector{specs: bad, ok: []PacketSpec{
+		{ID: PacketID{Seq: 99}, Route: []topology.Node{0, 1, 2}},
+		{ID: PacketID{Seq: 100}, Route: []topology.Node{1, 2}},
+	}}
 	spec := PacketSpec{ID: PacketID{}, Route: []topology.Node{0, 1}}
 	if _, err := net.Run([]PacketSpec{spec}, Options{Control: inj}); err != nil {
 		t.Fatal(err)
@@ -203,18 +206,26 @@ func TestRuntimeInjectRejectsBadRoutes(t *testing.T) {
 			t.Errorf("bad spec %d (Seq %d) was accepted", i, bad[i].ID.Seq)
 		}
 	}
-	// A valid injection after the rejected ones still works (the arc
-	// buffer rolled back cleanly).
-	if inj.okErr != nil {
-		t.Fatalf("valid inject after rejects: %v", inj.okErr)
+	// Valid injections after the rejected ones still work: the arc
+	// buffer and the duplicate-link stamps rolled back cleanly, including
+	// for {0,1,2}, which reuses the arc 0→1 the rejected {0,1,0,1} had
+	// claimed before it was refused.
+	if len(inj.okErrs) != len(inj.ok) {
+		t.Fatalf("got %d valid inject results, want %d", len(inj.okErrs), len(inj.ok))
+	}
+	for i, e := range inj.okErrs {
+		if e != nil {
+			t.Errorf("valid inject %v after rejects: %v", inj.ok[i].Route, e)
+		}
 	}
 }
 
 type badInjector struct {
-	rt    *Runtime
-	specs []PacketSpec
-	errs  []error
-	okErr error
+	rt     *Runtime
+	specs  []PacketSpec
+	errs   []error
+	ok     []PacketSpec
+	okErrs []error
 }
 
 func (b *badInjector) Attach(rt *Runtime, specs []PacketSpec) {
@@ -230,7 +241,10 @@ func (b *badInjector) OnTimer(at Time, token int64) {
 		_, err := b.rt.Inject(s)
 		b.errs = append(b.errs, err)
 	}
-	_, b.okErr = b.rt.Inject(PacketSpec{ID: PacketID{Seq: 99}, Route: []topology.Node{1, 2}})
+	for _, s := range b.ok {
+		_, err := b.rt.Inject(s)
+		b.okErrs = append(b.okErrs, err)
+	}
 }
 
 // TestControllerNoOpIdentical: attaching a controller that only watches

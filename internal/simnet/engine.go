@@ -33,12 +33,6 @@ type evKind uint8
 const (
 	evCut evKind = iota
 	evSend
-	// evTimer is a controller wake-up: it carries no packet, only an
-	// opaque token (stashed in the event's arr field), and exists only
-	// when Options.Control is attached. Timer events share the (time,
-	// key) total order with packet events, so an attached controller
-	// never perturbs the relative order of the packet events themselves.
-	evTimer
 )
 
 // Capacity limits of the flat-array layout. Packet indices are int32 and
@@ -72,11 +66,12 @@ func packetKey(pkt, hop int32, kind evKind) uint64 {
 	return uint64(uint32(pkt))<<32 | uint64(uint32(hop))<<2 | uint64(kind)
 }
 
-// timerKeyBit marks controller timer keys: bit 63 is never set by
-// packetKey (31+30+2 = 63 bits), so all timers at a tick order after
-// that tick's packet events — a deadline timer can never preempt a
-// delivery landing on the deadline itself — and among themselves by
-// their monotonic set sequence.
+// timerKeyBit marks controller timer events, which carry no packet, only
+// an opaque token in the arr field. Bit 63 is never set by packetKey
+// (31+30+2 = 63 bits), so all timers at a tick order after that tick's
+// packet events — a deadline timer can never preempt a delivery landing
+// on the deadline itself — and among themselves by their monotonic set
+// sequence.
 const timerKeyBit = uint64(1) << 63
 
 type event struct {
@@ -230,12 +225,12 @@ type runState struct {
 	seq      int64 // monotonic timer sequence (controller runs only)
 	res      *Result
 	ledger   *CopyLedger // delivery sink when Options.Ledger is set (shard-local in sharded runs)
-	arcStamp []int32   // per arc: spec index + 1 that last used it (duplicate detection)
-	arcs     []int32   // backing store for routes compiled by this run
-	specArcs [][]int32 // per spec: one arc index per hop (into arcs, or a caller-supplied CompiledPath)
-	children [][]int32 // per spec: dependent spec indices
-	unmet    [][]int32 // per spec: parents that have not yet delivered at Route[0]
-	ready    []Time    // per spec: latest parent delivery at Route[0]
+	arcStamp []int32     // per arc: spec index + 1 that last used it (duplicate detection)
+	arcs     []int32     // backing store for routes compiled by this run
+	specArcs [][]int32   // per spec: one arc index per hop (into arcs, or a caller-supplied CompiledPath)
+	children [][]int32   // per spec: dependent spec indices
+	unmet    [][]int32   // per spec: parents that have not yet delivered at Route[0]
+	ready    []Time      // per spec: latest parent delivery at Route[0]
 	started  []bool
 	corrupt  []bool // per spec: payload tainted by the fault hook (hook runs only)
 	hasDeps  bool   // any spec has an After list (gates the dependency path)
@@ -309,42 +304,26 @@ func (n *Network) RunScratch(specs []PacketSpec, opts Options, sc *Scratch) (*Re
 		// Source injection: startup τ_S, then request the first link.
 		st.start(int32(i), s.Inject)
 	}
-	if opts.Control == nil {
-		st.drainUntil(Time(math.MaxInt64))
-	} else {
-		// Controller-attached loop: the specs are copied into scratch-owned
-		// memory first so Runtime.Inject may append mid-run, and timer
-		// events are dispatched to the controller instead of handle(). The
-		// queue runs in heap mode here — controllers set same-tick timers
-		// and inject packets whose keys are not successor-shaped, so the
-		// calendar drain's ordering argument does not apply; the heap
-		// reproduces the pre-calendar engine byte for byte.
+	if c := opts.Control; c != nil {
+		// The specs are copied into scratch-owned memory first so that
+		// Runtime.Inject may append mid-run.
 		st.ownSpecs = append(st.ownSpecs[:0], specs...)
 		st.specs = st.ownSpecs
 		st.now = 0
-		opts.Control.Attach(&Runtime{st: st}, st.specs)
-		for st.queue.heapLen() > 0 {
-			ev := st.queue.popHeap()
-			st.res.Events++
-			st.now = ev.t
-			if ev.kind == evTimer {
-				opts.Control.OnTimer(ev.t, int64(ev.arr))
-				continue
-			}
-			st.handle(ev)
-		}
+		c.Attach(&Runtime{st: st}, st.specs)
 	}
+	st.drainUntil(Time(math.MaxInt64))
 	return st.finish()
 }
 
-// drainUntil is the window-batched hot loop shared by the sequential
-// engine (end = ∞) and each shard of a sharded run (end = the window
-// bound): take one whole tick bucket as a key-sorted slice, handle it
-// back to back in one tight loop — no per-event heap sifting — and
-// consume each event's same-tick respawn (the blocked cut-through
-// fallback, whose key is the immediate successor of its spawner's)
-// right after the event that spawned it, exactly where the heap would
-// have popped it.
+// drainUntil is the window-batched hot loop of every run, sequential or
+// controlled (end = ∞) or a shard's (end = the window bound): take one
+// whole tick bucket as a key-sorted slice, handle it back to back in one
+// tight loop — no per-event heap sifting — and consume each event's
+// same-tick respawn (the blocked cut-through fallback, whose key is the
+// immediate successor of its spawner's) right after the event that
+// spawned it, exactly where the heap would have popped it; then the
+// tick's controller timers (see calQueue).
 func (st *runState) drainUntil(end Time) {
 	q := &st.queue
 	for {
@@ -357,18 +336,31 @@ func (st *runState) drainUntil(end Time) {
 		st.now = t
 		for i := range b {
 			st.curKey = b[i].key
-			st.handle(b[i])
-			for {
-				ev, ok := q.takeSame()
-				if !ok {
-					break
-				}
-				st.res.Events++
-				st.curKey = ev.key
-				st.handle(ev)
+			st.handle(&b[i])
+			if q.sameN < len(q.same) {
+				st.handleSame()
 			}
 		}
+		for len(q.timers.a) > 0 && q.timers.a[0].t == t {
+			tm := q.timers.pop()
+			st.res.Events++
+			st.opts.Control.OnTimer(tm.t, int64(tm.arr))
+			st.handleSame()
+		}
 		q.finishTick(t, b)
+	}
+}
+
+// handleSame handles the packets pushed at the open tick, in push order:
+// a blocked cut-through's fallback send, or the packets a timer injected.
+func (st *runState) handleSame() {
+	q := &st.queue
+	for q.sameN < len(q.same) {
+		ev := &q.same[q.sameN]
+		q.sameN++
+		st.res.Events++
+		st.curKey = ev.key
+		st.handle(ev)
 	}
 }
 
@@ -379,7 +371,7 @@ func (st *runState) drainUntil(end Time) {
 func (st *runState) prepare(n *Network, specs []PacketSpec, opts Options) error {
 	st.net, st.specs, st.opts = n, specs, opts
 	st.res = &Result{}
-	st.queue.reset(spanForParams(n.p), opts.Control != nil)
+	st.queue.reset(spanForParams(n.p))
 	st.seq = 0
 	st.ledger = opts.Ledger
 	if len(specs) > maxSpecs {
@@ -400,10 +392,16 @@ func (st *runState) prepare(n *Network, specs []PacketSpec, opts Options) error 
 	st.arcStamp = growInt32(st.arcStamp, len(n.links))
 	clear(st.arcStamp)
 	st.specArcs = growArcLists(st.specArcs, len(specs))
-	plainHops := 0
+	// The delivery log is sized for a run that loses no copy: a tee route
+	// delivers at every node after its source, any other route once.
+	plainHops, deliveries := 0, 0
 	for i := range specs {
 		if specs[i].Path == nil {
 			plainHops += len(specs[i].Route) - 1
+		}
+		deliveries++
+		if specs[i].Tee {
+			deliveries += len(specs[i].Route) - 2
 		}
 	}
 	// Reserve the whole backing store up front: appends below never
@@ -432,22 +430,11 @@ func (st *runState) prepare(n *Network, specs []PacketSpec, opts Options) error 
 			}
 			st.specArcs[i] = arcs
 		} else {
-			base := len(st.arcs)
-			for h := 0; h+1 < len(s.Route); h++ {
-				from, to := s.Route[h], s.Route[h+1]
-				idx := n.arcIndex(from, to)
-				if idx < 0 {
-					return fmt.Errorf("simnet: packet %d (%v) route step %d: {%d,%d} not an edge of %s",
-						i, s.ID, h, from, to, n.g.Name())
-				}
-				if st.arcStamp[idx] == int32(i)+1 {
-					return fmt.Errorf("simnet: packet %d (%v) route uses directed link %d→%d twice",
-						i, s.ID, from, to)
-				}
-				st.arcStamp[idx] = int32(i) + 1
-				st.arcs = append(st.arcs, idx)
+			arcs, err := st.compileRoute(s.Route, int32(i)+1)
+			if err != nil {
+				return fmt.Errorf("simnet: packet %d (%v) %w", i, s.ID, err)
 			}
-			st.specArcs[i] = st.arcs[base:len(st.arcs):len(st.arcs)]
+			st.specArcs[i] = arcs
 		}
 		if len(s.After) > 0 {
 			hasDeps = true
@@ -492,7 +479,39 @@ func (st *runState) prepare(n *Network, specs []PacketSpec, opts Options) error 
 	if opts.Trace {
 		st.res.Traces = make(map[PacketID][]Hop, len(specs))
 	}
+	if opts.RecordDeliveries {
+		st.res.Deliveriesv = make([]Delivery, 0, deliveries)
+	}
 	return nil
+}
+
+// compileRoute appends one arc index per hop of route to st.arcs and
+// returns the route's window into it. Each arc is stamped with stamp
+// (spec index + 1) to catch a route using one directed link twice; a
+// rejected route leaves st.arcs and the stamps as it found them, so a
+// later route compiled under the same stamp is judged on its own.
+func (st *runState) compileRoute(route []topology.Node, stamp int32) ([]int32, error) {
+	base := len(st.arcs)
+	for h := 0; h+1 < len(route); h++ {
+		from, to := route[h], route[h+1]
+		idx := st.net.arcIndex(from, to)
+		var err error
+		if idx < 0 {
+			err = fmt.Errorf("route step %d: {%d,%d} not an edge of %s", h, from, to, st.net.g.Name())
+		} else if st.arcStamp[idx] == stamp {
+			err = fmt.Errorf("route uses directed link %d→%d twice", from, to)
+		}
+		if err != nil {
+			for _, a := range st.arcs[base:] {
+				st.arcStamp[a] = 0
+			}
+			st.arcs = st.arcs[:base]
+			return nil, err
+		}
+		st.arcStamp[idx] = stamp
+		st.arcs = append(st.arcs, idx)
+	}
+	return st.arcs[base:len(st.arcs):len(st.arcs)], nil
 }
 
 // finish verifies every packet was eventually injected and returns the
@@ -601,11 +620,14 @@ func (st *runState) push(ev event) {
 // pushTimer enqueues a controller timer. Timers order after all packet
 // events at their tick and among themselves by set order.
 func (st *runState) pushTimer(at Time, token int64) {
-	st.queue.push(event{t: at, key: timerKeyBit | uint64(st.seq), kind: evTimer, arr: Time(token)})
+	st.queue.timers.push(event{t: at, key: timerKeyBit | uint64(st.seq), arr: Time(token)})
 	st.seq++
 }
 
-func (st *runState) handle(ev event) {
+// handle performs one packet event, read in place from the drained
+// bucket or the same-tick slip, which no push overwrites while it runs;
+// a stack copy made the loop's speed depend on its callers' frames.
+func (st *runState) handle(ev *event) {
 	spec := &st.specs[ev.pkt]
 	p := st.net.p
 	from := spec.Route[ev.hop]

@@ -180,7 +180,7 @@ func (n *Network) runSharded(specs []PacketSpec, opts Options, sc *Scratch) (*Re
 		sst.ready, sst.started, sst.corrupt = st.ready, st.started, st.corrupt
 		sst.hasDeps = st.hasDeps
 		sst.res = &Result{}
-		sst.queue.reset(spanForParams(n.p), false)
+		sst.queue.reset(spanForParams(n.p))
 		sst.sh = sh
 		if opts.Copies {
 			sst.res.Copies = NewCopyMatrix(n.g.N())
@@ -292,13 +292,12 @@ func (n *Network) runSharded(specs []PacketSpec, opts Options, sc *Scratch) (*Re
 	// shard — so one W-way linear merge per stream reconstructs the
 	// sequential engine's append order byte for byte, replacing the old
 	// concatenate-and-sort (O(n log n) with a closure-calling comparator)
-	// with a single O(n·W) pass into a pre-sized buffer.
+	// with a single O(n·W) pass into the buffer prepare sized.
 	if opts.RecordDeliveries {
 		total := 0
 		for _, sh := range shards {
 			total += len(sh.delivs)
 		}
-		res.Deliveriesv = make([]Delivery, 0, total)
 		pos := make([]int, len(shards))
 		for len(res.Deliveriesv) < total {
 			best := -1
