@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race vet bench bench-engine bench-fault fuzz smoke-engine sharded-quick recovery-quick oracle-quick families-quick transport-quick soak-quick q14-smoke verify
+.PHONY: all build test race vet bench bench-engine bench-fault fuzz smoke-engine sharded-quick recovery-quick oracle-quick families-quick transport-quick soak-quick perfbench-check q14-smoke verify
 
 all: verify
 
@@ -152,10 +152,18 @@ transport-quick:
 soak-quick:
 	$(GO) run ./cmd/ihcd -soak -deadline 60s
 
+# The benchmark (perfbench/) is a module of its own, so `go build ./...`
+# and `go test ./...` never compile it: vet it and run its self-test
+# here, so an engine change that breaks its imports fails before the
+# benchmark pipeline runs it.
+perfbench-check:
+	$(GO) -C perfbench vet .
+	$(GO) -C perfbench test .
+
 # The tier-1 gate: vet + build + tests, then the same tests under the
 # race detector (the parallel sweep executor must stay race-clean),
 # then the engine-allocation smoke, the sharded-engine equivalence
 # smoke, the quick recovery sweep, the quick oracle sweep, the quick
-# family-registry gate, the real-transport multi-process smoke, and
-# the streaming chaos soak.
-verify: vet build test race smoke-engine sharded-quick recovery-quick oracle-quick families-quick transport-quick soak-quick
+# family-registry gate, the real-transport multi-process smoke, the
+# streaming chaos soak, and the benchmark's build and self-test.
+verify: vet build test race smoke-engine sharded-quick recovery-quick oracle-quick families-quick transport-quick soak-quick perfbench-check

@@ -30,40 +30,87 @@ func pipelineSpecs(n int) (*topology.Graph, []PacketSpec) {
 // engine: with a warmed Scratch, a whole run allocates only O(1) —
 // the Network, the Result — regardless of how many events it processes.
 // The issue's acceptance bound is ≤ 0.1 allocs/event; steady state is
-// about three orders of magnitude below that.
+// about three orders of magnitude below that. The controlled case sets
+// and fires thousands of timers, so the timer heap and the token table
+// must reuse their arrays too.
 func TestRunScratchAllocFree(t *testing.T) {
 	const n = 64
 	g, specs := pipelineSpecs(n)
 	p := Params{TauS: 100, Alpha: 20, Mu: 2, D: 37}
-	sc := NewScratch()
+	ctl := &timerLoad{}
+	for _, tc := range []struct {
+		name string
+		opts Options
+	}{
+		{"plain", Options{}},
+		{"controller", Options{Control: ctl}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			sc := NewScratch()
+			run := func() *Result {
+				net, err := New(g, p)
+				if err != nil {
+					t.Fatal(err)
+				}
+				res, err := net.RunScratch(specs, tc.opts, sc)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return res
+			}
+			res := run() // warm the scratch's backing arrays
+			if res.Events == 0 {
+				t.Fatal("no events processed")
+			}
+			if tc.opts.Control != nil && (ctl.fired != ctl.set || ctl.set < 1000) {
+				t.Fatalf("controller set %d timers and %d fired, want them equal and >= 1000", ctl.set, ctl.fired)
+			}
 
-	run := func() *Result {
-		net, err := New(g, p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := net.RunScratch(specs, Options{}, sc)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
+			allocs := testing.AllocsPerRun(10, func() { run() })
+			perEvent := allocs / float64(res.Events)
+			t.Logf("%.1f allocs/run over %d events = %.2g allocs/event", allocs, res.Events, perEvent)
+			// The fresh Network and Result account for a handful of
+			// allocations per run; anything per-event (the old
+			// container/heap boxing was one alloc per push) would show up
+			// as thousands.
+			if allocs > 16 {
+				t.Fatalf("%.1f allocs per run, want O(1)", allocs)
+			}
+			if perEvent > 0.1 {
+				t.Fatalf("%.3f allocs/event exceeds the 0.1 acceptance bound", perEvent)
+			}
+		})
 	}
-	res := run() // warm the scratch's backing arrays
-	if res.Events == 0 {
-		t.Fatal("no events processed")
-	}
+}
 
-	allocs := testing.AllocsPerRun(10, func() { run() })
-	perEvent := allocs / float64(res.Events)
-	t.Logf("%.1f allocs/run over %d events = %.2g allocs/event", allocs, res.Events, perEvent)
-	// The fresh Network and Result account for a handful of allocations
-	// per run; anything per-event (the old container/heap boxing was one
-	// alloc per push) would show up as thousands.
-	if allocs > 16 {
-		t.Fatalf("%.1f allocs per run, want O(1)", allocs)
+// timerLoad is a controller that sets a timer at every delivery and
+// another from every fourth timer that fires: the repair layer's timer
+// traffic without its bookkeeping.
+type timerLoad struct {
+	rt         *Runtime
+	set, fired int
+}
+
+func (c *timerLoad) Attach(rt *Runtime, specs []PacketSpec) {
+	c.rt = rt
+	c.set, c.fired = 0, 0
+	c.rt.SetTimer(0, 0)
+	c.set++
+}
+
+func (c *timerLoad) OnDeliver(pkt int32, node topology.Node, at Time) {
+	c.rt.SetTimer(at+Time(pkt%7)*10, int64(c.set))
+	c.set++
+}
+
+func (c *timerLoad) OnTimer(at Time, token int64) {
+	if token < 0 || token >= int64(c.set) {
+		panic("timer fired with a token that was never set")
 	}
-	if perEvent > 0.1 {
-		t.Fatalf("%.3f allocs/event exceeds the 0.1 acceptance bound", perEvent)
+	c.fired++
+	if token%4 == 0 {
+		c.rt.SetTimer(at+5, int64(c.set))
+		c.set++
 	}
 }
 

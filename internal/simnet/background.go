@@ -27,8 +27,8 @@ type bgProcess struct {
 	busyEnd   Time
 }
 
-func newBgProcess(rng *rand.Rand, p Params) *bgProcess {
-	b := &bgProcess{
+func newBgProcess(rng *rand.Rand, p Params) bgProcess {
+	b := bgProcess{
 		rng:      rng,
 		busyLen:  float64(p.PacketTime()),
 		idleMean: float64(p.PacketTime()) * (1 - p.Rho) / p.Rho,

@@ -1,7 +1,6 @@
 package simnet
 
 import (
-	"cmp"
 	"math"
 	"math/bits"
 	"slices"
@@ -32,9 +31,13 @@ import (
 // multiply that by the slot count, while the free list keeps only as
 // many burst-sized arrays as there are simultaneously occupied ticks.
 //
+// Entries. A ring bucket holds bare 8-byte keys: the tick is the slot's,
+// and the key packs the rest (packetKey), so a push writes one word. Only
+// the overflow and timer heaps store (t, key) pairs.
+//
 // Ordering. Within a bucket all events share one tick, so the total
 // (t, key) order reduces to the pure event key; the drain sorts the
-// bucket by key once and the engine handles it as a flat slice. The one
+// bucket's keys once and the engine handles them as a flat slice. The one
 // spawn that can land on the tick currently being drained — the blocked
 // virtual-cut-through fallback, at μ=1, τ_S=0 — has, by construction,
 // the immediate-successor key of the event that spawned it (same packet
@@ -50,17 +53,17 @@ import (
 // its key lies between the tick's packet keys and every timer key: the
 // heap would pop it right after that timer, where the `same` slip does.
 type calQueue struct {
-	buckets [][]event // ring: events for tick t at slot t&mask; nil when empty
-	occ     []uint64  // occupancy bitmap over ring slots
-	mask    Time      // span-1; span is a power of two
-	lo      Time      // ring window start: every ring event has t in [lo, lo+span)
-	ringN   int       // events currently in the ring
-	over    eventHeap // events outside the ring window
-	free    [][]event // drained bucket arrays awaiting reuse
-	same    []event   // respawns at the tick being drained (see push)
-	sameN   int       // consumption cursor into same
-	timers  eventHeap // controller timers (see above)
-	open    Time      // tick currently being drained; noTick otherwise
+	buckets [][]uint64 // ring: keys of the events at tick t in slot t&mask; nil when empty
+	occ     []uint64   // occupancy bitmap over ring slots
+	mask    Time       // span-1; span is a power of two
+	lo      Time       // ring window start: every ring event has t in [lo, lo+span)
+	ringN   int        // events currently in the ring
+	over    eventHeap  // events outside the ring window
+	free    [][]uint64 // drained bucket arrays awaiting reuse
+	same    []uint64   // keys of respawns at the tick being drained (see push)
+	sameN   int        // consumption cursor into same
+	timers  eventHeap  // controller timers (see above)
+	open    Time       // tick currently being drained; noTick otherwise
 }
 
 // noTick marks "no bucket open"; simulated times are non-negative, so it
@@ -93,7 +96,7 @@ func (q *calQueue) reset(span Time) {
 		}
 	}
 	if Time(len(q.buckets)) != span {
-		q.buckets = make([][]event, span)
+		q.buckets = make([][]uint64, span)
 		q.occ = make([]uint64, span>>6)
 	} else {
 		clear(q.occ)
@@ -123,7 +126,7 @@ func (q *calQueue) push(ev event) {
 		// successor of the spawning event's key (see the type comment),
 		// so the drain loop consumes it next, before the rest of the
 		// sorted bucket.
-		q.same = append(q.same, ev)
+		q.same = append(q.same, ev.key)
 		return
 	}
 	if q.ringN == 0 && len(q.over.a) == 0 {
@@ -134,6 +137,12 @@ func (q *calQueue) push(ev event) {
 		q.over.push(ev)
 		return
 	}
+	q.ringPush(ev)
+}
+
+// ringPush appends ev's key to its tick's bucket, which must lie inside
+// the ring window.
+func (q *calQueue) ringPush(ev event) {
 	slot := ev.t & q.mask
 	b := q.buckets[slot]
 	if b == nil {
@@ -141,7 +150,7 @@ func (q *calQueue) push(ev event) {
 			b, q.free = q.free[n-1], q.free[:n-1]
 		}
 	}
-	q.buckets[slot] = append(b, ev)
+	q.buckets[slot] = append(b, ev.key)
 	q.occ[slot>>6] |= 1 << uint(slot&63)
 	q.ringN++
 }
@@ -171,17 +180,7 @@ func (q *calQueue) nextTick() (Time, bool) {
 			// for the window to reach them.
 			break
 		}
-		ev := q.over.pop()
-		slot := ev.t & q.mask
-		b := q.buckets[slot]
-		if b == nil {
-			if n := len(q.free); n > 0 {
-				b, q.free = q.free[n-1], q.free[:n-1]
-			}
-		}
-		q.buckets[slot] = append(b, ev)
-		q.occ[slot>>6] |= 1 << uint(slot&63)
-		q.ringN++
+		q.ringPush(q.over.pop())
 	}
 	t := Time(math.MaxInt64)
 	if q.ringN > 0 {
@@ -218,13 +217,13 @@ func (q *calQueue) ringNext() Time {
 	panic("simnet: calendar queue occupancy bitmap inconsistent with ring count")
 }
 
-// takeTick removes and returns every pending packet event at tick t,
-// sorted by key — the caller's flat batch to drain in one tight loop.
+// takeTick removes and returns the keys of every pending packet event at
+// tick t, sorted — the caller's flat batch to drain in one tight loop.
 // While the batch is being handled, pushes at tick t are routed to the
 // same-tick slip (consume it after each handled event); when the batch
 // and slip are done, hand the slice back through finishTick.
-func (q *calQueue) takeTick(t Time) []event {
-	var b []event
+func (q *calQueue) takeTick(t Time) []uint64 {
+	var b []uint64
 	if t >= q.lo && t <= q.lo+q.mask {
 		slot := t & q.mask
 		if bb := q.buckets[slot]; len(bb) > 0 {
@@ -235,7 +234,7 @@ func (q *calQueue) takeTick(t Time) []event {
 		}
 	}
 	for len(q.over.a) > 0 && q.over.a[0].t == t {
-		b = append(b, q.over.pop())
+		b = append(b, q.over.pop().key)
 	}
 	sortBucket(b)
 	q.open = t
@@ -247,7 +246,7 @@ func (q *calQueue) takeTick(t Time) []event {
 // every event at or before t has been handled, so lo can move past it,
 // letting pushes near the new frontier use the ring instead of the
 // overflow heap.
-func (q *calQueue) finishTick(t Time, b []event) {
+func (q *calQueue) finishTick(t Time, b []uint64) {
 	q.open = noTick
 	q.same = q.same[:0]
 	q.sameN = 0
@@ -259,19 +258,17 @@ func (q *calQueue) finishTick(t Time, b []event) {
 	}
 }
 
-// sortBucket orders a drained bucket by event key (all entries share one
-// tick, so the (t, key) order reduces to the key). The common case is
+// sortBucket orders a drained bucket's keys (all entries share one tick,
+// so the (t, key) order reduces to the key). The common case is
 // already sorted: a stage's packets advance in lockstep, so tick t's
 // batch — drained in key order — pushes tick t+α's events in key order
 // too. One linear scan certifies that before falling back to a real
 // sort (cross-shard outbox drains and mixed-stage ticks interleave
 // sources and do need it).
-func sortBucket(b []event) {
+func sortBucket(b []uint64) {
 	for i := 1; i < len(b); i++ {
-		if b[i].key < b[i-1].key {
-			slices.SortFunc(b, func(x, y event) int {
-				return cmp.Compare(x.key, y.key)
-			})
+		if b[i] < b[i-1] {
+			slices.Sort(b)
 			return
 		}
 	}

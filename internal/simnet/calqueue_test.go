@@ -24,14 +24,21 @@ import (
 //     fresh key above every packet key of the run so far, and may set
 //     further timers at its own tick or later (OnTimer → SetTimer).
 
-// Key spaces: initial packet events get even keys below spawnedBase
-// (their same-tick respawns the odd immediate successors), spawned
-// future packets even keys from spawnedBase, injected packets keys from
+// Key spaces: initial packet events get even keys below spawnedBase or
+// evCut keys at the engine's capacity limits, from limitBase up (their
+// same-tick respawns the odd immediate successors), spawned future
+// packets even keys from spawnedBase, injected packets keys from
 // injectedBase; timers are timerKeyBit | set sequence, like the engine's.
 const (
 	spawnedBase  = uint64(1) << 32
 	injectedBase = uint64(1) << 48
+	limitBase    = uint64(maxSpecs-1-300) << 32
 )
+
+// initialKey reports whether key belongs to an initial packet event.
+func initialKey(key uint64) bool {
+	return key < spawnedBase || (key >= limitBase && key&timerKeyBit == 0)
+}
 
 // spawner makes the spawn decisions for one drain side. Decisions are a
 // pure function of (popped event, salt); the key counters and the spawn
@@ -91,12 +98,12 @@ func (sp *spawner) spawn(ev event) []event {
 		}
 		return out
 	}
-	if ev.key&1 == 0 && ev.key < spawnedBase && h&7 == 0 {
+	if ev.key&1 == 0 && initialKey(ev.key) && h&7 == 0 {
 		// Same-tick respawn with the immediate-successor key — the
 		// shape of the engine's blocked-cut-through fallback.
 		out = append(out, event{t: ev.t, key: ev.key + 1})
 	}
-	if ev.key < spawnedBase && h&0x300 == 0 {
+	if initialKey(ev.key) && h&0x300 == 0 {
 		// Future respawn, up to thousands of ticks ahead: crosses
 		// window boundaries and, for small spans, lands in the
 		// overflow heap and migrates back as lo advances.
@@ -145,10 +152,10 @@ func calDrainAll(q *calQueue, sp *spawner) []event {
 			calPush(q, s)
 		}
 	}
-	slip := func() {
+	slip := func(tick Time) {
 		for q.sameN < len(q.same) {
 			q.sameN++
-			pop(q.same[q.sameN-1])
+			pop(event{t: tick, key: q.same[q.sameN-1]})
 		}
 	}
 	for {
@@ -157,16 +164,16 @@ func calDrainAll(q *calQueue, sp *spawner) []event {
 			break
 		}
 		b := q.takeTick(tick)
-		for i := range b {
-			if b[i].key&timerKeyBit != 0 {
+		for _, key := range b {
+			if key&timerKeyBit != 0 {
 				panic("calendar batch holds a timer")
 			}
-			pop(b[i])
-			slip()
+			pop(event{t: tick, key: key})
+			slip(tick)
 		}
 		for len(q.timers.a) > 0 && q.timers.a[0].t == tick {
 			pop(q.timers.pop())
-			slip()
+			slip(tick)
 		}
 		q.finishTick(tick, b)
 	}
@@ -227,7 +234,8 @@ func diffCompare(t *testing.T, span Time, initial []event, salt uint64) *spawner
 // far beyond any span (overflow), and arrive in arbitrary order
 // (below-lo pushes after the window snapped to an early frontier); one
 // in four is a controller timer, numbered in push order like the
-// engine's set sequence.
+// engine's set sequence, and some packet events carry keys at the
+// engine's packet and hop capacity limits.
 func genInitial(data []byte) []event {
 	n, timers := 0, uint64(0)
 	var evs []event
@@ -241,10 +249,14 @@ func genInitial(data []byte) []event {
 		} else {
 			tt = tRaw * 7
 		}
-		if data[i+2]&6 == 6 {
+		switch {
+		case data[i+2]&6 == 6:
 			evs = append(evs, event{t: tt, key: timerKeyBit | timers})
 			timers++
-		} else {
+		case data[i+2]&8 != 0:
+			hop := maxRouteLen - 1 - int32(data[i+2]>>4&3)
+			evs = append(evs, event{t: tt, key: packetKey(maxSpecs-1-int32(n), hop, evCut)})
+		default:
 			evs = append(evs, event{t: tt, key: uint64(n) * 2})
 		}
 		n++
@@ -295,6 +307,37 @@ func randomEvents(rng *rand.Rand, n int, timers bool) []event {
 		evs[i] = event{t: tt, key: uint64(i) * 2}
 	}
 	return evs
+}
+
+// TestPacketKeyDecode pins the key codec the engine trusts: handle
+// decodes the packet, hop and kind from the bare key, so every
+// combination at the capacity limits must round-trip, keys must order
+// by (packet, hop, kind), and no timer key may decode to a packet index
+// the engine could hold.
+func TestPacketKeyDecode(t *testing.T) {
+	var prev uint64
+	for i, pkt := range []int32{0, 1, maxSpecs - 1} {
+		for j, hop := range []int32{0, 1, maxRouteLen - 1} {
+			for k, kind := range []evKind{evCut, evSend} {
+				key := packetKey(pkt, hop, kind)
+				if key&timerKeyBit != 0 {
+					t.Fatalf("packetKey(%d, %d, %d) = %#x sets the timer bit", pkt, hop, kind, key)
+				}
+				if p, h, d := decodeKey(key); p != pkt || h != hop || d != kind {
+					t.Fatalf("decodeKey(packetKey(%d, %d, %d)) = (%d, %d, %d)", pkt, hop, kind, p, h, d)
+				}
+				if i+j+k > 0 && key <= prev {
+					t.Fatalf("packetKey(%d, %d, %d) = %#x does not follow %#x", pkt, hop, kind, key, prev)
+				}
+				prev = key
+			}
+		}
+	}
+	for _, seq := range []uint64{0, 1, 2, 3, 1 << 32, timerKeyBit - 1} {
+		if pkt, _, _ := decodeKey(timerKeyBit | seq); pkt >= 0 {
+			t.Fatalf("timer key with sequence %d decodes to packet %d", seq, pkt)
+		}
+	}
 }
 
 // TestCalQueueDifferentialRandom is the deterministic property-test
@@ -377,18 +420,18 @@ func TestCalQueueReuse(t *testing.T) {
 // TestSortBucketSortedFastPath pins the lockstep fast path: an already
 // key-sorted bucket must come back untouched, an unsorted one sorted.
 func TestSortBucketSortedFastPath(t *testing.T) {
-	sorted := []event{{key: 1}, {key: 2}, {key: 5}, {key: 9}}
+	sorted := []uint64{1, 2, 5, 9}
 	sortBucket(sorted)
 	for i := 1; i < len(sorted); i++ {
-		if sorted[i].key < sorted[i-1].key {
+		if sorted[i] < sorted[i-1] {
 			t.Fatalf("sorted bucket reordered at %d", i)
 		}
 	}
-	unsorted := []event{{key: 9}, {key: 2}, {key: 5}, {key: 1}}
+	unsorted := []uint64{9, 2, 5, 1}
 	sortBucket(unsorted)
 	for i, want := range []uint64{1, 2, 5, 9} {
-		if unsorted[i].key != want {
-			t.Fatalf("sortBucket: pos %d key %d, want %d", i, unsorted[i].key, want)
+		if unsorted[i] != want {
+			t.Fatalf("sortBucket: pos %d key %d, want %d", i, unsorted[i], want)
 		}
 	}
 }

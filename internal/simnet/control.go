@@ -58,9 +58,9 @@ func (rt *Runtime) NumSpecs() int { return len(rt.st.specs) }
 func (rt *Runtime) Spec(i int32) PacketSpec { return rt.st.specs[i] }
 
 // SetTimer schedules OnTimer(at, token) — at is clamped to Now() so a
-// timer can never fire in the simulated past. The token travels through
-// the event's arr field (both are int64-sized), so timers cost one queue
-// slot and no allocation.
+// timer can never fire in the simulated past. The token waits in the
+// run's token table, indexed by the timer's set sequence, so a timer
+// costs one queue slot and, once the Scratch is warm, no allocation.
 func (rt *Runtime) SetTimer(at Time, token int64) {
 	st := rt.st
 	if at < st.now {

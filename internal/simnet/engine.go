@@ -25,8 +25,8 @@ import (
 // The hot path is flat and index-addressed: before the event loop starts,
 // every route is compiled into a []int32 of arc indices (validating
 // adjacency once), so handle() reaches its link by slice indexing into
-// the network's dense []link — no map probes, no interface boxing, and,
-// with a reused Scratch, no allocation per event.
+// the network's per-arc freeAt — no map probes, no interface boxing,
+// and, with a reused Scratch, no allocation per event.
 
 type evKind uint8
 
@@ -66,21 +66,25 @@ func packetKey(pkt, hop int32, kind evKind) uint64 {
 	return uint64(uint32(pkt))<<32 | uint64(uint32(hop))<<2 | uint64(kind)
 }
 
-// timerKeyBit marks controller timer events, which carry no packet, only
-// an opaque token in the arr field. Bit 63 is never set by packetKey
-// (31+30+2 = 63 bits), so all timers at a tick order after that tick's
-// packet events — a deadline timer can never preempt a delivery landing
-// on the deadline itself — and among themselves by their monotonic set
-// sequence.
+// decodeKey inverts packetKey: a key is a packet event's whole payload,
+// which is why the calendar queue stores keys alone.
+func decodeKey(key uint64) (pkt, hop int32, kind evKind) {
+	return int32(key >> 32), int32(uint32(key) >> 2), evKind(key & 3)
+}
+
+// timerKeyBit marks controller timer events, which carry no packet; the
+// rest of a timer key is its set sequence, which indexes the run's token
+// table. Bit 63 is never set by packetKey (31+30+2 = 63 bits), so all
+// timers at a tick order after that tick's packet events — a deadline
+// timer can never preempt a delivery landing on the deadline itself —
+// and among themselves by their monotonic set sequence.
 const timerKeyBit = uint64(1) << 63
 
+// event is a pending event outside the calendar ring (overflow and timer
+// heaps, sharded outboxes): its time and its key.
 type event struct {
-	t    Time
-	key  uint64 // deterministic tiebreak at equal t (packetKey / timer key)
-	pkt  int32
-	hop  int32
-	kind evKind
-	arr  Time // header arrival time at the hop's source node
+	t   Time
+	key uint64 // deterministic tiebreak at equal t (packetKey / timer key)
 }
 
 // before reports whether a orders strictly before b: primary key is
@@ -222,7 +226,7 @@ type runState struct {
 	specs    []PacketSpec
 	opts     Options
 	queue    calQueue
-	seq      int64 // monotonic timer sequence (controller runs only)
+	tokens   []int64 // controller timer tokens, indexed by set sequence
 	res      *Result
 	ledger   *CopyLedger // delivery sink when Options.Ledger is set (shard-local in sharded runs)
 	arcStamp []int32     // per arc: spec index + 1 that last used it (duplicate detection)
@@ -334,33 +338,33 @@ func (st *runState) drainUntil(end Time) {
 		b := q.takeTick(t)
 		st.res.Events += int64(len(b))
 		st.now = t
-		for i := range b {
-			st.curKey = b[i].key
-			st.handle(&b[i])
+		for _, key := range b {
+			st.curKey = key
+			st.handle(t, key)
 			if q.sameN < len(q.same) {
-				st.handleSame()
+				st.handleSame(t)
 			}
 		}
 		for len(q.timers.a) > 0 && q.timers.a[0].t == t {
 			tm := q.timers.pop()
 			st.res.Events++
-			st.opts.Control.OnTimer(tm.t, int64(tm.arr))
-			st.handleSame()
+			st.opts.Control.OnTimer(t, st.tokens[tm.key&^timerKeyBit])
+			st.handleSame(t)
 		}
 		q.finishTick(t, b)
 	}
 }
 
-// handleSame handles the packets pushed at the open tick, in push order:
+// handleSame handles the packets pushed at the open tick t in push order:
 // a blocked cut-through's fallback send, or the packets a timer injected.
-func (st *runState) handleSame() {
+func (st *runState) handleSame(t Time) {
 	q := &st.queue
 	for q.sameN < len(q.same) {
-		ev := &q.same[q.sameN]
+		key := q.same[q.sameN]
 		q.sameN++
 		st.res.Events++
-		st.curKey = ev.key
-		st.handle(ev)
+		st.curKey = key
+		st.handle(t, key)
 	}
 }
 
@@ -372,7 +376,7 @@ func (st *runState) prepare(n *Network, specs []PacketSpec, opts Options) error 
 	st.net, st.specs, st.opts = n, specs, opts
 	st.res = &Result{}
 	st.queue.reset(spanForParams(n.p))
-	st.seq = 0
+	st.tokens = st.tokens[:0]
 	st.ledger = opts.Ledger
 	if len(specs) > maxSpecs {
 		return fmt.Errorf("simnet: %d packets exceed the engine's %d-packet capacity", len(specs), maxSpecs)
@@ -389,7 +393,7 @@ func (st *runState) prepare(n *Network, specs []PacketSpec, opts Options) error 
 	// certifies the window repeats no directed link (see
 	// PacketSpec.Path) — that is what keeps a Q16-scale run's compiled
 	// footprint at O(γN) instead of O(γN²).
-	st.arcStamp = growInt32(st.arcStamp, len(n.links))
+	st.arcStamp = growInt32(st.arcStamp, len(n.freeAt))
 	clear(st.arcStamp)
 	st.specArcs = growArcLists(st.specArcs, len(specs))
 	// The delivery log is sized for a run that loses no copy: a tee route
@@ -596,20 +600,20 @@ func checkAcyclic(specs []PacketSpec) error {
 // start injects packet i at absolute time at.
 func (st *runState) start(i int32, at Time) {
 	st.started[i] = true
-	st.push(event{t: at + st.net.p.TauS, pkt: i, hop: 0, kind: evSend, arr: at})
+	st.push(at+st.net.p.TauS, i, 0, evSend)
 	st.res.Injections++
 }
 
-// push enqueues a packet event under its deterministic key. In a sharded
-// run the event is routed to the shard owning its hop's arc: the shard's
-// own heap when local, the target's outbox (drained at the next window
-// barrier) otherwise. Same-arc respawns — the blocked-cut-through
-// fallback — always stay local, which is what keeps the window bound at
-// the cross-link minimum α.
-func (st *runState) push(ev event) {
-	ev.key = packetKey(ev.pkt, ev.hop, ev.kind)
+// push enqueues a packet event at time t under its deterministic key. In
+// a sharded run the event is routed to the shard owning its hop's arc:
+// the shard's own heap when local, the target's outbox (drained at the
+// next window barrier) otherwise. Same-arc respawns — the
+// blocked-cut-through fallback — always stay local, which is what keeps
+// the window bound at the cross-link minimum α.
+func (st *runState) push(t Time, pkt, hop int32, kind evKind) {
+	ev := event{t: t, key: packetKey(pkt, hop, kind)}
 	if sh := st.sh; sh != nil {
-		if tgt := sh.owner(st.specArcs[ev.pkt][ev.hop]); tgt != sh.id {
+		if tgt := sh.owner(st.specArcs[pkt][hop]); tgt != sh.id {
 			sh.outbox[tgt] = append(sh.outbox[tgt], ev)
 			return
 		}
@@ -617,43 +621,45 @@ func (st *runState) push(ev event) {
 	st.queue.push(ev)
 }
 
-// pushTimer enqueues a controller timer. Timers order after all packet
+// pushTimer enqueues a controller timer; its token waits in the run's
+// token table at the timer's set sequence. Timers order after all packet
 // events at their tick and among themselves by set order.
 func (st *runState) pushTimer(at Time, token int64) {
-	st.queue.timers.push(event{t: at, key: timerKeyBit | uint64(st.seq), arr: Time(token)})
-	st.seq++
+	st.queue.timers.push(event{t: at, key: timerKeyBit | uint64(len(st.tokens))})
+	st.tokens = append(st.tokens, token)
 }
 
-// handle performs one packet event, read in place from the drained
-// bucket or the same-tick slip, which no push overwrites while it runs;
-// a stack copy made the loop's speed depend on its callers' frames.
-func (st *runState) handle(ev *event) {
-	spec := &st.specs[ev.pkt]
-	p := st.net.p
-	from := spec.Route[ev.hop]
-	to := spec.Route[ev.hop+1]
+// handle performs the packet event (t, key). Only an evCut needs its
+// header's arrival time at the hop's source node, and that is always
+// t − α: the one push site of evCut schedules it α after the header
+// departs upstream.
+func (st *runState) handle(t Time, key uint64) {
+	pkt, hop, evk := decodeKey(key)
+	spec := &st.specs[pkt]
+	p := &st.net.p
+	from := spec.Route[hop]
+	to := spec.Route[hop+1]
 	// Packet transmission time: Flits overrides the network default μ.
 	pt := p.PacketTime()
 	if spec.Flits > 0 {
 		pt = Time(spec.Flits) * p.Alpha
 	}
-	arc := st.specArcs[ev.pkt][ev.hop]
-	l := &st.net.links[arc]
+	arc := st.specArcs[pkt][hop]
+	freeAt := &st.net.freeAt[arc]
 
 	var depart Time
 	var kind HopKind
 	var blocked bool
 
 	switch {
-	case ev.kind == evCut && !st.opts.Saturated:
-		// Header requests the transmitter at ev.t = arr + α.
-		req := ev.t
-		avail, bgHit := st.linkFree(l, req)
-		if avail <= req && !bgHit {
-			depart, kind = req, HopCut
+	case evk == evCut && !st.opts.Saturated:
+		// Header requests the transmitter at t = arr + α.
+		avail, bgHit := st.linkFree(arc, t)
+		if avail <= t && !bgHit {
+			depart, kind = t, HopCut
 			st.res.CutThroughs++
 		} else {
-			if l.freeAt > req {
+			if *freeAt > t {
 				st.res.Contentions++
 			}
 			if bgHit {
@@ -661,31 +667,31 @@ func (st *runState) handle(ev *event) {
 			}
 			if p.Mode == Wormhole {
 				// Stall in the network until the transmitter frees.
-				depart, kind, blocked = max(req, avail)+p.D, HopStall, true
+				depart, kind, blocked = max(t, avail)+p.D, HopStall, true
 				st.res.Stalls++
 			} else {
 				// Virtual cut-through: buffer the packet and retry as a
 				// store-and-forward send once fully received + started up.
-				st.push(event{t: ev.arr + pt + p.TauS, pkt: ev.pkt, hop: ev.hop, kind: evSend, arr: ev.arr})
+				st.push(t-p.Alpha+pt+p.TauS, pkt, hop, evSend)
 				return
 			}
 		}
 
 	default: // evSend, or any request in Saturated mode
-		ready := ev.t
-		if ev.kind == evCut {
+		ready := t
+		if evk == evCut {
 			// Saturated mode forces even would-be cut-throughs through
 			// storage: full reception plus startup.
-			ready = ev.arr + pt + p.TauS
+			ready = t - p.Alpha + pt + p.TauS
 		}
-		avail, bgHit := st.linkFree(l, ready)
+		avail, bgHit := st.linkFree(arc, ready)
 		switch {
 		case st.opts.Saturated:
 			depart, blocked = max(ready, avail)+p.D, true
 		case avail <= ready && !bgHit:
 			depart = ready
 		default:
-			if l.freeAt > ready {
+			if *freeAt > ready {
 				st.res.Contentions++
 			}
 			if bgHit {
@@ -693,7 +699,7 @@ func (st *runState) handle(ev *event) {
 			}
 			depart, blocked = max(ready, avail)+p.D, true
 		}
-		if ev.hop == 0 {
+		if hop == 0 {
 			kind = HopInject
 		} else {
 			kind = HopBuffer
@@ -707,19 +713,18 @@ func (st *runState) handle(ev *event) {
 	// (The hop-kind counters above record the switching decision that was
 	// made; FaultDrops counts the hops canceled after that decision.)
 	if st.opts.Fault != nil {
-		switch st.opts.Fault.Relay(spec.ID, int(ev.hop), from, to, depart) {
+		switch st.opts.Fault.Relay(spec.ID, int(hop), from, to, depart) {
 		case FaultDrop:
 			st.res.FaultDrops++
 			return
 		case FaultCorrupt:
-			st.corrupt[ev.pkt] = true
+			st.corrupt[pkt] = true
 			st.res.FaultTaints++
 		}
 	}
 
 	// Acquire the link for [depart, depart+μα].
-	l.freeAt = depart + pt
-	l.busy += pt
+	*freeAt = depart + pt
 	st.res.LinkBusy += pt
 
 	tailAtNext := depart + pt
@@ -730,7 +735,7 @@ func (st *runState) handle(ev *event) {
 			HeaderDepart: depart, TailArrive: tailAtNext, Blocked: blocked,
 		}
 		if sh := st.sh; sh != nil {
-			sh.traces = append(sh.traces, taggedHop{t: ev.t, key: ev.key, pkt: ev.pkt, h: h})
+			sh.traces = append(sh.traces, taggedHop{t: t, key: key, pkt: pkt, h: h})
 		} else {
 			st.res.Traces[spec.ID] = append(st.res.Traces[spec.ID], h)
 		}
@@ -741,44 +746,43 @@ func (st *runState) handle(ev *event) {
 			flits = spec.Flits
 		}
 		he := HopEvent{
-			ID: spec.ID, Hop: int(ev.hop), From: from, To: to,
+			ID: spec.ID, Hop: int(hop), From: from, To: to,
 			Arc:  int(arc),
 			Kind: kind, HeaderDepart: depart, TailArrive: tailAtNext,
 			Flits: flits, Blocked: blocked,
 		}
 		if sh := st.sh; sh != nil {
-			sh.obs = append(sh.obs, obsRec{t: ev.t, key: ev.key, isHop: true, hop: he})
+			sh.obs = append(sh.obs, obsRec{t: t, key: key, isHop: true, hop: he})
 		} else {
 			st.opts.Observe.OnHop(he)
 		}
 	}
 	// The next node receives a copy if it is the final node, or by the
 	// tee operation while the packet passes through.
-	if ev.hop == last || spec.Tee {
-		st.deliver(ev.pkt, to, tailAtNext)
+	if hop == last || spec.Tee {
+		st.deliver(pkt, to, tailAtNext)
 	}
-	if ev.hop < last {
+	if hop < last {
 		// Header arrives at `to` at depart; after the FIFO transit α it
 		// requests the next transmitter (cut-through path), or goes
 		// through storage in store-and-forward mode.
 		if p.Mode == StoreAndForward {
-			st.push(event{t: depart + pt + p.TauS, pkt: ev.pkt, hop: ev.hop + 1, kind: evSend, arr: depart})
+			st.push(depart+pt+p.TauS, pkt, hop+1, evSend)
 		} else {
-			st.push(event{t: depart + p.Alpha, pkt: ev.pkt, hop: ev.hop + 1, kind: evCut, arr: depart})
+			st.push(depart+p.Alpha, pkt, hop+1, evCut)
 		}
 	}
 }
 
-// linkFree returns the earliest time >= t the link is free of both
+// linkFree returns the earliest time >= t the link arc is free of both
 // broadcast and background traffic, and whether background traffic was
 // occupying it at the query time.
-func (st *runState) linkFree(l *link, t Time) (Time, bool) {
-	avail := max(l.freeAt, t)
-	if l.bg == nil {
+func (st *runState) linkFree(arc int32, t Time) (Time, bool) {
+	avail := max(st.net.freeAt[arc], t)
+	if st.net.bg == nil {
 		return avail, false
 	}
-	free, hit := l.bg.freeFrom(avail)
-	return free, hit
+	return st.net.bg[arc].freeFrom(avail)
 }
 
 func (st *runState) deliver(pkt int32, node topology.Node, at Time) {

@@ -147,7 +147,7 @@ func (n *Network) runSharded(specs []PacketSpec, opts Options, sc *Scratch) (*Re
 		return nil, err
 	}
 	w := opts.EngineWorkers
-	if nArcs := len(n.links); w > nArcs {
+	if nArcs := len(n.freeAt); w > nArcs {
 		// More workers than arcs would leave shards owning nothing.
 		w = nArcs
 	}
@@ -163,7 +163,7 @@ func (n *Network) runSharded(specs []PacketSpec, opts Options, sc *Scratch) (*Re
 		return st.finish()
 	}
 
-	run := &shardedRun{chunk: (len(n.links) + w - 1) / w}
+	run := &shardedRun{chunk: (len(n.freeAt) + w - 1) / w}
 	shards := sc.shardSlots(w)
 	defer releaseShards(shards)
 	for i, sh := range shards {

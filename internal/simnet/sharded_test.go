@@ -383,7 +383,7 @@ func TestBackgroundSeedPerArc(t *testing.T) {
 	sample := func(net *Network, order []int) map[int][]Time {
 		out := make(map[int][]Time)
 		for _, i := range order {
-			bg := net.links[i].bg
+			bg := &net.bg[i]
 			var ts []Time
 			for q := Time(0); q < 2000; q += 100 {
 				free, _ := bg.freeFrom(q)

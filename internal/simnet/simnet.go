@@ -414,16 +414,10 @@ func (cm *CopyMatrix) MinCopies() int {
 	return minC
 }
 
-// link is one directed communication link.
-type link struct {
-	freeAt Time
-	busy   Time // accumulated busy time from broadcast packets
-	bg     *bgProcess
-}
-
 // Network is a simulatable instance of a graph plus switching parameters.
-// Link state is a dense slice indexed by arc id (the position of the arc
-// in g.Arcs()). Because the graph's adjacency lists are sorted, the arc
+// Link state is flat and indexed by arc id (the position of the arc in
+// g.Arcs()): one freeAt per directed link, and its background process
+// only when ρ > 0. Because the graph's adjacency lists are sorted, the arc
 // id of (u, v) is arcBase[u] plus the rank of v among u's neighbors, so
 // route compilation resolves and validates each hop with a short scan of
 // one adjacency list — the engine never hashes, not even at the
@@ -431,8 +425,9 @@ type link struct {
 type Network struct {
 	g       *topology.Graph
 	p       Params
-	links   []link
-	arcBase []int32 // arcBase[u] = number of arcs leaving nodes < u
+	freeAt  []Time      // per arc: when its transmitter finishes its last packet
+	bg      []bgProcess // per arc background traffic; nil when ρ = 0
+	arcBase []int32     // arcBase[u] = number of arcs leaving nodes < u
 }
 
 // New builds a network over g with the given parameters.
@@ -452,7 +447,7 @@ func New(g *topology.Graph, p Params) (*Network, error) {
 	n := &Network{
 		g:       g,
 		p:       p,
-		links:   make([]link, 2*g.M()),
+		freeAt:  make([]Time, 2*g.M()),
 		arcBase: make([]int32, nn+1),
 	}
 	for u := 0; u < nn; u++ {
@@ -468,8 +463,9 @@ func New(g *topology.Graph, p Params) (*Network, error) {
 		// mixing kept whole seed bit-planes correlated across arcs;
 		// splitmix64's full avalanche decorrelates neighboring arc ids.
 		base := splitmix64(uint64(p.Seed))
-		for i := range n.links {
-			n.links[i].bg = newBgProcess(rand.New(rand.NewSource(int64(splitmix64(base^(uint64(i)+1)*0x9e3779b97f4a7c15)))), p)
+		n.bg = make([]bgProcess, len(n.freeAt))
+		for i := range n.bg {
+			n.bg[i] = newBgProcess(rand.New(rand.NewSource(int64(splitmix64(base^(uint64(i)+1)*0x9e3779b97f4a7c15)))), p)
 		}
 	}
 	return n, nil
