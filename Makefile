@@ -45,9 +45,10 @@ bench-fault:
 # independence of the observability aggregates), the calendar queue
 # (differential pop-order equivalence against the reference heap), the
 # transport wire codec (decode never panics, accepted frames re-encode
-# canonically), and the decomposition registry (family constructors
-# never panic on arbitrary parameters; valid instances build and their
-# names round-trip), mirroring the CI budget.
+# canonically), the wall-clock pull planner (differential equivalence
+# against the scan-based reference), and the decomposition registry
+# (family constructors never panic on arbitrary parameters; valid
+# instances build and their names round-trip), mirroring the CI budget.
 fuzz:
 	$(GO) test -fuzz=FuzzVoteUnsigned -fuzztime=15s ./internal/reliable
 	$(GO) test -fuzz=FuzzKeyringVerify -fuzztime=15s ./internal/reliable
@@ -55,6 +56,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzMetricsMerge -fuzztime=15s ./internal/observe
 	$(GO) test -fuzz=FuzzCalendarQueue -fuzztime=15s ./internal/simnet
 	$(GO) test -fuzz=FuzzFrameDecode -fuzztime=15s ./internal/transport
+	$(GO) test -fuzz=FuzzPlanner -fuzztime=15s ./internal/repair
 	$(GO) test -fuzz=FuzzFamilyParams -fuzztime=15s ./internal/hamilton
 
 # Engine-regression smoke: one measured Q10 ATA run; fails if
@@ -125,18 +127,19 @@ families-quick:
 q14-smoke:
 	$(GO) run ./cmd/atasim -net Q14 -algo ihc -eta 2 -ledger
 
-# Real-transport smoke: first the transport/cluster/repair unit tests
-# under the race detector (jittered backoff, breaker transitions, the
-# peer-dies-and-reconnects NAK path, and the in-process loopback + TCP
-# chaos rounds), then the multi-process check — `ihcd -launch` boots 8
-# real ihcd daemons as separate OS processes on a Q3 overlay with a
-# socket-level chaos proxy on every link, SIGKILLs node 6 mid-round,
-# partitions link {1,3}, and requires every survivor's counters-only
-# ledger to show the exact γ-copy postcondition plus a clean (exit 0)
-# SIGTERM shutdown; the -faultfree leg additionally requires the
-# wall-clock delivery multiset to equal the discrete-event engine's.
+# Real-transport smoke: first the transport/cluster/repair/stream unit
+# tests under the race detector (jittered backoff, breaker transitions,
+# the peer-dies-and-reconnects NAK path, the in-process loopback + TCP
+# chaos rounds, and the streaming node's store), then the multi-process
+# check — `ihcd -launch` boots 8 real ihcd daemons as separate OS
+# processes on a Q3 overlay with a socket-level chaos proxy on every
+# link, SIGKILLs node 6 mid-round, partitions link {1,3}, and requires
+# every survivor's counters-only ledger to show the exact γ-copy
+# postcondition plus a clean (exit 0) SIGTERM shutdown; the -faultfree
+# leg additionally requires the wall-clock delivery multiset to equal
+# the discrete-event engine's.
 transport-quick:
-	$(GO) test -race -count=1 ./internal/transport ./internal/cluster ./internal/repair ./internal/hlc
+	$(GO) test -race -count=1 ./internal/transport ./internal/cluster ./internal/repair ./internal/hlc ./internal/stream
 	$(GO) run ./cmd/ihcd -launch
 	$(GO) run ./cmd/ihcd -launch -faultfree
 

@@ -1,7 +1,11 @@
 package reliable
 
 import (
+	"bytes"
+	"crypto/hmac"
+	"crypto/sha256"
 	"math/rand"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -112,6 +116,62 @@ func TestKeyringDeterministic(t *testing.T) {
 	c := mustSign(t, NewKeyring(4, 8), Message{Source: 2, Payload: []byte("p")})
 	if string(a.MAC) == string(c.MAC) {
 		t.Fatal("different seeds gave same MAC")
+	}
+}
+
+// TestKeyringConcurrent shares one keyring between goroutines, as an
+// in-process cluster does, and checks that the pooled keyed states
+// never mix keys or messages: every MAC equals a sequential HMAC
+// computed from the bare key, and Verify accepts exactly those.
+func TestKeyringConcurrent(t *testing.T) {
+	const n, workers, rounds = 32, 8, 40
+	kr := NewKeyring(n, 9)
+	type job struct {
+		msg Message
+		mac []byte
+	}
+	var jobs []job
+	for s := 0; s < n; s++ {
+		for _, size := range []int{0, 13, 2400} {
+			p := make([]byte, size)
+			for i := range p {
+				p[i] = byte(s*31 + i)
+			}
+			h := hmac.New(sha256.New, kr.keys[s])
+			h.Write(p)
+			jobs = append(jobs, job{Message{Source: topology.Node(s), Payload: p}, h.Sum(nil)})
+		}
+	}
+	var wg sync.WaitGroup
+	errs := make(chan string, workers)
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for r := 0; r < rounds; r++ {
+				for i := range jobs {
+					j := jobs[(i*(w+1)+r)%len(jobs)]
+					signed, err := kr.Sign(j.msg)
+					if err != nil || !bytes.Equal(signed.MAC, j.mac) {
+						errs <- "Sign diverged from the sequential MAC"
+						return
+					}
+					bad := append([]byte(nil), j.mac...)
+					bad[w%len(bad)] ^= 1
+					ok, err := kr.Verify(Message{Source: j.msg.Source, Payload: j.msg.Payload, MAC: j.mac})
+					okBad, errBad := kr.Verify(Message{Source: j.msg.Source, Payload: j.msg.Payload, MAC: bad})
+					if err != nil || errBad != nil || !ok || okBad {
+						errs <- "Verify disagreed with the sequential MAC"
+						return
+					}
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	close(errs)
+	for e := range errs {
+		t.Fatal(e)
 	}
 }
 

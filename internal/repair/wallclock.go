@@ -1,6 +1,9 @@
 package repair
 
 import (
+	"cmp"
+	"container/heap"
+	"slices"
 	"time"
 
 	"ihc/internal/topology"
@@ -59,16 +62,27 @@ type pullState struct {
 	attempts  int
 	nextAt    time.Time
 	satisfied bool
+	seq       int // insertion index: emission order and heap tie-break
+	slot      int // index in Planner.live, -1 once out of it
 }
 
 // Planner tracks every copy a node still expects and decides, given the
 // current time, which NAKs to send to whom. Not safe for concurrent
 // use; the node's event loop owns it.
+//
+// Wants that can still be pulled sit in a min-heap keyed by (nextAt,
+// insertion index), so the event loop's per-iteration NextWake and Due
+// cost the due wants, not every want. A satisfied want is dropped
+// lazily, when it reaches the top; one that exhausts its attempts
+// leaves the heap and is counted, so Terminal is O(1).
 type Planner struct {
-	cfg     PullConfig
-	wants   map[Want]*pullState
-	order   []*pullState // insertion order, for deterministic emission
-	pending int
+	cfg       PullConfig
+	wants     map[Want]*pullState
+	order     []*pullState // insertion order, for Exhausted
+	live      wantHeap
+	due       []*pullState // Due's scratch
+	pending   int
+	exhausted int // unsatisfied wants that burned MaxAttempts
 }
 
 // NewPlanner returns an empty planner.
@@ -91,9 +105,10 @@ func (p *Planner) Expect(w Want, deadline time.Time, providers []topology.Node) 
 	if _, dup := p.wants[w]; dup {
 		return
 	}
-	st := &pullState{w: w, providers: providers, nextAt: deadline}
+	st := &pullState{w: w, providers: providers, nextAt: deadline, seq: len(p.order)}
 	p.wants[w] = st
 	p.order = append(p.order, st)
+	heap.Push(&p.live, st)
 	p.pending++
 }
 
@@ -106,6 +121,9 @@ func (p *Planner) Got(w Want) bool {
 	}
 	st.satisfied = true
 	p.pending--
+	if st.attempts >= p.cfg.MaxAttempts {
+		p.exhausted--
+	}
 	return true
 }
 
@@ -120,22 +138,35 @@ func (p *Planner) Miss(w Want, now time.Time) {
 	next := now.Add(p.cfg.Delay(st.attempts) / 2)
 	if next.Before(st.nextAt) {
 		st.nextAt = next
+		heap.Fix(&p.live, st.slot)
 	}
 }
 
-// Due returns the pulls whose time has come, advancing each want's
-// rotation, attempt count, and next-retry time. peerDown (optional)
-// lets the rotation skip providers whose circuit breakers are open; if
-// every provider is down the want just waits out its backoff.
+// Due returns the pulls whose time has come, in insertion order,
+// advancing each want's rotation, attempt count, and next-retry time.
+// peerDown (optional) lets the rotation skip providers whose circuit
+// breakers are open; if every provider is down the want just waits
+// out its backoff.
 func (p *Planner) Due(now time.Time, peerDown func(topology.Node) bool) []Pull {
-	var out []Pull
-	for _, st := range p.order {
-		if st.satisfied || st.attempts >= p.cfg.MaxAttempts || now.Before(st.nextAt) {
-			continue
+	// Pop every due want before rescheduling any, so a retry that is
+	// due again at once waits for the next call.
+	p.due = p.due[:0]
+	for len(p.live) > 0 && !now.Before(p.live[0].nextAt) {
+		if st := heap.Pop(&p.live).(*pullState); !st.satisfied {
+			p.due = append(p.due, st)
 		}
+	}
+	slices.SortFunc(p.due, func(a, b *pullState) int { return cmp.Compare(a.seq, b.seq) })
+	var out []Pull
+	for _, st := range p.due {
 		provider, ok := p.pickProvider(st, peerDown)
 		st.attempts++
 		st.nextAt = now.Add(p.cfg.Delay(st.attempts))
+		if st.attempts < p.cfg.MaxAttempts {
+			heap.Push(&p.live, st)
+		} else {
+			p.exhausted++
+		}
 		if !ok {
 			continue // all providers down; burn the attempt slot and wait
 		}
@@ -158,15 +189,13 @@ func (p *Planner) pickProvider(st *pullState, peerDown func(topology.Node) bool)
 // NextWake returns the earliest time any unsatisfied, unexhausted want
 // becomes due. ok is false when nothing is left to do.
 func (p *Planner) NextWake() (at time.Time, ok bool) {
-	for _, st := range p.order {
-		if st.satisfied || st.attempts >= p.cfg.MaxAttempts {
-			continue
-		}
-		if !ok || st.nextAt.Before(at) {
-			at, ok = st.nextAt, true
-		}
+	for len(p.live) > 0 && p.live[0].satisfied {
+		heap.Pop(&p.live)
 	}
-	return at, ok
+	if len(p.live) == 0 {
+		return at, false
+	}
+	return p.live[0].nextAt, true
 }
 
 // Pending returns how many expected copies are still missing.
@@ -183,7 +212,7 @@ func (p *Planner) Done() bool { return p.pending == 0 }
 // by an unsolicited copy (a rejoining node's late injection) as long
 // as the caller keeps feeding the planner.
 func (p *Planner) Terminal() bool {
-	return p.pending == 0 || p.pending <= len(p.Exhausted())
+	return p.pending == 0 || p.pending <= p.exhausted
 }
 
 // Exhausted lists wants that burned MaxAttempts without a copy
@@ -196,4 +225,38 @@ func (p *Planner) Exhausted() []Want {
 		}
 	}
 	return out
+}
+
+// wantHeap implements container/heap over the planner's pullable
+// wants, keeping each want's slot current for heap.Fix.
+type wantHeap []*pullState
+
+func (h wantHeap) Len() int { return len(h) }
+
+func (h wantHeap) Less(i, j int) bool {
+	a, b := h[i], h[j]
+	if a.nextAt.Before(b.nextAt) {
+		return true
+	}
+	return !b.nextAt.Before(a.nextAt) && a.seq < b.seq
+}
+
+func (h wantHeap) Swap(i, j int) {
+	h[i], h[j] = h[j], h[i]
+	h[i].slot, h[j].slot = i, j
+}
+
+func (h *wantHeap) Push(x any) {
+	st := x.(*pullState)
+	st.slot = len(*h)
+	*h = append(*h, st)
+}
+
+func (h *wantHeap) Pop() any {
+	old := *h
+	st := old[len(old)-1]
+	old[len(old)-1] = nil
+	*h = old[:len(old)-1]
+	st.slot = -1
+	return st
 }

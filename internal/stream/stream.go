@@ -19,6 +19,7 @@
 package stream
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"sort"
@@ -156,7 +157,7 @@ type epochState struct {
 	scheduled time.Time // Epoch0 + e·Period
 	started   time.Time // actual local open (injection base)
 	planner   *repair.Planner
-	store     map[repair.Want][]byte
+	store     [][]byte // accepted payloads by slot source·γ + channel; see keep
 	ledger    *simnet.CopyLedger
 	copies    map[topology.Node][]uint8
 	injected  []bool
@@ -180,11 +181,11 @@ type Node struct {
 	neighbors []topology.Node
 
 	open     map[uint32]*epochState
-	retained map[uint32]map[repair.Want][]byte // closed epochs' stores, for serving pulls
-	next     uint32                            // next epoch to open
-	highest  uint32                            // highest epoch seen in any signed frame
-	joined   bool                              // epoch base known
-	joinIdx  int                               // JOIN target rotation
+	retained map[uint32][][]byte // closed epochs' stores, for serving pulls
+	next     uint32              // next epoch to open
+	highest  uint32              // highest epoch seen in any signed frame
+	joined   bool                // epoch base known
+	joinIdx  int                 // JOIN target rotation
 	joinAt   time.Time
 
 	results  []EpochResult
@@ -204,7 +205,7 @@ func NewNode(cfg Config) (*Node, error) {
 		n:        cfg.IHC.N(),
 		gamma:    cfg.IHC.Gamma(),
 		open:     make(map[uint32]*epochState),
-		retained: make(map[uint32]map[repair.Want][]byte),
+		retained: make(map[uint32][][]byte),
 		joined:   !cfg.Join,
 	}
 	for j := 0; j < nd.gamma; j++ {
@@ -233,6 +234,35 @@ func (nd *Node) routeOf(s topology.Node, j int) []topology.Node {
 
 func (nd *Node) stageOf(s topology.Node, j int) int {
 	return nd.cfg.IHC.ID(j, s) % nd.cfg.Eta
+}
+
+// slot returns w's index in an epoch store, or -1 when w names no
+// copy of this network (an unsigned NAK can claim anything).
+func (nd *Node) slot(w repair.Want) int {
+	if w.Source < 0 || int(w.Source) >= nd.n || int(w.Channel) >= nd.gamma {
+		return -1
+	}
+	return int(w.Source)*nd.gamma + int(w.Channel)
+}
+
+// keep stores a copy's payload in an empty slot of an epoch store.
+// The γ copies of one source normally carry the same bytes, so a copy
+// equal to one already held from its source stores that copy's slice:
+// an epoch, and each retained epoch, holds one payload per source, not
+// γ. Copies that differ (a two-faced source) keep their own bytes. A
+// nil slot is an empty one, so an empty payload is stored non-nil.
+func (nd *Node) keep(store [][]byte, w repair.Want, payload []byte) {
+	base := int(w.Source) * nd.gamma
+	for _, held := range store[base : base+nd.gamma] {
+		if held != nil && bytes.Equal(held, payload) {
+			payload = held
+			break
+		}
+	}
+	if payload == nil {
+		payload = []byte{}
+	}
+	store[base+int(w.Channel)] = payload
 }
 
 // liveOpen counts open epochs against the MaxInflight cap. Stalled
@@ -281,7 +311,7 @@ func (nd *Node) openEpoch(e uint32, now time.Time, catchup bool) *epochState {
 			MaxAttempts: nd.cfg.MaxAttempts,
 			Delay:       func(int) time.Duration { return bo.Next() },
 		}),
-		store:    make(map[repair.Want][]byte),
+		store:    make([][]byte, nd.n*nd.gamma),
 		ledger:   simnet.NewCopyLedger(nd.n),
 		copies:   make(map[topology.Node][]uint8),
 		injected: make([]bool, nd.cfg.Eta),
@@ -542,8 +572,8 @@ func (nd *Node) injectStage(st *epochState, stg int) {
 		if err := transport.SignFrame(nd.cfg.Keyring, f); err != nil {
 			continue
 		}
-		if _, dup := st.store[w]; !dup {
-			st.store[w] = st.payload
+		if st.store[nd.slot(w)] == nil {
+			nd.keep(st.store, w, st.payload)
 		}
 		nd.forward(st.epoch, f, 0)
 	}
@@ -568,11 +598,11 @@ func (nd *Node) handle(body []byte) {
 	if err != nil {
 		return
 	}
-	nd.clock.Update(f.HLC)
 	ok, err := transport.VerifyFrame(nd.cfg.Keyring, f)
 	if err != nil || !ok {
-		return
+		return // bad MAC == drop-equivalent corruption: not even the clock learns from it
 	}
+	nd.clock.Update(f.HLC)
 	now := time.Now()
 	// Epoch learning: every *signed* frame carries an authenticated
 	// epoch. JOIN/NAK/MISS are unsigned and must not fast-forward us.
@@ -603,7 +633,9 @@ func (nd *Node) handle(body []byte) {
 
 // acceptCopy ingests a DATA or REPAIR frame for its epoch.
 func (nd *Node) acceptCopy(f *transport.Frame, now time.Time) {
-	if int(f.Channel) >= nd.gamma || f.Source == nd.cfg.Self {
+	w := repair.Want{Source: f.Source, Channel: f.Channel}
+	slot := nd.slot(w)
+	if slot < 0 || f.Source == nd.cfg.Self {
 		return
 	}
 	st, isOpen := nd.open[f.Epoch]
@@ -629,11 +661,10 @@ func (nd *Node) acceptCopy(f *transport.Frame, now time.Time) {
 			nd.injectStage(st, stg)
 		}
 	}
-	w := repair.Want{Source: f.Source, Channel: f.Channel}
-	if _, dup := st.store[w]; dup {
+	if st.store[slot] != nil {
 		return
 	}
-	st.store[w] = f.Payload
+	nd.keep(st.store, w, f.Payload)
 	st.ledger.Add(nd.cfg.Self, f.Source)
 	st.copies[f.Source] = append(st.copies[f.Source], f.Channel)
 	if first := st.planner.Got(w); first && f.Kind == transport.FrameRepair {
@@ -655,13 +686,14 @@ func (nd *Node) serveNak(f *transport.Frame) {
 	w := repair.Want{Source: f.Source, Channel: f.Channel}
 	requester := f.From
 	var payload []byte
-	var held bool
-	if st, ok := nd.open[f.Epoch]; ok {
-		payload, held = st.store[w]
-	} else if store, ok := nd.retained[f.Epoch]; ok {
-		payload, held = store[w]
+	if slot := nd.slot(w); slot >= 0 {
+		if st, ok := nd.open[f.Epoch]; ok {
+			payload = st.store[slot]
+		} else if store, ok := nd.retained[f.Epoch]; ok {
+			payload = store[slot]
+		}
 	}
-	if !held {
+	if payload == nil {
 		miss := &transport.Frame{
 			Kind: transport.FrameMiss, From: nd.cfg.Self,
 			Source: f.Source, Epoch: f.Epoch, Channel: f.Channel, HLC: nd.clock.Now(),
@@ -750,31 +782,35 @@ func (nd *Node) finalize(st *epochState, completed bool, now time.Time) {
 	if completed && !st.catchup {
 		res.Latency = now.Sub(st.scheduled)
 	}
-	items, bytes := 0, 0
-	for w, payload := range st.store {
-		if w.Source == nd.cfg.Self || w.Channel != 0 {
-			continue // count each source's batch once, not γ times
+	items, size := 0, 0
+	for s := 0; s < nd.n; s++ {
+		// Count each source's batch once (its channel-0 copy), not γ times.
+		payload := st.store[s*nd.gamma]
+		if topology.Node(s) == nd.cfg.Self || payload == nil {
+			continue
 		}
 		if batch, err := DecodeBatch(payload); err == nil {
 			for _, it := range batch {
 				items++
-				bytes += len(it.Data)
+				size += len(it.Data)
 			}
 		} else if len(payload) > 0 {
 			items++
-			bytes += len(payload)
+			size += len(payload)
 		}
 	}
 	res.Items = items
 	if nd.cfg.CollectPayloads {
-		res.Payloads = make(map[repair.Want][]byte, len(st.store))
-		for w, p := range st.store {
-			res.Payloads[w] = p
+		res.Payloads = make(map[repair.Want][]byte)
+		for i, p := range st.store {
+			if p != nil {
+				res.Payloads[repair.Want{Source: topology.Node(i / nd.gamma), Channel: uint8(i % nd.gamma)}] = p
+			}
 		}
 	}
 	nd.results = append(nd.results, res)
 	if completed {
-		nd.cfg.Gauges.Delivered(items, bytes)
+		nd.cfg.Gauges.Delivered(items, size)
 	}
 	lat := res.Latency
 	if st.catchup || !completed {
@@ -813,10 +849,10 @@ func (nd *Node) Serve(ctx context.Context) {
 			if err != nil {
 				continue
 			}
-			nd.clock.Update(f.HLC)
 			if ok, err := transport.VerifyFrame(nd.cfg.Keyring, f); err != nil || !ok {
 				continue
 			}
+			nd.clock.Update(f.HLC)
 			switch f.Kind {
 			case transport.FrameNak:
 				nd.serveNak(f)

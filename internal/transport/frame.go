@@ -135,6 +135,15 @@ func EncodeFrame(f *Frame) ([]byte, error) {
 // DecodeFrame parses a frame body produced by EncodeFrame. It never
 // panics on malformed input: every length is bounds-checked before use,
 // so a corrupted or adversarial body surfaces as an error.
+//
+// The decoded Payload and MAC are not copies: they are sub-slices of
+// b, clipped to their own length (b[i:j:j]) so that appending to one
+// reallocates instead of overwriting the bytes after it. The caller
+// hands b over: neither it nor anyone else may modify b afterwards,
+// because the frame — and whatever stores its payload — reads through
+// it. Every body producer in this package obeys that: ReadFrame and
+// the loopback's Send return a fresh body per frame, and a duplicated
+// loopback frame shares one body between receivers that only read it.
 func DecodeFrame(b []byte) (*Frame, error) {
 	if len(b) > MaxFrame {
 		return nil, ErrFrameTooLarge
@@ -173,7 +182,7 @@ func DecodeFrame(b []byte) (*Frame, error) {
 		return nil, ErrFrameTruncated
 	}
 	if payloadLen > 0 {
-		f.Payload = append([]byte(nil), b[off:off+payloadLen]...)
+		f.Payload = b[off : off+payloadLen : off+payloadLen]
 	}
 	off += payloadLen
 	macLen := int(binary.LittleEndian.Uint16(b[off:]))
@@ -182,34 +191,47 @@ func DecodeFrame(b []byte) (*Frame, error) {
 		return nil, ErrFrameTruncated
 	}
 	if macLen > 0 {
-		f.MAC = append([]byte(nil), b[off:off+macLen]...)
+		f.MAC = b[off : off+macLen : off+macLen]
 	}
 	return f, nil
 }
 
-// canonicalBytes is what the MAC covers: the fields a relay must not be
-// able to alter undetected. From, Hop, Route, and HLC are deliberately
-// excluded — they legitimately change at every hop; Source, Epoch,
-// Channel, Stage, and Payload identify the broadcast copy itself.
-// Binding the epoch prevents a stored copy from round e being replayed
-// as a fresh copy in round e', and makes EPOCH handshake responses
-// unforgeable.
-func canonicalBytes(f *Frame) []byte {
-	b := make([]byte, 0, 14+len(f.Payload))
-	b = binary.LittleEndian.AppendUint32(b, uint32(int32(f.Source)))
-	b = binary.LittleEndian.AppendUint32(b, f.Epoch)
-	b = append(b, f.Channel, f.Stage)
-	b = binary.LittleEndian.AppendUint32(b, uint32(len(f.Payload)))
-	return append(b, f.Payload...)
+// beginMAC starts f's MAC under its source's key and writes what the
+// MAC covers: the fields a relay must not be able to alter undetected.
+// From, Hop, Route, and HLC are deliberately excluded — they
+// legitimately change at every hop; Source, Epoch, Channel, Stage, and
+// Payload identify the broadcast copy itself. Binding the epoch
+// prevents a stored copy from round e being replayed as a fresh copy
+// in round e', and makes EPOCH handshake responses unforgeable.
+//
+// The covered bytes are a 14-byte header (source i32 | epoch u32 |
+// channel u8 | stage u8 | payloadLen u32, little-endian) followed by
+// the payload. They go to the HMAC as two writes, the header built in
+// the pooled state's scratch space, so no buffer is assembled and the
+// payload is never copied.
+func beginMAC(kr *reliable.Keyring, f *Frame) (*reliable.MAC, error) {
+	m, err := kr.Begin(f.Source)
+	if err != nil {
+		return nil, err
+	}
+	h := binary.LittleEndian.AppendUint32(m.Scratch[:0], uint32(int32(f.Source)))
+	h = binary.LittleEndian.AppendUint32(h, f.Epoch)
+	h = append(h, f.Channel, f.Stage)
+	h = binary.LittleEndian.AppendUint32(h, uint32(len(f.Payload)))
+	m.Write(h)
+	m.Write(f.Payload)
+	return m, nil
 }
 
-// SignFrame fills in f.MAC under the source's key.
+// SignFrame sets f.MAC to a freshly allocated MAC under the source's
+// key. It never writes into the old f.MAC, which may be a sub-slice of
+// a received body.
 func SignFrame(kr *reliable.Keyring, f *Frame) error {
-	msg, err := kr.Sign(reliable.Message{Source: f.Source, Payload: canonicalBytes(f)})
+	m, err := beginMAC(kr, f)
 	if err != nil {
 		return err
 	}
-	f.MAC = msg.MAC
+	f.MAC = m.Sum()
 	return nil
 }
 
@@ -223,7 +245,11 @@ func VerifyFrame(kr *reliable.Keyring, f *Frame) (bool, error) {
 	if f.Kind == FrameNak || f.Kind == FrameMiss || f.Kind == FrameJoin {
 		return true, nil
 	}
-	return kr.Verify(reliable.Message{Source: f.Source, Payload: canonicalBytes(f), MAC: f.MAC})
+	m, err := beginMAC(kr, f)
+	if err != nil {
+		return false, err
+	}
+	return m.Check(f.MAC), nil
 }
 
 // WriteFrame writes body to w as one length-prefixed record.

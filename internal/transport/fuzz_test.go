@@ -15,7 +15,10 @@ import (
 //   - anything it accepts re-encodes canonically: encode(decode(b))
 //     decodes back to the identical frame (no hidden state survives a
 //     trip through the parser);
-//   - inputs over MaxFrame are refused before any work.
+//   - inputs over MaxFrame are refused before any work;
+//   - an accepted frame's Payload and MAC, which alias b, are clipped
+//     to cap == len, so appending to the payload can never overwrite
+//     the MAC that follows it in b.
 func FuzzFrameDecode(f *testing.F) {
 	seed, err := EncodeFrame(sampleFrame())
 	if err != nil {
@@ -52,6 +55,10 @@ func FuzzFrameDecode(f *testing.F) {
 		// enforces — otherwise decode admitted what encode refuses.
 		if len(fr.Route) > maxRouteLen {
 			t.Fatalf("decode admitted a %d-entry route", len(fr.Route))
+		}
+		if cap(fr.Payload) != len(fr.Payload) || cap(fr.MAC) != len(fr.MAC) {
+			t.Fatalf("decoded slices not clipped: payload len %d cap %d, MAC len %d cap %d",
+				len(fr.Payload), cap(fr.Payload), len(fr.MAC), cap(fr.MAC))
 		}
 		reenc, err := EncodeFrame(fr)
 		if err != nil {

@@ -92,17 +92,31 @@ func NewLoopback(cfg LoopbackConfig) (*Loopback, error) {
 // runLink drains one directed link in FIFO order, holding each frame
 // until its delivery time. Because release times are assigned in send
 // order from a monotonic clock plus non-decreasing delays only when the
-// filter says so, per-link ordering matches the simulator's.
+// filter says so, per-link ordering matches the simulator's. One timer,
+// made when the first frame must wait, serves the whole link: it is
+// Reset only after its previous fire was received, so no stale fire
+// is ever pending.
 func (lb *Loopback) runLink(ch chan loopQueued, dst *loopEndpoint) {
 	defer lb.wg.Done()
+	var hold *time.Timer
+	defer func() {
+		if hold != nil {
+			hold.Stop()
+		}
+	}()
 	for {
 		select {
 		case <-lb.done:
 			return
 		case q := <-ch:
 			if wait := time.Until(q.after); wait > 0 {
+				if hold == nil {
+					hold = time.NewTimer(wait)
+				} else {
+					hold.Reset(wait)
+				}
 				select {
-				case <-time.After(wait):
+				case <-hold.C:
 				case <-lb.done:
 					return
 				}
@@ -145,9 +159,9 @@ type loopEndpoint struct {
 	stats EndpointStats
 }
 
-func (e *loopEndpoint) Self() topology.Node   { return e.self }
-func (e *loopEndpoint) Recv() <-chan []byte   { return e.inbox }
-func (e *loopEndpoint) Close() error          { return nil }
+func (e *loopEndpoint) Self() topology.Node         { return e.self }
+func (e *loopEndpoint) Recv() <-chan []byte         { return e.inbox }
+func (e *loopEndpoint) Close() error                { return nil }
 func (e *loopEndpoint) PeerDown(topology.Node) bool { return false }
 
 func (e *loopEndpoint) Stats() EndpointStats {

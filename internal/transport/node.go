@@ -338,11 +338,11 @@ func (nd *Node) handle(body []byte) {
 	if err != nil {
 		return // corrupt frame: drop; repair recovers the copy
 	}
-	nd.clock.Update(f.HLC)
 	ok, err := VerifyFrame(nd.cfg.Keyring, f)
 	if err != nil || !ok {
-		return // bad MAC == drop-equivalent corruption
+		return // bad MAC == drop-equivalent corruption, clock included
 	}
+	nd.clock.Update(f.HLC)
 	switch f.Kind {
 	case FrameData, FrameRepair:
 		nd.acceptCopy(f)
