@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race vet bench bench-engine bench-fault fuzz smoke-engine sharded-quick recovery-quick oracle-quick families-quick transport-quick soak-quick perfbench-check q14-smoke verify
+.PHONY: all build test race vet fmt-check bench bench-engine bench-fault fuzz smoke-engine sharded-quick recovery-quick oracle-quick families-quick transport-quick soak-quick perfbench-check q14-smoke verify
 
 all: verify
 
@@ -18,17 +18,24 @@ race:
 vet:
 	$(GO) vet ./...
 
+# Formatting gate: fails, listing the files, when gofmt would rewrite
+# any Go file in the tree.
+fmt-check:
+	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
+		echo "fmt-check: gofmt -l lists files that need gofmt -w:"; echo "$$out"; exit 1; \
+	fi
+
 bench:
 	$(GO) test -bench=. -benchmem
 
 # Re-measure the engine's headline Q10 ATA microbenchmark and record
 # events/sec, ns/event, allocs/event, and live-heap footprint (with the
 # pre-flat-array baseline for comparison) in BENCH_engine.json, plus
-# the sharded engine's multi-core scaling series at 1/2/4/8 workers
-# (each point re-checks event-count determinism against the sequential
-# run, records the GOMAXPROCS it ran under — raised to the worker count
-# when the host has the cores — and is annotated cores_limited when it
-# does not).
+# the multi-core scaling series at 1/2/4/8 engine workers, each draining
+# the stages' arc-disjoint directed cycles in parallel (each point
+# re-checks event-count determinism against the one-worker run, records
+# the GOMAXPROCS it ran under — raised to the worker count when the host
+# has the cores — and is annotated cores_limited when it does not).
 bench-engine:
 	$(GO) run ./cmd/enginebench -o BENCH_engine.json -engine-workers 1,2,4,8
 
@@ -67,26 +74,28 @@ fuzz:
 smoke-engine:
 	$(GO) run ./cmd/enginebench -quick -check -o /dev/null
 
-# Quick sharded-engine equivalence: the scaling experiment's quick
-# points, once sequential, once sharded across 4 goroutines on the
-# default GOMAXPROCS, and once sharded with GOMAXPROCS=4 (true
-# multi-core interleavings when the host has the cores), must all
-# render byte-identical tables (stderr carries the wall-clock line and
-# is discarded); then the engine equivalence/aliasing tests re-run
-# under the race detector, also at GOMAXPROCS=4.
+# Quick multi-worker engine equivalence: the scaling experiment's quick
+# points, once on one engine worker, once with each run's arc-disjoint
+# directed cycles drained on up to 4 goroutines at the default
+# GOMAXPROCS, and once more with GOMAXPROCS=4 (true multi-core
+# interleavings when the host has the cores), must all render
+# byte-identical tables (stderr carries the wall-clock line and is
+# discarded); then the engine equivalence/aliasing tests re-run under
+# the race detector, also at GOMAXPROCS=4, including the component
+# identity matrix and the fault-hook-stays-on-one-goroutine check.
 sharded-quick:
 	@tmp=$$(mktemp -d); \
-	$(GO) run ./cmd/ihcbench -quick -run scaling >$$tmp/seq.txt 2>/dev/null; \
+	$(GO) run ./cmd/ihcbench -quick -run scaling -engine-workers 1 >$$tmp/seq.txt 2>/dev/null; \
 	$(GO) run ./cmd/ihcbench -quick -run scaling -engine-workers 4 >$$tmp/shard.txt 2>/dev/null; \
 	GOMAXPROCS=4 $(GO) run ./cmd/ihcbench -quick -run scaling -engine-workers 4 >$$tmp/shard4.txt 2>/dev/null; \
 	if cmp -s $$tmp/seq.txt $$tmp/shard.txt && cmp -s $$tmp/seq.txt $$tmp/shard4.txt; then \
-		echo "sharded-quick: sharded output byte-identical to sequential (incl. GOMAXPROCS=4)"; rm -rf $$tmp; \
+		echo "sharded-quick: 4-worker output byte-identical to one worker (incl. GOMAXPROCS=4)"; rm -rf $$tmp; \
 	else \
-		echo "sharded-quick: sharded output DIVERGED from sequential:"; \
+		echo "sharded-quick: 4-worker output DIVERGED from one worker:"; \
 		diff $$tmp/seq.txt $$tmp/shard.txt; diff $$tmp/seq.txt $$tmp/shard4.txt; rm -rf $$tmp; exit 1; \
 	fi
-	$(GO) test -race -run 'Sharded|ScratchReuse|CompiledPath|BackgroundSeed|Ledger|CalQueue' ./internal/simnet ./internal/core
-	GOMAXPROCS=4 $(GO) test -race -count=1 -run 'Sharded|Ledger' ./internal/simnet ./internal/core
+	$(GO) test -race -run 'Sharded|Components|ScratchReuse|CompiledPath|BackgroundSeed|Ledger|CalQueue' ./internal/simnet ./internal/core
+	GOMAXPROCS=4 $(GO) test -race -count=1 -run 'Sharded|Components|Ledger' ./internal/simnet ./internal/core
 
 # Quick self-healing sweep: the repaired broken-link frontier must beat
 # the static γ bound on every topology (exits non-zero otherwise).
@@ -109,7 +118,7 @@ oracle-quick:
 # Quick family-registry gate: the cross-family conformance suite
 # (every registered family's instances through build validity, static
 # contention-freeness, exact live-oracle finish, γ-copy postcondition,
-# and sharded byte-identity), one quick adversarial campaign point on
+# and multi-worker byte-identity), one quick adversarial campaign point on
 # the new families (TQ4 + the 4-ary 2-torus), and the quick `families`
 # experiment (IHC finish vs the Table II closed form on twisted cubes
 # and vs the Jung-Sakho per-link load bound on k-ary tori).
@@ -163,10 +172,11 @@ perfbench-check:
 	$(GO) -C perfbench vet .
 	$(GO) -C perfbench test .
 
-# The tier-1 gate: vet + build + tests, then the same tests under the
-# race detector (the parallel sweep executor must stay race-clean),
-# then the engine-allocation smoke, the sharded-engine equivalence
-# smoke, the quick recovery sweep, the quick oracle sweep, the quick
-# family-registry gate, the real-transport multi-process smoke, the
-# streaming chaos soak, and the benchmark's build and self-test.
-verify: vet build test race smoke-engine sharded-quick recovery-quick oracle-quick families-quick transport-quick soak-quick perfbench-check
+# The tier-1 gate: vet + the gofmt check + build + tests, then the same
+# tests under the race detector (the parallel sweep executor must stay
+# race-clean), then the engine-allocation smoke, the multi-worker engine
+# equivalence smoke, the quick recovery sweep, the quick oracle sweep,
+# the quick family-registry gate, the real-transport multi-process
+# smoke, the streaming chaos soak, and the benchmark's build and
+# self-test.
+verify: vet fmt-check build test race smoke-engine sharded-quick recovery-quick oracle-quick families-quick transport-quick soak-quick perfbench-check

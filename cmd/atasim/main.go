@@ -53,7 +53,7 @@ func main() {
 		algo      = flag.String("algo", "ihc", "algorithm: ihc, vrs, ks, vsq, frs")
 		eta       = flag.String("eta", "2", "IHC interleaving distance η, or a comma-separated list to sweep")
 		workers   = flag.Int("workers", 0, "worker-pool width for η sweeps (0 = GOMAXPROCS, 1 = sequential)")
-		engineW   = flag.Int("engine-workers", 0, "shard each simulation run across this many goroutines (0/1 = sequential engine; results are byte-identical)")
+		engineW   = flag.Int("engine-workers", 0, "goroutines that drain each simulation run's arc-disjoint components (0 = automatic: several only for large runs, one per run while an η sweep runs several at once; 1 = one; results are byte-identical)")
 		overlap   = flag.Bool("overlap", false, "IHC: overlap stages (modified algorithm)")
 		taus      = flag.Int64("taus", 100, "startup τ_S (ticks)")
 		alpha     = flag.Int64("alpha", 20, "cut-through delay α (ticks)")
@@ -135,6 +135,11 @@ func main() {
 			// the exported stream is the engine's deterministic order.
 			w = 1
 		}
+		ew := *engineW
+		if ew == 0 && w > 1 {
+			// The sweep pool already keeps the cores busy.
+			ew = 1
+		}
 		runOne := func(i int) {
 			select {
 			case <-ctx.Done():
@@ -180,7 +185,7 @@ func main() {
 				Eta: etas[i], Params: p, Overlap: *overlap, Saturated: *saturated,
 				SkipCopies: !*verify || *ledgerF, Ledger: *ledgerF && *verify,
 				Observe:       observe.Tee(sinks...),
-				EngineWorkers: *engineW,
+				EngineWorkers: ew,
 			})
 			outs[i] = out{res, err, met, orc, true}
 		}

@@ -84,15 +84,16 @@ type report struct {
 	// ns/event.
 	Hooked         *metrics `json:"hooked_observer,omitempty"`
 	HookOverheadNs float64  `json:"hook_overhead_ns_per_event,omitempty"`
-	// EngineWorkersSeries records the same workload under the sharded
-	// engine at each requested worker count (-engine-workers) — the
-	// multi-core scaling curve behind the paper's Q16 headline. Each
-	// point re-checks that the run's event count matches the sequential
-	// measurement, so the series doubles as a determinism smoke.
+	// EngineWorkersSeries records the same workload with each stage's
+	// directed cycles drained on up to each requested number of workers
+	// (-engine-workers) — the multi-core scaling curve behind the
+	// paper's Q16 headline. Each point re-checks that the run's event
+	// count matches the one-worker measurement, so the series doubles as
+	// a determinism smoke.
 	EngineWorkersSeries []workerPoint `json:"engine_workers_series,omitempty"`
 }
 
-// workerPoint is one point of the sharded-engine scaling series.
+// workerPoint is one point of the engine-worker scaling series.
 type workerPoint struct {
 	Workers      int     `json:"workers"`
 	EventsPerSec float64 `json:"events_per_sec"`
@@ -138,7 +139,7 @@ func main() {
 	check := flag.Bool("check", false, "fail if allocs/event exceeds 10x, or ns/event exceeds 1+tolerance of, the values recorded in -against")
 	tolerance := flag.Float64("tolerance", 0.15, "ns/event regression tolerance for -check (0.15 = fail beyond +15% of recorded)")
 	against := flag.String("against", "BENCH_engine.json", "recorded report -check compares against")
-	workerList := flag.String("engine-workers", "", "comma-separated sharded-engine worker counts to record as a scaling series (e.g. 1,2,4,8)")
+	workerList := flag.String("engine-workers", "", "comma-separated engine worker counts (simnet EngineWorkers: goroutines draining each stage's arc-disjoint cycles) to record as a scaling series (e.g. 1,2,4,8)")
 	flag.Parse()
 	workerCounts, err := parseWorkerList(*workerList)
 	if err != nil {
@@ -160,11 +161,12 @@ func main() {
 	nodes := float64(g.N())
 	measure := func(obs simnet.Observer, workers int) metrics {
 		cfg := core.Config{Eta: 2, Params: p, SkipCopies: true, Observe: obs, EngineWorkers: workers}
-		if *quick || workers > 1 {
-			// Worker-series points are always single measured runs: the
-			// series is a scaling curve, not an allocation gate, and a
-			// calibrated loop per worker count would multiply the wall
-			// clock by the series length.
+		// -quick measures one run. Otherwise every point, series points
+		// included, is a calibrated loop: on a 2-vCPU KVM guest the first
+		// multi-worker runs after the one-worker headline loop read up to
+		// 2x slower than those a second later, so a lone run measured
+		// that warm-up rather than the engine.
+		if *quick {
 			var ms0, ms1 runtime.MemStats
 			runtime.GC()
 			runtime.ReadMemStats(&ms0)
@@ -257,7 +259,7 @@ func main() {
 		m := measure(nil, w)
 		runtime.GOMAXPROCS(prev)
 		if m.EventsPerRun != cur.EventsPerRun {
-			fail(fmt.Errorf("engine-workers=%d processed %d events, sequential %d — sharded run diverged",
+			fail(fmt.Errorf("engine-workers=%d processed %d events, one worker %d — parallel run diverged",
 				w, m.EventsPerRun, cur.EventsPerRun))
 		}
 		rep.EngineWorkersSeries = append(rep.EngineWorkersSeries, workerPoint{
@@ -319,10 +321,10 @@ func main() {
 		if err := checkSpeed(best, *against, *tolerance); err != nil {
 			fail(err)
 		}
-		// Scaling-series grade: a 1-worker sharded run may pay at most
-		// modest overhead vs sequential, and a multi-worker point that
-		// has its cores must not lose to sequential. Core-starved points
-		// measure the host, not the engine — skipped, loudly.
+		// Scaling-series grade: the 1-worker point re-measures the
+		// headline, and a multi-worker point that has its cores must not
+		// lose to one worker. Core-starved points measure the host, not
+		// the engine — skipped, loudly.
 		for _, pt := range rep.EngineWorkersSeries {
 			if pt.CoresLimited {
 				fmt.Printf("enginebench: engine-workers=%d speedup %.2fx not graded (cores_limited)\n",

@@ -29,9 +29,10 @@ type Options struct {
 	// all N chained broadcasts to an observability sink. Nil is the
 	// fast path.
 	Observe simnet.Observer
-	// EngineWorkers shards each chained broadcast's event loop across
-	// that many goroutines (simnet.Options.EngineWorkers); 0 or 1 runs
-	// the sequential engine. Results are byte-identical either way.
+	// EngineWorkers is passed to every chained broadcast's run (see
+	// simnet.Options.EngineWorkers). Broadcasts whose redirects depend on
+	// earlier deliveries always drain on one worker; results are
+	// byte-identical at every value.
 	EngineWorkers int
 }
 

@@ -6,8 +6,8 @@
 // interposed per link of a live cluster (proxy.go).
 //
 // The plan compiles from the same fault.TemporalPlan grammar the
-// simulation campaigns use: link windows in simulated ticks map to wall
-//-clock offsets at a configurable tick duration, so a placement the
+// simulation campaigns use: link windows in simulated ticks map to
+// wall-clock offsets at a configurable tick duration, so a placement the
 // campaign found interesting can be replayed against real sockets
 // unchanged. On top of the windows, seeded per-frame background rates
 // (splitmix64 of link × frame-index, same mixer the engine uses for

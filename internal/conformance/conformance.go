@@ -2,8 +2,8 @@
 // the decomposition registry: one table-driven property suite that any
 // registered hamilton.Family passes end to end, so a new family gets
 // the repository's full checking stack — decomposition validity,
-// schedule feasibility, the live Theorem 3/4 oracles, sequential-vs-
-// sharded byte identity, and the γ-copy ledger postcondition — by
+// schedule feasibility, the live Theorem 3/4 oracles, one-worker-vs-
+// parallel byte identity, and the γ-copy ledger postcondition — by
 // registering. The suite is what `internal/hamilton/conformance_test.go`
 // and `make families-quick` run; it lives outside internal/core because
 // it drives core and observe together (core cannot import observe).
@@ -25,8 +25,8 @@ type Options struct {
 	// Params are the timing parameters (zero value → the repository
 	// defaults τ_S=100 α=20 μ=2 D=37, with μ overridden per point).
 	Params simnet.Params
-	// Workers are the sharded engine widths compared against the
-	// sequential run (default 2 and 4).
+	// Workers are the engine widths (core.Config.EngineWorkers)
+	// compared against one worker (default 2 and 4).
 	Workers []int
 	// MaxOracleN caps the sizes that run the full O(N²) copy-matrix
 	// oracle leg (default 64; larger instances still run every other
@@ -116,10 +116,10 @@ func Check(in *hamilton.Instance, opt Options) error {
 	// Property 4 — γ-copy ledger: the full run must satisfy the exact
 	// ATA postcondition in both the copy matrix and the counters-only
 	// ledger.
-	base := core.Config{Eta: eta, Params: p, RecordDeliveries: true, Ledger: true}
+	base := core.Config{Eta: eta, Params: p, Ledger: true, EngineWorkers: 1}
 	want, err := x.Run(base)
 	if err != nil {
-		return fmt.Errorf("sequential run: %w", err)
+		return fmt.Errorf("one-worker run: %w", err)
 	}
 	if err := want.Copies.VerifyATA(x.Gamma()); err != nil {
 		return fmt.Errorf("copy matrix: %w", err)
@@ -128,9 +128,11 @@ func Check(in *hamilton.Instance, opt Options) error {
 		return fmt.Errorf("copy ledger: %w", err)
 	}
 
-	// Property 5 — sequential-vs-sharded byte identity: the sharded
-	// engine must reproduce the sequential run exactly, including the
-	// ordered delivery log, at every requested worker count.
+	// Property 5 — one-worker-vs-parallel byte identity: draining each
+	// stage's directed cycles on several workers must reproduce the
+	// one-worker run exactly — every counter, every stage finish, the
+	// copy matrix and the ledger — at every requested worker count. The
+	// runs keep no delivery log, which would hold them on one worker.
 	for _, w := range opt.Workers {
 		cfg := base
 		cfg.EngineWorkers = w
@@ -138,21 +140,8 @@ func Check(in *hamilton.Instance, opt Options) error {
 		if err != nil {
 			return fmt.Errorf("workers=%d: %w", w, err)
 		}
-		if got.Finish != want.Finish || got.Contentions != want.Contentions ||
-			got.Deliveries != want.Deliveries || got.Events != want.Events ||
-			got.CutThroughs != want.CutThroughs || got.Injections != want.Injections ||
-			got.LinkBusy != want.LinkBusy {
-			return fmt.Errorf("workers=%d: aggregate result differs from sequential", w)
-		}
-		if !reflect.DeepEqual(got.StageFinish, want.StageFinish) {
-			return fmt.Errorf("workers=%d: stage finish times differ", w)
-		}
-		if !reflect.DeepEqual(got.Deliveriesv, want.Deliveriesv) {
-			return fmt.Errorf("workers=%d: delivery log differs (%d vs %d entries)",
-				w, len(got.Deliveriesv), len(want.Deliveriesv))
-		}
-		if err := got.Ledger.VerifyATA(x.Gamma()); err != nil {
-			return fmt.Errorf("workers=%d: copy ledger: %w", w, err)
+		if !reflect.DeepEqual(got, want) {
+			return fmt.Errorf("workers=%d: result differs from one worker:\n got %+v\nwant %+v", w, got, want)
 		}
 	}
 	return nil

@@ -209,8 +209,8 @@ type Config struct {
 	PerCycle bool
 	// Start offsets the whole broadcast's first stage.
 	Start simnet.Time
-	// Copies disables the O(N²) delivery matrix when false-by-default
-	// behavior is needed... (kept on by default through Run).
+	// SkipCopies turns off the O(N²) (receiver, source) copy matrix
+	// that Run builds by default; Ledger keeps an O(N) check instead.
 	SkipCopies bool
 	// Scratch optionally supplies reusable simulator working memory,
 	// shared by every stage of the run (and by subsequent runs that pass
@@ -243,10 +243,12 @@ type Config struct {
 	// internal/observe: metrics aggregators, live theorem oracles,
 	// trace exporters). Nil is the fast path.
 	Observe simnet.Observer
-	// EngineWorkers shards every stage's simulation across that many
-	// worker goroutines (see simnet.Options.EngineWorkers). 0 or 1 runs
-	// the sequential engine; results are byte-identical either way.
-	// Incompatible with Control.
+	// EngineWorkers bounds the goroutines that drain each stage run's
+	// arc-disjoint components — one per directed cycle in IHC (see
+	// simnet.Options.EngineWorkers). 0 is automatic: several workers
+	// only for large stages. 1 forces one worker; n >= 2 allows up to n
+	// at any size. Results are byte-identical at every value. n >= 2 is
+	// incompatible with Control.
 	EngineWorkers int
 	// Ledger maintains the O(N) counters-only Theorem-4 copy ledger
 	// (see simnet.CopyLedger) incrementally across every stage run,

@@ -23,7 +23,7 @@ func FuzzFamilyParams(f *testing.F) {
 	f.Add("KT", 4, 2, 0)
 	f.Add("KT", 3, -2, 8)
 	f.Add("KT4x2", 0, 0, 0)
-	f.Add("ZZZ9", 1 << 30, 3, -5)
+	f.Add("ZZZ9", 1<<30, 3, -5)
 	f.Fuzz(func(t *testing.T, key string, a, b, c int) {
 		// Arbitrary names through the parsers: error or instance,
 		// never a panic.

@@ -55,7 +55,7 @@ func familiesOverview() (*tablefmt.Table, error) {
 		t.Addf(f.Key(), f.Describe(), strings.Join(names, ", "))
 	}
 	t.Note("each instance passes the five-property conformance battery: build validity, static")
-	t.Note("contention-freeness, exact live-oracle finish, γ-copy ATA postcondition, sharded identity")
+	t.Note("contention-freeness, exact live-oracle finish, γ-copy ATA postcondition, multi-worker identity")
 	return t, nil
 }
 
@@ -79,7 +79,7 @@ func familiesTwisted(cfg Config) (*tablefmt.Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		res, err := x.Run(core.Config{Eta: p.Mu, Params: p, SkipCopies: true, Scratch: env.Scratch, Observe: env.Obs})
+		res, err := x.Run(core.Config{Eta: p.Mu, Params: p, SkipCopies: true, Scratch: env.Scratch, Observe: env.Obs, EngineWorkers: env.EngineWorkers})
 		if err != nil {
 			return nil, err
 		}
@@ -138,7 +138,7 @@ func familiesKAry(cfg Config) (*tablefmt.Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		res, err := x.Run(core.Config{Eta: j.mu, Params: p, SkipCopies: true, Scratch: env.Scratch, Observe: env.Obs})
+		res, err := x.Run(core.Config{Eta: j.mu, Params: p, SkipCopies: true, Scratch: env.Scratch, Observe: env.Obs, EngineWorkers: env.EngineWorkers})
 		if err != nil {
 			return nil, err
 		}

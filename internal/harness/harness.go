@@ -33,14 +33,15 @@ type Config struct {
 	// 0 selects GOMAXPROCS; 1 forces sequential execution. Results are
 	// merged in stable order, so output is identical for every value.
 	Workers int
-	// EngineWorkers shards each individual simulation run across that
-	// many goroutines (simnet.Options.EngineWorkers). The two widths
-	// multiply — EngineWorkers goroutines inside each of up to Workers
-	// concurrent runs — so the across-run pool budget is divided by
-	// EngineWorkers to keep total goroutine pressure at the configured
-	// level: within-run parallelism pays off on few large runs, the
-	// across-run pool on many small ones. 0 or 1 selects the sequential
-	// engine; results are byte-identical for every value.
+	// EngineWorkers is the simnet.Options.EngineWorkers of every
+	// simulation run: up to that many goroutines drain one run's
+	// arc-disjoint components. The two widths multiply — EngineWorkers
+	// goroutines inside each of up to Workers concurrent runs — so an
+	// explicit n > 1 divides the across-run pool budget by n. 0 lets the
+	// pool decide: one engine worker per run while it runs several at
+	// once, the engine's automatic choice when a run has the machine to
+	// itself. 1 forces one engine worker. Results are byte-identical for
+	// every value.
 	EngineWorkers int
 	// Stats, when non-nil, accumulates per-run wall-clock and simulator
 	// event counters (atomically) across all concurrent runs.
@@ -63,6 +64,10 @@ type Config struct {
 	// ErrCanceled. Wire a signal-bound context's Done() channel here
 	// for interruptible command-line runs.
 	Cancel <-chan struct{}
+
+	// concurrent is set on the copy RunExperiments hands to experiments
+	// it runs side by side (see engineWorkers).
+	concurrent bool
 }
 
 // params returns the effective timing parameters.

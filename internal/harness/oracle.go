@@ -39,8 +39,12 @@ func (pt oraclePoint) free(n int) bool { return pt.eta >= pt.mu && n%pt.eta == 0
 
 func oraclePoints(quick bool) []oraclePoint {
 	q := func(m int) func() *topology.Graph { return func() *topology.Graph { return topology.MustHypercube(m) } }
-	sq := func(m int) func() *topology.Graph { return func() *topology.Graph { return topology.MustSquareTorus(m) } }
-	t3 := func(d int) func() *topology.Graph { return func() *topology.Graph { return topology.MustTorusND(d, d, d) } }
+	sq := func(m int) func() *topology.Graph {
+		return func() *topology.Graph { return topology.MustSquareTorus(m) }
+	}
+	t3 := func(d int) func() *topology.Graph {
+		return func() *topology.Graph { return topology.MustTorusND(d, d, d) }
+	}
 
 	// Pass points (η >= μ): Theorem 3 regimes across all families.
 	pts := []oraclePoint{

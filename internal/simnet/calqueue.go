@@ -263,8 +263,7 @@ func (q *calQueue) finishTick(t Time, b []uint64) {
 // already sorted: a stage's packets advance in lockstep, so tick t's
 // batch — drained in key order — pushes tick t+α's events in key order
 // too. One linear scan certifies that before falling back to a real
-// sort (cross-shard outbox drains and mixed-stage ticks interleave
-// sources and do need it).
+// sort (mixed-stage ticks interleave sources and do need it).
 func sortBucket(b []uint64) {
 	for i := 1; i < len(b); i++ {
 		if b[i] < b[i-1] {

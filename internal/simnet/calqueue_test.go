@@ -132,7 +132,7 @@ func calPush(q *calQueue, ev event) {
 
 // calDrainAll drains q to empty through the batched tick protocol,
 // feeding each popped event to spawn and pushing what it returns — the
-// same shape as runState.drainUntil: the tick's packet batch, each
+// same shape as runState.drain: the tick's packet batch, each
 // event followed by its same-tick slip, then the tick's timers, each
 // followed by the packets it injected at the tick.
 func calDrainAll(q *calQueue, sp *spawner) []event {

@@ -2,7 +2,6 @@ package simnet
 
 import (
 	"fmt"
-	"math"
 
 	"ihc/internal/topology"
 )
@@ -50,10 +49,10 @@ const (
 // simulated time: spec index, then hop, then kind (evCut orders before
 // evSend). Together with the time it forms a total order over all
 // possible packet events that is a pure function of the event *set* —
-// not of heap push order — which is what lets the sharded engine
-// (sharded.go) process disjoint link sets on concurrent workers and
-// still reproduce the sequential event order exactly. Two properties
-// make the order well defined and causal:
+// not of heap push order — which is what lets a component-parallel run
+// (components.go) drain arc-disjoint groups of packets on separate
+// workers and still give every link the sequential event order. Two
+// properties make the order well defined and causal:
 //
 //   - distinct events have distinct keys: each (pkt, hop) produces at
 //     most one evCut and at most one evSend per run;
@@ -81,7 +80,7 @@ func decodeKey(key uint64) (pkt, hop int32, kind evKind) {
 const timerKeyBit = uint64(1) << 63
 
 // event is a pending event outside the calendar ring (overflow and timer
-// heaps, sharded outboxes): its time and its key.
+// heaps): its time and its key.
 type event struct {
 	t   Time
 	key uint64 // deterministic tiebreak at equal t (packetKey / timer key)
@@ -90,8 +89,8 @@ type event struct {
 // before reports whether a orders strictly before b: primary key is
 // simulated time, tiebroken by the deterministic event key. The order is
 // total (keys are unique), so every conforming priority queue pops the
-// exact same event sequence — the determinism the regression oracle and
-// the sharded engine's merge both rely on.
+// exact same event sequence — the determinism the regression oracle
+// relies on.
 func (a *event) before(b *event) bool {
 	if a.t != b.t {
 		return a.t < b.t
@@ -174,11 +173,9 @@ type Options struct {
 	Saturated bool
 	// Fault, when non-nil, is consulted once per performed hop and may
 	// drop the copy or taint its payload (see FaultHook). Nil costs one
-	// predictable branch per event on the hot path. In a sharded run
-	// (EngineWorkers > 1) the hook is consulted from several goroutines
-	// at once and must be safe for concurrent use; hooks that decide
-	// purely from their arguments and immutable state — like the
-	// compiled fault.Injector — qualify as-is.
+	// predictable branch per event on the hot path. A hook keeps the run
+	// on one worker, so it is never called concurrently and needs no
+	// locking.
 	Fault FaultHook
 	// Control, when non-nil, attaches an online controller (see
 	// Controller): it observes deliveries, sets timers, and may inject
@@ -190,26 +187,26 @@ type Options struct {
 	// Observe, when non-nil, streams every performed hop and every
 	// delivery to an observability sink (see Observer and
 	// internal/observe). Nil costs one predictable branch per event and
-	// one per delivery, preserving the allocation-free hot path. Sharded
-	// runs buffer the records per time window and replay them to the
-	// sink from a single goroutine in the engine's deterministic (time,
-	// key) order, so sinks never need locking and see the exact
-	// sequential stream at any worker count.
+	// one per delivery, preserving the allocation-free hot path. An
+	// observer keeps the run on one worker, so sinks never need locking
+	// and see the engine's deterministic (time, key) stream.
 	Observe Observer
-	// EngineWorkers shards this run's links across that many worker
-	// goroutines with conservative time-window synchronization
-	// (sharded.go). 0 or 1 selects the sequential engine. Results are
-	// byte-identical at every worker count; the paper's contention-
-	// freeness theorem (per-link independence, minimum α between an
-	// event and anything it causes on another link) is what makes the
-	// window bound safe.
+	// EngineWorkers bounds how many goroutines drain this run's
+	// components — groups of packets whose routes share a directed link
+	// (see components.go). 0 is automatic: up to GOMAXPROCS workers, but
+	// only for runs of at least 20,000 hops (summed over packets). 1
+	// forces one worker. n >= 2 allows up to n workers at any size. A
+	// run stays on one worker whenever it has a single component, After
+	// dependencies, a Fault hook, an Observe sink, Trace or
+	// RecordDeliveries; a Control with n >= 2 is refused. Results are
+	// byte-identical at every value.
 	EngineWorkers int
 	// Ledger, when non-nil, accumulates every delivery into the O(N)
 	// incremental Theorem-4 copy ledger (see CopyLedger) — the
 	// counters-only replacement for the O(N²) Copies matrix at Q14+/Q16
 	// scale. The engine only adds to it; callers may share one ledger
 	// across chained runs (core does, per stage) and verify at the end.
-	// Sharded runs accumulate into shard-local ledgers and merge them
+	// Extra workers accumulate into ledgers of their own, merged
 	// commutatively, so the final counts are identical at every worker
 	// count.
 	Ledger *CopyLedger
@@ -218,9 +215,9 @@ type Options struct {
 // runState is the working state of one Run. It lives inside a Scratch so
 // that every slice — the event queue, the compiled routes, the
 // dependency bookkeeping — keeps its backing array across runs. In a
-// sharded run each shard owns a runState of its own; the compiled
-// routes and dependency tables are shared (read-only, or guarded — see
-// sharded.go) while the queue, counters, and Result stay shard-local.
+// component-parallel run each extra worker drains a runState of its own
+// (see components.go) that shares the compiled routes read-only and
+// owns its queue, counters, ledger and link state.
 type runState struct {
 	net      *Network
 	specs    []PacketSpec
@@ -228,11 +225,14 @@ type runState struct {
 	queue    calQueue
 	tokens   []int64 // controller timer tokens, indexed by set sequence
 	res      *Result
-	ledger   *CopyLedger // delivery sink when Options.Ledger is set (shard-local in sharded runs)
+	ledger   *CopyLedger // delivery sink when Options.Ledger is set (worker-local on extra workers)
+	freeAt   []Time      // link state this drain acquires: the network's own, or an extra worker's private copy
+	bg       []bgProcess // background traffic beside freeAt; nil when ρ = 0
 	arcStamp []int32     // per arc: spec index + 1 that last used it (duplicate detection)
 	arcs     []int32     // backing store for routes compiled by this run
 	specArcs [][]int32   // per spec: one arc index per hop (into arcs, or a caller-supplied CompiledPath)
-	children [][]int32   // per spec: dependent spec indices
+	hops     int64       // total hops over all specs (sizes the worker count)
+	children [][]int32   // per spec: dependent spec indices (built only for After lists or a controller)
 	unmet    [][]int32   // per spec: parents that have not yet delivered at Route[0]
 	ready    []Time      // per spec: latest parent delivery at Route[0]
 	started  []bool
@@ -246,22 +246,15 @@ type runState struct {
 	// can be validated against causality.
 	ownSpecs []PacketSpec
 	now      Time
-
-	// Sharded-mode binding (nil in sequential runs): sh links this
-	// runState to its shard, and curKey is the ordering key of the event
-	// currently being handled — the tag that lets buffered deliveries
-	// and observer records merge back into exact sequential order.
-	sh     *shard
-	curKey uint64
 }
 
 // release drops the pointers a finished run would otherwise pin in the
-// scratch (the caller's specs and the returned Result), keeping only the
-// reusable backing arrays.
+// scratch (the caller's specs, the network's link state and the returned
+// Result), keeping only the reusable backing arrays.
 func (st *runState) release() {
 	st.net, st.specs, st.res = nil, nil, nil
-	st.sh = nil
 	st.ledger = nil
+	st.freeAt, st.bg = nil, nil
 	// Route windows may alias caller-owned CompiledPaths; drop every
 	// reference (including tail entries from earlier, larger runs) so the
 	// scratch never pins a caller's compiled routes between runs.
@@ -289,17 +282,21 @@ func (n *Network) Run(specs []PacketSpec, opts Options) (*Result, error) {
 // never be used by two goroutines at once; results are identical with
 // or without reuse, and with any Options.EngineWorkers value.
 func (n *Network) RunScratch(specs []PacketSpec, opts Options, sc *Scratch) (*Result, error) {
-	if opts.EngineWorkers > 1 {
-		return n.runSharded(specs, opts, sc)
+	if opts.Control != nil && opts.EngineWorkers > 1 {
+		return nil, fmt.Errorf("simnet: EngineWorkers=%d is incompatible with a Controller: controllers observe and actuate the event stream sequentially", opts.EngineWorkers)
 	}
 	if sc == nil {
 		sc = scratchPool.Get().(*Scratch)
 		defer scratchPool.Put(sc)
 	}
 	st := &sc.st
-	defer st.release()
+	defer sc.release()
 	if err := st.prepare(n, specs, opts); err != nil {
 		return nil, err
+	}
+	if k := sc.partition(); k > 1 {
+		sc.drainComponents(k)
+		return st.finish()
 	}
 	for i, s := range specs {
 		if len(s.After) > 0 {
@@ -316,30 +313,29 @@ func (n *Network) RunScratch(specs []PacketSpec, opts Options, sc *Scratch) (*Re
 		st.now = 0
 		c.Attach(&Runtime{st: st}, st.specs)
 	}
-	st.drainUntil(Time(math.MaxInt64))
+	st.drain()
 	return st.finish()
 }
 
-// drainUntil is the window-batched hot loop of every run, sequential or
-// controlled (end = ∞) or a shard's (end = the window bound): take one
-// whole tick bucket as a key-sorted slice, handle it back to back in one
-// tight loop — no per-event heap sifting — and consume each event's
-// same-tick respawn (the blocked cut-through fallback, whose key is the
-// immediate successor of its spawner's) right after the event that
-// spawned it, exactly where the heap would have popped it; then the
-// tick's controller timers (see calQueue).
-func (st *runState) drainUntil(end Time) {
+// drain is the hot loop of every run, and of every worker of a
+// component-parallel one: take one whole tick bucket as a key-sorted
+// slice, handle it back to back in one tight loop — no per-event heap
+// sifting — and consume each event's same-tick respawn (the blocked
+// cut-through fallback, whose key is the immediate successor of its
+// spawner's) right after the event that spawned it, exactly where the
+// heap would have popped it; then the tick's controller timers (see
+// calQueue).
+func (st *runState) drain() {
 	q := &st.queue
 	for {
 		t, ok := q.nextTick()
-		if !ok || t >= end {
+		if !ok {
 			return
 		}
 		b := q.takeTick(t)
 		st.res.Events += int64(len(b))
 		st.now = t
 		for _, key := range b {
-			st.curKey = key
 			st.handle(t, key)
 			if q.sameN < len(q.same) {
 				st.handleSame(t)
@@ -363,21 +359,20 @@ func (st *runState) handleSame(t Time) {
 		key := q.same[q.sameN]
 		q.sameN++
 		st.res.Events++
-		st.curKey = key
 		st.handle(t, key)
 	}
 }
 
 // prepare initializes the run state: it validates and compiles every
-// route, builds the dependency tables, and sizes the per-run recording
-// structures. It is shared verbatim by the sequential and sharded
-// engines, so both compile the exact same program.
+// route, builds the dependency tables when a spec or a controller needs
+// them, and sizes the per-run recording structures.
 func (st *runState) prepare(n *Network, specs []PacketSpec, opts Options) error {
 	st.net, st.specs, st.opts = n, specs, opts
 	st.res = &Result{}
 	st.queue.reset(spanForParams(n.p))
 	st.tokens = st.tokens[:0]
 	st.ledger = opts.Ledger
+	st.freeAt, st.bg = n.freeAt, n.bg
 	if len(specs) > maxSpecs {
 		return fmt.Errorf("simnet: %d packets exceed the engine's %d-packet capacity", len(specs), maxSpecs)
 	}
@@ -399,10 +394,12 @@ func (st *runState) prepare(n *Network, specs []PacketSpec, opts Options) error 
 	// The delivery log is sized for a run that loses no copy: a tee route
 	// delivers at every node after its source, any other route once.
 	plainHops, deliveries := 0, 0
+	st.hops = 0
 	for i := range specs {
 		if specs[i].Path == nil {
 			plainHops += len(specs[i].Route) - 1
 		}
+		st.hops += int64(len(specs[i].Route) - 1)
 		deliveries++
 		if specs[i].Tee {
 			deliveries += len(specs[i].Route) - 2
@@ -445,10 +442,6 @@ func (st *runState) prepare(n *Network, specs []PacketSpec, opts Options) error 
 		}
 	}
 
-	st.children = resetLists(st.children, len(specs))
-	st.unmet = resetLists(st.unmet, len(specs))
-	st.ready = growTimes(st.ready, len(specs))
-	clear(st.ready)
 	st.started = growBools(st.started, len(specs))
 	clear(st.started)
 	if opts.Fault != nil {
@@ -458,6 +451,14 @@ func (st *runState) prepare(n *Network, specs []PacketSpec, opts Options) error 
 		clear(st.corrupt)
 	}
 	st.hasDeps = hasDeps
+	if hasDeps || opts.Control != nil {
+		// Dependency tables, built only for runs that release children or
+		// whose controller may Inject (which appends a row to each).
+		st.children = resetLists(st.children, len(specs))
+		st.unmet = resetLists(st.unmet, len(specs))
+		st.ready = growTimes(st.ready, len(specs))
+		clear(st.ready)
+	}
 	if hasDeps {
 		for i, s := range specs {
 			for _, parent := range s.After {
@@ -604,21 +605,9 @@ func (st *runState) start(i int32, at Time) {
 	st.res.Injections++
 }
 
-// push enqueues a packet event at time t under its deterministic key. In
-// a sharded run the event is routed to the shard owning its hop's arc:
-// the shard's own heap when local, the target's outbox (drained at the
-// next window barrier) otherwise. Same-arc respawns — the
-// blocked-cut-through fallback — always stay local, which is what keeps
-// the window bound at the cross-link minimum α.
+// push enqueues a packet event at time t under its deterministic key.
 func (st *runState) push(t Time, pkt, hop int32, kind evKind) {
-	ev := event{t: t, key: packetKey(pkt, hop, kind)}
-	if sh := st.sh; sh != nil {
-		if tgt := sh.owner(st.specArcs[pkt][hop]); tgt != sh.id {
-			sh.outbox[tgt] = append(sh.outbox[tgt], ev)
-			return
-		}
-	}
-	st.queue.push(ev)
+	st.queue.push(event{t: t, key: packetKey(pkt, hop, kind)})
 }
 
 // pushTimer enqueues a controller timer; its token waits in the run's
@@ -645,7 +634,7 @@ func (st *runState) handle(t Time, key uint64) {
 		pt = Time(spec.Flits) * p.Alpha
 	}
 	arc := st.specArcs[pkt][hop]
-	freeAt := &st.net.freeAt[arc]
+	freeAt := &st.freeAt[arc]
 
 	var depart Time
 	var kind HopKind
@@ -734,28 +723,19 @@ func (st *runState) handle(t Time, key uint64) {
 			From: from, To: to, Kind: kind,
 			HeaderDepart: depart, TailArrive: tailAtNext, Blocked: blocked,
 		}
-		if sh := st.sh; sh != nil {
-			sh.traces = append(sh.traces, taggedHop{t: t, key: key, pkt: pkt, h: h})
-		} else {
-			st.res.Traces[spec.ID] = append(st.res.Traces[spec.ID], h)
-		}
+		st.res.Traces[spec.ID] = append(st.res.Traces[spec.ID], h)
 	}
 	if st.opts.Observe != nil {
 		flits := p.Mu
 		if spec.Flits > 0 {
 			flits = spec.Flits
 		}
-		he := HopEvent{
+		st.opts.Observe.OnHop(HopEvent{
 			ID: spec.ID, Hop: int(hop), From: from, To: to,
 			Arc:  int(arc),
 			Kind: kind, HeaderDepart: depart, TailArrive: tailAtNext,
 			Flits: flits, Blocked: blocked,
-		}
-		if sh := st.sh; sh != nil {
-			sh.obs = append(sh.obs, obsRec{t: t, key: key, isHop: true, hop: he})
-		} else {
-			st.opts.Observe.OnHop(he)
-		}
+		})
 	}
 	// The next node receives a copy if it is the final node, or by the
 	// tee operation while the packet passes through.
@@ -778,30 +758,18 @@ func (st *runState) handle(t Time, key uint64) {
 // broadcast and background traffic, and whether background traffic was
 // occupying it at the query time.
 func (st *runState) linkFree(arc int32, t Time) (Time, bool) {
-	avail := max(st.net.freeAt[arc], t)
-	if st.net.bg == nil {
+	avail := max(st.freeAt[arc], t)
+	if st.bg == nil {
 		return avail, false
 	}
-	return st.net.bg[arc].freeFrom(avail)
+	return st.bg[arc].freeFrom(avail)
 }
 
 func (st *runState) deliver(pkt int32, node topology.Node, at Time) {
 	id := st.specs[pkt].ID
 	st.res.Deliveries++
 	if st.hasDeps && len(st.children[pkt]) > 0 {
-		// Dependency release mutates tables shared by every shard of a
-		// sharded run; the mutex is taken only on this rare path (the
-		// serialized baselines), never by dependency-free schedules like
-		// IHC. Release order within a window cannot matter: each parent
-		// removes only itself, ready keeps a max, and the last removal —
-		// whichever shard performs it — observes the same final state.
-		if sh := st.sh; sh != nil {
-			sh.run.depMu.Lock()
-			st.releaseDeps(pkt, node, at)
-			sh.run.depMu.Unlock()
-		} else {
-			st.releaseDeps(pkt, node, at)
-		}
+		st.releaseDeps(pkt, node, at)
 	}
 	if at > st.res.Finish {
 		st.res.Finish = at
@@ -812,25 +780,15 @@ func (st *runState) deliver(pkt int32, node topology.Node, at Time) {
 	if st.ledger != nil {
 		st.ledger.Add(node, id.Source)
 	}
-	if st.opts.RecordDeliveries {
+	if st.opts.RecordDeliveries || st.opts.Observe != nil {
 		d := Delivery{
 			ID: id, Node: node, At: at,
 			Corrupted: st.opts.Fault != nil && st.corrupt[pkt],
 		}
-		if sh := st.sh; sh != nil {
-			sh.delivs = append(sh.delivs, taggedDeliv{t: st.now, key: st.curKey, d: d})
-		} else {
+		if st.opts.RecordDeliveries {
 			st.res.Deliveriesv = append(st.res.Deliveriesv, d)
 		}
-	}
-	if st.opts.Observe != nil {
-		d := Delivery{
-			ID: id, Node: node, At: at,
-			Corrupted: st.opts.Fault != nil && st.corrupt[pkt],
-		}
-		if sh := st.sh; sh != nil {
-			sh.obs = append(sh.obs, obsRec{t: st.now, key: st.curKey, del: d})
-		} else {
+		if st.opts.Observe != nil {
 			st.opts.Observe.OnDeliver(d)
 		}
 	}

@@ -32,9 +32,9 @@ import (
 // tests pin the two against each other.
 //
 // Add is single-goroutine (the engine calls it from the event loop);
-// sharded runs give each shard a private ledger and Merge them — both
-// aggregates are sums, so merging is commutative and the totals are
-// identical at every worker count.
+// extra workers of a component-parallel run keep private ledgers that
+// are Merged afterwards — both aggregates are sums, so merging is
+// commutative and the totals are identical at every worker count.
 type CopyLedger struct {
 	n     int
 	count []int64  // copies received, per receiver, from any other node
@@ -83,7 +83,7 @@ func (l *CopyLedger) Add(recv, src topology.Node) {
 func (l *CopyLedger) Count(recv topology.Node) int64 { return l.count[recv] }
 
 // Merge adds all of other's aggregates into l. The ledgers must be the
-// same size. Merging is commutative and associative, so shard-local
+// same size. Merging is commutative and associative, so worker-local
 // ledgers combined in any order yield identical totals.
 func (l *CopyLedger) Merge(other *CopyLedger) {
 	if other.n != l.n {

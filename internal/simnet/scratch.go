@@ -5,9 +5,8 @@ import "sync"
 // Scratch holds the reusable working memory of one simulation run: the
 // calendar queue's bucket ring and overflow heap, the compiled per-spec
 // routes, and the dependency bookkeeping. Reusing a Scratch across runs
-// makes the
-// steady-state event loop allocation-free; results are bit-identical
-// with or without reuse.
+// makes the steady-state event loop allocation-free; results are
+// bit-identical with or without reuse.
 //
 // A Scratch may serve any number of sequential runs on any networks, but
 // must never be shared by concurrent runs — each worker goroutine of a
@@ -15,20 +14,24 @@ import "sync"
 // value is ready to use.
 type Scratch struct {
 	st runState
-	// shards holds the per-worker states of sharded runs (EngineWorkers
-	// > 1); each keeps its own calendar queue, counters, and merge
-	// buffers across runs, so sharded steady state reuses memory like
-	// the sequential path does.
-	shards []*shard
+	// part and workers serve component-parallel runs (components.go):
+	// the planning arrays, and the extra workers, whose calendar queues
+	// and ledgers are reused across runs. Their private link state is
+	// dropped after every run.
+	part    partition
+	workers []*worker
 }
 
-// shardSlots returns w reusable shard slots, growing the slice as
-// needed. Slots keep their backing arrays between runs.
-func (sc *Scratch) shardSlots(w int) []*shard {
-	for len(sc.shards) < w {
-		sc.shards = append(sc.shards, &shard{})
+// release drops everything a finished run would otherwise pin, keeping
+// the backing arrays for the next run.
+func (sc *Scratch) release() {
+	sc.st.release()
+	for _, w := range sc.workers {
+		// The compiled routes and start flags belong to sc.st.
+		w.st.specArcs, w.st.started = nil, nil
+		w.st.release()
+		w.res = Result{}
 	}
-	return sc.shards[:w]
 }
 
 // NewScratch returns an empty scratch; capacity grows on first use and

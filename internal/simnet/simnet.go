@@ -435,8 +435,8 @@ func New(g *topology.Graph, p Params) (*Network, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	// Arc ids are int32 throughout the engine (compiled routes, event
-	// routing in the sharded engine); a graph whose 2M directed arcs
+	// Arc ids are int32 throughout the engine (compiled routes, the
+	// component union-find); a graph whose 2M directed arcs
 	// exceed that is a hard capacity limit, reported up front rather than
 	// silently truncated. Q16 has 2M = 2²¹ arcs — about a thousandfold
 	// of headroom.
@@ -458,8 +458,8 @@ func New(g *topology.Graph, p Params) (*Network, error) {
 		// by passing (Seed, arc id) through splitmix64. The per-stream
 		// independence makes the ρ>0 traffic a pure function of (Seed,
 		// arc id) — the order links are queried in can never perturb
-		// another link's traffic, which is what lets the sharded engine
-		// reproduce the sequential pattern exactly. The earlier xor-only
+		// another link's traffic, which is what lets parallel workers
+		// reproduce the one-worker pattern exactly. The earlier xor-only
 		// mixing kept whole seed bit-planes correlated across arcs;
 		// splitmix64's full avalanche decorrelates neighboring arc ids.
 		base := splitmix64(uint64(p.Seed))
