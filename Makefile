@@ -138,15 +138,17 @@ q14-smoke:
 
 # Real-transport smoke: first the transport/cluster/repair/stream unit
 # tests under the race detector (jittered backoff, breaker transitions,
-# the peer-dies-and-reconnects NAK path, the in-process loopback + TCP
-# chaos rounds, and the streaming node's store), then the multi-process
-# check — `ihcd -launch` boots 8 real ihcd daemons as separate OS
-# processes on a Q3 overlay with a socket-level chaos proxy on every
-# link, SIGKILLs node 6 mid-round, partitions link {1,3}, and requires
-# every survivor's counters-only ledger to show the exact γ-copy
-# postcondition plus a clean (exit 0) SIGTERM shutdown; the -faultfree
-# leg additionally requires the wall-clock delivery multiset to equal
-# the discrete-event engine's.
+# the peer-dies-and-reconnects NAK path, the one cluster harness's
+# loopback + TCP chaos rounds and streams — every round a one-epoch
+# stream.Node — and the streaming node's store), then the
+# multi-process check — `ihcd -launch` boots 8 real ihcd daemons as
+# separate OS processes on a Q3 overlay with a socket-level chaos proxy
+# on every link, SIGKILLs node 6 mid-round, partitions link {1,3}, and
+# requires every survivor's counters-only ledger to show the exact
+# γ-copy postcondition, a delivery multiset equal to the discrete-event
+# engine's (cluster.CompareWithSimnet), and a clean (exit 0) SIGTERM
+# shutdown; the -faultfree leg runs the same checks with no faults and
+# prints the multiset match.
 transport-quick:
 	$(GO) test -race -count=1 ./internal/transport ./internal/cluster ./internal/repair ./internal/hlc ./internal/stream
 	$(GO) run ./cmd/ihcd -launch

@@ -8,9 +8,9 @@
 //	ihcd -node 3 -m 3 -eta 2 -listen 127.0.0.1:4003 -peers book.json -epoch <unixnano>
 //
 // where book.json maps neighbor ids to dial addresses. The daemon runs
-// one ATA round, prints its RESULT verdict as JSON on stdout, then
-// keeps serving repair pulls until SIGTERM (exit 0) — a finished node
-// may be a straggler's only provider.
+// one ATA round — a one-epoch stream.Node — prints its RESULT verdict
+// as JSON on stdout, then keeps serving repair pulls until SIGTERM
+// (exit 0) — a finished node may be a straggler's only provider.
 //
 // Launch mode orchestrates a whole local cluster:
 //
@@ -20,7 +20,8 @@
 // The launcher spawns one child daemon per node, interposes a chaos
 // proxy on every directed link (chaos mode), SIGKILLs the crash victim
 // mid-round, collects every child's RESULT, asserts the γ-copy ledger
-// postcondition on all survivors, and exits nonzero on any violation.
+// postcondition and the simulator's delivery multiset on all
+// survivors, and exits nonzero on any violation.
 //
 // Soak mode streams pipelined epochs over the in-process loopback mesh
 // with the full chaos script — background frame faults, a partition
@@ -51,6 +52,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"syscall"
 	"time"
 
@@ -110,7 +112,7 @@ type result struct {
 	Node      int            `json:"node"`
 	OK        bool           `json:"ok"`
 	LedgerErr string         `json:"ledger_err,omitempty"`
-	Exhausted int            `json:"exhausted"`
+	Exhausted int            `json:"exhausted"` // copies missing: (N−1)·γ minus those held
 	Repaired  int            `json:"repaired"`
 	Naks      int            `json:"naks"`
 	Copies    map[int][]int  `json:"copies"` // source -> channels received
@@ -215,18 +217,22 @@ func runDaemon(m, eta, self int, listen, peersPath string, epochNano int64, stag
 	}
 	defer ep.Close()
 
-	nd, err := transport.NewNode(transport.NodeConfig{
+	// One round is a one-epoch stream; stages are 1/4 of the period.
+	nd, err := stream.NewNode(stream.Config{
 		IHC:         x,
 		Eta:         eta,
 		Self:        topology.Node(self),
 		Endpoint:    ep,
 		Keyring:     reliable.NewKeyring(x.N(), keySeed),
-		Epoch:       epoch,
+		Epoch0:      epoch,
+		Period:      4 * stageDur,
 		StageDur:    stageDur,
 		HopLatency:  hopLat,
 		Slack:       slack,
 		Retry:       transport.BackoffConfig{Base: 10 * time.Millisecond, Max: 150 * time.Millisecond, Factor: 1.6, Jitter: 0.2, Seed: seed*31 + int64(self) + 1},
 		MaxAttempts: maxAtt,
+		Epochs:      1,
+		Payload:     func(uint32) []byte { return reliable.TruthPayload(topology.Node(self)) },
 	})
 	if err != nil {
 		fail("%v", err)
@@ -242,11 +248,15 @@ func runDaemon(m, eta, self int, listen, peersPath string, epochNano int64, stag
 	res, runErr := nd.Run(runCtx)
 	interrupted := runErr != nil && sigCtx.Err() != nil
 
+	var round stream.EpochResult // stays zero if the epoch never closed
+	if len(res.Epochs) > 0 {
+		round = res.Epochs[0]
+	}
 	out := result{
 		Node:      self,
-		OK:        runErr == nil && res.LedgerErr == nil && len(res.Exhausted) == 0,
-		Exhausted: len(res.Exhausted),
-		Repaired:  res.Repaired,
+		OK:        runErr == nil && round.Completed && round.LedgerErr == nil,
+		Exhausted: (x.N() - 1) * x.Gamma(),
+		Repaired:  round.Repaired,
 		Naks:      res.NaksSent,
 		Copies:    make(map[int][]int),
 		Stats: map[string]int{
@@ -256,16 +266,17 @@ func runDaemon(m, eta, self int, listen, peersPath string, epochNano int64, stag
 		},
 		Interrupt: interrupted,
 	}
-	if res.LedgerErr != nil {
-		out.LedgerErr = res.LedgerErr.Error()
+	if round.LedgerErr != nil {
+		out.LedgerErr = round.LedgerErr.Error()
 	}
-	for src, chans := range res.Copies {
+	for src, chans := range round.Copies {
 		cs := make([]int, len(chans))
 		for i, c := range chans {
 			cs[i] = int(c)
 		}
 		sort.Ints(cs)
 		out.Copies[int(src)] = cs
+		out.Exhausted -= len(chans)
 	}
 	// The RESULT line is the machine-readable verdict the launcher
 	// scrapes; flush it even when interrupted so a dying campaign
@@ -311,26 +322,24 @@ func runSoak(m, eta, epochs, inflight int, period, stageDur, hopLat, slack time.
 	partFrom := 9 * period
 	partFor := 3 * period
 	gauges := &observe.StreamGauges{}
-	cfg := cluster.StreamConfig{
-		Config: cluster.Config{
-			IHC: x, Eta: eta, KeySeed: keySeed,
-			StageDur: stageDur, HopLatency: hopLat, Slack: slack,
-			Retry: transport.BackoffConfig{
-				Base: 10 * time.Millisecond, Max: 150 * time.Millisecond,
-				Factor: 1.6, Jitter: 0.2, Seed: seed,
-			},
-			MaxAttempts: maxAtt,
-			Timeout:     timeout,
-			Chaos: &chaos.Config{
-				Seed:     seed,
-				DropRate: 0.02, DupRate: 0.02, CorruptRate: 0.01, DelayRate: 0.05,
-				TickDur: time.Millisecond,
-				Plan: &fault.TemporalPlan{Links: []fault.LinkFault{{
-					U: 1, V: 3,
-					From:  simnet.Time(partFrom / time.Millisecond),
-					Until: simnet.Time((partFrom + partFor) / time.Millisecond),
-				}}},
-			},
+	cfg := cluster.Config{
+		IHC: x, Eta: eta, KeySeed: keySeed,
+		StageDur: stageDur, HopLatency: hopLat, Slack: slack,
+		Retry: transport.BackoffConfig{
+			Base: 10 * time.Millisecond, Max: 150 * time.Millisecond,
+			Factor: 1.6, Jitter: 0.2, Seed: seed,
+		},
+		MaxAttempts: maxAtt,
+		Timeout:     timeout,
+		Chaos: &chaos.Config{
+			Seed:     seed,
+			DropRate: 0.02, DupRate: 0.02, CorruptRate: 0.01, DelayRate: 0.05,
+			TickDur: time.Millisecond,
+			Plan: &fault.TemporalPlan{Links: []fault.LinkFault{{
+				U: 1, V: 3,
+				From:  simnet.Time(partFrom / time.Millisecond),
+				Until: simnet.Time((partFrom + partFor) / time.Millisecond),
+			}}},
 		},
 		Epochs:      epochs,
 		Period:      period,
@@ -351,7 +360,7 @@ func runSoak(m, eta, epochs, inflight int, period, stageDur, hopLat, slack time.
 	sigCtx, stopSignals := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stopSignals()
 	start := time.Now()
-	res, err := cluster.RunStream(sigCtx, cfg)
+	res, err := cluster.Run(sigCtx, cfg)
 	if err != nil {
 		fail("soak: %v", err)
 	}
@@ -385,10 +394,24 @@ func runSoak(m, eta, epochs, inflight int, period, stageDur, hopLat, slack time.
 // Launch mode
 
 type child struct {
+	cmd    *exec.Cmd
+	res    *result
+	exited bool
+	killed atomic.Bool // SIGKILLed by the launcher: the plan's crash
+}
+
+// report is a child's RESULT line, or its exit status when res is nil.
+type report struct {
 	node topology.Node
-	cmd  *exec.Cmd
 	res  *result
-	done chan error
+	err  error
+}
+
+// launchErr reports a launch failure once children may be running:
+// unlike fail it returns, so the deferred cleanup kills them.
+func launchErr(format string, args ...any) int {
+	fmt.Fprintf(os.Stderr, "ihcd: "+format+"\n", args...)
+	return 1
 }
 
 func runLaunch(m, eta int, faultfree bool, keySeed, seed int64, stageDur, hopLat, slack time.Duration, maxAtt int, timeout time.Duration, wd *watchdog) int {
@@ -407,17 +430,19 @@ func runLaunch(m, eta int, faultfree bool, keySeed, seed int64, stageDur, hopLat
 	sigCtx, stopSignals := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stopSignals()
 
-	// Pre-allocate one listener address per node: bind, record, close.
-	// The window between close and the child's re-bind is a benign
-	// localhost race.
+	// Reserve one listener address per node. The listeners stay bound
+	// until the proxy mesh has its ports, so the kernel cannot hand a
+	// proxy a node's port; they close just before the children start
+	// and re-bind them.
 	realAddrs := make(map[topology.Node]string, n)
+	reserved := make([]net.Listener, n)
 	for v := 0; v < n; v++ {
 		ln, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
 			fail("reserve port: %v", err)
 		}
 		realAddrs[topology.Node(v)] = ln.Addr().String()
-		ln.Close()
+		reserved[v] = ln
 	}
 
 	epoch := time.Now().Add(1500 * time.Millisecond)
@@ -473,11 +498,13 @@ func runLaunch(m, eta int, faultfree bool, keySeed, seed int64, stageDur, hopLat
 	children := make(map[topology.Node]*child, n)
 	defer func() {
 		for _, c := range children {
-			if c.cmd.Process != nil {
-				c.cmd.Process.Kill()
-			}
+			c.cmd.Process.Kill()
 		}
 	}()
+	for _, ln := range reserved {
+		ln.Close()
+	}
+	reports := make(chan report, 2*n)
 	for v := 0; v < n; v++ {
 		nodeID := topology.Node(v)
 		book := make(map[string]string)
@@ -487,7 +514,7 @@ func runLaunch(m, eta int, faultfree bool, keySeed, seed int64, stageDur, hopLat
 		raw, _ := json.Marshal(book)
 		path := fmt.Sprintf("%s/peers-%d.json", dir, v)
 		if err := os.WriteFile(path, raw, 0o644); err != nil {
-			fail("%v", err)
+			return launchErr("%v", err)
 		}
 		cmd := exec.Command(self,
 			"-node", strconv.Itoa(v),
@@ -507,53 +534,47 @@ func runLaunch(m, eta int, faultfree bool, keySeed, seed int64, stageDur, hopLat
 		cmd.Stderr = os.Stderr
 		stdout, err := cmd.StdoutPipe()
 		if err != nil {
-			fail("%v", err)
+			return launchErr("%v", err)
 		}
 		if err := cmd.Start(); err != nil {
-			fail("start node %d: %v", v, err)
+			return launchErr("start node %d: %v", v, err)
 		}
-		c := &child{node: nodeID, cmd: cmd, done: make(chan error, 1)}
-		children[nodeID] = c
-		wd.add(func() {
-			if cmd.Process != nil {
-				cmd.Process.Kill()
-			}
-		})
+		children[nodeID] = &child{cmd: cmd}
+		wd.add(func() { cmd.Process.Kill() })
 		go func() {
 			sc := bufio.NewScanner(stdout)
 			sc.Buffer(make([]byte, 1<<20), 1<<20)
 			for sc.Scan() {
-				line := sc.Text()
-				if rest, ok := strings.CutPrefix(line, "RESULT "); ok {
+				if rest, ok := strings.CutPrefix(sc.Text(), "RESULT "); ok {
 					var r result
 					if json.Unmarshal([]byte(rest), &r) == nil {
-						c.res = &r
+						reports <- report{node: nodeID, res: &r}
 					}
 				}
 			}
-			c.done <- cmd.Wait()
+			reports <- report{node: nodeID, err: cmd.Wait()}
 		}()
 	}
 
 	// Execute the plan's crashes with SIGKILL — a real crash, not a
 	// polite shutdown.
 	for v, at := range crashes {
-		v, at := v, at
 		go func() {
 			select {
 			case <-sigCtx.Done():
 				return
 			case <-time.After(time.Until(epoch.Add(at))):
 			}
-			if c := children[v]; c.cmd.Process != nil {
-				c.cmd.Process.Kill()
-				fmt.Printf("ihcd: crashed node %d (SIGKILL) at %s into the round\n", v, at)
-			}
+			c := children[v]
+			c.killed.Store(true)
+			c.cmd.Process.Kill()
+			fmt.Printf("ihcd: crashed node %d (SIGKILL) at %s into the round\n", v, at)
 		}()
 	}
 
-	// Wait for every survivor's RESULT: poll children until each
-	// non-crashed child printed one or the deadline passes.
+	// Wait for every survivor's RESULT. A child that exits on its own —
+	// before printing one, or after it but before SIGTERM — fails the
+	// launch at once.
 	deadline := time.After(timeout + 5*time.Second)
 	pending := make(map[topology.Node]bool)
 	for v := range children {
@@ -567,12 +588,21 @@ func runLaunch(m, eta int, faultfree bool, keySeed, seed int64, stageDur, hopLat
 			fmt.Fprintln(os.Stderr, "ihcd: interrupted; killing cluster")
 			return 3
 		case <-deadline:
-			fail("timed out waiting for RESULT from nodes %v", keys(pending))
-		case <-time.After(20 * time.Millisecond):
-			for v := range pending {
-				if children[v].res != nil {
-					delete(pending, v)
-				}
+			return launchErr("timed out waiting for RESULT from nodes %v", keys(pending))
+		case rp := <-reports:
+			c := children[rp.node]
+			if rp.res != nil {
+				c.res = rp.res
+				delete(pending, rp.node)
+				continue
+			}
+			c.exited = true
+			switch {
+			case c.killed.Load():
+			case c.res == nil:
+				return launchErr("node %d exited before printing RESULT: %v", rp.node, rp.err)
+			default:
+				return launchErr("node %d exited before SIGTERM: %v", rp.node, rp.err)
 			}
 		}
 	}
@@ -580,9 +610,11 @@ func runLaunch(m, eta int, faultfree bool, keySeed, seed int64, stageDur, hopLat
 	// Verdict: every survivor must report the exact γ-copy
 	// postcondition over all N sources — including the crashed node's
 	// messages, which were injected before the crash and repaired
-	// around it.
+	// around it — and the delivery multiset of the discrete-event
+	// engine on the same schedule.
 	violations := 0
 	totalRepaired, totalNaks, totalReconnects := 0, 0, 0
+	graded := &cluster.Result{Epochs: 1, Nodes: make(map[topology.Node][]stream.EpochResult)}
 	for v, c := range children {
 		if _, dies := crashes[v]; dies {
 			continue
@@ -596,58 +628,53 @@ func runLaunch(m, eta int, faultfree bool, keySeed, seed int64, stageDur, hopLat
 			violations++
 			continue
 		}
-		if err := checkCopies(r, int(v), n, gamma); err != nil {
-			fmt.Fprintf(os.Stderr, "ihcd: node %d FAILED: %v\n", v, err)
-			violations++
-		}
-	}
-
-	// Fault-free acceptance: the wall-clock delivery multiset must
-	// equal the discrete-event engine's on the same schedule.
-	if faultfree && violations == 0 {
-		sim, err := x.Run(core.Config{Eta: eta, Params: simnet.Params{}.Defaulted()})
-		if err != nil {
-			fail("simnet reference: %v", err)
-		}
-		for v, c := range children {
-			for s := 0; s < n; s++ {
-				if int(v) == s {
-					continue
-				}
-				want := sim.Copies.Get(v, topology.Node(s))
-				if got := len(c.res.Copies[s]); got != want {
-					fmt.Fprintf(os.Stderr, "ihcd: node %d got %d copies from %d, simnet delivered %d\n", v, got, s, want)
-					violations++
-				}
+		copies := make(map[topology.Node][]uint8, len(r.Copies))
+		for s, chans := range r.Copies {
+			for _, ch := range chans {
+				copies[topology.Node(s)] = append(copies[topology.Node(s)], uint8(ch))
 			}
 		}
-		if violations == 0 {
-			fmt.Printf("ihcd: wall-clock delivery multiset matches simnet (%d nodes × %d sources × γ=%d)\n", n, n-1, gamma)
-		}
+		graded.Nodes[v] = []stream.EpochResult{{Node: v, Completed: true, Copies: copies}}
+	}
+	if err := cluster.CompareWithSimnet(cluster.Config{IHC: x, Eta: eta}, graded); err != nil {
+		fmt.Fprintf(os.Stderr, "ihcd: %v\n", err)
+		violations++
+	} else if faultfree && violations == 0 {
+		fmt.Printf("ihcd: wall-clock delivery multiset matches simnet (%d nodes × %d sources × γ=%d)\n", n, n-1, gamma)
 	}
 
 	// Graceful shutdown: SIGTERM every survivor and require exit 0.
+	running := 0
 	for v, c := range children {
-		if _, dies := crashes[v]; dies {
+		if c.exited {
 			continue
 		}
-		c.cmd.Process.Signal(syscall.SIGTERM)
+		running++
+		if _, dies := crashes[v]; !dies {
+			c.cmd.Process.Signal(syscall.SIGTERM)
+		}
 	}
-	for v, c := range children {
-		if _, dies := crashes[v]; dies {
-			<-c.done // SIGKILLed: error expected, just reap it
-			continue
-		}
+	grace := time.After(5 * time.Second)
+	for running > 0 {
 		select {
-		case err := <-c.done:
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "ihcd: node %d did not shut down cleanly: %v\n", v, err)
+		case rp := <-reports:
+			if rp.res != nil {
+				continue
+			}
+			running--
+			children[rp.node].exited = true
+			if _, dies := crashes[rp.node]; !dies && rp.err != nil {
+				fmt.Fprintf(os.Stderr, "ihcd: node %d did not shut down cleanly: %v\n", rp.node, rp.err)
 				violations++
 			}
-		case <-time.After(5 * time.Second):
-			fmt.Fprintf(os.Stderr, "ihcd: node %d ignored SIGTERM\n", v)
-			c.cmd.Process.Kill()
-			violations++
+		case <-grace:
+			for v, c := range children {
+				if !c.exited {
+					fmt.Fprintf(os.Stderr, "ihcd: node %d ignored SIGTERM\n", v)
+					violations++
+				}
+			}
+			running = 0
 		}
 	}
 
@@ -661,26 +688,6 @@ func runLaunch(m, eta int, faultfree bool, keySeed, seed int64, stageDur, hopLat
 		return 1
 	}
 	return 0
-}
-
-// checkCopies asserts one survivor's reported delivery multiset: for
-// every other source, exactly one copy per channel 0..γ-1.
-func checkCopies(r *result, self, n, gamma int) error {
-	for s := 0; s < n; s++ {
-		if s == self {
-			continue
-		}
-		chans := r.Copies[s]
-		if len(chans) != gamma {
-			return fmt.Errorf("%d copies from source %d, want γ=%d", len(chans), s, gamma)
-		}
-		for j := 0; j < gamma; j++ {
-			if chans[j] != j {
-				return fmt.Errorf("copies from source %d arrived on channels %v, want one per channel 0..%d", s, chans, gamma-1)
-			}
-		}
-	}
-	return nil
 }
 
 func keys(m map[topology.Node]bool) []int {

@@ -1,16 +1,27 @@
 // Package cluster spins up a full IHC broadcast cluster — one
-// transport.Node per network node — over either the in-process
-// loopback mesh or real TCP sockets, optionally behind the chaos
-// layer, runs one complete ATA round, and renders the per-survivor
-// γ-copy verdicts. It is the harness behind the transport tests and
-// `make transport-quick`, and the library `cmd/ihcd -launch` drives
-// for the multi-process variant.
+// stream.Node per network node — over either the in-process loopback
+// mesh or real TCP sockets, optionally behind the chaos layer, and
+// renders the per-node, per-epoch γ-copy verdicts. A run streams
+// Epochs rounds; the default of one is a one-shot ATA round. It is the
+// harness behind the transport and streaming tests, `ihcd -soak` and
+// `make transport-quick`; `ihcd -launch` runs the same protocol as one
+// OS process per node and grades it with CompareWithSimnet.
+//
+// The harness can also kill a node mid-run, as close to SIGKILL as an
+// in-process cluster gets: its context is cancelled with zero notice,
+// its endpoint closes, and every frame still addressed to it is read
+// off the wire and discarded, exactly what a dead process's kernel
+// does to its sockets. A chaos-plan crash is such a kill for good. A
+// KillSpec restarts the node after its downtime: the same endpoint goes
+// to a brand-new stream.Node with no state but the keyring, which must
+// rediscover the epoch via the JOIN handshake and catch up.
 package cluster
 
 import (
 	"context"
 	"fmt"
 	"net"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -18,8 +29,10 @@ import (
 	"ihc/internal/chaos"
 	"ihc/internal/core"
 	"ihc/internal/hlc"
+	"ihc/internal/observe"
 	"ihc/internal/reliable"
 	"ihc/internal/simnet"
+	"ihc/internal/stream"
 	"ihc/internal/topology"
 	"ihc/internal/transport"
 )
@@ -33,8 +46,9 @@ type Config struct {
 	// TCP selects real sockets; false runs the loopback mesh.
 	TCP bool
 	// Chaos, when non-nil, interposes the compiled fault plan on every
-	// link (loopback filter or per-arc TCP proxies) and schedules the
-	// plan's node crashes. Its Epoch is overridden with the cluster's.
+	// link (loopback filter or per-arc TCP proxies) and kills the
+	// plan's crashed nodes for good. Its Epoch is overridden with the
+	// cluster's.
 	Chaos *chaos.Config
 	// Timing. StageDur must comfortably exceed per-hop latency ×
 	// longest route for fault-free runs to finish inside the schedule.
@@ -46,11 +60,56 @@ type Config struct {
 	Retry       transport.BackoffConfig
 	Breaker     transport.BreakerConfig
 	MaxAttempts int
-	// Timeout bounds the whole round. Default 30s.
+	// Timeout bounds the whole run. Default 30s.
 	Timeout time.Duration
-	// SetupDelay is how far in the future the cluster epoch (stage-0
-	// start) is placed, leaving construction time. Default 100ms.
+	// SetupDelay is how far in the future epoch 0's stage 0 is placed,
+	// leaving construction time. Default 100ms.
 	SetupDelay time.Duration
+	// Epochs to stream (default 1, a one-shot round); Period between
+	// epoch starts (default four stages); MaxInflight overlapping
+	// rounds; Retain closed epochs kept to serve late pulls; Drain
+	// bounds the post-schedule straggler window. Zero MaxInflight,
+	// Retain and Drain take stream.Config's defaults.
+	Epochs      int
+	Period      time.Duration
+	MaxInflight int
+	Retain      int
+	Drain       time.Duration
+	// Ingress and Load shape the client-payload path. A zero Load
+	// disables the generators.
+	Ingress stream.IngressConfig
+	Load    LoadSpec
+	// Kill, when non-nil, schedules the mid-run kill and restart of
+	// one node (loopback only).
+	Kill *KillSpec
+	// Payload, when non-nil, bypasses ingress on every node: node v's
+	// epoch-e injection is Payload(v, e). With neither Payload nor Load,
+	// node v injects reliable.TruthPayload(v) every epoch, as in a
+	// one-shot round.
+	Payload func(v topology.Node, epoch uint32) []byte
+	// Gauges aggregates cluster-wide streaming metrics (shared sink).
+	Gauges *observe.StreamGauges
+	// CollectPayloads retains delivered payload bytes per epoch result.
+	CollectPayloads bool
+}
+
+// KillSpec schedules the mid-run kill and restart of one node.
+type KillSpec struct {
+	Node topology.Node
+	// At is the kill time as an offset from epoch 0's scheduled start;
+	// Downtime is how long the node stays dead before restarting.
+	At       time.Duration
+	Downtime time.Duration
+}
+
+// LoadSpec shapes the synthetic client load each node's ingress
+// receives while the stream runs.
+type LoadSpec struct {
+	// Interval between submissions per node; Bytes per payload.
+	Interval time.Duration
+	Bytes    int
+	// HighEvery marks every k-th submission high-priority (0 = all low).
+	HighEvery int
 }
 
 func (c Config) defaulted() Config {
@@ -69,65 +128,122 @@ func (c Config) defaulted() Config {
 	if c.SetupDelay <= 0 {
 		c.SetupDelay = 100 * time.Millisecond
 	}
+	if c.Epochs <= 0 {
+		c.Epochs = 1
+	}
+	if c.Period <= 0 {
+		c.Period = 4 * c.StageDur
+	}
+	if c.Payload == nil && c.Load.Interval <= 0 {
+		c.Payload = func(v topology.Node, _ uint32) []byte { return reliable.TruthPayload(v) }
+	}
 	return c
 }
 
-// Result is one cluster run's outcome.
-type Result struct {
-	Epoch   time.Time
-	Gamma   int
-	Nodes   map[topology.Node]*transport.NodeResult // survivors only
-	Crashed []topology.Node
-	// RunErrs records per-node transport/context errors (crashed
-	// nodes' context cancellations excluded).
-	RunErrs map[topology.Node]error
-}
-
-// Verify renders the cluster verdict: every surviving node's ledger
-// must show the exact γ-copy postcondition, with no exhausted repairs.
-func (r *Result) Verify() error {
-	if len(r.Nodes) == 0 {
-		return fmt.Errorf("cluster: no surviving nodes")
+// validate rejects a configuration the harness cannot execute.
+func (c Config) validate() error {
+	if c.IHC == nil {
+		return fmt.Errorf("cluster: config needs an IHC schedule")
 	}
-	for v, nr := range r.Nodes {
-		if len(nr.Exhausted) > 0 {
-			return fmt.Errorf("cluster: node %d gave up on %d copies (first: source %d channel %d)",
-				v, len(nr.Exhausted), nr.Exhausted[0].Source, nr.Exhausted[0].Channel)
-		}
-		if nr.LedgerErr != nil {
-			return fmt.Errorf("cluster: node %d ledger: %w", v, nr.LedgerErr)
+	if k := c.Kill; k != nil {
+		switch {
+		case k.Node < 0 || int(k.Node) >= c.IHC.N():
+			return fmt.Errorf("cluster: kill node %d outside [0,%d)", k.Node, c.IHC.N())
+		case k.At < 0:
+			return fmt.Errorf("cluster: kill time %s is negative", k.At)
+		case k.Downtime <= 0:
+			return fmt.Errorf("cluster: kill downtime %s must be positive", k.Downtime)
+		case c.TCP:
+			return fmt.Errorf("cluster: kill and restart is loopback-only")
 		}
 	}
 	return nil
 }
 
-// Repaired sums the copies that arrived via the repair path across
-// survivors.
-func (r *Result) Repaired() int {
-	total := 0
-	for _, nr := range r.Nodes {
-		total += nr.Repaired
-	}
-	return total
+// Result is one cluster run's outcome.
+type Result struct {
+	Epochs int
+	Kill   *KillSpec
+	// Nodes holds each surviving node's epoch verdicts in epoch order,
+	// merged across its lifetimes (a killed and restarted node has two:
+	// pre-kill and post-rejoin). Nodes the chaos plan crashed are listed
+	// in Crashed instead.
+	Nodes   map[topology.Node][]stream.EpochResult
+	Crashed []topology.Node
+	// RunErrs records per-node transport/context errors (the
+	// cancellation that ends a killed lifetime excluded).
+	RunErrs map[topology.Node]error
+	// NaksSent sums pulls across surviving nodes and lifetimes.
+	NaksSent int
+	Snapshot observe.StreamSnapshot
 }
 
-// Run executes one full ATA round and returns the per-node results.
+// Verify renders the run's verdict:
+//   - every survivor completed every epoch with the exact γ-copy
+//     ledger postcondition (a permanently crashed source's later epochs
+//     cannot complete, so they fail here);
+//   - the killed node (if any) completed every epoch too, across its
+//     two lifetimes — pre-kill live rounds plus post-rejoin catch-up —
+//     with at least one catch-up completion proving the rejoin path ran;
+//   - no node's run failed, and no high-priority payload was shed.
+func (r *Result) Verify() error {
+	if len(r.Nodes) == 0 {
+		return fmt.Errorf("cluster: no surviving nodes")
+	}
+	for v, results := range r.Nodes {
+		killed := r.Kill != nil && r.Kill.Node == v
+		done := make(map[uint32]bool)
+		caughtUp := 0
+		for _, er := range results {
+			if er.Completed && er.LedgerErr != nil {
+				return fmt.Errorf("cluster: node %d epoch %d ledger: %w", v, er.Epoch, er.LedgerErr)
+			}
+			if er.Completed {
+				done[er.Epoch] = true
+				if er.CatchUp {
+					caughtUp++
+				}
+			} else if !killed {
+				return fmt.Errorf("cluster: survivor %d failed epoch %d", v, er.Epoch)
+			}
+		}
+		for e := 0; e < r.Epochs; e++ {
+			if !done[uint32(e)] {
+				return fmt.Errorf("cluster: node %d never completed epoch %d (%d/%d done)", v, e, len(done), r.Epochs)
+			}
+		}
+		if killed && caughtUp == 0 {
+			return fmt.Errorf("cluster: killed node %d completed all epochs without any catch-up round — the kill happened too late to bite", v)
+		}
+	}
+	for v, err := range r.RunErrs {
+		if err != nil {
+			return fmt.Errorf("cluster: node %d run: %w", v, err)
+		}
+	}
+	if r.Snapshot.ShedHigh > 0 {
+		return fmt.Errorf("cluster: %d high-priority payloads shed", r.Snapshot.ShedHigh)
+	}
+	return nil
+}
+
+// Run executes one cluster run and returns the per-node results.
 func Run(ctx context.Context, cfg Config) (*Result, error) {
 	cfg = cfg.defaulted()
-	if cfg.IHC == nil {
-		return nil, fmt.Errorf("cluster: config needs an IHC schedule")
+	if err := cfg.validate(); err != nil {
+		return nil, err
 	}
 	g := cfg.IHC.Graph()
 	n := g.N()
 	keyring := reliable.NewKeyring(n, cfg.KeySeed)
-	epoch := time.Now().Add(cfg.SetupDelay)
+	epoch0 := time.Now().Add(cfg.SetupDelay)
 
 	var plan *chaos.Plan
 	crashes := map[topology.Node]time.Duration{}
 	if cfg.Chaos != nil {
 		cc := *cfg.Chaos
 		cc.Graph = g
-		cc.Epoch = epoch
+		cc.Epoch = epoch0
 		var err error
 		plan, err = chaos.NewPlan(cc)
 		if err != nil {
@@ -136,7 +252,7 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 		crashes = plan.Crashes()
 	}
 
-	endpoints := make(map[topology.Node]transport.Endpoint, n)
+	endpoints := make([]transport.Endpoint, n)
 	var closers []func()
 	defer func() {
 		for i := len(closers) - 1; i >= 0; i-- {
@@ -188,11 +304,11 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 			if err != nil {
 				return nil, fmt.Errorf("cluster: node %d endpoint: %w", v, err)
 			}
-			endpoints[node] = ep
+			endpoints[v] = ep
 			closers = append(closers, func() { ep.Close() })
 		}
 	} else {
-		lbCfg := transport.LoopbackConfig{Graph: g, Latency: cfg.HopLatency, Epoch: epoch}
+		lbCfg := transport.LoopbackConfig{Graph: g, Latency: cfg.HopLatency, Epoch: epoch0}
 		if plan != nil {
 			lbCfg.Filter = plan
 		}
@@ -202,11 +318,9 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 		}
 		closers = append(closers, func() { lb.Close() })
 		for v := 0; v < n; v++ {
-			ep, err := lb.Endpoint(topology.Node(v))
-			if err != nil {
+			if endpoints[v], err = lb.Endpoint(topology.Node(v)); err != nil {
 				return nil, err
 			}
-			endpoints[topology.Node(v)] = ep
 		}
 	}
 
@@ -217,90 +331,185 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 
 	type outcome struct {
 		node topology.Node
-		res  *transport.NodeResult
+		res  *stream.Result
 		err  error
 	}
-	results := make(chan outcome, n)
+	results := make(chan outcome, n+1)
 	var wg sync.WaitGroup
-	cancels := make(map[topology.Node]func(), n)
 
-	for v := 0; v < n; v++ {
-		node := topology.Node(v)
-		nd, err := transport.NewNode(transport.NodeConfig{
-			IHC:         cfg.IHC,
-			Eta:         cfg.Eta,
-			Self:        node,
-			Endpoint:    endpoints[node],
-			Keyring:     keyring,
-			Epoch:       epoch,
-			StageDur:    cfg.StageDur,
-			HopLatency:  cfg.HopLatency,
-			Slack:       cfg.Slack,
-			Retry:       seededFor(cfg.Retry, node),
-			MaxAttempts: cfg.MaxAttempts,
-			Clock:       hlc.New(),
-		})
+	// startLoad feeds nd's ingress until its lifetime ends.
+	startLoad := func(nd *stream.Node, life context.Context) {
+		if cfg.Load.Interval <= 0 {
+			return
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			tick := time.NewTicker(cfg.Load.Interval)
+			defer tick.Stop()
+			i := 0
+			for {
+				select {
+				case <-life.Done():
+					return
+				case <-tick.C:
+					i++
+					pri := stream.Low
+					if cfg.Load.HighEvery > 0 && i%cfg.Load.HighEvery == 0 {
+						pri = stream.High
+					}
+					payload := make([]byte, cfg.Load.Bytes)
+					for j := range payload {
+						payload[j] = byte(i + j)
+					}
+					_ = nd.Ingress().Submit(payload, pri) // ErrShed is the point
+				}
+			}
+		}()
+	}
+
+	// start runs one lifetime of node v and returns the func that ends
+	// it with zero notice.
+	start := func(v topology.Node, join bool) (func(), error) {
+		sc := stream.Config{
+			IHC:             cfg.IHC,
+			Eta:             cfg.Eta,
+			Self:            v,
+			Endpoint:        endpoints[v],
+			Keyring:         keyring,
+			Epoch0:          epoch0,
+			Period:          cfg.Period,
+			StageDur:        cfg.StageDur,
+			HopLatency:      cfg.HopLatency,
+			Slack:           cfg.Slack,
+			Retry:           seededFor(cfg.Retry, v),
+			MaxAttempts:     cfg.MaxAttempts,
+			MaxInflight:     cfg.MaxInflight,
+			Retain:          cfg.Retain,
+			Epochs:          cfg.Epochs,
+			Drain:           cfg.Drain,
+			Join:            join,
+			Ingress:         cfg.Ingress,
+			Clock:           hlc.New(),
+			Gauges:          cfg.Gauges,
+			CollectPayloads: cfg.CollectPayloads,
+		}
+		if cfg.Payload != nil {
+			sc.Payload = func(e uint32) []byte { return cfg.Payload(v, e) }
+		}
+		nd, err := stream.NewNode(sc)
 		if err != nil {
 			return nil, fmt.Errorf("cluster: node %d: %w", v, err)
 		}
-		nodeCtx, cancelRun := context.WithCancel(runCtx)
-		nodeServeCtx, cancelServe := context.WithCancel(serveCtx)
-		// A crash must silence the node completely: stop its run loop
-		// AND its post-run pull service.
-		cancels[node] = func() { cancelRun(); cancelServe() }
+		life, stopRun := context.WithCancel(runCtx)
+		serve, stopServe := context.WithCancel(serveCtx)
+		startLoad(nd, life)
 		wg.Add(1)
 		go func() {
-			defer cancelRun()
-			defer cancelServe()
 			defer wg.Done()
-			res, err := nd.Run(nodeCtx)
-			results <- outcome{node: node, res: res, err: err}
-			// Keep answering pulls: a finished (or even a partially
-			// failed) node may be a straggler's only provider.
-			nd.Serve(nodeServeCtx)
+			res, err := nd.Run(life)
+			results <- outcome{node: v, res: res, err: err}
+			// Keep answering pulls and JOINs: a finished (or even a
+			// partially failed) node may be a straggler's only
+			// provider. A killed lifetime stays silent: dead is dead.
+			if err == nil {
+				nd.Serve(serve)
+			}
 		}()
+		return func() { stopRun(); stopServe() }, nil
 	}
 
-	// Schedule the plan's crashes: cancel the node and kill its
-	// endpoint so peers see real connection resets, not a polite exit.
-	for v, at := range crashes {
-		v, at := v, at
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
+	// kill silences node v at epoch0+at (see the package comment) and,
+	// when downtime > 0, restarts it cold after that long.
+	kill := func(v topology.Node, stop func(), at, downtime time.Duration) {
+		defer wg.Done()
+		restarts := downtime > 0
+		select {
+		case <-runCtx.Done():
+			if restarts {
+				results <- outcome{node: v, err: runCtx.Err()}
+			}
+			return
+		case <-time.After(time.Until(epoch0.Add(at))):
+		}
+		stop()
+		endpoints[v].Close() // TCP peers see real connection resets
+		var up <-chan time.Time
+		if restarts {
+			up = time.After(downtime)
+		}
+		inbox := endpoints[v].Recv()
+		for {
 			select {
 			case <-runCtx.Done():
+				if restarts {
+					results <- outcome{node: v, err: runCtx.Err()}
+				}
 				return
-			case <-time.After(time.Until(epoch.Add(at))):
+			case _, ok := <-inbox:
+				if !ok {
+					inbox = nil
+				}
+			case <-up:
+				if _, err := start(v, true); err != nil {
+					results <- outcome{node: v, err: err}
+				}
+				return
 			}
-			cancels[v]()
-			endpoints[v].Close()
-		}()
+		}
+	}
+
+	stops := make([]func(), n)
+	for v := 0; v < n; v++ {
+		var err error
+		if stops[v], err = start(topology.Node(v), false); err != nil {
+			return nil, err
+		}
+	}
+	expect := n
+	for v, at := range crashes {
+		wg.Add(1)
+		go kill(v, stops[v], at, 0)
+	}
+	if k := cfg.Kill; k != nil {
+		expect++ // the victim reports twice: pre-kill and post-rejoin
+		wg.Add(1)
+		go kill(k.Node, stops[k.Node], k.At, k.Downtime)
 	}
 
 	res := &Result{
-		Epoch:   epoch,
-		Gamma:   cfg.IHC.Gamma(),
-		Nodes:   make(map[topology.Node]*transport.NodeResult),
+		Epochs:  cfg.Epochs,
+		Kill:    cfg.Kill,
+		Nodes:   make(map[topology.Node][]stream.EpochResult),
 		RunErrs: make(map[topology.Node]error),
 	}
-	for range cancels {
+	for v := range crashes {
+		res.Crashed = append(res.Crashed, v)
+	}
+	slices.Sort(res.Crashed)
+	for i := 0; i < expect; i++ {
 		oc := <-results
 		if _, crashed := crashes[oc.node]; crashed {
-			res.Crashed = append(res.Crashed, oc.node)
 			continue
 		}
 		if oc.res != nil {
-			res.Nodes[oc.node] = oc.res
+			res.Nodes[oc.node] = append(res.Nodes[oc.node], oc.res.Epochs...)
+			res.NaksSent += oc.res.NaksSent
 		}
-		if oc.err != nil {
+		// The victim's first lifetime ends in context.Canceled by
+		// design; only unexpected errors count.
+		killed := cfg.Kill != nil && cfg.Kill.Node == oc.node && oc.err == context.Canceled
+		if oc.err != nil && !killed {
 			res.RunErrs[oc.node] = oc.err
 		}
 	}
-	sort.Slice(res.Crashed, func(i, j int) bool { return res.Crashed[i] < res.Crashed[j] })
 	stopServing()
 	cancelAll()
 	wg.Wait()
+	for _, ers := range res.Nodes {
+		sort.Slice(ers, func(i, j int) bool { return ers[i].Epoch < ers[j].Epoch })
+	}
+	res.Snapshot = cfg.Gauges.Snapshot()
 	return res, nil
 }
 
@@ -313,12 +522,13 @@ func seededFor(b transport.BackoffConfig, v topology.Node) transport.BackoffConf
 	return b
 }
 
-// CompareWithSimnet checks the wall-clock run's delivery multiset
-// against the discrete-event engine's on the same schedule: for every
-// surviving receiver r and source s, the set of channels r's copies of
-// s arrived on must equal {0..γ-1} with the per-(r,s) count the
-// engine's CopyMatrix records. This is the acceptance bridge between
-// the two transports — same topology, same schedule, same multiset.
+// CompareWithSimnet checks every epoch of every node in res against
+// the discrete-event engine's delivery multiset on the same schedule:
+// for each receiver r and source s ≠ r, the channels r's copies of s
+// arrived on must be exactly {0..γ−1}, in the number the engine's
+// CopyMatrix records for (r, s). It is the acceptance bridge between
+// the two executions — same topology, same schedule, same multiset —
+// and the delivery check both Run's callers and `ihcd -launch` apply.
 func CompareWithSimnet(cfg Config, res *Result) error {
 	sim, err := cfg.IHC.Run(core.Config{Eta: cfg.Eta, Params: simnet.Params{}.Defaulted()})
 	if err != nil {
@@ -329,24 +539,25 @@ func CompareWithSimnet(cfg Config, res *Result) error {
 	}
 	n := cfg.IHC.N()
 	gamma := cfg.IHC.Gamma()
-	for r, nr := range res.Nodes {
-		for s := 0; s < n; s++ {
-			src := topology.Node(s)
-			if src == r {
-				continue
-			}
-			chans := append([]uint8(nil), nr.Copies[src]...)
-			want := sim.Copies.Get(r, src)
-			if len(chans) != want {
-				return fmt.Errorf("cluster: node %d holds %d copies from source %d, simnet delivered %d", r, len(chans), s, want)
-			}
-			sort.Slice(chans, func(i, j int) bool { return chans[i] < chans[j] })
-			if len(chans) != gamma {
-				return fmt.Errorf("cluster: node %d holds %d copies from source %d, want γ=%d", r, len(chans), s, gamma)
-			}
-			for j := 0; j < gamma; j++ {
-				if int(chans[j]) != j {
-					return fmt.Errorf("cluster: node %d's copies from source %d arrived on channels %v, want one per channel 0..%d", r, s, chans, gamma-1)
+	for r, results := range res.Nodes {
+		for _, er := range results {
+			for s := 0; s < n; s++ {
+				src := topology.Node(s)
+				if src == r {
+					continue
+				}
+				chans := append([]uint8(nil), er.Copies[src]...)
+				slices.Sort(chans)
+				if want := sim.Copies.Get(r, src); len(chans) != want {
+					return fmt.Errorf("cluster: node %d epoch %d holds %d copies from source %d, simnet delivered %d", r, er.Epoch, len(chans), s, want)
+				}
+				if len(chans) != gamma {
+					return fmt.Errorf("cluster: node %d epoch %d holds %d copies from source %d, want γ=%d", r, er.Epoch, len(chans), s, gamma)
+				}
+				for j, ch := range chans {
+					if int(ch) != j {
+						return fmt.Errorf("cluster: node %d epoch %d: copies from source %d arrived on channels %v, want one per channel 0..%d", r, er.Epoch, s, chans, gamma-1)
+					}
 				}
 			}
 		}

@@ -1,7 +1,10 @@
 package cluster
 
 import (
+	"bytes"
 	"context"
+	"fmt"
+	"runtime"
 	"testing"
 	"time"
 
@@ -9,6 +12,9 @@ import (
 	"ihc/internal/core"
 	"ihc/internal/fault"
 	"ihc/internal/hamilton"
+	"ihc/internal/observe"
+	"ihc/internal/reliable"
+	"ihc/internal/repair"
 	"ihc/internal/topology"
 	"ihc/internal/transport"
 )
@@ -135,5 +141,202 @@ func TestTCPChaos(t *testing.T) {
 	}
 	if err := res.Verify(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestEtaSweepOneShot runs one fault-free Q3 round at every η in
+// [1,N]: each must pass Verify and match simnet's delivery multiset.
+// At large η a node can hold every copy it expects before its own last
+// stage starts, so the round completes only if an epoch closes after
+// the node's own injections.
+func TestEtaSweepOneShot(t *testing.T) {
+	x := q3(t)
+	for eta := 1; eta <= x.N(); eta++ {
+		t.Run(fmt.Sprintf("eta=%d", eta), func(t *testing.T) {
+			cfg := quickTiming(Config{IHC: x, Eta: eta, KeySeed: 7})
+			res, err := Run(context.Background(), cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := res.Verify(); err != nil {
+				t.Fatal(err)
+			}
+			if err := CompareWithSimnet(cfg, res); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+}
+
+// TestRunRejectsBadKill: a kill the harness cannot execute is a config
+// error, returned before any node starts.
+func TestRunRejectsBadKill(t *testing.T) {
+	ok := KillSpec{Node: 6, At: 0, Downtime: time.Millisecond}
+	for _, tc := range []struct {
+		name string
+		kill KillSpec
+		tcp  bool
+	}{
+		{"node outside the graph", KillSpec{Node: 8, Downtime: time.Millisecond}, false},
+		{"negative node", KillSpec{Node: -1, Downtime: time.Millisecond}, false},
+		{"negative time", KillSpec{Node: 6, At: -time.Millisecond, Downtime: time.Millisecond}, false},
+		{"no downtime", KillSpec{Node: 6}, false},
+		{"over TCP", ok, true},
+	} {
+		cfg := quickTiming(Config{IHC: q3(t), Eta: 2, KeySeed: 7, TCP: tc.tcp, Kill: &tc.kill})
+		if _, err := Run(context.Background(), cfg); err == nil {
+			t.Errorf("%s: Run accepted kill %+v", tc.name, tc.kill)
+		}
+	}
+}
+
+func quickStream(t *testing.T) Config {
+	t.Helper()
+	cfg := quickTiming(Config{IHC: q3(t), Eta: 2, KeySeed: 7})
+	cfg.Epochs = 6
+	cfg.Period = 120 * time.Millisecond
+	cfg.MaxInflight = 2
+	cfg.Drain = 4 * time.Second
+	cfg.Load = LoadSpec{Interval: 10 * time.Millisecond, Bytes: 64, HighEvery: 4}
+	cfg.Gauges = &observe.StreamGauges{}
+	return cfg
+}
+
+// TestStreamFaultFree pipelines six epochs over a fault-free Q3
+// loopback mesh under synthetic client load and checks every node's
+// per-epoch γ-copy verdict.
+func TestStreamFaultFree(t *testing.T) {
+	cfg := quickStream(t)
+	res, err := Run(context.Background(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := res.Verify(); err != nil {
+		t.Fatal(err)
+	}
+	if res.Snapshot.EpochsCompleted < int64(cfg.Epochs*8) {
+		t.Fatalf("completed %d per-node epochs, want ≥ %d", res.Snapshot.EpochsCompleted, cfg.Epochs*8)
+	}
+	if res.Snapshot.Payloads == 0 {
+		t.Fatal("no client payloads delivered under load")
+	}
+}
+
+// TestStreamEquivalenceOneShot is the acceptance bridge to the
+// simulator: at MaxInflight=1 with no load, every epoch of every node
+// must deliver the discrete-event engine's multiset — one copy per
+// channel per source (CompareWithSimnet) — and every (source, channel)
+// copy must carry the source's reliable.TruthPayload, the harness's
+// injection when neither Payload nor Load is set.
+func TestStreamEquivalenceOneShot(t *testing.T) {
+	cfg := quickStream(t)
+	cfg.Epochs = 3
+	cfg.MaxInflight = 1
+	cfg.Load = LoadSpec{}
+	cfg.CollectPayloads = true
+	res, err := Run(context.Background(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := res.Verify(); err != nil {
+		t.Fatal(err)
+	}
+	if err := CompareWithSimnet(cfg, res); err != nil {
+		t.Fatal(err)
+	}
+	for v, results := range res.Nodes {
+		if len(results) != cfg.Epochs {
+			t.Fatalf("node %d reported %d epochs, want %d", v, len(results), cfg.Epochs)
+		}
+		for _, er := range results {
+			for s := 0; s < cfg.IHC.N(); s++ {
+				src := topology.Node(s)
+				if src == v {
+					continue
+				}
+				want := reliable.TruthPayload(src)
+				for j := 0; j < cfg.IHC.Gamma(); j++ {
+					got := er.Payloads[repair.Want{Source: src, Channel: uint8(j)}]
+					if !bytes.Equal(got, want) {
+						t.Fatalf("node %d epoch %d source %d channel %d: payload %x, want %x",
+							v, er.Epoch, s, j, got, want)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestTCPStream pipelines three epochs over real sockets through the
+// chaos proxies — background frame faults and the {1,3} partition, no
+// crash: every node must complete every epoch, each matching simnet's
+// delivery multiset.
+func TestTCPStream(t *testing.T) {
+	cfg := quickStream(t)
+	cfg.TCP = true
+	cfg.Epochs = 3
+	cfg.MaxInflight = 2
+	cfg.Chaos = chaosQuick(cfg.StageDur)
+	cfg.Chaos.Plan.Nodes = nil
+	res, err := Run(context.Background(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Nodes) != 8 {
+		t.Fatalf("got %d nodes, want 8", len(res.Nodes))
+	}
+	if err := res.Verify(); err != nil {
+		t.Fatal(err)
+	}
+	if err := CompareWithSimnet(cfg, res); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestStreamSoakKillRestart is the robustness core: twenty pipelined
+// epochs with background frame chaos, a mid-stream partition window,
+// and one node killed with zero notice and restarted cold. The victim
+// must rediscover the epoch via the JOIN handshake and catch up; the
+// survivors must complete every epoch — including the rounds that
+// stalled waiting for the victim's copies — and no high-priority
+// payload may be shed.
+func TestStreamSoakKillRestart(t *testing.T) {
+	if testing.Short() {
+		t.Skip("soak skipped in -short")
+	}
+	before := runtime.NumGoroutine()
+	cfg := quickStream(t)
+	cfg.Epochs = 20
+	cfg.Period = 150 * time.Millisecond
+	cfg.Timeout = 45 * time.Second
+	cfg.Drain = 10 * time.Second
+	cfg.Kill = &KillSpec{Node: 6, At: 600 * time.Millisecond, Downtime: 500 * time.Millisecond}
+	cfg.Chaos = &chaos.Config{
+		Seed:     99,
+		DropRate: 0.02, DupRate: 0.02, CorruptRate: 0.01, DelayRate: 0.05,
+		// Partition link {1,3} (not incident to the victim) for ticks
+		// [1400,1800) = a 400ms window while the victim is back up.
+		Plan: &fault.TemporalPlan{Links: []fault.LinkFault{{U: 1, V: 3, From: 1400, Until: 1800}}},
+	}
+	res, err := Run(context.Background(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := res.Verify(); err != nil {
+		t.Fatal(err)
+	}
+	if res.Snapshot.EpochsCaughtUp == 0 {
+		t.Fatal("kill/restart produced no catch-up epochs")
+	}
+	if res.Snapshot.Joins == 0 {
+		t.Fatal("restarted node never sent a JOIN")
+	}
+	// Goroutine hygiene: everything Run started must be gone.
+	deadline := time.Now().Add(2 * time.Second)
+	for runtime.NumGoroutine() > before+2 && time.Now().Before(deadline) {
+		time.Sleep(50 * time.Millisecond)
+	}
+	if g := runtime.NumGoroutine(); g > before+2 {
+		t.Fatalf("goroutine leak: %d before, %d after", before, g)
 	}
 }

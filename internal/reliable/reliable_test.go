@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"crypto/hmac"
 	"crypto/sha256"
+	"encoding/binary"
 	"math/rand"
 	"sync"
 	"testing"
@@ -137,7 +138,13 @@ func TestKeyringConcurrent(t *testing.T) {
 			for i := range p {
 				p[i] = byte(s*31 + i)
 			}
-			h := hmac.New(sha256.New, kr.keys[s])
+			// The bare key, derived as the keyring derives it: SHA-256
+			// of (seed, node), both little-endian uint64.
+			var seedNode [16]byte
+			binary.LittleEndian.PutUint64(seedNode[:8], 9)
+			binary.LittleEndian.PutUint64(seedNode[8:], uint64(s))
+			key := sha256.Sum256(seedNode[:])
+			h := hmac.New(sha256.New, key[:])
 			h.Write(p)
 			jobs = append(jobs, job{Message{Source: topology.Node(s), Payload: p}, h.Sum(nil)})
 		}

@@ -1,7 +1,9 @@
-// Package stream turns the one-shot wall-clock ATA round into a
-// continuous broadcast service: an unbounded sequence of epochs, each
-// one full IHC all-to-all round, pipelined back-to-back into the η−μ
-// link slack the interleaving schedule leaves idle. Every epoch is
+// Package stream is the wall-clock IHC protocol node. It runs the
+// interleaved all-to-all schedule on a transport.Endpoint as a sequence
+// of epochs, each one full IHC all-to-all round, pipelined back-to-back
+// into the η−μ link slack the interleaving schedule leaves idle. A
+// one-shot round is a stream of one epoch with a fixed Payload, which
+// is how cluster.Run and the ihcd daemon run it. Every epoch is
 // HLC-stamped, at most MaxInflight rounds overlap (opening is deferred
 // — backpressure — when the cap is hit), and each node's injection
 // payload is an epoch batch multiplexing many client payloads from a
@@ -12,7 +14,7 @@
 // restarts with no state, learns the current epoch from any peer —
 // an explicit JOIN→EPOCH handshake, or passively from the epoch field
 // of any signed frame — then catches up the rounds it missed through
-// the same wall-clock NAK/pull planner the one-shot protocol repairs
+// the same wall-clock NAK/pull planner every live round repairs
 // with, while late-injecting its own copies for those rounds so that
 // the survivors' stalled epochs complete too. Every completed epoch
 // satisfies the exact γ-copy ledger postcondition, kill or no kill.
@@ -49,14 +51,16 @@ type Config struct {
 	// shorter than a full round (stages + relay + repair tail): up to
 	// MaxInflight rounds overlap in the η−μ link slack.
 	Period time.Duration
-	// StageDur / HopLatency / Slack are the per-round timing model,
-	// exactly as in the one-shot transport.NodeConfig.
+	// StageDur / HopLatency / Slack are the per-round timing model:
+	// stage s of an epoch starts s·StageDur after it opens, and a copy
+	// h hops from its source is pulled once its stage start plus
+	// h·HopLatency plus Slack (default StageDur) has passed.
 	StageDur   time.Duration
 	HopLatency time.Duration
 	Slack      time.Duration
 	// Retry shapes pull backoff; MaxAttempts bounds pulls per missing
-	// copy. Streaming defaults are more patient than one-shot (the
-	// provider may be a killed node that has not rejoined yet).
+	// copy. The default, 60, is patient: the provider may be a killed
+	// node that has not rejoined yet.
 	Retry       transport.BackoffConfig
 	MaxAttempts int
 	// MaxInflight caps concurrently open (live, non-stalled) epochs;
@@ -80,15 +84,15 @@ type Config struct {
 	// Ingress shapes client-payload admission.
 	Ingress IngressConfig
 	// Payload, when set, bypasses the ingress/mux path: epoch e's
-	// injection payload is exactly Payload(e). The equivalence tests
-	// use it to pin streaming against repeated one-shot rounds.
+	// injection payload is exactly Payload(e). One-shot rounds inject
+	// reliable.TruthPayload(Self) this way.
 	Payload func(epoch uint32) []byte
 	// Clock is the node's HLC; fresh if nil. Gauges may be shared by
 	// the whole cluster (atomic deltas); nil is a no-op sink.
 	Gauges *observe.StreamGauges
 	Clock  *hlc.Clock
 	// CollectPayloads retains delivered payload bytes in EpochResults
-	// (tests); CollectCopies retains per-source channel sets.
+	// (tests); per-source channel sets are always kept.
 	CollectPayloads bool
 }
 
@@ -765,10 +769,17 @@ func (nd *Node) sendNak(epoch uint32, p repair.Pull) {
 	nd.cfg.Endpoint.Send(p.Provider, f)
 }
 
-// finalize closes one epoch: record the verdict, retain the store for
-// late pulls, release the pipeline slot, GC stores beyond the retain
-// horizon.
+// finalize closes one epoch: inject any own stage still pending,
+// record the verdict, retain the store for late pulls, release the
+// pipeline slot, GC stores beyond the retain horizon.
 func (nd *Node) finalize(st *epochState, completed bool, now time.Time) {
+	// Every copy this node expects can arrive before its own later
+	// stages start (large η); its peers still need those copies.
+	for stg := 0; stg < nd.cfg.Eta; stg++ {
+		if !st.injected[stg] {
+			nd.injectStage(st, stg)
+		}
+	}
 	delete(nd.open, st.epoch)
 	res := EpochResult{
 		Epoch:     st.epoch,

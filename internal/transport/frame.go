@@ -7,7 +7,7 @@ import (
 	"io"
 
 	"ihc/internal/hlc"
-	"ihc/internal/reliable"
+	"ihc/internal/keyring"
 	"ihc/internal/topology"
 )
 
@@ -209,7 +209,7 @@ func DecodeFrame(b []byte) (*Frame, error) {
 // the payload. They go to the HMAC as two writes, the header built in
 // the pooled state's scratch space, so no buffer is assembled and the
 // payload is never copied.
-func beginMAC(kr *reliable.Keyring, f *Frame) (*reliable.MAC, error) {
+func beginMAC(kr *keyring.Keyring, f *Frame) (*keyring.MAC, error) {
 	m, err := kr.Begin(f.Source)
 	if err != nil {
 		return nil, err
@@ -226,7 +226,7 @@ func beginMAC(kr *reliable.Keyring, f *Frame) (*reliable.MAC, error) {
 // SignFrame sets f.MAC to a freshly allocated MAC under the source's
 // key. It never writes into the old f.MAC, which may be a sub-slice of
 // a received body.
-func SignFrame(kr *reliable.Keyring, f *Frame) error {
+func SignFrame(kr *keyring.Keyring, f *Frame) error {
 	m, err := beginMAC(kr, f)
 	if err != nil {
 		return err
@@ -241,7 +241,7 @@ func SignFrame(kr *reliable.Keyring, f *Frame) error {
 // retransmission of signed data (or a signed EPOCH response), never
 // forge it. EPOCH responses are signed: a rejoining node fast-forwards
 // its epoch counter off them, so they must be unforgeable.
-func VerifyFrame(kr *reliable.Keyring, f *Frame) (bool, error) {
+func VerifyFrame(kr *keyring.Keyring, f *Frame) (bool, error) {
 	if f.Kind == FrameNak || f.Kind == FrameMiss || f.Kind == FrameJoin {
 		return true, nil
 	}

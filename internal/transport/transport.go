@@ -1,8 +1,8 @@
-// Package transport lifts the IHC broadcast off the discrete-event
-// simulator and onto a real message-passing mesh. It defines the
-// Transport abstraction every higher layer (the ihcd node protocol, the
-// wall-clock repair planner, the cluster harness) is written against,
-// with two implementations:
+// Package transport is the wire layer that lifts the IHC broadcast off
+// the discrete-event simulator and onto a real message-passing mesh:
+// frames, endpoints and retry. It defines the Endpoint abstraction the
+// protocol node (internal/stream), the cluster harness and the ihcd
+// daemon are written against, with two implementations:
 //
 //   - Loopback: an in-process deterministic test double. Frames cross
 //     per-directed-link FIFO queues with a latency function derived
