@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race vet fmt-check bench bench-engine bench-fault fuzz smoke-engine sharded-quick recovery-quick oracle-quick families-quick transport-quick soak-quick perfbench-check q14-smoke verify
+.PHONY: all build test race vet fmt-check transport-deps bench bench-engine bench-fault fuzz smoke-engine sharded-quick recovery-quick oracle-quick families-quick transport-quick soak-quick perfbench-check q14-smoke verify
 
 all: verify
 
@@ -24,6 +24,19 @@ fmt-check:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
 		echo "fmt-check: gofmt -l lists files that need gofmt -w:"; echo "$$out"; exit 1; \
 	fi
+
+# Wire-layer dependency gate: internal/transport is frames, endpoints
+# and retry only. Its frames carry no route (every node takes a copy's
+# next hop from the IHC schedule), and it must import none of the
+# schedule, repair or protocol packages built on top of it. Fails,
+# naming them, when `go list -deps` finds any.
+transport-deps:
+	@deps=$$($(GO) list -deps ./internal/transport) || exit 1; \
+	bad=$$(echo "$$deps" | grep -xE 'ihc/internal/(core|repair|reliable|stream|cluster|chaos)'); \
+	if [ -n "$$bad" ]; then \
+		echo "transport-deps: internal/transport must not depend on:"; echo "$$bad"; exit 1; \
+	fi; \
+	echo "transport-deps: internal/transport depends on none of core, repair, reliable, stream, cluster, chaos"
 
 bench:
 	$(GO) test -bench=. -benchmem
@@ -174,11 +187,12 @@ perfbench-check:
 	$(GO) -C perfbench vet .
 	$(GO) -C perfbench test .
 
-# The tier-1 gate: vet + the gofmt check + build + tests, then the same
-# tests under the race detector (the parallel sweep executor must stay
-# race-clean), then the engine-allocation smoke, the multi-worker engine
+# The tier-1 gate: vet + the gofmt check + the wire-layer dependency
+# gate + build + tests, then the same tests under the race detector
+# (the parallel sweep executor must stay race-clean), then the
+# engine-allocation smoke, the multi-worker engine
 # equivalence smoke, the quick recovery sweep, the quick oracle sweep,
 # the quick family-registry gate, the real-transport multi-process
 # smoke, the streaming chaos soak, and the benchmark's build and
 # self-test.
-verify: vet fmt-check build test race smoke-engine sharded-quick recovery-quick oracle-quick families-quick transport-quick soak-quick perfbench-check
+verify: vet fmt-check transport-deps build test race smoke-engine sharded-quick recovery-quick oracle-quick families-quick transport-quick soak-quick perfbench-check

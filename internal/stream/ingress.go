@@ -33,7 +33,8 @@ type IngressConfig struct {
 	// bounds still apply). Burst defaults to Rate.
 	Rate, Burst float64
 	// MaxBatchBytes bounds one epoch batch's encoded size. Default
-	// 32 KiB (comfortably inside transport.MaxFrame with route + MAC).
+	// 32 KiB (comfortably inside transport.MaxFrame with the 33-byte
+	// frame header and the MAC).
 	MaxBatchBytes int
 }
 

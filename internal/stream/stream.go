@@ -181,8 +181,12 @@ type Node struct {
 	ingress *Ingress
 
 	n, gamma  int
-	cycleOf   [][]topology.Node
 	neighbors []topology.Node
+	// pred[j] and succ[j] are this node's neighbors on directed cycle
+	// j; providers[j] is the pull rotation for a copy missed on j: the
+	// predecessor first, then the other neighbors.
+	pred, succ []topology.Node
+	providers  [][]topology.Node
 
 	open     map[uint32]*epochState
 	retained map[uint32][][]byte // closed epochs' stores, for serving pulls
@@ -212,10 +216,21 @@ func NewNode(cfg Config) (*Node, error) {
 		retained: make(map[uint32][][]byte),
 		joined:   !cfg.Join,
 	}
-	for j := 0; j < nd.gamma; j++ {
-		nd.cycleOf = append(nd.cycleOf, []topology.Node(cfg.IHC.DirectedCycle(j)))
-	}
 	nd.neighbors = cfg.IHC.Graph().Neighbors(cfg.Self)
+	for j := 0; j < nd.gamma; j++ {
+		c := cfg.IHC.DirectedCycle(j)
+		p := cfg.IHC.ID(j, cfg.Self)
+		pred := c[(p+nd.n-1)%nd.n]
+		rot := []topology.Node{pred}
+		for _, nb := range nd.neighbors {
+			if nb != pred {
+				rot = append(rot, nb)
+			}
+		}
+		nd.pred = append(nd.pred, pred)
+		nd.succ = append(nd.succ, c[(p+1)%nd.n])
+		nd.providers = append(nd.providers, rot)
+	}
 	return nd, nil
 }
 
@@ -226,14 +241,10 @@ func (nd *Node) scheduled(e uint32) time.Time {
 	return nd.cfg.Epoch0.Add(time.Duration(e) * nd.cfg.Period)
 }
 
-func (nd *Node) routeOf(s topology.Node, j int) []topology.Node {
-	c := nd.cycleOf[j]
-	p := nd.cfg.IHC.ID(j, s)
-	route := make([]topology.Node, nd.n)
-	for k := 0; k < nd.n; k++ {
-		route[k] = c[(p+k)%nd.n]
-	}
-	return route
+// hops returns v's distance from source s along directed cycle j:
+// (ID_j(v) − ID_j(s)) mod N.
+func (nd *Node) hops(v, s topology.Node, j int) int {
+	return (nd.cfg.IHC.ID(j, v) - nd.cfg.IHC.ID(j, s) + nd.n) % nd.n
 }
 
 func (nd *Node) stageOf(s topology.Node, j int) int {
@@ -334,15 +345,6 @@ func (nd *Node) openEpoch(e uint32, now time.Time, catchup bool) *epochState {
 		st.payload, _ = EncodeBatch(nd.ingress.drain())
 	}
 	for j := 0; j < nd.gamma; j++ {
-		c := nd.cycleOf[j]
-		myPos := nd.cfg.IHC.ID(j, nd.cfg.Self)
-		pred := c[(myPos+nd.n-1)%nd.n]
-		providers := []topology.Node{pred}
-		for _, nb := range nd.neighbors {
-			if nb != pred {
-				providers = append(providers, nb)
-			}
-		}
 		for s := 0; s < nd.n; s++ {
 			src := topology.Node(s)
 			if src == nd.cfg.Self {
@@ -352,13 +354,12 @@ func (nd *Node) openEpoch(e uint32, now time.Time, catchup bool) *epochState {
 			if catchup {
 				deadline = now // the round is long past; pull immediately
 			} else {
-				hops := (myPos - nd.cfg.IHC.ID(j, src) + nd.n) % nd.n
 				deadline = st.started.
 					Add(time.Duration(nd.stageOf(src, j)) * nd.cfg.StageDur).
-					Add(time.Duration(hops) * nd.cfg.HopLatency).
+					Add(time.Duration(nd.hops(nd.cfg.Self, src, j)) * nd.cfg.HopLatency).
 					Add(nd.cfg.Slack)
 			}
-			st.planner.Expect(repair.Want{Source: src, Channel: uint8(j)}, deadline, providers)
+			st.planner.Expect(repair.Want{Source: src, Channel: uint8(j)}, deadline, nd.providers[j])
 		}
 	}
 	nd.open[e] = st
@@ -570,7 +571,6 @@ func (nd *Node) injectStage(st *epochState, stg int) {
 			Epoch:   st.epoch,
 			Channel: uint8(j),
 			Stage:   uint8(stg),
-			Route:   nd.routeOf(nd.cfg.Self, j),
 			Payload: st.payload,
 		}
 		if err := transport.SignFrame(nd.cfg.Keyring, f); err != nil {
@@ -579,39 +579,53 @@ func (nd *Node) injectStage(st *epochState, stg int) {
 		if st.store[nd.slot(w)] == nil {
 			nd.keep(st.store, w, st.payload)
 		}
-		nd.forward(st.epoch, f, 0)
+		nd.forward(f)
 	}
 }
 
-// forward sends f's next hop, if any remains.
-func (nd *Node) forward(epoch uint32, f *transport.Frame, holder int) {
-	if holder+1 >= len(f.Route) {
+// forward relays copy f to this node's successor on f's cycle, unless
+// the successor is the copy's source: a copy stops after N−1 hops, one
+// short of closing its cycle.
+func (nd *Node) forward(f *transport.Frame) {
+	j := int(f.Channel)
+	if nd.succ[j] == f.Source {
 		return
 	}
 	out := *f
 	out.From = nd.cfg.Self
-	out.Epoch = epoch
-	out.Hop = uint16(holder)
+	out.Hop = uint16(nd.hops(nd.cfg.Self, f.Source, j))
 	out.HLC = nd.clock.Now()
-	nd.cfg.Endpoint.Send(f.Route[holder+1], &out)
+	nd.cfg.Endpoint.Send(nd.succ[j], &out)
+}
+
+// receive decodes and verifies one inbound body, the step Run's
+// handler and Serve share. A frame that fails either is dropped before
+// it touches any state. Only a signed frame moves the clock: NAK, MISS
+// and JOIN carry no MAC, so their stamps could say anything.
+func (nd *Node) receive(body []byte) (*transport.Frame, bool) {
+	f, err := transport.DecodeFrame(body)
+	if err != nil {
+		return nil, false
+	}
+	if ok, err := transport.VerifyFrame(nd.cfg.Keyring, f); err != nil || !ok {
+		return nil, false // bad MAC == drop-equivalent corruption: not even the clock learns from it
+	}
+	if f.Kind.Signed() {
+		nd.clock.Update(f.HLC)
+	}
+	return f, true
 }
 
 // handle processes one raw inbound frame body.
 func (nd *Node) handle(body []byte) {
-	f, err := transport.DecodeFrame(body)
-	if err != nil {
+	f, ok := nd.receive(body)
+	if !ok {
 		return
 	}
-	ok, err := transport.VerifyFrame(nd.cfg.Keyring, f)
-	if err != nil || !ok {
-		return // bad MAC == drop-equivalent corruption: not even the clock learns from it
-	}
-	nd.clock.Update(f.HLC)
 	now := time.Now()
-	// Epoch learning: every *signed* frame carries an authenticated
+	// Epoch learning: every signed frame carries an authenticated
 	// epoch. JOIN/NAK/MISS are unsigned and must not fast-forward us.
-	signed := f.Kind == transport.FrameData || f.Kind == transport.FrameRepair || f.Kind == transport.FrameEpoch
-	if signed {
+	if f.Kind.Signed() {
 		if f.Epoch > nd.highest {
 			nd.highest = f.Epoch
 		}
@@ -635,11 +649,18 @@ func (nd *Node) handle(body []byte) {
 	}
 }
 
-// acceptCopy ingests a DATA or REPAIR frame for its epoch.
+// acceptCopy ingests a DATA or REPAIR frame for its epoch. DATA is
+// accepted only from the node's predecessor on the copy's cycle, the
+// one node the schedule relays it from; a REPAIR answers this node's
+// own pull and may come from any neighbor. Either is relayed on from
+// this node's own position.
 func (nd *Node) acceptCopy(f *transport.Frame, now time.Time) {
 	w := repair.Want{Source: f.Source, Channel: f.Channel}
 	slot := nd.slot(w)
 	if slot < 0 || f.Source == nd.cfg.Self {
+		return
+	}
+	if f.Kind == transport.FrameData && f.From != nd.pred[f.Channel] {
 		return
 	}
 	st, isOpen := nd.open[f.Epoch]
@@ -675,20 +696,21 @@ func (nd *Node) acceptCopy(f *transport.Frame, now time.Time) {
 		st.repaired++
 		nd.cfg.Gauges.Repaired()
 	}
-	holder := int(f.Hop) + 1
-	if holder < len(f.Route) && f.Route[holder] == nd.cfg.Self {
-		nd.forward(st.epoch, f, holder)
-	}
+	nd.forward(f)
 	if st.planner.Done() {
 		nd.finalize(st, true, now)
 	}
 }
 
 // serveNak answers a pull against the epoch's store — open or
-// retained — with a REPAIR, or a MISS if we do not hold the copy.
+// retained — with a REPAIR, or a MISS if we do not hold the copy. A
+// NAK from a non-neighbor is dropped: nothing can be sent to it.
 func (nd *Node) serveNak(f *transport.Frame) {
 	w := repair.Want{Source: f.Source, Channel: f.Channel}
 	requester := f.From
+	if !nd.cfg.IHC.Graph().HasEdge(nd.cfg.Self, requester) {
+		return
+	}
 	var payload []byte
 	if slot := nd.slot(w); slot >= 0 {
 		if st, ok := nd.open[f.Epoch]; ok {
@@ -705,14 +727,6 @@ func (nd *Node) serveNak(f *transport.Frame) {
 		nd.cfg.Endpoint.Send(requester, miss)
 		return
 	}
-	route := nd.routeOf(w.Source, int(w.Channel))
-	hop := 0
-	for i, v := range route {
-		if v == requester {
-			hop = i - 1
-			break
-		}
-	}
 	rep := &transport.Frame{
 		Kind:    transport.FrameRepair,
 		From:    nd.cfg.Self,
@@ -720,9 +734,8 @@ func (nd *Node) serveNak(f *transport.Frame) {
 		Epoch:   f.Epoch,
 		Channel: w.Channel,
 		Stage:   uint8(nd.stageOf(w.Source, int(w.Channel))),
-		Hop:     uint16(hop),
+		Hop:     uint16(nd.hops(requester, w.Source, int(w.Channel)) - 1),
 		HLC:     nd.clock.Now(),
-		Route:   route,
 		Payload: payload,
 	}
 	if err := transport.SignFrame(nd.cfg.Keyring, rep); err != nil {
@@ -856,14 +869,10 @@ func (nd *Node) Serve(ctx context.Context) {
 			if !ok {
 				return
 			}
-			f, err := transport.DecodeFrame(body)
-			if err != nil {
+			f, ok := nd.receive(body)
+			if !ok {
 				continue
 			}
-			if ok, err := transport.VerifyFrame(nd.cfg.Keyring, f); err != nil || !ok {
-				continue
-			}
-			nd.clock.Update(f.HLC)
 			switch f.Kind {
 			case transport.FrameNak:
 				nd.serveNak(f)

@@ -3,6 +3,7 @@ package stream
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"testing"
 	"time"
 	"unsafe"
@@ -67,30 +68,36 @@ func testNode(t *testing.T, clock *hlc.Clock) (*Node, *memEndpoint, *reliable.Ke
 	return nd, ep, kr
 }
 
-// copyBody encodes source s's signed channel-j copy of epoch 0 as the
-// node's cycle-j predecessor relays it to the node.
-func copyBody(t *testing.T, nd *Node, kr *reliable.Keyring, s topology.Node, j int, payload []byte, ts hlc.Timestamp) []byte {
-	t.Helper()
-	route := nd.routeOf(s, j)
-	hop := 0
-	for i, v := range route {
-		if v == nd.cfg.Self {
-			hop = i - 1
-		}
-	}
-	f := &transport.Frame{
-		Kind: transport.FrameData, From: route[hop], Source: s, Channel: uint8(j),
-		Stage: uint8(nd.stageOf(s, j)), Hop: uint16(hop), HLC: ts, Route: route,
+// copyFrame is source s's channel-j copy of epoch 0 as the node's
+// cycle-j predecessor relays it to the node, not yet signed.
+func copyFrame(nd *Node, s topology.Node, j int, payload []byte, ts hlc.Timestamp) *transport.Frame {
+	pred := nd.pred[j]
+	return &transport.Frame{
+		Kind: transport.FrameData, From: pred, Source: s, Channel: uint8(j),
+		Stage: uint8(nd.stageOf(s, j)), Hop: uint16(nd.hops(pred, s, j)), HLC: ts,
 		Payload: append([]byte(nil), payload...),
 	}
-	if err := transport.SignFrame(kr, f); err != nil {
-		t.Fatal(err)
+}
+
+// encode signs f (when its kind is signed) and encodes it.
+func encode(t *testing.T, kr *reliable.Keyring, f *transport.Frame) []byte {
+	t.Helper()
+	if f.Kind.Signed() {
+		if err := transport.SignFrame(kr, f); err != nil {
+			t.Fatal(err)
+		}
 	}
 	body, err := transport.EncodeFrame(f)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return body
+}
+
+// copyBody encodes copyFrame's copy, signed.
+func copyBody(t *testing.T, nd *Node, kr *reliable.Keyring, s topology.Node, j int, payload []byte, ts hlc.Timestamp) []byte {
+	t.Helper()
+	return encode(t, kr, copyFrame(nd, s, j, payload, ts))
 }
 
 // TestStoreSharesOneCopyPerSource checks that a source's γ identical
@@ -162,12 +169,7 @@ func TestStoreTwoFacedSource(t *testing.T) {
 			t.Errorf("collected channel %d: %q, want %q", j, got, faces(j))
 		}
 		ep.sent = nil
-		nak := &transport.Frame{Kind: transport.FrameNak, From: requester, Source: liar, Channel: uint8(j)}
-		body, err := transport.EncodeFrame(nak)
-		if err != nil {
-			t.Fatal(err)
-		}
-		nd.handle(body)
+		nd.handle(encode(t, kr, &transport.Frame{Kind: transport.FrameNak, From: requester, Source: liar, Channel: uint8(j)}))
 		if len(ep.sent) != 1 || ep.sent[0].to != requester || ep.sent[0].f.Kind != transport.FrameRepair {
 			t.Fatalf("NAK for channel %d answered with %+v", j, ep.sent)
 		}
@@ -181,19 +183,42 @@ func TestStoreTwoFacedSource(t *testing.T) {
 	}
 }
 
-// TestHLCMergesOnlyVerifiedFrames: a frame dropped for a bad MAC must
-// not move the clock, in Run's handler or in Serve; a valid one must.
+// TestHLCMergesOnlyVerifiedFrames: only a signed frame that passes
+// verification moves the clock, in Run's handler and in Serve. A frame
+// dropped for a bad MAC must not, and neither may an unsigned NAK, MISS
+// or JOIN, whose stamp anyone could forge. wall is the clock's wall
+// reading afterwards: the frame's stamp, the node's own physical clock
+// (it stamped a MISS in reply to the NAK), or zero (nothing happened).
 func TestHLCMergesOnlyVerifiedFrames(t *testing.T) {
 	const physical = int64(1_000)
 	future := hlc.Timestamp{Wall: time.Now().Add(time.Hour).UnixNano()}
 	for _, via := range []string{"handle", "Serve"} {
-		for _, valid := range []bool{false, true} {
+		for _, tc := range []struct {
+			name string
+			wall int64
+			body func(nd *Node, kr *reliable.Keyring) []byte
+		}{
+			{"DATA", future.Wall, func(nd *Node, kr *reliable.Keyring) []byte {
+				return copyBody(t, nd, kr, 5, 0, []byte("batch"), future)
+			}},
+			{"DATA with a bad MAC", 0, func(nd *Node, kr *reliable.Keyring) []byte {
+				body := copyBody(t, nd, kr, 5, 0, []byte("batch"), future)
+				body[len(body)-1] ^= 0xFF // last MAC byte
+				return body
+			}},
+			{"NAK", physical, func(nd *Node, kr *reliable.Keyring) []byte {
+				return encode(t, kr, &transport.Frame{Kind: transport.FrameNak, From: nd.neighbors[0], Source: 5, HLC: future})
+			}},
+			{"MISS", 0, func(nd *Node, kr *reliable.Keyring) []byte {
+				return encode(t, kr, &transport.Frame{Kind: transport.FrameMiss, From: nd.neighbors[0], Source: 5, HLC: future})
+			}},
+			{"JOIN", 0, func(nd *Node, kr *reliable.Keyring) []byte {
+				return encode(t, kr, &transport.Frame{Kind: transport.FrameJoin, From: nd.neighbors[0], Source: nd.neighbors[0], HLC: future})
+			}},
+		} {
 			clock := hlc.NewAt(func() int64 { return physical })
 			nd, ep, kr := testNode(t, clock)
-			body := copyBody(t, nd, kr, 5, 0, []byte("batch"), future)
-			if !valid {
-				body[len(body)-1] ^= 0xFF // last MAC byte
-			}
+			body := tc.body(nd, kr)
 			if via == "handle" {
 				nd.handle(body)
 			} else {
@@ -201,13 +226,126 @@ func TestHLCMergesOnlyVerifiedFrames(t *testing.T) {
 				close(ep.recv)
 				nd.Serve(context.Background())
 			}
-			got := clock.Last()
-			if valid && got.Wall != future.Wall {
-				t.Errorf("%s: valid frame left the clock at %+v, want wall %d", via, got, future.Wall)
-			}
-			if !valid && got != (hlc.Timestamp{}) {
-				t.Errorf("%s: frame with a bad MAC moved the clock to %+v", via, got)
+			if got := clock.Last(); got.Wall != tc.wall {
+				t.Errorf("%s: %s left the clock at %+v, want wall %d", via, tc.name, got, tc.wall)
 			}
 		}
+	}
+}
+
+// TestRelayStaysOnCycle checks that no relay can move a copy off its
+// cycle. Node v stores, counts and relays a DATA copy (s, j) only when
+// it comes from pred_j(v), whatever Hop and HLC it carries, and sends
+// it only to succ_j(v), or nowhere when succ_j(v) is s. A REPAIR, the
+// answer to v's own pull, is taken from any neighbor and relayed on to
+// succ_j(v) in the same way.
+func TestRelayStaysOnCycle(t *testing.T) {
+	payload := []byte("batch")
+	type check struct {
+		nd  *Node
+		ep  *memEndpoint
+		s   topology.Node
+		j   int
+		tag string
+	}
+	// relays returns the frames of copy (s, j) that v has sent.
+	relays := func(c check) []sentFrame {
+		var out []sentFrame
+		for _, sf := range c.ep.sent {
+			if sf.f.Source == c.s && int(sf.f.Channel) == c.j {
+				out = append(out, sf)
+			}
+		}
+		return out
+	}
+	// held asserts that v stored and counted copy (s, j) exactly once
+	// and relayed it on its cycle and nowhere else.
+	held := func(c check) {
+		t.Helper()
+		nd, v := c.nd, c.nd.cfg.Self
+		st := nd.open[0]
+		if got := st.copies[c.s]; len(got) != 1 || int(got[0]) != c.j {
+			t.Errorf("%s: counted channels %v, want [%d]", c.tag, got, c.j)
+		}
+		if st.store[nd.slot(repair.Want{Source: c.s, Channel: uint8(c.j)})] == nil {
+			t.Errorf("%s: copy not stored", c.tag)
+		}
+		sent := relays(c)
+		if nd.succ[c.j] == c.s {
+			if len(sent) != 0 {
+				t.Errorf("%s: the last holder relayed the copy: %+v", c.tag, sent)
+			}
+			return
+		}
+		if len(sent) != 1 {
+			t.Fatalf("%s: relayed %d times, want once", c.tag, len(sent))
+		}
+		f := sent[0].f
+		if sent[0].to != nd.succ[c.j] || f.From != v || int(f.Hop) != nd.hops(v, c.s, c.j) {
+			t.Errorf("%s: relayed to %d from %d at hop %d, want to succ %d from %d at hop %d",
+				c.tag, sent[0].to, f.From, f.Hop, nd.succ[c.j], v, nd.hops(v, c.s, c.j))
+		}
+	}
+	fresh := func() (*Node, *memEndpoint, *reliable.Keyring) {
+		nd, ep, kr := testNode(t, nil)
+		nd.openEpoch(0, time.Now(), false)
+		return nd, ep, kr
+	}
+	probe, _, _ := testNode(t, nil)
+	for j := 0; j < probe.gamma; j++ {
+		// A source two hops upstream of v, and v's successor, whose
+		// copy's window ends at v.
+		cyc := probe.cfg.IHC.DirectedCycle(j)
+		upstream := cyc[(probe.cfg.IHC.ID(j, probe.cfg.Self)+probe.n-2)%probe.n]
+		for _, s := range []topology.Node{upstream, probe.succ[j]} {
+			nd, ep, kr := fresh()
+			c := check{nd: nd, ep: ep, s: s, j: j}
+			for _, nb := range nd.neighbors {
+				if nb == nd.pred[j] {
+					continue
+				}
+				f := copyFrame(nd, s, j, payload, hlc.Timestamp{})
+				f.From = nb
+				nd.handle(encode(t, kr, f))
+			}
+			w := repair.Want{Source: s, Channel: uint8(j)}
+			if st := nd.open[0]; st.store[nd.slot(w)] != nil || len(st.copies[s]) != 0 {
+				t.Errorf("copy (%d, %d) from off its cycle was stored or counted", s, j)
+			}
+			if sent := relays(c); len(sent) != 0 {
+				t.Errorf("copy (%d, %d) from off its cycle was relayed: %+v", s, j, sent)
+			}
+			f := copyFrame(nd, s, j, payload, hlc.Timestamp{Wall: 12345, Logical: 9})
+			f.Hop = 0xBEEF
+			body := encode(t, kr, f)
+			nd.handle(body)
+			nd.handle(body)
+			c.tag = fmt.Sprintf("DATA (%d, %d) from pred %d", s, j, nd.pred[j])
+			held(c)
+
+			for _, nb := range nd.neighbors {
+				nd, ep, kr := fresh()
+				rep := copyFrame(nd, s, j, payload, hlc.Timestamp{})
+				rep.Kind, rep.From, rep.Hop = transport.FrameRepair, nb, uint16(nd.hops(nd.cfg.Self, s, j)-1)
+				nd.handle(encode(t, kr, rep))
+				held(check{nd: nd, ep: ep, s: s, j: j, tag: fmt.Sprintf("REPAIR (%d, %d) from %d", s, j, nb)})
+			}
+		}
+	}
+}
+
+// TestNakFromNonNeighborIgnored: a NAK is unsigned, so its From can
+// name anything. One from a node that is not a neighbor, or from no
+// node at all, is dropped unanswered instead of indexing the schedule.
+func TestNakFromNonNeighborIgnored(t *testing.T) {
+	nd, ep, kr := testNode(t, nil)
+	nd.handle(copyBody(t, nd, kr, 5, 0, []byte("batch"), hlc.Timestamp{}))
+	ep.sent = nil
+	for _, from := range []topology.Node{3, -1, topology.Node(nd.n), 1 << 20} {
+		nd.handle(encode(t, kr, &transport.Frame{Kind: transport.FrameNak, From: from, Source: 5}))
+		nd.handle(encode(t, kr, &transport.Frame{Kind: transport.FrameNak, From: from, Source: 6}))
+	}
+	if len(ep.sent) != 0 {
+		t.Fatalf("NAKs from non-neighbors answered: %+v", ep.sent)
 	}
 }

@@ -16,8 +16,8 @@ type FrameKind uint8
 
 const (
 	// FrameData carries one hop of a scheduled broadcast copy: the
-	// source's payload for one channel, travelling its compiled
-	// Hamiltonian-cycle route.
+	// source's payload for one channel, travelling directed
+	// Hamiltonian cycle Channel.
 	FrameData FrameKind = iota + 1
 	// FrameNak asks a peer to retransmit the copy (Source, Channel)
 	// that missed its deadline at the requester.
@@ -37,6 +37,12 @@ const (
 	// responder) so a forged fast-forward fails verification.
 	FrameEpoch
 )
+
+// Signed reports whether frames of kind k carry a MAC under their
+// source's key: DATA, REPAIR and EPOCH. NAK, MISS and JOIN do not.
+func (k FrameKind) Signed() bool {
+	return k == FrameData || k == FrameRepair || k == FrameEpoch
+}
 
 func (k FrameKind) String() string {
 	switch k {
@@ -58,32 +64,28 @@ func (k FrameKind) String() string {
 }
 
 // Frame is the unit the transport moves: one signed broadcast copy (or
-// one repair-protocol control message) plus the routing state a
-// store-and-forward relay needs.
+// one repair-protocol control message) plus the per-hop fields a
+// store-and-forward relay stamps on it. A frame carries no route: every
+// node holds the IHC schedule and takes a copy's next hop from it.
 type Frame struct {
 	Kind    FrameKind
 	From    topology.Node // immediate sender (previous hop), not the origin
 	Source  topology.Node // broadcast source the payload belongs to
-	Epoch   uint32        // streaming round the copy belongs to (0 for one-shot runs)
+	Epoch   uint32        // streaming round the copy belongs to
 	Channel uint8         // Hamiltonian cycle index j < γ
 	Stage   uint8         // schedule stage the copy was injected in
-	Hop     uint16        // index into Route of the holder when it sent this frame
+	Hop     uint16        // sender's distance from Source on its cycle (REPAIR: the requester's − 1)
 	HLC     hlc.Timestamp // sender's hybrid logical clock at send time
-	// Route is the remaining relay chain for DATA/REPAIR frames: the
-	// full node sequence of the copy's directed-cycle window. Empty
-	// for NAK/MISS.
-	Route   []topology.Node
 	Payload []byte
 	MAC     []byte // HMAC over the canonical bytes, under Source's key
 }
 
 // Wire limits. MaxFrame bounds what a reader will accept before
 // decoding — a corrupt or hostile length prefix must not allocate
-// gigabytes.
+// gigabytes. frameHdr is the fixed header ahead of the payload length.
 const (
-	MaxFrame    = 1 << 16
-	maxRouteLen = 1 << 12
-	frameHdr    = 1 + 4 + 4 + 4 + 1 + 1 + 2 + 8 + 4 + 2 // through route length
+	MaxFrame = 1 << 16
+	frameHdr = 1 + 4 + 4 + 4 + 1 + 1 + 2 + 8 + 4
 )
 
 var (
@@ -96,19 +98,12 @@ var (
 //
 //	kind u8 | from i32 | source i32 | epoch u32 |
 //	channel u8 | stage u8 | hop u16 | hlcWall i64 | hlcLogical u32 |
-//	routeLen u16 | route i32×routeLen |
 //	payloadLen u16 | payload | macLen u16 | mac
 //
-// The epoch word occupies what older encodings reserved as zero, so
-// one-shot frames (Epoch 0) are byte-identical to the previous layout.
+// A frame's size is its payload and MAC plus 33 bytes, whatever the
+// network's size.
 func EncodeFrame(f *Frame) ([]byte, error) {
-	if len(f.Route) > maxRouteLen {
-		return nil, fmt.Errorf("transport: route length %d exceeds %d", len(f.Route), maxRouteLen)
-	}
-	if len(f.Payload) > MaxFrame || len(f.MAC) > MaxFrame {
-		return nil, ErrFrameTooLarge
-	}
-	n := frameHdr + 4*len(f.Route) + 2 + len(f.Payload) + 2 + len(f.MAC)
+	n := frameHdr + 2 + len(f.Payload) + 2 + len(f.MAC)
 	if n > MaxFrame {
 		return nil, ErrFrameTooLarge
 	}
@@ -121,10 +116,6 @@ func EncodeFrame(f *Frame) ([]byte, error) {
 	b = binary.LittleEndian.AppendUint16(b, f.Hop)
 	b = binary.LittleEndian.AppendUint64(b, uint64(f.HLC.Wall))
 	b = binary.LittleEndian.AppendUint32(b, f.HLC.Logical)
-	b = binary.LittleEndian.AppendUint16(b, uint16(len(f.Route)))
-	for _, v := range f.Route {
-		b = binary.LittleEndian.AppendUint32(b, uint32(int32(v)))
-	}
 	b = binary.LittleEndian.AppendUint16(b, uint16(len(f.Payload)))
 	b = append(b, f.Payload...)
 	b = binary.LittleEndian.AppendUint16(b, uint16(len(f.MAC)))
@@ -134,7 +125,8 @@ func EncodeFrame(f *Frame) ([]byte, error) {
 
 // DecodeFrame parses a frame body produced by EncodeFrame. It never
 // panics on malformed input: every length is bounds-checked before use,
-// so a corrupted or adversarial body surfaces as an error.
+// so a corrupted or adversarial body surfaces as an error. It allocates
+// only the Frame.
 //
 // The decoded Payload and MAC are not copies: they are sub-slices of
 // b, clipped to their own length (b[i:j:j]) so that appending to one
@@ -148,7 +140,7 @@ func DecodeFrame(b []byte) (*Frame, error) {
 	if len(b) > MaxFrame {
 		return nil, ErrFrameTooLarge
 	}
-	if len(b) < frameHdr {
+	if len(b) < frameHdr+2 {
 		return nil, ErrFrameTruncated
 	}
 	f := &Frame{}
@@ -164,18 +156,7 @@ func DecodeFrame(b []byte) (*Frame, error) {
 	f.Hop = binary.LittleEndian.Uint16(b[15:])
 	f.HLC.Wall = int64(binary.LittleEndian.Uint64(b[17:]))
 	f.HLC.Logical = binary.LittleEndian.Uint32(b[25:])
-	routeLen := int(binary.LittleEndian.Uint16(b[29:]))
 	off := frameHdr
-	if routeLen > maxRouteLen || len(b) < off+4*routeLen+2 {
-		return nil, ErrFrameTruncated
-	}
-	if routeLen > 0 {
-		f.Route = make([]topology.Node, routeLen)
-		for i := range f.Route {
-			f.Route[i] = topology.Node(int32(binary.LittleEndian.Uint32(b[off+4*i:])))
-		}
-	}
-	off += 4 * routeLen
 	payloadLen := int(binary.LittleEndian.Uint16(b[off:]))
 	off += 2
 	if len(b) < off+payloadLen+2 {
@@ -198,9 +179,9 @@ func DecodeFrame(b []byte) (*Frame, error) {
 
 // beginMAC starts f's MAC under its source's key and writes what the
 // MAC covers: the fields a relay must not be able to alter undetected.
-// From, Hop, Route, and HLC are deliberately excluded — they
-// legitimately change at every hop; Source, Epoch, Channel, Stage, and
-// Payload identify the broadcast copy itself. Binding the epoch
+// From, Hop, and HLC are deliberately excluded — they legitimately
+// change at every hop; Source, Epoch, Channel, Stage, and Payload
+// identify the broadcast copy itself. Binding the epoch
 // prevents a stored copy from round e being replayed as a fresh copy
 // in round e', and makes EPOCH handshake responses unforgeable.
 //
@@ -236,13 +217,13 @@ func SignFrame(kr *keyring.Keyring, f *Frame) error {
 }
 
 // VerifyFrame reports whether f's MAC is valid under its claimed
-// source's key. Request-only control frames (NAK/MISS/JOIN) carry no
-// payload MAC and are accepted unsigned — they can only trigger
+// source's key. Unsigned kinds (NAK/MISS/JOIN, see FrameKind.Signed)
+// carry no MAC and are accepted as they are: they can only trigger
 // retransmission of signed data (or a signed EPOCH response), never
 // forge it. EPOCH responses are signed: a rejoining node fast-forwards
 // its epoch counter off them, so they must be unforgeable.
 func VerifyFrame(kr *keyring.Keyring, f *Frame) (bool, error) {
-	if f.Kind == FrameNak || f.Kind == FrameMiss || f.Kind == FrameJoin {
+	if !f.Kind.Signed() {
 		return true, nil
 	}
 	m, err := beginMAC(kr, f)

@@ -19,7 +19,6 @@ func sampleFrame() *Frame {
 		Stage:   2,
 		Hop:     4,
 		HLC:     hlc.Timestamp{Wall: 123456789, Logical: 7},
-		Route:   []topology.Node{5, 4, 6, 7, 3, 2, 0, 1},
 		Payload: []byte("payload-bytes"),
 		MAC:     []byte{0xde, 0xad, 0xbe, 0xef},
 	}
@@ -30,8 +29,8 @@ func TestFrameRoundTrip(t *testing.T) {
 		sampleFrame(),
 		{Kind: FrameNak, From: 1, Source: 2, Channel: 0},
 		{Kind: FrameMiss, From: 6, Source: 0, Channel: 1, Stage: 3},
-		{Kind: FrameRepair, Source: 7, Route: []topology.Node{7, 6}, Payload: []byte{1}},
-		{Kind: FrameData, Source: 4, Epoch: 0xDEADBEEF, Route: []topology.Node{4, 5}, Payload: []byte{2}},
+		{Kind: FrameRepair, Source: 7, Hop: 0xFFFF, Payload: []byte{1}},
+		{Kind: FrameData, From: 1 << 20, Source: 4, Epoch: 0xDEADBEEF, Payload: []byte{2}},
 		{Kind: FrameJoin, From: 2, Source: 2},
 		{Kind: FrameEpoch, From: 3, Source: 3, Epoch: 41, MAC: []byte{1, 2}},
 	} {
@@ -83,9 +82,36 @@ func TestDecodeRejectsBadKindAndLengths(t *testing.T) {
 	if _, err := DecodeFrame(make([]byte, MaxFrame+1)); err != ErrFrameTooLarge {
 		t.Fatalf("oversized body: %v, want ErrFrameTooLarge", err)
 	}
-	long := &Frame{Kind: FrameData, Route: make([]topology.Node, maxRouteLen+1)}
-	if _, err := EncodeFrame(long); err == nil {
-		t.Fatal("oversized route encoded")
+	long := &Frame{Kind: FrameData, Payload: make([]byte, MaxFrame-frameHdr-3)}
+	if _, err := EncodeFrame(long); err != ErrFrameTooLarge {
+		t.Fatalf("payload one byte past MaxFrame encoded: %v, want ErrFrameTooLarge", err)
+	}
+}
+
+// TestFrameOverhead pins the per-hop cost of the wire format, the way
+// a fixed HMAC_SIZE pins it in a message budget: a DATA frame with a
+// P-byte payload encodes to P + 65 bytes — the 29-byte header, two
+// 2-byte lengths and the 32-byte MAC — whatever the network's size N.
+// No field grows with N, so no node count is capped by the codec.
+func TestFrameOverhead(t *testing.T) {
+	for _, n := range []int{8, 32, 1024, 8192} {
+		kr := reliable.NewKeyring(n, 1)
+		for _, p := range []int{0, 64, 2400} {
+			f := &Frame{
+				Kind: FrameData, From: topology.Node(n - 2), Source: topology.Node(n - 1),
+				Epoch: 9, Channel: 3, Stage: 1, Hop: uint16(n - 2), Payload: goldenPayload(p),
+			}
+			if err := SignFrame(kr, f); err != nil {
+				t.Fatal(err)
+			}
+			body, err := EncodeFrame(f)
+			if err != nil {
+				t.Fatalf("N=%d P=%d: %v", n, p, err)
+			}
+			if len(body) != p+65 {
+				t.Errorf("N=%d: a %d-byte payload encodes to %d bytes, want %d", n, p, len(body), p+65)
+			}
+		}
 	}
 }
 
@@ -102,7 +128,6 @@ func TestSignAndVerifyFrame(t *testing.T) {
 	}
 	// Per-hop mutable fields must not affect the MAC.
 	f.From, f.Hop, f.HLC = 0, 99, hlc.Timestamp{Wall: 1}
-	f.Route = nil
 	if ok, _ := VerifyFrame(kr, f); !ok {
 		t.Fatal("per-hop field change invalidated the MAC")
 	}
