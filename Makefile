@@ -41,14 +41,14 @@ transport-deps:
 bench:
 	$(GO) test -bench=. -benchmem
 
-# Re-measure the engine's headline Q10 ATA microbenchmark and record
-# events/sec, ns/event, allocs/event, and live-heap footprint (with the
-# pre-flat-array baseline for comparison) in BENCH_engine.json, plus
-# the multi-core scaling series at 1/2/4/8 engine workers, each draining
-# the stages' arc-disjoint directed cycles in parallel (each point
-# re-checks event-count determinism against the one-worker run, records
-# the GOMAXPROCS it ran under — raised to the worker count when the host
-# has the cores — and is annotated cores_limited when it does not).
+# Re-measure the engine's headline Q10 ATA microbenchmark at GOMAXPROCS
+# 1 and record events/sec, ns/event, allocs/event, and live-heap
+# footprint (with the pre-flat-array baseline for comparison) in
+# BENCH_engine.json, plus the multi-core scaling series at 1/2/4/8
+# engine workers: point w runs at GOMAXPROCS w, so the engine drains the
+# stages' arc-disjoint directed cycles on up to w goroutines (each point
+# re-checks event-count determinism against the one-worker run and is
+# annotated cores_limited when the host has fewer than w CPUs).
 bench-engine:
 	$(GO) run ./cmd/enginebench -o BENCH_engine.json -engine-workers 1,2,4,8
 
@@ -88,24 +88,23 @@ smoke-engine:
 	$(GO) run ./cmd/enginebench -quick -check -o /dev/null
 
 # Quick multi-worker engine equivalence: the scaling experiment's quick
-# points, once on one engine worker, once with each run's arc-disjoint
-# directed cycles drained on up to 4 goroutines at the default
-# GOMAXPROCS, and once more with GOMAXPROCS=4 (true multi-core
-# interleavings when the host has the cores), must all render
-# byte-identical tables (stderr carries the wall-clock line and is
-# discarded); then the engine equivalence/aliasing tests re-run under
-# the race detector, also at GOMAXPROCS=4, including the component
-# identity matrix and the fault-hook-stays-on-one-goroutine check.
+# points, once at GOMAXPROCS=1 (one engine worker per run) and once at
+# GOMAXPROCS=4, where the quick SQ16 point (~130,000 hops and 4
+# components per stage) drains each stage's arc-disjoint directed
+# cycles on 4 goroutines, must render byte-identical tables (stderr
+# carries the wall-clock line and is discarded); then the engine
+# equivalence/aliasing tests re-run under the race detector, also at
+# GOMAXPROCS=4, including the component identity matrices and the
+# check of what holds a run on one goroutine.
 sharded-quick:
 	@tmp=$$(mktemp -d); \
-	$(GO) run ./cmd/ihcbench -quick -run scaling -engine-workers 1 >$$tmp/seq.txt 2>/dev/null; \
-	$(GO) run ./cmd/ihcbench -quick -run scaling -engine-workers 4 >$$tmp/shard.txt 2>/dev/null; \
-	GOMAXPROCS=4 $(GO) run ./cmd/ihcbench -quick -run scaling -engine-workers 4 >$$tmp/shard4.txt 2>/dev/null; \
-	if cmp -s $$tmp/seq.txt $$tmp/shard.txt && cmp -s $$tmp/seq.txt $$tmp/shard4.txt; then \
-		echo "sharded-quick: 4-worker output byte-identical to one worker (incl. GOMAXPROCS=4)"; rm -rf $$tmp; \
+	GOMAXPROCS=1 $(GO) run ./cmd/ihcbench -quick -run scaling >$$tmp/seq.txt 2>/dev/null; \
+	GOMAXPROCS=4 $(GO) run ./cmd/ihcbench -quick -run scaling >$$tmp/par.txt 2>/dev/null; \
+	if cmp -s $$tmp/seq.txt $$tmp/par.txt; then \
+		echo "sharded-quick: GOMAXPROCS=4 output byte-identical to GOMAXPROCS=1"; rm -rf $$tmp; \
 	else \
-		echo "sharded-quick: 4-worker output DIVERGED from one worker:"; \
-		diff $$tmp/seq.txt $$tmp/shard.txt; diff $$tmp/seq.txt $$tmp/shard4.txt; rm -rf $$tmp; exit 1; \
+		echo "sharded-quick: GOMAXPROCS=4 output DIVERGED from GOMAXPROCS=1:"; \
+		diff $$tmp/seq.txt $$tmp/par.txt; rm -rf $$tmp; exit 1; \
 	fi
 	$(GO) test -race -run 'Sharded|Components|ScratchReuse|CompiledPath|BackgroundSeed|Ledger|CalQueue' ./internal/simnet ./internal/core
 	GOMAXPROCS=4 $(GO) test -race -count=1 -run 'Sharded|Components|Ledger' ./internal/simnet ./internal/core
@@ -130,13 +129,16 @@ oracle-quick:
 
 # Quick family-registry gate: the cross-family conformance suite
 # (every registered family's instances through build validity, static
-# contention-freeness, exact live-oracle finish, γ-copy postcondition,
-# and multi-worker byte-identity), one quick adversarial campaign point on
-# the new families (TQ4 + the 4-ary 2-torus), and the quick `families`
-# experiment (IHC finish vs the Table II closed form on twisted cubes
-# and vs the Jung-Sakho per-link load bound on k-ary tori).
+# contention-freeness, exact live-oracle finish and γ-copy
+# postcondition), the same instances' multi-worker byte-identity
+# (internal/simnet, which can force the engine's width), one quick
+# adversarial campaign point on the new families (TQ4 + the 4-ary
+# 2-torus), and the quick `families` experiment (IHC finish vs the
+# Table II closed form on twisted cubes and vs the Jung-Sakho per-link
+# load bound on k-ary tori).
 families-quick:
 	$(GO) test -count=1 -run TestCrossFamilyConformance ./internal/hamilton
+	$(GO) test -count=1 -run TestComponentsIdenticalRegistry ./internal/simnet
 	$(GO) run ./cmd/faultcamp -quick -topo tq4,kt4x2 -o /dev/null
 	$(GO) run ./cmd/ihcbench -quick -run families
 

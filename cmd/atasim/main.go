@@ -21,7 +21,6 @@ import (
 	"context"
 	"flag"
 	"fmt"
-	"io"
 	"os"
 	"os/signal"
 	"runtime"
@@ -53,7 +52,6 @@ func main() {
 		algo      = flag.String("algo", "ihc", "algorithm: ihc, vrs, ks, vsq, frs")
 		eta       = flag.String("eta", "2", "IHC interleaving distance η, or a comma-separated list to sweep")
 		workers   = flag.Int("workers", 0, "worker-pool width for η sweeps (0 = GOMAXPROCS, 1 = sequential)")
-		engineW   = flag.Int("engine-workers", 0, "goroutines that drain each simulation run's arc-disjoint components (0 = automatic: several only for large runs, one per run while an η sweep runs several at once; 1 = one; results are byte-identical)")
 		overlap   = flag.Bool("overlap", false, "IHC: overlap stages (modified algorithm)")
 		taus      = flag.Int64("taus", 100, "startup τ_S (ticks)")
 		alpha     = flag.Int64("alpha", 20, "cut-through delay α (ticks)")
@@ -93,7 +91,7 @@ func main() {
 		fail(err)
 	}
 
-	trace, traceDone, err := openTrace(*tracePath, *traceFmt)
+	trace, traceDone, err := observe.OpenTrace(*tracePath, *traceFmt)
 	if err != nil {
 		fail(err)
 	}
@@ -134,11 +132,6 @@ func main() {
 			// A trace sink is single-stream: run the sweep sequentially so
 			// the exported stream is the engine's deterministic order.
 			w = 1
-		}
-		ew := *engineW
-		if ew == 0 && w > 1 {
-			// The sweep pool already keeps the cores busy.
-			ew = 1
 		}
 		runOne := func(i int) {
 			select {
@@ -184,8 +177,7 @@ func main() {
 			res, err := x.Run(core.Config{
 				Eta: etas[i], Params: p, Overlap: *overlap, Saturated: *saturated,
 				SkipCopies: !*verify || *ledgerF, Ledger: *ledgerF && *verify,
-				Observe:       observe.Tee(sinks...),
-				EngineWorkers: ew,
+				Observe: observe.Tee(sinks...),
 			})
 			outs[i] = out{res, err, met, orc, true}
 		}
@@ -284,7 +276,6 @@ func main() {
 		}
 		res, gamma, err := runSerialized(*algo, g, p, atarun.Options{
 			Copies: *verify, Saturated: *saturated, Observe: observe.Tee(sinks...),
-			EngineWorkers: *engineW,
 		})
 		if err != nil {
 			fail(err)
@@ -309,9 +300,6 @@ func main() {
 		}
 		if *ledgerF {
 			fail(fmt.Errorf("-ledger is the IHC counters-only mode; it does not apply to frs"))
-		}
-		if *engineW > 1 {
-			fail(fmt.Errorf("frs runs on the lock-step simulator; -engine-workers does not apply"))
 		}
 		m, ok := hypercubeDim(g)
 		if !ok {
@@ -343,52 +331,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, "atasim: interrupted; completed sweep points flushed")
 		os.Exit(3)
 	}
-}
-
-// openTrace builds the requested trace exporter. The returned done func
-// flushes the exporter and closes the file; both are no-ops when no
-// trace was requested.
-func openTrace(path, format string) (simnet.Observer, func() error, error) {
-	if path == "" {
-		return nil, func() error { return nil }, nil
-	}
-	var w io.Writer = os.Stdout
-	var file *os.File
-	if path != "-" {
-		f, err := os.Create(path)
-		if err != nil {
-			return nil, nil, err
-		}
-		w, file = f, f
-	}
-	closeFile := func() error {
-		if file != nil {
-			return file.Close()
-		}
-		return nil
-	}
-	switch format {
-	case "jsonl":
-		j := observe.NewJSONL(w)
-		return j, func() error {
-			if err := j.Flush(); err != nil {
-				closeFile()
-				return err
-			}
-			return closeFile()
-		}, nil
-	case "chrome":
-		ct := observe.NewChromeTrace(w)
-		return ct, func() error {
-			if err := ct.Close(); err != nil {
-				closeFile()
-				return err
-			}
-			return closeFile()
-		}, nil
-	}
-	closeFile()
-	return nil, nil, fmt.Errorf("unknown -tracefmt %q (want jsonl or chrome)", format)
 }
 
 func runSerialized(algo string, g *topology.Graph, p simnet.Params, opts atarun.Options) (*atarun.Result, int, error) {

@@ -19,11 +19,11 @@
 //
 // Every measurement also records the live heap after the run and its
 // per-node share, so the Q16 memory footprint is tracked, not guessed.
-// Scaling-series points record the GOMAXPROCS they ran under; a point
-// with fewer cores than workers is annotated "cores_limited" (its
-// speedup measures core starvation, not the engine) and -check never
-// grades speedup on it. When the host has enough cores, GOMAXPROCS is
-// raised to the worker count for the point's duration.
+// The engine drains a large run on up to GOMAXPROCS workers, so the
+// headline and the hooked run run at GOMAXPROCS 1 and scaling-series
+// point w runs at GOMAXPROCS w. A point with fewer cores than workers
+// is annotated "cores_limited" (its speedup measures core starvation,
+// not the engine) and -check never grades speedup on it.
 package main
 
 import (
@@ -99,10 +99,10 @@ type workerPoint struct {
 	EventsPerSec float64 `json:"events_per_sec"`
 	NsPerEvent   float64 `json:"ns_per_event"`
 	Speedup      float64 `json:"speedup_vs_sequential"`
-	// GoMaxProcs is the GOMAXPROCS this point actually ran under (raised
-	// to Workers when the host has the cores). CoresLimited marks points
-	// with fewer cores than workers: their Speedup measures core
-	// starvation, not engine scaling, and must not be graded.
+	// GoMaxProcs is the GOMAXPROCS this point ran under: Workers.
+	// CoresLimited marks points with fewer cores than workers: their
+	// Speedup measures core starvation, not engine scaling, and must not
+	// be graded.
 	GoMaxProcs   int  `json:"gomaxprocs"`
 	CoresLimited bool `json:"cores_limited,omitempty"`
 }
@@ -139,7 +139,7 @@ func main() {
 	check := flag.Bool("check", false, "fail if allocs/event exceeds 10x, or ns/event exceeds 1+tolerance of, the values recorded in -against")
 	tolerance := flag.Float64("tolerance", 0.15, "ns/event regression tolerance for -check (0.15 = fail beyond +15% of recorded)")
 	against := flag.String("against", "BENCH_engine.json", "recorded report -check compares against")
-	workerList := flag.String("engine-workers", "", "comma-separated engine worker counts (simnet EngineWorkers: goroutines draining each stage's arc-disjoint cycles) to record as a scaling series (e.g. 1,2,4,8)")
+	workerList := flag.String("engine-workers", "", "comma-separated engine worker counts to record as a scaling series (e.g. 1,2,4,8); point w runs at GOMAXPROCS w")
 	flag.Parse()
 	workerCounts, err := parseWorkerList(*workerList)
 	if err != nil {
@@ -159,8 +159,10 @@ func main() {
 
 	runs := 1
 	nodes := float64(g.N())
+	// measure runs the workload at GOMAXPROCS workers.
 	measure := func(obs simnet.Observer, workers int) metrics {
-		cfg := core.Config{Eta: 2, Params: p, SkipCopies: true, Observe: obs, EngineWorkers: workers}
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(workers))
+		cfg := core.Config{Eta: 2, Params: p, SkipCopies: true, Observe: obs}
 		// -quick measures one run. Otherwise every point, series points
 		// included, is a calibrated loop: on a 2-vCPU KVM guest the first
 		// multi-worker runs after the one-worker headline loop read up to
@@ -247,17 +249,7 @@ func main() {
 		HookOverheadNs: hooked.NsPerEvent - cur.NsPerEvent,
 	}
 	for _, w := range workerCounts {
-		// Give the point the cores it asks for when the host has them;
-		// otherwise run core-starved and say so, instead of recording a
-		// "speedup" that actually measures starvation.
-		prev := runtime.GOMAXPROCS(0)
-		gmp := prev
-		if w > gmp && runtime.NumCPU() >= w {
-			runtime.GOMAXPROCS(w)
-			gmp = w
-		}
 		m := measure(nil, w)
-		runtime.GOMAXPROCS(prev)
 		if m.EventsPerRun != cur.EventsPerRun {
 			fail(fmt.Errorf("engine-workers=%d processed %d events, one worker %d — parallel run diverged",
 				w, m.EventsPerRun, cur.EventsPerRun))
@@ -267,8 +259,8 @@ func main() {
 			EventsPerSec: m.EventsPerSec,
 			NsPerEvent:   m.NsPerEvent,
 			Speedup:      m.EventsPerSec / cur.EventsPerSec,
-			GoMaxProcs:   gmp,
-			CoresLimited: gmp < w,
+			GoMaxProcs:   w,
+			CoresLimited: runtime.NumCPU() < w,
 		})
 	}
 

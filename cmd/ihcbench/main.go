@@ -8,7 +8,6 @@
 //	ihcbench -run table2      # one experiment by id
 //	ihcbench -list            # list experiment ids
 //	ihcbench -workers 8       # worker-pool width (0 = GOMAXPROCS)
-//	ihcbench -run scaling -engine-workers 4     # drain each run's cycles on up to 4 goroutines
 //	ihcbench -taus 100 -alpha 20 -mu 2 -d 37   # timing overrides
 //	ihcbench -metrics         # aggregate observability metrics across all runs
 //	ihcbench -run table2 -trace t2.jsonl        # per-hop stream of one experiment
@@ -20,7 +19,10 @@
 // -metrics attaches a per-worker observability sink to every simulation;
 // the per-worker aggregates merge order-independently, so the reported
 // snapshot is also identical for every -workers value. -trace is
-// single-stream: it forces the pool to width 1 and requires -run.
+// single-stream: it forces the pool to width 1 and requires -run. A
+// large run drains its arc-disjoint cycles on up to GOMAXPROCS
+// goroutines, so GOMAXPROCS=1 keeps every run on one; stdout is the
+// same at every GOMAXPROCS.
 package main
 
 import (
@@ -28,7 +30,6 @@ import (
 	"errors"
 	"flag"
 	"fmt"
-	"io"
 	"os"
 	"os/signal"
 	"runtime"
@@ -47,7 +48,6 @@ func main() {
 		run       = flag.String("run", "", "run a single experiment id (default: all)")
 		list      = flag.Bool("list", false, "list experiment ids and exit")
 		workers   = flag.Int("workers", 0, "worker-pool width for experiments and sweep points (0 = GOMAXPROCS, 1 = sequential)")
-		engineW   = flag.Int("engine-workers", 0, "goroutines that drain each simulation run's arc-disjoint components; n > 1 divides the -workers budget (0 = automatic: one per run while the pool runs several at once, up to GOMAXPROCS for a large run alone; 1 = one; output is byte-identical)")
 		taus      = flag.Int64("taus", 100, "message startup time τ_S (ticks)")
 		alpha     = flag.Int64("alpha", 20, "cut-through delay α (ticks)")
 		mu        = flag.Int("mu", 2, "packet length μ (FIFO-buffer units)")
@@ -71,7 +71,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "ihcbench: -trace streams one experiment's hops; pick it with -run")
 		os.Exit(2)
 	}
-	trace, traceDone, err := openTrace(*tracePath, *traceFmt)
+	trace, traceDone, err := observe.OpenTrace(*tracePath, *traceFmt)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "ihcbench:", err)
 		os.Exit(2)
@@ -93,12 +93,11 @@ func main() {
 			Mu:    *mu,
 			D:     simnet.Time(*d),
 		},
-		Workers:       *workers,
-		EngineWorkers: *engineW,
-		Stats:         stats,
-		Metrics:       shared,
-		Trace:         trace,
-		Cancel:        ctx.Done(),
+		Workers: *workers,
+		Stats:   stats,
+		Metrics: shared,
+		Trace:   trace,
+		Cancel:  ctx.Done(),
 	}
 
 	exps := harness.All()
@@ -167,49 +166,4 @@ func main() {
 		fmt.Fprintf(os.Stderr, "ihcbench: interrupted; %d experiment(s) skipped, completed tables flushed\n", skipped)
 		os.Exit(3)
 	}
-}
-
-// openTrace builds the requested trace exporter; done flushes and
-// closes. Both are no-ops when no trace was requested.
-func openTrace(path, format string) (simnet.Observer, func() error, error) {
-	if path == "" {
-		return nil, func() error { return nil }, nil
-	}
-	var w io.Writer = os.Stdout
-	var file *os.File
-	if path != "-" {
-		f, err := os.Create(path)
-		if err != nil {
-			return nil, nil, err
-		}
-		w, file = f, f
-	}
-	closeFile := func() error {
-		if file != nil {
-			return file.Close()
-		}
-		return nil
-	}
-	switch format {
-	case "jsonl":
-		j := observe.NewJSONL(w)
-		return j, func() error {
-			if err := j.Flush(); err != nil {
-				closeFile()
-				return err
-			}
-			return closeFile()
-		}, nil
-	case "chrome":
-		ct := observe.NewChromeTrace(w)
-		return ct, func() error {
-			if err := ct.Close(); err != nil {
-				closeFile()
-				return err
-			}
-			return closeFile()
-		}, nil
-	}
-	closeFile()
-	return nil, nil, fmt.Errorf("unknown -tracefmt %q (want jsonl or chrome)", format)
 }

@@ -29,11 +29,6 @@ type Options struct {
 	// all N chained broadcasts to an observability sink. Nil is the
 	// fast path.
 	Observe simnet.Observer
-	// EngineWorkers is passed to every chained broadcast's run (see
-	// simnet.Options.EngineWorkers). Broadcasts whose redirects depend on
-	// earlier deliveries always drain on one worker; results are
-	// byte-identical at every value.
-	EngineWorkers int
 }
 
 // Result aggregates a full serialized ATA broadcast.
@@ -64,7 +59,6 @@ func Sequential(g *topology.Graph, p simnet.Params, gen Generator, opts Options)
 	}
 	simOpts := simnet.Options{
 		Copies: opts.Copies, Saturated: opts.Saturated, Observe: opts.Observe,
-		EngineWorkers: opts.EngineWorkers,
 	}
 	start := simnet.Time(0)
 	for src := 0; src < g.N(); src++ {

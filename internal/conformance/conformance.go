@@ -2,16 +2,17 @@
 // the decomposition registry: one table-driven property suite that any
 // registered hamilton.Family passes end to end, so a new family gets
 // the repository's full checking stack — decomposition validity,
-// schedule feasibility, the live Theorem 3/4 oracles, one-worker-vs-
-// parallel byte identity, and the γ-copy ledger postcondition — by
-// registering. The suite is what `internal/hamilton/conformance_test.go`
-// and `make families-quick` run; it lives outside internal/core because
-// it drives core and observe together (core cannot import observe).
+// schedule feasibility, the live Theorem 3/4 oracles and the γ-copy
+// ledger postcondition — by registering. The suite is what
+// `internal/hamilton/conformance_test.go` and `make families-quick` run;
+// it lives outside internal/core because it drives core and observe
+// together (core cannot import observe). Byte identity across engine
+// widths is checked per family in internal/simnet, where a test can
+// force the width.
 package conformance
 
 import (
 	"fmt"
-	"reflect"
 
 	"ihc/internal/core"
 	"ihc/internal/hamilton"
@@ -25,9 +26,6 @@ type Options struct {
 	// Params are the timing parameters (zero value → the repository
 	// defaults τ_S=100 α=20 μ=2 D=37, with μ overridden per point).
 	Params simnet.Params
-	// Workers are the engine widths (core.Config.EngineWorkers)
-	// compared against one worker (default 2 and 4).
-	Workers []int
 	// MaxOracleN caps the sizes that run the full O(N²) copy-matrix
 	// oracle leg (default 64; larger instances still run every other
 	// check).
@@ -37,9 +35,6 @@ type Options struct {
 func (o Options) defaulted() Options {
 	if o.Params == (simnet.Params{}) {
 		o.Params = simnet.Params{TauS: 100, Alpha: 20, Mu: 2, D: 37}
-	}
-	if len(o.Workers) == 0 {
-		o.Workers = []int{2, 4}
 	}
 	if o.MaxOracleN == 0 {
 		o.MaxOracleN = 64
@@ -116,33 +111,15 @@ func Check(in *hamilton.Instance, opt Options) error {
 	// Property 4 — γ-copy ledger: the full run must satisfy the exact
 	// ATA postcondition in both the copy matrix and the counters-only
 	// ledger.
-	base := core.Config{Eta: eta, Params: p, Ledger: true, EngineWorkers: 1}
-	want, err := x.Run(base)
+	res, err := x.Run(core.Config{Eta: eta, Params: p, Ledger: true})
 	if err != nil {
-		return fmt.Errorf("one-worker run: %w", err)
+		return fmt.Errorf("ledger run: %w", err)
 	}
-	if err := want.Copies.VerifyATA(x.Gamma()); err != nil {
+	if err := res.Copies.VerifyATA(x.Gamma()); err != nil {
 		return fmt.Errorf("copy matrix: %w", err)
 	}
-	if err := want.Ledger.VerifyATA(x.Gamma()); err != nil {
+	if err := res.Ledger.VerifyATA(x.Gamma()); err != nil {
 		return fmt.Errorf("copy ledger: %w", err)
-	}
-
-	// Property 5 — one-worker-vs-parallel byte identity: draining each
-	// stage's directed cycles on several workers must reproduce the
-	// one-worker run exactly — every counter, every stage finish, the
-	// copy matrix and the ledger — at every requested worker count. The
-	// runs keep no delivery log, which would hold them on one worker.
-	for _, w := range opt.Workers {
-		cfg := base
-		cfg.EngineWorkers = w
-		got, err := x.Run(cfg)
-		if err != nil {
-			return fmt.Errorf("workers=%d: %w", w, err)
-		}
-		if !reflect.DeepEqual(got, want) {
-			return fmt.Errorf("workers=%d: result differs from one worker:\n got %+v\nwant %+v", w, got, want)
-		}
 	}
 	return nil
 }

@@ -6,6 +6,7 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"fmt"
+	"runtime"
 	"slices"
 	"testing"
 
@@ -18,7 +19,8 @@ import (
 // switching modes: full IHC broadcasts on six families under virtual
 // cut-through, store-and-forward and wormhole switching, saturated off
 // and on, μ ∈ {1, 2, 3}, τ_S ∈ {0, 100}, background load ρ ∈ {0, 0.2},
-// η ∈ {1, 2} and 1 or 3 engine workers. Rows with ρ = 0.2 and η = 2 also
+// η ∈ {1, 2} and GOMAXPROCS w ∈ {1, 3}; the delivery log holds every run
+// on one engine worker at either w. Rows with ρ = 0.2 and η = 2 also
 // carry one permanently broken link. The full cross product has 1,728
 // runs; the test keeps every seventh, a diagonal that mixes every
 // dimension, and checks it still covers each engine path below. Each row
@@ -119,7 +121,7 @@ func buildFamily(t *testing.T, name string) *IHC {
 
 // engineCoverage counts the kept rows that exercise each engine path.
 type engineCoverage struct {
-	contend, buffer, cutFallback, stall, bg, drop, satCut, sharded int
+	contend, buffer, cutFallback, stall, bg, drop, satCut int
 }
 
 // runEngineGolden executes the kept rows of the matrix in order.
@@ -154,7 +156,6 @@ func runEngineGolden(t *testing.T) ([]engineRow, engineCoverage) {
 										Saturated:        sat,
 										SkipCopies:       true,
 										RecordDeliveries: true,
-										EngineWorkers:    w,
 									}
 									if rho > 0 && eta == 2 {
 										e := edges[i%len(edges)]
@@ -166,7 +167,9 @@ func runEngineGolden(t *testing.T) ([]engineRow, engineCoverage) {
 										cfg.Fault = inj
 									}
 									name := fmt.Sprintf("%s/%s/sat=%t/mu=%d/tauS=%d/rho=%g/eta=%d/w=%d", fam, mode, sat, mu, tauS, rho, eta, w)
+									procs := runtime.GOMAXPROCS(w)
 									res, err := x.Run(cfg)
+									runtime.GOMAXPROCS(procs)
 									if err != nil {
 										t.Fatalf("%s: %v", name, err)
 									}
@@ -191,7 +194,6 @@ func runEngineGolden(t *testing.T) ([]engineRow, engineCoverage) {
 									count(&cov.bg, res.BgBlocked > 0)
 									count(&cov.drop, res.FaultDrops > 0)
 									count(&cov.satCut, sat && mode != simnet.StoreAndForward)
-									count(&cov.sharded, w > 1 && blocked)
 								}
 							}
 						}
@@ -207,9 +209,8 @@ func runEngineGolden(t *testing.T) ([]engineRow, engineCoverage) {
 // both versions of every row that differs, and checks that the kept rows
 // still reach every path the engine can take: contention, buffered hops,
 // the blocked cut-through fallback (whose send time is derived from the
-// header's arrival), wormhole stalls, background blocking, fault drops,
-// saturated cut requests (also derived from the arrival) and a blocked
-// sharded run.
+// header's arrival), wormhole stalls, background blocking, fault drops
+// and saturated cut requests (also derived from the arrival).
 func TestEngineGolden(t *testing.T) {
 	got, cov := runEngineGolden(t)
 	if len(got) != len(engineGolden) {
@@ -226,15 +227,14 @@ func TestEngineGolden(t *testing.T) {
 		t.Fatalf("%d of %d golden rows differ", bad, len(got))
 	}
 	if cov.contend == 0 || cov.buffer == 0 || cov.cutFallback == 0 || cov.stall == 0 ||
-		cov.bg == 0 || cov.drop == 0 || cov.satCut == 0 || cov.sharded == 0 {
+		cov.bg == 0 || cov.drop == 0 || cov.satCut == 0 {
 		t.Fatalf("kept rows miss an engine path: %+v", cov)
 	}
 }
 
 // TestEngineGoldenTraces pins the per-hop trace of one stage per
 // switching mode: stage 0 of a Q4 broadcast at η = 1 and μ = 2, so
-// packets contend, under background load ρ = 0.2 with τ_S = 0. The
-// sharded engine at 3 workers must reproduce the same trace.
+// packets contend, under background load ρ = 0.2 with τ_S = 0.
 func TestEngineGoldenTraces(t *testing.T) {
 	x := buildFamily(t, "Q4")
 	specs, err := x.StagePackets(allCycles(x.Gamma()), 0, 1, 0, nil)
@@ -242,19 +242,16 @@ func TestEngineGoldenTraces(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, mode := range engineGoldenModes {
-		want := engineGoldenTraces[mode]
-		for _, w := range []int{1, 3} {
-			net, err := simnet.New(x.Graph(), simnet.Params{TauS: 0, Alpha: 20, Mu: 2, D: 37, Mode: mode, Rho: 0.2, Seed: 5})
-			if err != nil {
-				t.Fatal(err)
-			}
-			res, err := net.Run(specs, simnet.Options{Trace: true, EngineWorkers: w})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got := digestTraces(res.Traces); got != want {
-				t.Errorf("%s w=%d: trace digest %s, want %s", mode, w, got, want)
-			}
+		net, err := simnet.New(x.Graph(), simnet.Params{TauS: 0, Alpha: 20, Mu: 2, D: 37, Mode: mode, Rho: 0.2, Seed: 5})
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := net.Run(specs, simnet.Options{Trace: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := digestTraces(res.Traces); got != engineGoldenTraces[mode] {
+			t.Errorf("%s: trace digest %s, want %s", mode, got, engineGoldenTraces[mode])
 		}
 	}
 }

@@ -1,22 +1,14 @@
 package core
 
 import (
-	"reflect"
 	"testing"
 
-	"ihc/internal/hamilton"
-	"ihc/internal/simnet"
 	"ihc/internal/topology"
 )
 
-// TestShardedEquivalenceFamilies extends the sharded-engine acceptance
-// matrix to the registry's new families: full IHC ATA broadcasts on
-// TQ_3–TQ_5 (reduced-reliability twisted cubes) and on 3-ary and 5-ary
-// tori must produce byte-identical results — ordered delivery log
-// included — at 1, 2, and 4 engine workers. The twisted cubes exercise
-// the sharded engine on decompositions that do NOT cover every edge
-// (idle links must shard identically), and the odd-N 3-ary/5-ary tori
-// exercise the ragged η seam.
+// TestShardedEquivalenceFamilies runs verifyFullATA on the twisted
+// cubes TQ_3–TQ_5, whose decompositions do not cover every edge, and on
+// 3-ary and 5-ary tori, whose odd N leaves a ragged η seam.
 func TestShardedEquivalenceFamilies(t *testing.T) {
 	cases := []struct {
 		name string
@@ -30,58 +22,6 @@ func TestShardedEquivalenceFamilies(t *testing.T) {
 		{"KT5x2", topology.MustKAryTorus(5, 2)},
 	}
 	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			cycles, err := hamilton.Decompose(tc.g)
-			if err != nil {
-				t.Fatal(err)
-			}
-			x, err := New(tc.g, cycles)
-			if err != nil {
-				t.Fatal(err)
-			}
-			base := Config{
-				Eta:              2,
-				Params:           simnet.Params{TauS: 100, Alpha: 20, Mu: 2, D: 37},
-				RecordDeliveries: true,
-				Ledger:           true,
-			}
-			want, err := x.Run(base)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := want.Copies.VerifyATA(x.Gamma()); err != nil {
-				t.Fatalf("sequential reference violates ATA postcondition: %v", err)
-			}
-			if err := want.Ledger.VerifyATA(x.Gamma()); err != nil {
-				t.Fatalf("sequential reference violates ledger ATA postcondition: %v", err)
-			}
-			for _, w := range []int{1, 2, 4} {
-				cfg := base
-				cfg.EngineWorkers = w
-				got, err := x.Run(cfg)
-				if err != nil {
-					t.Fatalf("workers=%d: %v", w, err)
-				}
-				if got.Finish != want.Finish || got.Contentions != want.Contentions ||
-					got.Deliveries != want.Deliveries || got.Events != want.Events ||
-					got.CutThroughs != want.CutThroughs || got.Injections != want.Injections ||
-					got.LinkBusy != want.LinkBusy {
-					t.Errorf("workers=%d: aggregate result differs:\n got %+v\nwant %+v", w, got, want)
-				}
-				if !reflect.DeepEqual(got.StageFinish, want.StageFinish) {
-					t.Errorf("workers=%d: stage finish times differ: %v vs %v", w, got.StageFinish, want.StageFinish)
-				}
-				if !reflect.DeepEqual(got.Deliveriesv, want.Deliveriesv) {
-					t.Errorf("workers=%d: delivery log differs (%d vs %d entries)",
-						w, len(got.Deliveriesv), len(want.Deliveriesv))
-				}
-				if err := got.Copies.VerifyATA(x.Gamma()); err != nil {
-					t.Errorf("workers=%d: ATA postcondition violated: %v", w, err)
-				}
-				if err := got.Ledger.VerifyATA(x.Gamma()); err != nil {
-					t.Errorf("workers=%d: counters-only ledger violated: %v", w, err)
-				}
-			}
-		})
+		t.Run(tc.name, func(t *testing.T) { verifyFullATA(t, tc.g) })
 	}
 }

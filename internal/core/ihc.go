@@ -243,13 +243,6 @@ type Config struct {
 	// internal/observe: metrics aggregators, live theorem oracles,
 	// trace exporters). Nil is the fast path.
 	Observe simnet.Observer
-	// EngineWorkers bounds the goroutines that drain each stage run's
-	// arc-disjoint components — one per directed cycle in IHC (see
-	// simnet.Options.EngineWorkers). 0 is automatic: several workers
-	// only for large stages. 1 forces one worker; n >= 2 allows up to n
-	// at any size. Results are byte-identical at every value. n >= 2 is
-	// incompatible with Control.
-	EngineWorkers int
 	// Ledger maintains the O(N) counters-only Theorem-4 copy ledger
 	// (see simnet.CopyLedger) incrementally across every stage run,
 	// exposed as Result.Ledger. Unlike the O(N²) Copies matrix its
@@ -355,7 +348,6 @@ func (x *IHC) Run(cfg Config) (*Result, error) {
 		RecordDeliveries: cfg.RecordDeliveries,
 		Control:          cfg.Control,
 		Observe:          cfg.Observe,
-		EngineWorkers:    cfg.EngineWorkers,
 	}
 	if cfg.Ledger {
 		// One ledger shared by every stage run: the engine only adds, so

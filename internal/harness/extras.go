@@ -55,7 +55,7 @@ func runTheorem4(cfg Config) ([]*tablefmt.Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		res, err := x.Run(core.Config{Eta: 1, Params: p, SkipCopies: true, Scratch: env.Scratch, Observe: env.Obs, EngineWorkers: env.EngineWorkers})
+		res, err := x.Run(core.Config{Eta: 1, Params: p, SkipCopies: true, Scratch: env.Scratch, Observe: env.Obs})
 		if err != nil {
 			return nil, err
 		}
@@ -96,11 +96,11 @@ func runOverlap(cfg Config) ([]*tablefmt.Table, error) {
 		mu := mus[i]
 		pm := p
 		pm.Mu = mu
-		plain, err := x.Run(core.Config{Eta: mu, Params: pm, SkipCopies: true, Scratch: env.Scratch, Observe: env.Obs, EngineWorkers: env.EngineWorkers})
+		plain, err := x.Run(core.Config{Eta: mu, Params: pm, SkipCopies: true, Scratch: env.Scratch, Observe: env.Obs})
 		if err != nil {
 			return nil, err
 		}
-		over, err := x.Run(core.Config{Eta: mu, Params: pm, Overlap: true, SkipCopies: true, Scratch: env.Scratch, Observe: env.Obs, EngineWorkers: env.EngineWorkers})
+		over, err := x.Run(core.Config{Eta: mu, Params: pm, Overlap: true, SkipCopies: true, Scratch: env.Scratch, Observe: env.Obs})
 		if err != nil {
 			return nil, err
 		}
@@ -148,7 +148,7 @@ func runHeadline(cfg Config) ([]*tablefmt.Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		res, err := x.Run(core.Config{Eta: 2, Params: p, SkipCopies: true, EngineWorkers: cfg.engineWorkers(1)})
+		res, err := x.Run(core.Config{Eta: 2, Params: p, SkipCopies: true})
 		if err != nil {
 			return nil, err
 		}
@@ -382,7 +382,7 @@ func runLoad(cfg Config) ([]*tablefmt.Table, error) {
 		pr := p
 		pr.Rho = rho
 		pr.Seed = 4242
-		res, err := x.Run(core.Config{Eta: eta, Params: pr, SkipCopies: true, Scratch: env.Scratch, Observe: env.Obs, EngineWorkers: env.EngineWorkers})
+		res, err := x.Run(core.Config{Eta: eta, Params: pr, SkipCopies: true, Scratch: env.Scratch, Observe: env.Obs})
 		if err != nil {
 			return nil, err
 		}
@@ -425,7 +425,7 @@ func runUtilization(cfg Config) ([]*tablefmt.Table, error) {
 	etas := []int{2, 4, 8, 16}
 	rows, err := sweep(cfg, len(etas), func(i int, env *Env) (row, error) {
 		eta := etas[i]
-		res, err := x.Run(core.Config{Eta: eta, Params: p, SkipCopies: true, Scratch: env.Scratch, Observe: env.Obs, EngineWorkers: env.EngineWorkers})
+		res, err := x.Run(core.Config{Eta: eta, Params: p, SkipCopies: true, Scratch: env.Scratch, Observe: env.Obs})
 		if err != nil {
 			return nil, err
 		}

@@ -79,7 +79,7 @@ func familiesTwisted(cfg Config) (*tablefmt.Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		res, err := x.Run(core.Config{Eta: p.Mu, Params: p, SkipCopies: true, Scratch: env.Scratch, Observe: env.Obs, EngineWorkers: env.EngineWorkers})
+		res, err := x.Run(core.Config{Eta: p.Mu, Params: p, SkipCopies: true, Scratch: env.Scratch, Observe: env.Obs})
 		if err != nil {
 			return nil, err
 		}
@@ -138,7 +138,7 @@ func familiesKAry(cfg Config) (*tablefmt.Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		res, err := x.Run(core.Config{Eta: j.mu, Params: p, SkipCopies: true, Scratch: env.Scratch, Observe: env.Obs, EngineWorkers: env.EngineWorkers})
+		res, err := x.Run(core.Config{Eta: j.mu, Params: p, SkipCopies: true, Scratch: env.Scratch, Observe: env.Obs})
 		if err != nil {
 			return nil, err
 		}

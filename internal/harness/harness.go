@@ -30,19 +30,10 @@ type Config struct {
 	Params simnet.Params
 	// Workers bounds the pool that fans independent experiment runs and
 	// sweep points across goroutines, each on a fresh simnet.Network.
-	// 0 selects GOMAXPROCS; 1 forces sequential execution. Results are
-	// merged in stable order, so output is identical for every value.
+	// 0 selects GOMAXPROCS; 1 runs them one at a time, though a large
+	// run may still drain on up to GOMAXPROCS engine workers. Results
+	// are merged in stable order, so output is identical for every value.
 	Workers int
-	// EngineWorkers is the simnet.Options.EngineWorkers of every
-	// simulation run: up to that many goroutines drain one run's
-	// arc-disjoint components. The two widths multiply — EngineWorkers
-	// goroutines inside each of up to Workers concurrent runs — so an
-	// explicit n > 1 divides the across-run pool budget by n. 0 lets the
-	// pool decide: one engine worker per run while it runs several at
-	// once, the engine's automatic choice when a run has the machine to
-	// itself. 1 forces one engine worker. Results are byte-identical for
-	// every value.
-	EngineWorkers int
 	// Stats, when non-nil, accumulates per-run wall-clock and simulator
 	// event counters (atomically) across all concurrent runs.
 	Stats *RunStats
@@ -64,10 +55,6 @@ type Config struct {
 	// ErrCanceled. Wire a signal-bound context's Done() channel here
 	// for interruptible command-line runs.
 	Cancel <-chan struct{}
-
-	// concurrent is set on the copy RunExperiments hands to experiments
-	// it runs side by side (see engineWorkers).
-	concurrent bool
 }
 
 // params returns the effective timing parameters.

@@ -75,72 +75,37 @@ func (s *RunStats) Summary() string {
 	return msg
 }
 
-// workers resolves the effective worker-pool width. A raw trace sink
-// is inherently single-stream, so tracing forces sequential execution
-// regardless of the configured width — the exported stream is then the
-// engine's deterministic event order, every time. When an explicit
-// engine width is set (EngineWorkers > 1), the across-run budget is
-// divided by it: the product of the two widths, not their sum, is what
-// lands on the machine, and the caller's Workers (or GOMAXPROCS) is the
-// budget for that product.
+// workers resolves the effective worker-pool width: Workers, or
+// GOMAXPROCS when unset. A raw trace sink is inherently single-stream,
+// so tracing forces sequential execution regardless of the configured
+// width — the exported stream is then the engine's deterministic event
+// order, every time. The pool does not narrow the engine: a large run
+// may still drain on up to GOMAXPROCS workers (simnet's automatic
+// rule), and the Go scheduler shares the cores.
 func (c Config) workers() int {
 	if c.Trace != nil {
 		return 1
 	}
-	w := c.budget()
-	if c.EngineWorkers > 1 {
-		w /= c.EngineWorkers
-		if w < 1 {
-			w = 1
-		}
-	}
-	return w
-}
-
-// budget is the number of goroutines the batch may keep busy: Workers,
-// or GOMAXPROCS when unset.
-func (c Config) budget() int {
 	if c.Workers > 0 {
 		return c.Workers
 	}
 	return runtime.GOMAXPROCS(0)
 }
 
-// engineWorkers resolves the simnet EngineWorkers of every simulation a
-// pool of the given width runs. An explicit Config.EngineWorkers wins
-// (workers already divided the pool by it). Otherwise each simulation
-// gets one engine worker while the pool runs several simulations at
-// once, while other experiments run beside this one, or when the budget
-// is below GOMAXPROCS, so that pool width times engine width never
-// exceeds the budget. A lone simulation with the whole machine stays
-// automatic (0): the engine may spread a large run over GOMAXPROCS
-// workers.
-func (c Config) engineWorkers(width int) int {
-	switch {
-	case c.EngineWorkers >= 1:
-		return c.EngineWorkers
-	case width > 1 || c.concurrent || c.budget() < runtime.GOMAXPROCS(0):
-		return 1
-	}
-	return 0
-}
-
 // Env is the execution environment a sweep worker hands to every point
-// it runs: reusable simulator working memory, the engine width its
-// simulations should pass on, and the observability sink they should
-// attach (nil when no sink is configured — the engine's fast path).
+// it runs: reusable simulator working memory plus the observability
+// sink the point should attach to its simulation runs (nil when no
+// sink is configured — the engine's fast path).
 type Env struct {
-	Scratch       *simnet.Scratch
-	EngineWorkers int // for core.Config, atarun.Options and simnet.Options
-	Obs           simnet.Observer
+	Scratch *simnet.Scratch
+	Obs     simnet.Observer
 
 	metrics *observe.Metrics // this worker's private aggregator, absorbed at drain
 }
 
-// newEnv builds one worker's environment from the run Config; width is
-// the number of workers the pool runs at once.
-func newEnv(cfg Config, width int) *Env {
-	env := &Env{Scratch: simnet.NewScratch(), EngineWorkers: cfg.engineWorkers(width)}
+// newEnv builds one worker's environment from the run Config.
+func newEnv(cfg Config) *Env {
+	env := &Env{Scratch: simnet.NewScratch()}
 	var obs []simnet.Observer
 	if cfg.Trace != nil {
 		obs = append(obs, cfg.Trace)
@@ -188,7 +153,7 @@ func sweep[T any](cfg Config, n int, fn func(i int, env *Env) (T, error)) ([]T, 
 		workers = n
 	}
 	if workers <= 1 {
-		env := newEnv(cfg, 1)
+		env := newEnv(cfg)
 		defer env.close(cfg)
 		for i := 0; i < n; i++ {
 			out[i], errs[i] = runPoint(cfg, i, env, fn)
@@ -204,7 +169,7 @@ func sweep[T any](cfg Config, n int, fn func(i int, env *Env) (T, error)) ([]T, 
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			env := newEnv(cfg, workers) // per-worker: never shared across goroutines
+			env := newEnv(cfg) // per-worker: never shared across goroutines
 			defer env.close(cfg)
 			for i := range idx {
 				out[i], errs[i] = runPoint(cfg, i, env, fn)
@@ -272,9 +237,6 @@ func RunExperiments(exps []Experiment, cfg Config) []Report {
 	if workers > len(exps) {
 		workers = len(exps)
 	}
-	// Experiments running side by side must not each spread their
-	// simulations over every core.
-	cfg.concurrent = workers > 1
 	runOne := func(i int) {
 		e := exps[i]
 		select {

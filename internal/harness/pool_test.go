@@ -109,59 +109,3 @@ func TestRunExperimentsReportsPerExperimentErrors(t *testing.T) {
 		t.Fatalf("failing experiment: err = %v", reports[1].Err)
 	}
 }
-
-// TestSweepEngineWorkers pins the engine width each point is handed: an
-// explicit Config.EngineWorkers wins; otherwise one engine worker while
-// the pool runs several simulations at once, while experiments run side
-// by side, or when Workers is below GOMAXPROCS, and automatic (0) for a
-// lone simulation with the whole machine.
-func TestSweepEngineWorkers(t *testing.T) {
-	seen := func(cfg Config, n int) []int {
-		t.Helper()
-		out, err := sweep(cfg, n, func(_ int, env *Env) (int, error) { return env.EngineWorkers, nil })
-		if err != nil {
-			t.Fatal(err)
-		}
-		return out
-	}
-	lone := 0
-	if runtime.GOMAXPROCS(0) > 1 {
-		lone = 1 // Workers: 1 is below GOMAXPROCS
-	}
-	for _, tc := range []struct {
-		name string
-		cfg  Config
-		n    int
-		want int
-	}{
-		{"explicit", Config{Workers: 8, EngineWorkers: 3}, 4, 3},
-		{"explicit one", Config{EngineWorkers: 1}, 1, 1},
-		{"whole machine", Config{}, 1, 0},
-		{"one-wide budget", Config{Workers: 1}, 4, lone},
-	} {
-		for i, got := range seen(tc.cfg, tc.n) {
-			if got != tc.want {
-				t.Errorf("%s: point %d got EngineWorkers %d, want %d", tc.name, i, got, tc.want)
-			}
-		}
-	}
-	if runtime.GOMAXPROCS(0) > 1 {
-		for i, got := range seen(Config{Workers: 2}, 4) {
-			if got != 1 {
-				t.Errorf("two-wide pool: point %d got EngineWorkers %d, want 1", i, got)
-			}
-		}
-		exp := Experiment{ID: "x", Run: func(cfg Config) ([]*tablefmt.Table, error) {
-			got, err := sweep(cfg, 1, func(_ int, env *Env) (int, error) { return env.EngineWorkers, nil })
-			if err == nil && got[0] != 1 {
-				err = fmt.Errorf("experiment beside another: got EngineWorkers %d, want 1", got[0])
-			}
-			return nil, err
-		}}
-		for _, r := range RunExperiments([]Experiment{exp, exp}, Config{Workers: 2}) {
-			if r.Err != nil {
-				t.Error(r.Err)
-			}
-		}
-	}
-}

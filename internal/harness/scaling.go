@@ -65,7 +65,6 @@ func runScaling(cfg Config) ([]*tablefmt.Table, error) {
 		}
 		res, err := x.Run(core.Config{
 			Eta: eta, Params: p, Cycles: pt.cycles, SkipCopies: true, Scratch: env.Scratch, Observe: env.Obs,
-			EngineWorkers: env.EngineWorkers,
 		})
 		if err != nil {
 			return nil, err

@@ -77,7 +77,7 @@ func ihcMeasured(cfg Config, g *topology.Graph, p simnet.Params, eta int, env *E
 	if err != nil {
 		return 0, nil, err
 	}
-	res, err := x.Run(core.Config{Eta: eta, Params: p, SkipCopies: true, Scratch: env.Scratch, Observe: env.Obs, EngineWorkers: env.EngineWorkers})
+	res, err := x.Run(core.Config{Eta: eta, Params: p, SkipCopies: true, Scratch: env.Scratch, Observe: env.Obs})
 	if err != nil {
 		return 0, nil, err
 	}
@@ -127,7 +127,7 @@ func runTable2(cfg Config) ([]*tablefmt.Table, error) {
 	}
 	points = append(points,
 		func(env *Env) (row, error) {
-			vres, err := rs.ATA(qDim, p, atarun.Options{Scratch: env.Scratch, Observe: env.Obs, EngineWorkers: env.EngineWorkers})
+			vres, err := rs.ATA(qDim, p, atarun.Options{Scratch: env.Scratch, Observe: env.Obs})
 			if err != nil {
 				return nil, err
 			}
@@ -136,7 +136,7 @@ func runTable2(cfg Config) ([]*tablefmt.Table, error) {
 			return row{"VRS-ATA", fmt.Sprintf("Q%d", qDim), 1 << qDim, vm, vres.Finish, match(vres.Finish, vm)}, nil
 		},
 		func(env *Env) (row, error) {
-			kres, err := ks.ATA(hM, p, atarun.Options{Scratch: env.Scratch, Observe: env.Obs, EngineWorkers: env.EngineWorkers})
+			kres, err := ks.ATA(hM, p, atarun.Options{Scratch: env.Scratch, Observe: env.Obs})
 			if err != nil {
 				return nil, err
 			}
@@ -145,7 +145,7 @@ func runTable2(cfg Config) ([]*tablefmt.Table, error) {
 			return row{"KS-ATA", fmt.Sprintf("H%d", hM), topology.HexMeshSize(hM), km, kres.Finish, match(kres.Finish, km)}, nil
 		},
 		func(env *Env) (row, error) {
-			sres, err := vsq.ATA(sqM, p, atarun.Options{Scratch: env.Scratch, Observe: env.Obs, EngineWorkers: env.EngineWorkers})
+			sres, err := vsq.ATA(sqM, p, atarun.Options{Scratch: env.Scratch, Observe: env.Obs})
 			if err != nil {
 				return nil, err
 			}
@@ -196,7 +196,7 @@ func runTable3(cfg Config) ([]*tablefmt.Table, error) {
 			return f, err
 		},
 		func(env *Env) (simnet.Time, error) {
-			vres, err := rs.ATA(qDim, p, atarun.Options{Scratch: env.Scratch, Observe: env.Obs, EngineWorkers: env.EngineWorkers})
+			vres, err := rs.ATA(qDim, p, atarun.Options{Scratch: env.Scratch, Observe: env.Obs})
 			if err != nil {
 				return 0, err
 			}
@@ -216,7 +216,7 @@ func runTable3(cfg Config) ([]*tablefmt.Table, error) {
 			return f, err
 		},
 		func(env *Env) (simnet.Time, error) {
-			sres, err := vsq.ATA(sqM, p, atarun.Options{Scratch: env.Scratch, Observe: env.Obs, EngineWorkers: env.EngineWorkers})
+			sres, err := vsq.ATA(sqM, p, atarun.Options{Scratch: env.Scratch, Observe: env.Obs})
 			if err != nil {
 				return 0, err
 			}
@@ -228,7 +228,7 @@ func runTable3(cfg Config) ([]*tablefmt.Table, error) {
 			return f, err
 		},
 		func(env *Env) (simnet.Time, error) {
-			kres, err := ks.ATA(hM, p, atarun.Options{Scratch: env.Scratch, Observe: env.Obs, EngineWorkers: env.EngineWorkers})
+			kres, err := ks.ATA(hM, p, atarun.Options{Scratch: env.Scratch, Observe: env.Obs})
 			if err != nil {
 				return 0, err
 			}
@@ -285,7 +285,7 @@ func runTable4(cfg Config) ([]*tablefmt.Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			res, err := x.Run(core.Config{Eta: eta, Params: p, Saturated: true, SkipCopies: true, Scratch: env.Scratch, Observe: env.Obs, EngineWorkers: env.EngineWorkers})
+			res, err := x.Run(core.Config{Eta: eta, Params: p, Saturated: true, SkipCopies: true, Scratch: env.Scratch, Observe: env.Obs})
 			if err != nil {
 				return nil, err
 			}
@@ -294,7 +294,7 @@ func runTable4(cfg Config) ([]*tablefmt.Table, error) {
 			return row{"IHC", fmt.Sprintf("Q%d", qDim), im, res.Finish, match(res.Finish, im)}, nil
 		},
 		func(env *Env) (row, error) {
-			vres, err := rs.ATA(qDim, p, atarun.Options{Saturated: true, Scratch: env.Scratch, Observe: env.Obs, EngineWorkers: env.EngineWorkers})
+			vres, err := rs.ATA(qDim, p, atarun.Options{Saturated: true, Scratch: env.Scratch, Observe: env.Obs})
 			if err != nil {
 				return nil, err
 			}
@@ -303,7 +303,7 @@ func runTable4(cfg Config) ([]*tablefmt.Table, error) {
 			return row{"VRS-ATA", fmt.Sprintf("Q%d", qDim), vm, vres.Finish, match(vres.Finish, vm)}, nil
 		},
 		func(env *Env) (row, error) {
-			kres, err := ks.ATA(hM, p, atarun.Options{Saturated: true, Scratch: env.Scratch, Observe: env.Obs, EngineWorkers: env.EngineWorkers})
+			kres, err := ks.ATA(hM, p, atarun.Options{Saturated: true, Scratch: env.Scratch, Observe: env.Obs})
 			if err != nil {
 				return nil, err
 			}
@@ -312,7 +312,7 @@ func runTable4(cfg Config) ([]*tablefmt.Table, error) {
 			return row{"KS-ATA", fmt.Sprintf("H%d", hM), km, kres.Finish, match(kres.Finish, km)}, nil
 		},
 		func(env *Env) (row, error) {
-			sres, err := vsq.ATA(sqM, p, atarun.Options{Saturated: true, Scratch: env.Scratch, Observe: env.Obs, EngineWorkers: env.EngineWorkers})
+			sres, err := vsq.ATA(sqM, p, atarun.Options{Saturated: true, Scratch: env.Scratch, Observe: env.Obs})
 			if err != nil {
 				return nil, err
 			}

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"os"
 
 	"ihc/internal/simnet"
 )
@@ -159,4 +160,52 @@ func (ct *ChromeTrace) Close() error {
 		return ct.err
 	}
 	return ct.w.Flush()
+}
+
+// OpenTrace builds the trace exporter a command line asks for: format
+// "jsonl" (JSONL) or "chrome" (ChromeTrace), writing to the file at
+// path, or to standard output when path is "-". The returned done func
+// flushes the exporter and closes the file. An empty path asks for no
+// trace: the observer is nil and done does nothing.
+func OpenTrace(path, format string) (obs simnet.Observer, done func() error, err error) {
+	if path == "" {
+		return nil, func() error { return nil }, nil
+	}
+	var w io.Writer = os.Stdout
+	var file *os.File
+	if path != "-" {
+		f, err := os.Create(path)
+		if err != nil {
+			return nil, nil, err
+		}
+		w, file = f, f
+	}
+	closeFile := func() error {
+		if file != nil {
+			return file.Close()
+		}
+		return nil
+	}
+	switch format {
+	case "jsonl":
+		j := NewJSONL(w)
+		return j, func() error {
+			if err := j.Flush(); err != nil {
+				closeFile()
+				return err
+			}
+			return closeFile()
+		}, nil
+	case "chrome":
+		ct := NewChromeTrace(w)
+		return ct, func() error {
+			if err := ct.Close(); err != nil {
+				closeFile()
+				return err
+			}
+			return closeFile()
+		}, nil
+	}
+	closeFile()
+	return nil, nil, fmt.Errorf("unknown -tracefmt %q (want jsonl or chrome)", format)
 }

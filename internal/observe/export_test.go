@@ -4,6 +4,8 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"os"
+	"path/filepath"
 	"testing"
 )
 
@@ -83,5 +85,40 @@ func TestChromeTraceEmpty(t *testing.T) {
 	var events []interface{}
 	if err := json.Unmarshal(buf.Bytes(), &events); err != nil || len(events) != 0 {
 		t.Fatalf("empty trace invalid: %v %v", err, events)
+	}
+}
+
+// OpenTrace asks for nothing on an empty path, rejects an unknown
+// format, and leaves every event in the JSONL file once done returns.
+func TestOpenTrace(t *testing.T) {
+	obs, done, err := OpenTrace("", "jsonl")
+	if err != nil || obs != nil {
+		t.Fatalf("empty path: observer %v, error %v; want nil, nil", obs, err)
+	}
+	if err := done(); err != nil {
+		t.Fatalf("empty path: done: %v", err)
+	}
+
+	dir := t.TempDir()
+	if _, _, err := OpenTrace(filepath.Join(dir, "t.bin"), "protobuf"); err == nil {
+		t.Fatal("unknown format accepted")
+	}
+
+	path := filepath.Join(dir, "t.jsonl")
+	obs, done, err = OpenTrace(path, "jsonl")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, rec := record(t, 2, testParams)
+	rec.replay(obs)
+	if err := done(); err != nil {
+		t.Fatal(err)
+	}
+	body, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if lines := bytes.Count(body, []byte("\n")); lines != len(rec.evs) {
+		t.Fatalf("trace file holds %d lines, recorded %d events", lines, len(rec.evs))
 	}
 }

@@ -19,14 +19,16 @@ import (
 // cycles share no directed link (Lee–Shin build them from edge-disjoint
 // undirected cycles), so every cycle of a stage run is a component.
 //
-// A run with at least two components, no After dependencies, and no
-// Control, Observe, Trace, RecordDeliveries or Fault drains them on
-// several goroutines, balanced by hop count (see Options.EngineWorkers
-// for how many). Worker 0 is the Scratch's own runState and acquires the
-// network's link state in place. Every other worker owns a calendar
-// queue, counters, a ledger or copy matrix, and a private copy of the
-// link state, so no two workers write one cache line; after the drain it
-// writes the link state of its own arcs back to the network.
+// A run of at least parallelMinHops hops with at least two components,
+// no After dependencies, and no Control, Observe, Trace,
+// RecordDeliveries or Fault drains them on up to GOMAXPROCS goroutines,
+// balanced by hop count; any other run drains on one. GOMAXPROCS is the
+// only setting of a run's width. Worker 0 is the Scratch's own runState
+// and acquires the network's link state in place. Every other worker
+// owns a calendar queue, counters, a ledger or copy matrix, and a
+// private copy of the link state, so no two workers write one cache
+// line; after the drain it writes the link state of its own arcs back to
+// the network.
 //
 // Results are byte-identical at every worker count. A worker handles its
 // events in (time, key) order, which restricted to one arc is the
@@ -37,23 +39,18 @@ import (
 // the ledger are sums, and Finish is a max.
 
 // parallelMinHops is the smallest run, in hops summed over its packets,
-// that EngineWorkers = 0 spreads over several workers. Smaller runs stay
-// on one: the goroutine start-up, the private link-state copies and the
-// merge then cost about what the parallel drain saves. On a 2-vCPU KVM
-// guest, two workers tied with one on Q6 stage runs at η = 2 (~12K hops
-// each) and won about 1.5× at η = 1 (~24K hops).
+// that spreads over several workers. Smaller runs stay on one: the
+// goroutine start-up, the private link-state copies and the merge then
+// cost about what the parallel drain saves. On a 2-vCPU KVM guest, two
+// workers tied with one on Q6 stage runs at η = 2 (~12K hops each) and
+// won about 1.5× at η = 1 (~24K hops).
 var parallelMinHops int64 = 20_000
 
 // workerLimit returns how many workers may drain the prepared run.
 func (st *runState) workerLimit() int {
 	o := &st.opts
-	switch {
-	case o.EngineWorkers == 1, st.hasDeps, o.Control != nil, o.Fault != nil,
-		o.Observe != nil, o.Trace, o.RecordDeliveries:
-		return 1
-	case o.EngineWorkers > 1:
-		return o.EngineWorkers
-	case st.hops < parallelMinHops:
+	if st.hasDeps || o.Control != nil || o.Fault != nil || o.Observe != nil ||
+		o.Trace || o.RecordDeliveries || st.hops < parallelMinHops {
 		return 1
 	}
 	return runtime.GOMAXPROCS(0)

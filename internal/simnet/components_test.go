@@ -3,6 +3,7 @@ package simnet_test
 import (
 	"fmt"
 	"reflect"
+	"slices"
 	"testing"
 
 	"ihc/internal/core"
@@ -16,10 +17,10 @@ import (
 // twisted cube and a k-ary torus.
 var componentFamilies = []string{"Q4", "Q5", "SQ4", "H3", "TQ4", "KT4x2"}
 
-// componentWorkers are the EngineWorkers values compared against one
-// worker: 0 (automatic, with the hop threshold lowered to zero), powers
-// of two, and odd counts that load workers unevenly or leave some idle.
-var componentWorkers = []int{0, 2, 3, 4, 7}
+// componentWidths are the widths (see simnet.SetWidth) compared against
+// one worker: powers of two, and odd counts that load workers unevenly
+// or leave some idle.
+var componentWidths = []int{2, 3, 4, 7}
 
 // componentCase is one row of the matrix.
 type componentCase struct {
@@ -47,11 +48,13 @@ type chainRun struct {
 	links       []simnet.ArcState // after the last stage run
 }
 
-// runChain simulates two IHC broadcasts back to back on one Network: 2η
-// stage runs, each injected when the previous one finished, sharing one
-// ledger. It also reports the most workers any stage run planned.
-func runChain(t *testing.T, x *core.IHC, c componentCase, workers int, sc *simnet.Scratch) (chainRun, int) {
+// runChain simulates two IHC broadcasts back to back on one Network at
+// width w: 2η stage runs, each injected when the previous one finished,
+// sharing one ledger. It also reports the most workers any stage run
+// planned.
+func runChain(t *testing.T, x *core.IHC, c componentCase, w int, sc *simnet.Scratch) (chainRun, int) {
 	t.Helper()
+	defer simnet.SetWidth(w)()
 	net, err := simnet.New(x.Graph(), c.params())
 	if err != nil {
 		t.Fatal(err)
@@ -68,7 +71,7 @@ func runChain(t *testing.T, x *core.IHC, c componentCase, workers int, sc *simne
 		}
 	}
 	out := chainRun{ledger: simnet.NewCopyLedger(x.N())}
-	opts := simnet.Options{Copies: true, Saturated: c.sat, Ledger: out.ledger, EngineWorkers: workers}
+	opts := simnet.Options{Copies: true, Saturated: c.sat, Ledger: out.ledger}
 	planned := 0
 	start := simnet.Time(0)
 	for round := 0; round < 2; round++ {
@@ -105,11 +108,10 @@ func runChain(t *testing.T, x *core.IHC, c componentCase, workers int, sc *simne
 // worker across switching modes, saturation, packet lengths, background
 // load and interleaving distances on six families: every counter, every
 // stage's Finish, the copy matrix, the shared ledger and the final state
-// of every link must match at every worker count. The second broadcast
-// of each chain runs on the link state the first one left, so a worker
-// that failed to hand its links back would show up there as well.
+// of every link must match at every width. The second broadcast of each
+// chain runs on the link state the first one left, so a worker that
+// failed to hand its links back would show up there as well.
 func TestComponentsIdentical(t *testing.T) {
-	defer simnet.SetParallelMinHops(0)()
 	sc := simnet.NewScratch() // one scratch for every run: worker state must not leak between them
 	var cases []componentCase
 	for _, mode := range []simnet.Mode{simnet.VirtualCutThrough, simnet.StoreAndForward, simnet.Wormhole} {
@@ -140,27 +142,27 @@ func TestComponentsIdentical(t *testing.T) {
 			for _, c := range cases {
 				want, k := runChain(t, x, c, 1, sc)
 				if k != 1 {
-					t.Fatalf("%v: EngineWorkers=1 planned %d workers", c, k)
+					t.Fatalf("%v: width 1 planned %d workers", c, k)
 				}
 				if err := want.ledger.VerifyATA(2 * x.Gamma()); err != nil {
 					t.Fatalf("%v: one-worker reference fails the ATA postcondition: %v", c, err)
 				}
-				for _, w := range componentWorkers {
+				for _, w := range componentWidths {
 					got, k := runChain(t, x, c, w, sc)
 					if k < 2 {
-						t.Fatalf("%v workers=%d: planned %d workers for %d arc-disjoint cycles", c, w, k, x.Gamma())
+						t.Fatalf("%v width %d: planned %d workers for %d arc-disjoint cycles", c, w, k, x.Gamma())
 					}
 					if !reflect.DeepEqual(got.results, want.results) {
-						t.Errorf("%v workers=%d: stage results differ:\n got %+v\nwant %+v", c, w, got.results, want.results)
+						t.Errorf("%v width %d: stage results differ:\n got %+v\nwant %+v", c, w, got.results, want.results)
 					}
 					if !reflect.DeepEqual(got.stageFinish, want.stageFinish) {
-						t.Errorf("%v workers=%d: stage finishes %v, want %v", c, w, got.stageFinish, want.stageFinish)
+						t.Errorf("%v width %d: stage finishes %v, want %v", c, w, got.stageFinish, want.stageFinish)
 					}
 					if !reflect.DeepEqual(got.ledger, want.ledger) {
-						t.Errorf("%v workers=%d: ledger differs", c, w)
+						t.Errorf("%v width %d: ledger differs", c, w)
 					}
 					if !reflect.DeepEqual(got.links, want.links) {
-						t.Errorf("%v workers=%d: final link state differs", c, w)
+						t.Errorf("%v width %d: final link state differs", c, w)
 					}
 				}
 			}
@@ -170,7 +172,7 @@ func TestComponentsIdentical(t *testing.T) {
 
 // appendingHook records every hop into a slice without a lock: run
 // concurrently it would race. A run with a fault hook must therefore
-// stay on one goroutine whatever EngineWorkers allows.
+// stay on one goroutine at any width.
 type appendingHook struct{ hops []simnet.Time }
 
 func (h *appendingHook) Relay(_ simnet.PacketID, _ int, _, _ topology.Node, depart simnet.Time) simnet.FaultAction {
@@ -178,11 +180,26 @@ func (h *appendingHook) Relay(_ simnet.PacketID, _ int, _, _ topology.Node, depa
 	return simnet.FaultNone
 }
 
-// TestComponentsFaultHookOneGoroutine runs a hooked stage with several
-// arc-disjoint components and EngineWorkers 4; under -race, a hook
-// called from two workers would fail the test.
+// nopObserver and nopController are the cheapest sink and controller.
+type nopObserver struct{}
+
+func (nopObserver) OnHop(simnet.HopEvent)     {}
+func (nopObserver) OnDeliver(simnet.Delivery) {}
+
+type nopController struct{}
+
+func (nopController) Attach(*simnet.Runtime, []simnet.PacketSpec) {}
+func (nopController) OnDeliver(int32, topology.Node, simnet.Time) {}
+func (nopController) OnTimer(simnet.Time, int64)                  {}
+
+// TestComponentsFaultHookOneGoroutine pins what holds a run on one
+// worker. At width 4 a stage with several arc-disjoint components plans
+// several workers, and the same stage with a controller, a fault hook,
+// an observer, a trace, a delivery log or an After list plans one. The
+// hooked stage then runs with a hook that appends without a lock, which
+// -race would catch if two workers called it.
 func TestComponentsFaultHookOneGoroutine(t *testing.T) {
-	defer simnet.SetParallelMinHops(0)()
+	defer simnet.SetWidth(4)()
 	g := topology.MustHypercube(4)
 	cycles, err := hamilton.Hypercube(4)
 	if err != nil {
@@ -200,19 +217,77 @@ func TestComponentsFaultHookOneGoroutine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if k, err := net.PlannedWorkers(specs, simnet.Options{EngineWorkers: 4}); err != nil || k < 2 {
-		t.Fatalf("hook-free stage planned %d workers (%v), want several: the test would not exercise the parallel path", k, err)
+	if k, err := net.PlannedWorkers(specs, simnet.Options{}); err != nil || k < 2 {
+		t.Fatalf("plain stage planned %d workers (%v), want several: the test would not exercise the parallel path", k, err)
 	}
 	hook := &appendingHook{}
-	opts := simnet.Options{Fault: hook, EngineWorkers: 4}
-	if k, err := net.PlannedWorkers(specs, opts); err != nil || k != 1 {
-		t.Fatalf("hooked stage planned %d workers (%v), want 1", k, err)
+	after := slices.Clone(specs)
+	after[1].After = []int{0}
+	for _, tc := range []struct {
+		name  string
+		specs []simnet.PacketSpec
+		opts  simnet.Options
+	}{
+		{"Control", specs, simnet.Options{Control: nopController{}}},
+		{"Fault", specs, simnet.Options{Fault: hook}},
+		{"Observe", specs, simnet.Options{Observe: nopObserver{}}},
+		{"Trace", specs, simnet.Options{Trace: true}},
+		{"RecordDeliveries", specs, simnet.Options{RecordDeliveries: true}},
+		{"After", after, simnet.Options{}},
+	} {
+		if k, err := net.PlannedWorkers(tc.specs, tc.opts); err != nil || k != 1 {
+			t.Errorf("%s: planned %d workers (%v), want 1", tc.name, k, err)
+		}
 	}
-	res, err := net.Run(specs, opts)
+	res, err := net.Run(specs, simnet.Options{Fault: hook})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if hops := res.CutThroughs + res.BufferedHops + res.Stalls + res.Injections; len(hook.hops) != hops {
 		t.Fatalf("hook saw %d hops, the run performed %d", len(hook.hops), hops)
+	}
+}
+
+// TestComponentsIdenticalRegistry runs a full IHC broadcast with the
+// copy matrix and the ledger on every conformance size of every
+// registered family, at one worker and at widths 2 and 4: the whole
+// core.Result — every counter, every stage finish, the copy matrix and
+// the ledger — must be identical. Odd-N families run η = μ = 1, as the
+// conformance battery does.
+func TestComponentsIdenticalRegistry(t *testing.T) {
+	for _, f := range hamilton.Families() {
+		for _, params := range f.Conformance() {
+			in, err := f.New(params...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			g, cycles, err := in.Build()
+			if err != nil {
+				t.Fatal(err)
+			}
+			x, err := core.New(g, cycles)
+			if err != nil {
+				t.Fatal(err)
+			}
+			eta := 2
+			if in.N%2 != 0 {
+				eta = 1
+			}
+			cfg := core.Config{Eta: eta, Params: simnet.Params{TauS: 100, Alpha: 20, Mu: eta, D: 37}, Ledger: true}
+			run := func(w int) *core.Result {
+				defer simnet.SetWidth(w)()
+				res, err := x.Run(cfg)
+				if err != nil {
+					t.Fatalf("%s width %d: %v", in.Name, w, err)
+				}
+				return res
+			}
+			want := run(1)
+			for _, w := range []int{2, 4} {
+				if got := run(w); !reflect.DeepEqual(got, want) {
+					t.Errorf("%s width %d: result differs from one worker:\n got %+v\nwant %+v", in.Name, w, got, want)
+				}
+			}
+		}
 	}
 }

@@ -181,8 +181,8 @@ type Options struct {
 	// Controller): it observes deliveries, sets timers, and may inject
 	// new packets mid-run — the machinery behind the repair layer. Nil
 	// costs one predictable branch per event and one per delivery.
-	// Controllers are inherently sequential; combining Control with
-	// EngineWorkers > 1 is an error.
+	// A controller keeps the run on one worker, so it observes and
+	// actuates the event stream sequentially.
 	Control Controller
 	// Observe, when non-nil, streams every performed hop and every
 	// delivery to an observability sink (see Observer and
@@ -191,16 +191,6 @@ type Options struct {
 	// observer keeps the run on one worker, so sinks never need locking
 	// and see the engine's deterministic (time, key) stream.
 	Observe Observer
-	// EngineWorkers bounds how many goroutines drain this run's
-	// components — groups of packets whose routes share a directed link
-	// (see components.go). 0 is automatic: up to GOMAXPROCS workers, but
-	// only for runs of at least 20,000 hops (summed over packets). 1
-	// forces one worker. n >= 2 allows up to n workers at any size. A
-	// run stays on one worker whenever it has a single component, After
-	// dependencies, a Fault hook, an Observe sink, Trace or
-	// RecordDeliveries; a Control with n >= 2 is refused. Results are
-	// byte-identical at every value.
-	EngineWorkers int
 	// Ledger, when non-nil, accumulates every delivery into the O(N)
 	// incremental Theorem-4 copy ledger (see CopyLedger) — the
 	// counters-only replacement for the O(N²) Copies matrix at Q14+/Q16
@@ -280,11 +270,8 @@ func (n *Network) Run(specs []PacketSpec, opts Options) (*Result, error) {
 // allocations of the event loop live in sc and are reused by the next
 // run. A nil sc borrows scratch from an internal pool. A Scratch must
 // never be used by two goroutines at once; results are identical with
-// or without reuse, and with any Options.EngineWorkers value.
+// or without reuse, and at every GOMAXPROCS (see components.go).
 func (n *Network) RunScratch(specs []PacketSpec, opts Options, sc *Scratch) (*Result, error) {
-	if opts.Control != nil && opts.EngineWorkers > 1 {
-		return nil, fmt.Errorf("simnet: EngineWorkers=%d is incompatible with a Controller: controllers observe and actuate the event stream sequentially", opts.EngineWorkers)
-	}
 	if sc == nil {
 		sc = scratchPool.Get().(*Scratch)
 		defer scratchPool.Put(sc)

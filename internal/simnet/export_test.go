@@ -1,11 +1,17 @@
 package simnet
 
-// SetParallelMinHops sets the hop threshold above which EngineWorkers = 0
-// runs on several workers, and returns a function restoring the old one.
-func SetParallelMinHops(hops int64) (restore func()) {
-	old := parallelMinHops
-	parallelMinHops = hops
-	return func() { parallelMinHops = old }
+import "runtime"
+
+// SetWidth lets every run that nothing else holds on one worker drain
+// on up to k workers, whatever its size: it sets GOMAXPROCS to k and the
+// hop threshold to 0, and returns a function restoring both.
+func SetWidth(k int) (restore func()) {
+	oldProcs, oldHops := runtime.GOMAXPROCS(k), parallelMinHops
+	parallelMinHops = 0
+	return func() {
+		runtime.GOMAXPROCS(oldProcs)
+		parallelMinHops = oldHops
+	}
 }
 
 // ArcState is one directed link's state: its transmitter reservation and

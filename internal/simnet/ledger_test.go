@@ -104,17 +104,21 @@ func TestCopyLedgerMergeCommutes(t *testing.T) {
 
 // TestLedgerMatchesMatrix runs the same engine workload with both
 // accountants attached and requires them to agree — the ledger is the
-// matrix's O(N) shadow, not an independent truth.
+// matrix's O(N) shadow, not an independent truth — also where several
+// workers' ledgers and matrices are merged.
 func TestLedgerMatchesMatrix(t *testing.T) {
 	g, specs := pipelineSpecs(32)
+	specs = mirrored(32, specs)
 	p := Params{TauS: 100, Alpha: 20, Mu: 2, D: 37}
-	for _, w := range shardedWorkerCounts {
+	for _, w := range testWidths {
 		net, err := New(g, p)
 		if err != nil {
 			t.Fatal(err)
 		}
 		ledger := NewCopyLedger(g.N())
-		res, err := net.Run(specs, Options{Copies: true, Ledger: ledger, EngineWorkers: w})
+		restore := SetWidth(w)
+		res, err := net.Run(specs, Options{Copies: true, Ledger: ledger})
+		restore()
 		if err != nil {
 			t.Fatalf("workers=%d: %v", w, err)
 		}
@@ -141,10 +145,11 @@ func TestLedgerMatchesMatrix(t *testing.T) {
 }
 
 // TestLedgerShardedIdentical pins byte-identity of the counters-only
-// mode across worker counts: the ledger a sharded run merges from its
-// shard-locals equals the sequential ledger exactly.
+// mode across widths: the ledger a parallel run merges from its
+// workers' ledgers equals the one-worker ledger exactly.
 func TestLedgerShardedIdentical(t *testing.T) {
 	g, specs := pipelineSpecs(32)
+	specs = mirrored(32, specs)
 	p := Params{TauS: 0, Alpha: 20, Mu: 1, D: 37} // tightest same-tick fallback regime
 	seqNet, err := New(g, p)
 	if err != nil {
@@ -154,13 +159,16 @@ func TestLedgerShardedIdentical(t *testing.T) {
 	if _, err := seqNet.Run(specs, Options{Ledger: seqLedger}); err != nil {
 		t.Fatal(err)
 	}
-	for _, w := range shardedWorkerCounts {
+	for _, w := range testWidths {
 		net, err := New(g, p)
 		if err != nil {
 			t.Fatal(err)
 		}
 		ledger := NewCopyLedger(g.N())
-		if _, err := net.Run(specs, Options{Ledger: ledger, EngineWorkers: w}); err != nil {
+		restore := SetWidth(w)
+		_, err = net.Run(specs, Options{Ledger: ledger})
+		restore()
+		if err != nil {
 			t.Fatalf("workers=%d: %v", w, err)
 		}
 		for r := 0; r < g.N(); r++ {

@@ -2,66 +2,65 @@ package simnet
 
 import (
 	"reflect"
-	"strings"
+	"slices"
 	"testing"
 
 	"ihc/internal/topology"
 )
 
-// shardedWorkerCounts is the worker matrix every equivalence test runs:
-// the degenerate single worker, powers of two, and a prime that leaves a
-// ragged last shard.
-var shardedWorkerCounts = []int{1, 2, 4, 7}
+// testWidths are the widths (see SetWidth) every width check runs at:
+// one worker, powers of two, and a prime that loads workers unevenly.
+var testWidths = []int{1, 2, 4, 7}
 
-// recordingObserver captures the full observer stream for stream-level
-// equivalence checks.
-type recordingObserver struct {
-	hops []HopEvent
-	dels []Delivery
-	log  []string // interleaving: "h" per hop, "d" per delivery
+// mirrored appends to specs the mirror image of each packet on the
+// n-node ring, which travels the ring the other way. The two directions
+// share no directed link, so the run has at least two components.
+func mirrored(n int, specs []PacketSpec) []PacketSpec {
+	out := slices.Clip(specs)
+	for _, s := range specs {
+		r := make([]topology.Node, len(s.Route))
+		for i, v := range s.Route {
+			r[i] = topology.Node((n - int(v)) % n)
+		}
+		s.ID = PacketID{Source: r[0], Channel: 1, Seq: s.ID.Seq}
+		s.Route = r
+		out = append(out, s)
+	}
+	return out
 }
 
-func (r *recordingObserver) OnHop(e HopEvent) { r.hops = append(r.hops, e); r.log = append(r.log, "h") }
-func (r *recordingObserver) OnDeliver(d Delivery) {
-	r.dels = append(r.dels, d)
-	r.log = append(r.log, "d")
-}
-
-// fullResult bundles everything a run can output, for deep comparison.
+// fullResult bundles what a run outputs, for deep comparison.
 type fullResult struct {
 	key         resultKey
 	faultDrops  int
 	faultTaints int
 	deliveries  []Delivery
-	traces      map[PacketID][]Hop
 	copies      [][]int
-	obsHops     []HopEvent
-	obsDels     []Delivery
-	obsLog      string
+	workers     int // workers the run planned
 }
 
-func capture(t *testing.T, g *topology.Graph, p Params, specs []PacketSpec, opts Options, workers int) fullResult {
+// capture runs specs on a fresh network at width w.
+func capture(t *testing.T, g *topology.Graph, p Params, specs []PacketSpec, opts Options, w int) fullResult {
 	t.Helper()
+	defer SetWidth(w)()
 	net, err := New(g, p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec := &recordingObserver{}
-	opts.Observe = rec
-	opts.EngineWorkers = workers
+	k, err := net.PlannedWorkers(specs, opts)
+	if err != nil {
+		t.Fatalf("width %d: %v", w, err)
+	}
 	res, err := net.RunScratch(specs, opts, nil)
 	if err != nil {
-		t.Fatalf("workers=%d: %v", workers, err)
+		t.Fatalf("width %d: %v", w, err)
 	}
 	f := fullResult{
 		key:         keyOf(res),
 		faultDrops:  res.FaultDrops,
 		faultTaints: res.FaultTaints,
 		deliveries:  res.Deliveriesv,
-		traces:      res.Traces,
-		obsHops:     rec.hops,
-		obsDels:     rec.dels,
-		obsLog:      strings.Join(rec.log, ""),
+		workers:     k,
 	}
 	if res.Copies != nil {
 		f.copies = make([][]int, g.N())
@@ -75,62 +74,53 @@ func capture(t *testing.T, g *topology.Graph, p Params, specs []PacketSpec, opts
 	return f
 }
 
-// assertShardedIdentical runs the workload sequentially and under every
-// worker count, requiring byte-identical output on every channel a run
-// has: counters, the ordered delivery log, per-packet traces, the copy
-// matrix, and the full observer stream including its interleaving.
-func assertShardedIdentical(t *testing.T, g *topology.Graph, p Params, specs []PacketSpec, opts Options) {
+// assertShardedIdentical runs the workload once with the delivery log
+// and traces on, which hold it on one worker, and then without them at
+// every test width: the counters, the fault counts and the copy matrix
+// must match the reference at every width. A parallel workload must
+// plan several workers at every width above one; any other must stay on
+// one.
+func assertShardedIdentical(t *testing.T, g *topology.Graph, p Params, specs []PacketSpec, opts Options, parallel bool) {
 	t.Helper()
-	opts.RecordDeliveries = true
-	opts.Trace = true
-	want := capture(t, g, p, specs, opts, 0)
+	full := opts
+	full.RecordDeliveries, full.Trace = true, true
+	want := capture(t, g, p, specs, full, 1)
 	if want.key.deliveries == 0 {
 		t.Fatal("workload delivered nothing; equivalence check vacuous")
 	}
-	for _, w := range shardedWorkerCounts {
+	for _, w := range testWidths {
 		got := capture(t, g, p, specs, opts, w)
+		if several := parallel && w > 1; several != (got.workers > 1) {
+			t.Fatalf("width %d: planned %d workers, want several: %t", w, got.workers, several)
+		}
 		if got.key != want.key {
-			t.Errorf("workers=%d: counters differ:\n got %+v\nwant %+v", w, got.key, want.key)
+			t.Errorf("width %d: counters differ:\n got %+v\nwant %+v", w, got.key, want.key)
 		}
 		if got.faultDrops != want.faultDrops || got.faultTaints != want.faultTaints {
-			t.Errorf("workers=%d: fault counters differ: got %d/%d want %d/%d",
+			t.Errorf("width %d: fault counters differ: got %d/%d want %d/%d",
 				w, got.faultDrops, got.faultTaints, want.faultDrops, want.faultTaints)
 		}
-		if !reflect.DeepEqual(got.deliveries, want.deliveries) {
-			t.Errorf("workers=%d: delivery log differs (%d vs %d entries)", w, len(got.deliveries), len(want.deliveries))
-		}
-		if !reflect.DeepEqual(got.traces, want.traces) {
-			t.Errorf("workers=%d: traces differ", w)
-		}
 		if !reflect.DeepEqual(got.copies, want.copies) {
-			t.Errorf("workers=%d: copy matrix differs", w)
-		}
-		if got.obsLog != want.obsLog {
-			t.Errorf("workers=%d: observer interleaving differs", w)
-		}
-		if !reflect.DeepEqual(got.obsHops, want.obsHops) {
-			t.Errorf("workers=%d: observed hop stream differs (%d vs %d)", w, len(got.obsHops), len(want.obsHops))
-		}
-		if !reflect.DeepEqual(got.obsDels, want.obsDels) {
-			t.Errorf("workers=%d: observed delivery stream differs", w)
+			t.Errorf("width %d: copy matrix differs", w)
 		}
 	}
 }
 
 func TestShardedIdenticalModes(t *testing.T) {
 	g, specs := pipelineSpecs(32)
+	specs = mirrored(32, specs)
 	for _, mode := range []Mode{VirtualCutThrough, StoreAndForward, Wormhole} {
 		t.Run(mode.String(), func(t *testing.T) {
 			p := Params{TauS: 100, Alpha: 20, Mu: 2, D: 37, Mode: mode}
-			assertShardedIdentical(t, g, p, specs, Options{Copies: true})
+			assertShardedIdentical(t, g, p, specs, Options{Copies: true}, true)
 		})
 	}
 }
 
 // TestShardedIdenticalContended drives every packet through the same few
-// links (a short ring with long overlapping routes) so same-tick link
-// contention — the case the deterministic event key exists for — is
-// exercised heavily.
+// links (a short ring with long overlapping routes, in both directions)
+// so same-tick link contention — the case the deterministic event key
+// exists for — is exercised heavily.
 func TestShardedIdenticalContended(t *testing.T) {
 	g := topology.MustCycle(6)
 	ring := make([]topology.Node, 12)
@@ -148,19 +138,19 @@ func TestShardedIdenticalContended(t *testing.T) {
 	// τ_S = 0 and μ = 1 make the blocked-cut-through fallback land at the
 	// exact timestamp of its evCut — the tightest tie the key must break.
 	p := Params{TauS: 0, Alpha: 20, Mu: 1, D: 37}
-	assertShardedIdentical(t, g, p, specs, Options{Copies: true})
+	assertShardedIdentical(t, g, p, mirrored(6, specs), Options{Copies: true}, true)
 }
 
 func TestShardedIdenticalBackground(t *testing.T) {
 	g, specs := pipelineSpecs(24)
 	p := Params{TauS: 100, Alpha: 20, Mu: 2, D: 37, Rho: 0.35, Seed: 12345}
-	assertShardedIdentical(t, g, p, specs, Options{})
+	assertShardedIdentical(t, g, p, mirrored(24, specs), Options{}, true)
 }
 
 func TestShardedIdenticalSaturated(t *testing.T) {
 	g, specs := pipelineSpecs(16)
 	p := Params{TauS: 100, Alpha: 20, Mu: 2, D: 37}
-	assertShardedIdentical(t, g, p, specs, Options{Saturated: true})
+	assertShardedIdentical(t, g, p, mirrored(16, specs), Options{Saturated: true}, true)
 }
 
 func TestShardedIdenticalFlits(t *testing.T) {
@@ -169,12 +159,12 @@ func TestShardedIdenticalFlits(t *testing.T) {
 		specs[i].Flits = 1 + i%3
 	}
 	p := Params{TauS: 100, Alpha: 20, Mu: 2, D: 37}
-	assertShardedIdentical(t, g, p, specs, Options{})
+	assertShardedIdentical(t, g, p, mirrored(16, specs), Options{}, true)
 }
 
-// TestShardedIdenticalDeps exercises the cross-shard dependency-release
-// path: a redirect chain where each packet is injected only after its
-// parent delivered at the child's source node.
+// TestShardedIdenticalDeps runs a redirect chain, where each packet is
+// injected only after its parent delivered at the child's source node:
+// the After lists hold it on one worker at every width.
 func TestShardedIdenticalDeps(t *testing.T) {
 	g := topology.MustCycle(12)
 	route := func(from, n int) []topology.Node {
@@ -192,12 +182,11 @@ func TestShardedIdenticalDeps(t *testing.T) {
 		{ID: PacketID{Source: 9, Seq: 3}, Route: route(9, 4), Tee: true, After: []int{2, 3}},
 	}
 	p := Params{TauS: 100, Alpha: 20, Mu: 2, D: 37}
-	assertShardedIdentical(t, g, p, specs, Options{Copies: true})
+	assertShardedIdentical(t, g, p, specs, Options{Copies: true}, false)
 }
 
-// pureFault drops or taints hops as a pure function of its arguments —
-// the concurrency-safety contract Options.Fault documents for sharded
-// runs, and the shape internal/fault's compiled Injector has.
+// pureFault drops or taints hops as a pure function of its arguments,
+// the shape internal/fault's compiled Injector has.
 type pureFault struct{}
 
 func (pureFault) Relay(id PacketID, hop int, from, to topology.Node, depart Time) FaultAction {
@@ -212,51 +201,35 @@ func (pureFault) Relay(id PacketID, hop int, from, to topology.Node, depart Time
 	}
 }
 
+// TestShardedIdenticalFaults: a fault hook holds the run on one worker
+// at every width.
 func TestShardedIdenticalFaults(t *testing.T) {
 	g, specs := pipelineSpecs(24)
 	p := Params{TauS: 100, Alpha: 20, Mu: 2, D: 37}
-	assertShardedIdentical(t, g, p, specs, Options{Fault: pureFault{}})
+	assertShardedIdentical(t, g, p, mirrored(24, specs), Options{Fault: pureFault{}}, false)
 }
 
-// TestShardedRejectsController pins the contract: controllers are
-// sequential by definition, so sharded runs must refuse them loudly
-// rather than run them racily.
-func TestShardedRejectsController(t *testing.T) {
-	g, specs := pipelineSpecs(8)
-	net, err := New(g, Params{TauS: 100, Alpha: 20, Mu: 2, D: 37})
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, err = net.Run(specs, Options{Control: noopController{}, EngineWorkers: 4})
-	if err == nil || !strings.Contains(err.Error(), "Controller") {
-		t.Fatalf("sharded run with controller: got err %v, want refusal mentioning Controller", err)
-	}
-}
-
-type noopController struct{}
-
-func (noopController) Attach(*Runtime, []PacketSpec)        {}
-func (noopController) OnDeliver(int32, topology.Node, Time) {}
-func (noopController) OnTimer(Time, int64)                  {}
-
-// TestShardedWorkerClamp asks for far more workers than the graph has
-// arcs; the run must clamp rather than divide by zero or leave empty
-// shards misrouting events.
+// TestShardedWorkerClamp runs two components at a width of 64, far
+// more than the graph's 6 arcs: planning must clamp to 2 workers rather
+// than leave empty workers misrouting events.
 func TestShardedWorkerClamp(t *testing.T) {
-	g := topology.MustCycle(3) // 6 arcs
-	specs := []PacketSpec{{ID: PacketID{Source: 0}, Route: []topology.Node{0, 1, 2}, Tee: true}}
+	g := topology.MustCycle(3)
+	specs := mirrored(3, []PacketSpec{{ID: PacketID{Source: 0}, Route: []topology.Node{0, 1, 2}, Tee: true}})
 	p := Params{TauS: 100, Alpha: 20, Mu: 2, D: 37}
-	want := capture(t, g, p, specs, Options{RecordDeliveries: true}, 0)
-	got := capture(t, g, p, specs, Options{RecordDeliveries: true}, 64)
-	if got.key != want.key || !reflect.DeepEqual(got.deliveries, want.deliveries) {
+	want := capture(t, g, p, specs, Options{}, 1)
+	got := capture(t, g, p, specs, Options{}, 64)
+	if got.workers != 2 {
+		t.Fatalf("width 64 planned %d workers for 2 components, want 2", got.workers)
+	}
+	if got.key != want.key {
 		t.Fatalf("clamped run differs: got %+v want %+v", got.key, want.key)
 	}
 }
 
 // TestScratchReuseAcrossTopologies is the aliasing regression test: one
 // Scratch serves runs on networks of very different sizes and shapes,
-// sequentially and sharded, interleaved — any stale compiled-route,
-// dependency-table, or shard state leaking between runs shows up as a
+// on one worker and on several, interleaved — any stale compiled-route,
+// dependency-table, or worker state leaking between runs shows up as a
 // mismatch against a fresh-scratch reference.
 func TestScratchReuseAcrossTopologies(t *testing.T) {
 	p := Params{TauS: 100, Alpha: 20, Mu: 2, D: 37}
@@ -282,31 +255,35 @@ func TestScratchReuseAcrossTopologies(t *testing.T) {
 		{ID: PacketID{Source: 2, Seq: 1}, Route: []topology.Node{2, 3, 4}, After: []int{0}},
 	}
 	workloads := []workload{
-		{"ring64", big, bigSpecs},
+		{"ring64", big, mirrored(64, bigSpecs)},
 		{"q3", qube, qubeSpecs},
 		{"ring8", small, smallSpecs},
 		{"deps", topology.MustCycle(8), deps},
-		{"ring64-again", big, bigSpecs},
+		{"ring64-again", big, mirrored(64, bigSpecs)},
 	}
 	sc := NewScratch()
 	for _, wl := range workloads {
-		for _, w := range []int{0, 3} {
-			opts := Options{RecordDeliveries: true, EngineWorkers: w}
+		for _, w := range []int{1, 3} {
+			// The delivery log holds a run on one worker, so only the
+			// one-worker runs keep it.
+			opts := Options{RecordDeliveries: w == 1}
 			fresh := capture(t, wl.g, p, wl.specs, opts, w)
 			net, err := New(wl.g, p)
 			if err != nil {
 				t.Fatal(err)
 			}
+			restore := SetWidth(w)
 			res, err := net.RunScratch(wl.specs, opts, sc)
+			restore()
 			if err != nil {
-				t.Fatalf("%s workers=%d reused scratch: %v", wl.name, w, err)
+				t.Fatalf("%s width %d reused scratch: %v", wl.name, w, err)
 			}
 			if keyOf(res) != fresh.key {
-				t.Errorf("%s workers=%d: reused scratch differs from fresh:\n got %+v\nwant %+v",
+				t.Errorf("%s width %d: reused scratch differs from fresh:\n got %+v\nwant %+v",
 					wl.name, w, keyOf(res), fresh.key)
 			}
 			if !reflect.DeepEqual(res.Deliveriesv, fresh.deliveries) {
-				t.Errorf("%s workers=%d: reused-scratch delivery log differs", wl.name, w)
+				t.Errorf("%s width %d: reused-scratch delivery log differs", wl.name, w)
 			}
 		}
 	}
@@ -331,7 +308,7 @@ func TestCompiledPathWindows(t *testing.T) {
 			Tee:   true,
 		})
 	}
-	want := capture(t, g, p, plain, Options{Copies: true, RecordDeliveries: true}, 0)
+	want := capture(t, g, p, plain, Options{Copies: true, RecordDeliveries: true}, 1)
 
 	net, err := New(g, p)
 	if err != nil {

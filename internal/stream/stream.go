@@ -745,8 +745,12 @@ func (nd *Node) serveNak(f *transport.Frame) {
 }
 
 // serveJoin answers a rejoiner's epoch query with a signed EPOCH
-// response carrying the highest round we know of.
+// response carrying the highest round we know of. A JOIN from a
+// non-neighbor is dropped before signing: nothing can be sent to it.
 func (nd *Node) serveJoin(f *transport.Frame) {
+	if !nd.cfg.IHC.Graph().HasEdge(nd.cfg.Self, f.From) {
+		return
+	}
 	if !nd.joined || nd.next == 0 {
 		return // we do not know the epoch either
 	}

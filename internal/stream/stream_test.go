@@ -334,18 +334,45 @@ func TestRelayStaysOnCycle(t *testing.T) {
 	}
 }
 
-// TestNakFromNonNeighborIgnored: a NAK is unsigned, so its From can
-// name anything. One from a node that is not a neighbor, or from no
-// node at all, is dropped unanswered instead of indexing the schedule.
+// TestNakFromNonNeighborIgnored: NAK and JOIN are unsigned, so their
+// From can name anything. One from a node that is not a neighbor, or
+// from no node at all, is dropped unanswered, through handle and
+// through Serve, instead of indexing the schedule or signing a reply
+// nothing can be sent to. The same JOIN from a neighbor is answered.
 func TestNakFromNonNeighborIgnored(t *testing.T) {
-	nd, ep, kr := testNode(t, nil)
-	nd.handle(copyBody(t, nd, kr, 5, 0, []byte("batch"), hlc.Timestamp{}))
-	ep.sent = nil
-	for _, from := range []topology.Node{3, -1, topology.Node(nd.n), 1 << 20} {
-		nd.handle(encode(t, kr, &transport.Frame{Kind: transport.FrameNak, From: from, Source: 5}))
-		nd.handle(encode(t, kr, &transport.Frame{Kind: transport.FrameNak, From: from, Source: 6}))
-	}
-	if len(ep.sent) != 0 {
-		t.Fatalf("NAKs from non-neighbors answered: %+v", ep.sent)
+	for _, via := range []string{"handle", "Serve"} {
+		nd, ep, kr := testNode(t, nil)
+		nd.handle(copyBody(t, nd, kr, 5, 0, []byte("batch"), hlc.Timestamp{}))
+		deliver := func(bodies ...[]byte) {
+			ep.sent = nil
+			if via == "handle" {
+				for _, b := range bodies {
+					nd.handle(b)
+				}
+				return
+			}
+			ep.recv = make(chan []byte, len(bodies))
+			for _, b := range bodies {
+				ep.recv <- b
+			}
+			close(ep.recv)
+			nd.Serve(context.Background())
+		}
+		var bodies [][]byte
+		for _, from := range []topology.Node{3, -1, topology.Node(nd.n), 1 << 20} {
+			bodies = append(bodies,
+				encode(t, kr, &transport.Frame{Kind: transport.FrameNak, From: from, Source: 5}),
+				encode(t, kr, &transport.Frame{Kind: transport.FrameNak, From: from, Source: 6}),
+				encode(t, kr, &transport.Frame{Kind: transport.FrameJoin, From: from, Source: from}))
+		}
+		deliver(bodies...)
+		if len(ep.sent) != 0 {
+			t.Fatalf("%s: NAKs or JOINs from non-neighbors answered: %+v", via, ep.sent)
+		}
+		nb := nd.neighbors[0]
+		deliver(encode(t, kr, &transport.Frame{Kind: transport.FrameJoin, From: nb, Source: nb}))
+		if len(ep.sent) != 1 || ep.sent[0].to != nb || ep.sent[0].f.Kind != transport.FrameEpoch {
+			t.Fatalf("%s: JOIN from neighbor %d answered with %+v, want one EPOCH frame", via, nb, ep.sent)
+		}
 	}
 }
