@@ -87,19 +87,21 @@ fuzz:
 smoke-engine:
 	$(GO) run ./cmd/enginebench -quick -check -o /dev/null
 
-# Quick multi-worker engine equivalence: the scaling experiment's quick
-# points, once at GOMAXPROCS=1 (one engine worker per run) and once at
-# GOMAXPROCS=4, where the quick SQ16 point (~130,000 hops and 4
-# components per stage) drains each stage's arc-disjoint directed
-# cycles on 4 goroutines, must render byte-identical tables (stderr
-# carries the wall-clock line and is discarded); then the engine
+# Quick pool- and engine-width equivalence: the whole quick suite, once
+# at GOMAXPROCS=1 (experiments, sweep points and each run's engine all
+# on one goroutine) and once at GOMAXPROCS=4, where the pool runs four
+# experiments and four sweep points at a time and the scaling
+# experiment's quick SQ16 point (~130,000 hops and 4 components per
+# stage) drains each stage's arc-disjoint directed cycles on 4
+# goroutines, must render byte-identical tables (stderr carries the
+# wall-clock line and is discarded); then the engine
 # equivalence/aliasing tests re-run under the race detector, also at
 # GOMAXPROCS=4, including the component identity matrices and the
 # check of what holds a run on one goroutine.
 sharded-quick:
 	@tmp=$$(mktemp -d); \
-	GOMAXPROCS=1 $(GO) run ./cmd/ihcbench -quick -run scaling >$$tmp/seq.txt 2>/dev/null; \
-	GOMAXPROCS=4 $(GO) run ./cmd/ihcbench -quick -run scaling >$$tmp/par.txt 2>/dev/null; \
+	GOMAXPROCS=1 $(GO) run ./cmd/ihcbench -quick >$$tmp/seq.txt 2>/dev/null; \
+	GOMAXPROCS=4 $(GO) run ./cmd/ihcbench -quick >$$tmp/par.txt 2>/dev/null; \
 	if cmp -s $$tmp/seq.txt $$tmp/par.txt; then \
 		echo "sharded-quick: GOMAXPROCS=4 output byte-identical to GOMAXPROCS=1"; rm -rf $$tmp; \
 	else \

@@ -60,12 +60,14 @@ func BenchmarkReliability(b *testing.B) { benchExperiment(b, "reliability") }
 func BenchmarkLoad(b *testing.B)        { benchExperiment(b, "load") }
 func BenchmarkUtilization(b *testing.B) { benchExperiment(b, "utilization") }
 
-// --- Whole-suite runs: sequential vs parallel ---
+// --- Whole-suite run ---
 
-func benchSuite(b *testing.B, workers int) {
-	b.Helper()
-	cfg := harness.Config{Quick: true, Workers: workers, Stats: &harness.RunStats{}}
-	b.ResetTimer()
+// BenchmarkSuite regenerates every experiment, fanning them (and their
+// inner sweep points) out on the GOMAXPROCS-wide pool. Run it with
+// -cpu 1,2 to see the pool's speedup on a multi-core machine; every
+// width produces identical tables.
+func BenchmarkSuite(b *testing.B) {
+	cfg := harness.Config{Quick: true, Stats: &harness.RunStats{}}
 	for i := 0; i < b.N; i++ {
 		for _, r := range harness.RunAll(cfg) {
 			if r.Err != nil {
@@ -75,13 +77,6 @@ func benchSuite(b *testing.B, workers int) {
 	}
 	b.ReportMetric(float64(cfg.Stats.Events())/float64(b.N), "events/op")
 }
-
-// BenchmarkSuiteSequential regenerates every experiment one at a time;
-// BenchmarkSuiteParallel fans them (and their inner sweep points) across
-// the GOMAXPROCS-wide pool. Comparing the two shows the sweep executor's
-// speedup on a multi-core machine; both produce identical tables.
-func BenchmarkSuiteSequential(b *testing.B) { benchSuite(b, 1) }
-func BenchmarkSuiteParallel(b *testing.B)   { benchSuite(b, 0) }
 
 // --- Substrate performance ---
 

@@ -4,7 +4,7 @@
 // Usage:
 //
 //	atasim -net Q6 -algo ihc -eta 2
-//	atasim -net Q6 -algo ihc -eta 2,4,8     # sweep η on the worker pool
+//	atasim -net Q6 -algo ihc -eta 2,4,8     # sweep η on the GOMAXPROCS-wide pool
 //	atasim -net SQ8 -algo vsq
 //	atasim -net Q6 -algo ihc -eta 2 -rho 0.5 -seed 7
 //	atasim -net H3 -algo ks -saturated
@@ -19,6 +19,7 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -26,7 +27,6 @@ import (
 	"runtime"
 	"strconv"
 	"strings"
-	"sync"
 	"syscall"
 
 	"ihc/internal/baseline/atarun"
@@ -37,6 +37,7 @@ import (
 	"ihc/internal/core"
 	"ihc/internal/hamilton"
 	"ihc/internal/observe"
+	"ihc/internal/par"
 	"ihc/internal/profiling"
 	"ihc/internal/simnet"
 	"ihc/internal/topology"
@@ -51,7 +52,6 @@ func main() {
 		net       = flag.String("net", "Q4", "network: Q<m>, SQ<m>, or H<m>")
 		algo      = flag.String("algo", "ihc", "algorithm: ihc, vrs, ks, vsq, frs")
 		eta       = flag.String("eta", "2", "IHC interleaving distance η, or a comma-separated list to sweep")
-		workers   = flag.Int("workers", 0, "worker-pool width for η sweeps (0 = GOMAXPROCS, 1 = sequential)")
 		overlap   = flag.Bool("overlap", false, "IHC: overlap stages (modified algorithm)")
 		taus      = flag.Int64("taus", 100, "startup τ_S (ticks)")
 		alpha     = flag.Int64("alpha", 20, "cut-through delay α (ticks)")
@@ -111,44 +111,21 @@ func main() {
 			fail(err)
 		}
 		// The IHC instance is read-only during Run (each call builds a
-		// fresh simnet.Network), so the η sweep points fan out across a
-		// bounded pool; results print in input order.
+		// fresh simnet.Network), so the η sweep points fan out on the par
+		// pool; results print in input order. A trace sink takes one
+		// stream, so under -trace the points run one at a time.
 		type out struct {
-			res  *core.Result
-			err  error
-			met  *observe.Metrics
-			orc  *observe.Oracle
-			done bool
+			res *core.Result
+			met *observe.Metrics
+			orc *observe.Oracle
 		}
-		outs := make([]out, len(etas))
-		w := *workers
-		if w <= 0 {
-			w = runtime.GOMAXPROCS(0)
-		}
-		if w > len(etas) {
-			w = len(etas)
-		}
-		if trace != nil {
-			// A trace sink is single-stream: run the sweep sequentially so
-			// the exported stream is the engine's deterministic order.
-			w = 1
-		}
-		runOne := func(i int) {
-			select {
-			case <-ctx.Done():
-				return // sweep interrupted: leave the point unrun
-			default:
-			}
-			var sinks []simnet.Observer
-			if trace != nil {
-				sinks = append(sinks, trace)
-			}
-			var met *observe.Metrics
+		outs, errs := par.Map(len(etas), trace != nil, ctx.Done(), func(i int) (out, error) {
+			var o out
+			sinks := []simnet.Observer{trace}
 			if *metricsF {
-				met = observe.NewMetrics()
-				sinks = append(sinks, met)
+				o.met = observe.NewMetrics()
+				sinks = append(sinks, o.met)
 			}
-			var orc *observe.Oracle
 			if *oracleF || *oracleS {
 				n := g.N()
 				// Theorem 3 promises contention-freeness only on a
@@ -166,55 +143,28 @@ func main() {
 				if free && n <= 256 {
 					oc.ExpectCopies = x.Gamma()
 				}
-				o, err := observe.NewOracle(oc)
+				orc, err := observe.NewOracle(oc)
 				if err != nil {
-					outs[i] = out{err: err, done: true}
-					return
+					return o, err
 				}
-				orc = o
+				o.orc = orc
 				sinks = append(sinks, orc)
 			}
-			res, err := x.Run(core.Config{
+			var err error
+			o.res, err = x.Run(core.Config{
 				Eta: etas[i], Params: p, Overlap: *overlap, Saturated: *saturated,
 				SkipCopies: !*verify || *ledgerF, Ledger: *ledgerF && *verify,
 				Observe: observe.Tee(sinks...),
 			})
-			outs[i] = out{res, err, met, orc, true}
-		}
-		if w <= 1 {
-			for i := range etas {
-				runOne(i)
-			}
-		} else {
-			idx := make(chan int)
-			var wg sync.WaitGroup
-			for j := 0; j < w; j++ {
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					for i := range idx {
-						runOne(i)
-					}
-				}()
-			}
-		dispatch:
-			for i := range etas {
-				select {
-				case idx <- i:
-				case <-ctx.Done():
-					break dispatch
-				}
-			}
-			close(idx)
-			wg.Wait()
-		}
+			return o, err
+		})
 		printed := false
 		for i, o := range outs {
-			if !o.done {
+			if errors.Is(errs[i], par.ErrCanceled) {
 				continue // skipped after an interrupt
 			}
-			if o.err != nil {
-				fail(o.err)
+			if errs[i] != nil {
+				fail(errs[i])
 			}
 			if printed {
 				fmt.Println()

@@ -29,7 +29,6 @@ import (
 	"runtime"
 	"strconv"
 	"strings"
-	"sync"
 	"syscall"
 	"time"
 
@@ -38,6 +37,7 @@ import (
 	"ihc/internal/fault"
 	"ihc/internal/hamilton"
 	"ihc/internal/observe"
+	"ihc/internal/par"
 	"ihc/internal/profiling"
 	"ihc/internal/simnet"
 	"ihc/internal/topology"
@@ -74,7 +74,6 @@ func main() {
 		budget  = flag.Int("budget", 50000, "largest placement count enumerated exhaustively")
 		samples = flag.Int("samples", 10000, "random placements per point beyond the budget")
 		seed    = flag.Int64("seed", 1, "campaign seed (sampling and Byzantine coins)")
-		workers = flag.Int("workers", 0, "frontier series run concurrently (0 = GOMAXPROCS)")
 		quick   = flag.Bool("quick", false, "shrink budgets so the campaign runs in seconds")
 		repairF = flag.Bool("repair", false, "also sweep the broken-link frontier with the self-healing layer on; fail unless it beats the static γ bound")
 		oracleF = flag.Bool("oracle", false, "pre-flight each topology fault-free under the live theorem oracle before the campaign")
@@ -96,11 +95,6 @@ func main() {
 			cfg.Samples = 500
 		}
 	}
-	w := *workers
-	if w <= 0 {
-		w = runtime.GOMAXPROCS(0)
-	}
-
 	type job struct {
 		base campaign.Point
 		tMax int
@@ -164,33 +158,13 @@ func main() {
 	}
 
 	start := time.Now()
-	frontiers := make([]*campaign.Frontier, len(jobs))
-	errs := make([]error, len(jobs))
-	idx := make(chan int)
-	var wg sync.WaitGroup
-	for i := 0; i < w; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for j := range idx {
-				frontiers[j], errs[j] = campaign.RunFrontier(jobs[j].base, cfg, jobs[j].tMax)
-			}
-		}()
-	}
-dispatch:
-	for j := range jobs {
-		select {
-		case idx <- j:
-		case <-ctx.Done():
-			break dispatch
-		}
-	}
-	close(idx)
-	wg.Wait()
+	frontiers, errs := par.Map(len(jobs), false, ctx.Done(), func(j int) (*campaign.Frontier, error) {
+		return campaign.RunFrontier(jobs[j].base, cfg, jobs[j].tMax)
+	})
 	stopProf()
 	interrupted := ctx.Err() != nil
 	for _, err := range errs {
-		if err != nil && !errors.Is(err, campaign.ErrCanceled) {
+		if err != nil && !errors.Is(err, campaign.ErrCanceled) && !errors.Is(err, par.ErrCanceled) {
 			fail(err)
 		}
 	}
@@ -209,7 +183,7 @@ dispatch:
 	rep := report{
 		Date:      time.Now().UTC().Format("2006-01-02"),
 		GoVersion: runtime.Version(),
-		Workers:   w, Budget: cfg.Budget, Samples: cfg.Samples, Seed: *seed,
+		Workers:   runtime.GOMAXPROCS(0), Budget: cfg.Budget, Samples: cfg.Samples, Seed: *seed,
 		Frontiers:   frontiers,
 		ElapsedSec:  time.Since(start).Seconds(),
 		Interrupted: interrupted,
@@ -287,7 +261,7 @@ dispatch:
 			rf.Topo, rf.Gamma, rf.MaxSafe, rf.MaxSafe > rf.Gamma)
 	}
 	fmt.Printf("faultcamp: %d placements in %.1fs (%.3g placements/s) on %d worker(s) -> %s\n",
-		rep.TotalPlacements, rep.ElapsedSec, rep.PlacementsPerSec, w, *out)
+		rep.TotalPlacements, rep.ElapsedSec, rep.PlacementsPerSec, rep.Workers, *out)
 	if len(rep.Violations) > 0 {
 		for _, v := range rep.Violations {
 			fmt.Fprintln(os.Stderr, "BOUND VIOLATION:", v)

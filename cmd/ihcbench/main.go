@@ -7,22 +7,21 @@
 //	ihcbench -quick           # small networks (seconds)
 //	ihcbench -run table2      # one experiment by id
 //	ihcbench -list            # list experiment ids
-//	ihcbench -workers 8       # worker-pool width (0 = GOMAXPROCS)
+//	GOMAXPROCS=8 ihcbench     # pool and engine width
 //	ihcbench -taus 100 -alpha 20 -mu 2 -d 37   # timing overrides
 //	ihcbench -metrics         # aggregate observability metrics across all runs
 //	ihcbench -run table2 -trace t2.jsonl        # per-hop stream of one experiment
 //	ihcbench -cpuprofile cpu.pprof -memprofile mem.pprof
 //
 // Experiments — and the independent sweep points inside them — fan out
-// across a bounded worker pool; results are merged in the registry's
-// stable order, so stdout is byte-identical for every -workers value.
-// -metrics attaches a per-worker observability sink to every simulation;
-// the per-worker aggregates merge order-independently, so the reported
-// snapshot is also identical for every -workers value. -trace is
-// single-stream: it forces the pool to width 1 and requires -run. A
+// on a pool GOMAXPROCS wide; results are merged in the registry's
+// stable order, so stdout is byte-identical at every GOMAXPROCS.
+// -metrics attaches a private observability sink to every sweep point;
+// the per-point aggregates merge order-independently, so the reported
+// snapshot is also identical at every GOMAXPROCS. -trace is
+// single-stream: it runs the points one at a time and requires -run. A
 // large run drains its arc-disjoint cycles on up to GOMAXPROCS
-// goroutines, so GOMAXPROCS=1 keeps every run on one; stdout is the
-// same at every GOMAXPROCS.
+// goroutines too, so GOMAXPROCS=1 runs everything on one.
 package main
 
 import (
@@ -47,13 +46,12 @@ func main() {
 		quick     = flag.Bool("quick", false, "use small network sizes")
 		run       = flag.String("run", "", "run a single experiment id (default: all)")
 		list      = flag.Bool("list", false, "list experiment ids and exit")
-		workers   = flag.Int("workers", 0, "worker-pool width for experiments and sweep points (0 = GOMAXPROCS, 1 = sequential)")
 		taus      = flag.Int64("taus", 100, "message startup time τ_S (ticks)")
 		alpha     = flag.Int64("alpha", 20, "cut-through delay α (ticks)")
 		mu        = flag.Int("mu", 2, "packet length μ (FIFO-buffer units)")
 		d         = flag.Int64("d", 37, "queueing delay D (ticks)")
 		metricsF  = flag.Bool("metrics", false, "aggregate per-link/node/stage metrics across every simulation and print a summary")
-		tracePath = flag.String("trace", "", "write the per-hop observer stream to this file (\"-\" for stdout; requires -run, forces -workers 1)")
+		tracePath = flag.String("trace", "", "write the per-hop observer stream to this file (\"-\" for stdout; requires -run, runs the points one at a time)")
 		traceFmt  = flag.String("tracefmt", "jsonl", "trace format: jsonl or chrome")
 		cpuProf   = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memProf   = flag.String("memprofile", "", "write a heap profile to this file on exit")
@@ -93,7 +91,6 @@ func main() {
 			Mu:    *mu,
 			D:     simnet.Time(*d),
 		},
-		Workers: *workers,
 		Stats:   stats,
 		Metrics: shared,
 		Trace:   trace,
@@ -149,10 +146,7 @@ func main() {
 		fmt.Printf("=== metrics ===\n%s\n", shared.Snapshot().Summary())
 	}
 
-	w := *workers
-	if w <= 0 {
-		w = runtime.GOMAXPROCS(0)
-	}
+	w := runtime.GOMAXPROCS(0)
 	if trace != nil {
 		w = 1
 	}

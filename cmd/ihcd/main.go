@@ -205,12 +205,11 @@ func runDaemon(m, eta, self int, listen, peersPath string, epochNano int64, stag
 	}
 
 	ep, err := transport.NewTCP(transport.TCPConfig{
-		Self:    topology.Node(self),
-		Graph:   x.Graph(),
-		Listen:  listen,
-		Peers:   peers,
-		Dial:    transport.BackoffConfig{Seed: seed + int64(self) + 1},
-		Breaker: transport.BreakerConfig{},
+		Self:   topology.Node(self),
+		Graph:  x.Graph(),
+		Listen: listen,
+		Peers:  peers,
+		Dial:   transport.BackoffConfig{Seed: seed + int64(self) + 1},
 	})
 	if err != nil {
 		fail("%v", err)

@@ -21,10 +21,6 @@ type Generator func(src topology.Node, start simnet.Time, seq int) []simnet.Pack
 type Options struct {
 	Copies    bool // build the delivery matrix
 	Saturated bool // heavy-traffic limiting regime (Table IV)
-	// Scratch optionally supplies reusable simulator working memory,
-	// shared by all N chained broadcasts. Nil borrows from simnet's
-	// internal pool. Must not be shared by concurrent runs.
-	Scratch *simnet.Scratch
 	// Observe optionally streams every performed hop and delivery of
 	// all N chained broadcasts to an observability sink. Nil is the
 	// fast path.
@@ -62,7 +58,7 @@ func Sequential(g *topology.Graph, p simnet.Params, gen Generator, opts Options)
 	}
 	start := simnet.Time(0)
 	for src := 0; src < g.N(); src++ {
-		r, err := net.RunScratch(gen(topology.Node(src), start, src), simOpts, opts.Scratch)
+		r, err := net.Run(gen(topology.Node(src), start, src), simOpts)
 		if err != nil {
 			return nil, err
 		}

@@ -1,6 +1,7 @@
 package campaign
 
 import (
+	"errors"
 	"math/rand"
 	"testing"
 
@@ -263,9 +264,8 @@ func TestShrinkIsOneMinimal(t *testing.T) {
 	}
 }
 
-// TestRunAllOrderAndDeterminism: reports come back in input order and a
-// re-run with the same seeds is bitwise-identical in the deterministic
-// fields.
+// TestRunAllOrderAndDeterminism: a re-run of every point with the same
+// seeds is bitwise-identical in the deterministic fields.
 func TestRunAllOrderAndDeterminism(t *testing.T) {
 	x := mustIHC(t, topology.MustSquareTorus(4))
 	points := []Point{
@@ -275,27 +275,48 @@ func TestRunAllOrderAndDeterminism(t *testing.T) {
 		{X: x, Signed: true, Domain: DomainLinks, Kind: fault.Corrupt, T: 2, Seed: 9},
 	}
 	cfg := quickSearch()
-	a, err := RunAll(points, cfg, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := RunAll(points, cfg, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range points {
-		if a[i].T != points[i].T || a[i].Domain != points[i].Domain.String() {
-			t.Fatalf("report %d out of order: %+v", i, a[i])
+	for i, pt := range points {
+		a, err := RunPoint(pt, cfg)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if a[i].Placements != b[i].Placements || a[i].Violations != b[i].Violations ||
-			a[i].MinCorrectFraction != b[i].MinCorrectFraction ||
-			len(a[i].Counterexample) != len(b[i].Counterexample) {
-			t.Fatalf("report %d differs across worker counts:\n%+v\n%+v", i, a[i], b[i])
+		b, err := RunPoint(pt, cfg)
+		if err != nil {
+			t.Fatal(err)
 		}
-		for j := range a[i].Counterexample {
-			if a[i].Counterexample[j] != b[i].Counterexample[j] {
-				t.Fatalf("report %d counterexample differs: %v vs %v", i, a[i].Counterexample, b[i].Counterexample)
+		if a.T != pt.T || a.Domain != pt.Domain.String() {
+			t.Fatalf("report %d is for another point: %+v", i, a)
+		}
+		if a.Placements != b.Placements || a.Violations != b.Violations ||
+			a.MinCorrectFraction != b.MinCorrectFraction ||
+			len(a.Counterexample) != len(b.Counterexample) {
+			t.Fatalf("report %d differs across runs:\n%+v\n%+v", i, a, b)
+		}
+		for j := range a.Counterexample {
+			if a.Counterexample[j] != b.Counterexample[j] {
+				t.Fatalf("report %d counterexample differs: %v vs %v", i, a.Counterexample, b.Counterexample)
 			}
 		}
+	}
+}
+
+// TestSearchCanceled: a search whose Cancel channel is already closed
+// grades nothing and returns ErrCanceled, from the static and the
+// repaired frontier alike.
+func TestSearchCanceled(t *testing.T) {
+	x := mustIHC(t, topology.MustSquareTorus(4))
+	cancel := make(chan struct{})
+	close(cancel)
+	cfg := quickSearch()
+	cfg.Cancel = cancel
+	pt := Point{X: x, Domain: DomainLinks, Kind: fault.Corrupt, T: 1, Seed: 9}
+	if rep, err := RunPoint(pt, cfg); !errors.Is(err, ErrCanceled) || rep != nil {
+		t.Fatalf("RunPoint: (%v, %v), want (nil, ErrCanceled)", rep, err)
+	}
+	if f, err := RunFrontier(pt, cfg, 2); !errors.Is(err, ErrCanceled) || f != nil {
+		t.Fatalf("RunFrontier: (%v, %v), want (nil, ErrCanceled)", f, err)
+	}
+	if reps, maxSafe, err := RepairedFrontier(x, 2, Search{Budget: 30, Samples: 15, Cancel: cancel}, 1); !errors.Is(err, ErrCanceled) || reps != nil || maxSafe != 0 {
+		t.Fatalf("RepairedFrontier: (%v, %d, %v), want (nil, 0, ErrCanceled)", reps, maxSafe, err)
 	}
 }

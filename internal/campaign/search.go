@@ -6,7 +6,6 @@ import (
 	"hash/fnv"
 	"math/rand"
 	"sort"
-	"sync"
 	"time"
 
 	"ihc/internal/core"
@@ -398,39 +397,4 @@ func RunFrontier(base Point, cfg Search, tMax int) (*Frontier, error) {
 		f.MaxSafe = t
 	}
 	return f, nil
-}
-
-// RunAll searches every point on a bounded worker pool and returns the
-// reports in input order. The first error aborts the batch.
-func RunAll(points []Point, cfg Search, workers int) ([]*Report, error) {
-	if workers < 1 {
-		workers = 1
-	}
-	if workers > len(points) {
-		workers = len(points)
-	}
-	reports := make([]*Report, len(points))
-	errs := make([]error, len(points))
-	var wg sync.WaitGroup
-	work := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range work {
-				reports[i], errs[i] = RunPoint(points[i], cfg)
-			}
-		}()
-	}
-	for i := range points {
-		work <- i
-	}
-	close(work)
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	return reports, nil
 }

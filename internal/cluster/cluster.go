@@ -55,10 +55,8 @@ type Config struct {
 	StageDur   time.Duration
 	HopLatency time.Duration
 	Slack      time.Duration
-	// Retry/Breaker shape the repair backoff and (TCP) per-peer
-	// circuit breakers.
+	// Retry shapes the repair backoff and (TCP) reconnect dialing.
 	Retry       transport.BackoffConfig
-	Breaker     transport.BreakerConfig
 	MaxAttempts int
 	// Timeout bounds the whole run. Default 30s.
 	Timeout time.Duration
@@ -299,7 +297,6 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 				Listener: listeners[node],
 				Peers:    peerAddrs(node),
 				Dial:     cfg.Retry,
-				Breaker:  cfg.Breaker,
 			})
 			if err != nil {
 				return nil, fmt.Errorf("cluster: node %d endpoint: %w", v, err)

@@ -49,13 +49,13 @@ func runTheorem4(cfg Config) ([]*tablefmt.Table, error) {
 	}
 	t := tablefmt.New("Theorem 4 — IHC with η=μ=1 meets the lower bound τ_S+(N-1)α exactly",
 		"Network", "N", "Lower bound", "Measured", "Match")
-	rows, err := sweep(cfg, len(graphs), func(i int, env *Env) (row, error) {
+	rows, err := sweep(cfg, len(graphs), func(i int, obs simnet.Observer) (row, error) {
 		g := graphs[i]
 		x, err := newIHC(g)
 		if err != nil {
 			return nil, err
 		}
-		res, err := x.Run(core.Config{Eta: 1, Params: p, SkipCopies: true, Scratch: env.Scratch, Observe: env.Obs})
+		res, err := x.Run(core.Config{Eta: 1, Params: p, SkipCopies: true, Observe: obs})
 		if err != nil {
 			return nil, err
 		}
@@ -92,15 +92,15 @@ func runOverlap(cfg Config) ([]*tablefmt.Table, error) {
 		"μ=η", "Plain", "Overlapped", "Saving", "(μ-1)²α", "Contentions")
 	p := cfg.params()
 	mus := []int{1, 2, 4}
-	rows, err := sweep(cfg, len(mus), func(i int, env *Env) (row, error) {
+	rows, err := sweep(cfg, len(mus), func(i int, obs simnet.Observer) (row, error) {
 		mu := mus[i]
 		pm := p
 		pm.Mu = mu
-		plain, err := x.Run(core.Config{Eta: mu, Params: pm, SkipCopies: true, Scratch: env.Scratch, Observe: env.Obs})
+		plain, err := x.Run(core.Config{Eta: mu, Params: pm, SkipCopies: true, Observe: obs})
 		if err != nil {
 			return nil, err
 		}
-		over, err := x.Run(core.Config{Eta: mu, Params: pm, Overlap: true, SkipCopies: true, Scratch: env.Scratch, Observe: env.Obs})
+		over, err := x.Run(core.Config{Eta: mu, Params: pm, Overlap: true, SkipCopies: true, Observe: obs})
 		if err != nil {
 			return nil, err
 		}
@@ -248,7 +248,7 @@ func runReliability(cfg Config) ([]*tablefmt.Table, error) {
 	// Each (kind, fault-count) cell averages over its own deterministic
 	// fault placements and reads the shared IHC instance and keyring
 	// read-only, so the cells fan out across the pool independently.
-	rows, err := sweep(cfg, len(cells), func(i int, _ *Env) (row, error) {
+	rows, err := sweep(cfg, len(cells), func(i int, _ simnet.Observer) (row, error) {
 		c := cells[i]
 		var su, ss float64
 		for seed := int64(0); seed < trials; seed++ {
@@ -326,7 +326,7 @@ func adversarialFrontier(cfg Config) (*tablefmt.Table, error) {
 	}
 	t := tablefmt.New("Adversarial tolerance frontier — worst-case fault placement per series",
 		"Network", "Series", "Paper bound", "Max safe t", "Min broken t", "Placements", "Counterexample")
-	rows, err := sweep(cfg, len(jobs), func(i int, _ *Env) (row, error) {
+	rows, err := sweep(cfg, len(jobs), func(i int, _ simnet.Observer) (row, error) {
 		j := jobs[i]
 		f, err := campaign.RunFrontier(campaign.Point{
 			X: j.x, Signed: j.s.signed, Domain: j.s.domain, Kind: j.s.kind, Seed: 1,
@@ -377,12 +377,12 @@ func runLoad(cfg Config) ([]*tablefmt.Table, error) {
 	t := tablefmt.New(fmt.Sprintf("IHC on %s under background load (η=μ=%d)", g.Name(), eta),
 		"ρ", "Measured", "vs best", "Cut-throughs kept", "BgBlocked hops")
 	rhos := []float64{0, 0.2, 0.5, 0.8}
-	rows, err := sweep(cfg, len(rhos), func(i int, env *Env) (row, error) {
+	rows, err := sweep(cfg, len(rhos), func(i int, obs simnet.Observer) (row, error) {
 		rho := rhos[i]
 		pr := p
 		pr.Rho = rho
 		pr.Seed = 4242
-		res, err := x.Run(core.Config{Eta: eta, Params: pr, SkipCopies: true, Scratch: env.Scratch, Observe: env.Obs})
+		res, err := x.Run(core.Config{Eta: eta, Params: pr, SkipCopies: true, Observe: obs})
 		if err != nil {
 			return nil, err
 		}
@@ -423,9 +423,9 @@ func runUtilization(cfg Config) ([]*tablefmt.Table, error) {
 		"η", "Measured utilization", "μ/η", "Static peak concurrency", "Time")
 	links := 2 * g.M()
 	etas := []int{2, 4, 8, 16}
-	rows, err := sweep(cfg, len(etas), func(i int, env *Env) (row, error) {
+	rows, err := sweep(cfg, len(etas), func(i int, obs simnet.Observer) (row, error) {
 		eta := etas[i]
-		res, err := x.Run(core.Config{Eta: eta, Params: p, SkipCopies: true, Scratch: env.Scratch, Observe: env.Obs})
+		res, err := x.Run(core.Config{Eta: eta, Params: p, SkipCopies: true, Observe: obs})
 		if err != nil {
 			return nil, err
 		}

@@ -73,13 +73,13 @@ func familiesTwisted(cfg Config) (*tablefmt.Table, error) {
 	mp := cfg.modelParams()
 	t := tablefmt.New("Twisted cubes — IHC finish vs the Table II closed form (η=μ)",
 		"Network", "N", "γ", "η=μ", "Model", "Measured", "Match")
-	rows, err := sweep(cfg, len(dims), func(i int, env *Env) (row, error) {
+	rows, err := sweep(cfg, len(dims), func(i int, obs simnet.Observer) (row, error) {
 		g := topology.MustTwistedCube(dims[i])
 		x, err := newIHC(g)
 		if err != nil {
 			return nil, err
 		}
-		res, err := x.Run(core.Config{Eta: p.Mu, Params: p, SkipCopies: true, Scratch: env.Scratch, Observe: env.Obs})
+		res, err := x.Run(core.Config{Eta: p.Mu, Params: p, SkipCopies: true, Observe: obs})
 		if err != nil {
 			return nil, err
 		}
@@ -129,7 +129,7 @@ func familiesKAry(cfg Config) (*tablefmt.Table, error) {
 	base := cfg.params()
 	t := tablefmt.New("k-ary n-tori — IHC finish vs the Jung-Sakho per-link load bound τ_S+(N-1)μα",
 		"Network", "N", "γ", "η=μ", "Bound", "Measured", "Gap", "(η-1)(τ_S+μα)")
-	rows, err := sweep(cfg, len(jobs), func(i int, env *Env) (row, error) {
+	rows, err := sweep(cfg, len(jobs), func(i int, obs simnet.Observer) (row, error) {
 		j := jobs[i]
 		p := base
 		p.Mu = j.mu
@@ -138,7 +138,7 @@ func familiesKAry(cfg Config) (*tablefmt.Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		res, err := x.Run(core.Config{Eta: j.mu, Params: p, SkipCopies: true, Scratch: env.Scratch, Observe: env.Obs})
+		res, err := x.Run(core.Config{Eta: j.mu, Params: p, SkipCopies: true, Observe: obs})
 		if err != nil {
 			return nil, err
 		}

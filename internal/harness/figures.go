@@ -102,7 +102,7 @@ func runFig3(cfg Config) ([]*tablefmt.Table, error) {
 		"Cube", "N", "HCs", "Covers all edges")
 	// Each dimension's construction and verification is independent (the
 	// larger even cubes dominate the cost), so they share the pool.
-	rows, err := sweep(cfg, len(dims), func(i int, _ *Env) (row, error) {
+	rows, err := sweep(cfg, len(dims), func(i int, _ simnet.Observer) (row, error) {
 		m := dims[i]
 		cycles, err := hamilton.Hypercube(m)
 		if err != nil {
@@ -216,7 +216,7 @@ func runFig8(cfg Config) ([]*tablefmt.Table, error) {
 	}
 	t := tablefmt.New("Fig. 8 — KS pattern per-path profile vs paper (3 s&f + 2m-5 cut-throughs)",
 		"H_m", "N", "Max chain depth (s&f)", "Paper s&f", "Max hops", "Paper hops (2m-2)")
-	rows, err := sweep(cfg, len(sizes), func(i int, _ *Env) (row, error) {
+	rows, err := sweep(cfg, len(sizes), func(i int, _ simnet.Observer) (row, error) {
 		m := sizes[i]
 		b := ks.MustNew(m, 0)
 		depth, hops := chainProfileKS(b)
@@ -261,7 +261,7 @@ func runFig9(cfg Config) ([]*tablefmt.Table, error) {
 	}
 	t := tablefmt.New("Fig. 9 — VSQ pattern per-path profile vs paper (3 s&f + 2√N-6 cut-throughs)",
 		"SQ_m", "N", "Max chain depth (s&f)", "Paper s&f", "Max hops", "Paper hops (2m-3)")
-	rows, err := sweep(cfg, len(sizes), func(i int, _ *Env) (row, error) {
+	rows, err := sweep(cfg, len(sizes), func(i int, _ simnet.Observer) (row, error) {
 		m := sizes[i]
 		b := vsq.MustNew(m, 0)
 		maxDepth := 0

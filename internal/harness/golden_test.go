@@ -6,18 +6,21 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"ihc/internal/tablefmt"
 )
 
 // renderOne renders a single experiment exactly as cmd/ihcbench prints
 // it to stdout: the header line, then each table followed by one blank
-// line.
-func renderOne(t *testing.T, id string, workers int) []byte {
+// line. It runs at GOMAXPROCS k.
+func renderOne(t *testing.T, id string, k int) []byte {
 	t.Helper()
 	e, err := ByID(id)
 	if err != nil {
 		t.Fatal(err)
 	}
-	tables, err := e.Run(Config{Quick: true, Workers: workers})
+	var tables []*tablefmt.Table
+	atWidth(k, func() { tables, err = e.Run(Config{Quick: true}) })
 	if err != nil {
 		t.Fatalf("%s: %v", id, err)
 	}
@@ -42,11 +45,11 @@ func TestGoldenOutput(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, workers := range []int{1, 4} {
-			got := renderOne(t, id, workers)
+		for _, k := range []int{1, 4} {
+			got := renderOne(t, id, k)
 			if !bytes.Equal(got, want) {
-				t.Errorf("%s (workers=%d) differs from recorded output\n--- got ---\n%s\n--- want ---\n%s",
-					id, workers, got, want)
+				t.Errorf("%s (GOMAXPROCS %d) differs from recorded output\n--- got ---\n%s\n--- want ---\n%s",
+					id, k, got, want)
 			}
 		}
 	}

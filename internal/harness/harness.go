@@ -28,32 +28,26 @@ type Config struct {
 	// keeps every field given and defaults only α and μ, whose zero
 	// values are invalid — see simnet.Params.Defaulted.
 	Params simnet.Params
-	// Workers bounds the pool that fans independent experiment runs and
-	// sweep points across goroutines, each on a fresh simnet.Network.
-	// 0 selects GOMAXPROCS; 1 runs them one at a time, though a large
-	// run may still drain on up to GOMAXPROCS engine workers. Results
-	// are merged in stable order, so output is identical for every value.
-	Workers int
 	// Stats, when non-nil, accumulates per-run wall-clock and simulator
 	// event counters (atomically) across all concurrent runs.
 	Stats *RunStats
 	// Metrics, when non-nil, aggregates the observability metrics of
-	// every simulation the experiments run: each sweep worker feeds a
+	// every simulation the experiments run: each sweep point feeds a
 	// private observe.Metrics sink (no locking on the hot path) that is
-	// absorbed into this shared aggregate when the worker drains.
+	// absorbed into this shared aggregate when the point returns.
 	// Aggregation is merge-order independent, so the final snapshot is
-	// identical for every worker count.
+	// identical at every GOMAXPROCS.
 	Metrics *observe.Shared
 	// Trace, when non-nil, receives the raw per-hop observer stream of
 	// every simulation (e.g. an observe.JSONL or observe.ChromeTrace
-	// exporter). A trace sink is single-stream: it forces the worker
-	// pool to width 1 so the stream is the engine's deterministic
-	// sequential order.
+	// exporter). A trace sink is single-stream: experiments and sweep
+	// points then run one at a time in index order, so the stream is
+	// the engine's deterministic sequential order.
 	Trace simnet.Observer
 	// Cancel, when non-nil, stops the batch between sweep points once
-	// it is closed: in-flight points finish, queued ones return
-	// ErrCanceled. Wire a signal-bound context's Done() channel here
-	// for interruptible command-line runs.
+	// it is closed: in-flight points finish, ones not yet started
+	// return ErrCanceled. Wire a signal-bound context's Done() channel
+	// here for interruptible command-line runs.
 	Cancel <-chan struct{}
 }
 

@@ -10,15 +10,16 @@ import (
 )
 
 // runWithMetrics runs one experiment with a shared metrics aggregate
-// attached and returns its snapshot serialized to JSON.
-func runWithMetrics(t *testing.T, id string, workers int) []byte {
+// attached at GOMAXPROCS k and returns its snapshot serialized to JSON.
+func runWithMetrics(t *testing.T, id string, k int) []byte {
 	t.Helper()
 	e, err := ByID(id)
 	if err != nil {
 		t.Fatal(err)
 	}
 	sh := observe.NewShared()
-	if _, err := e.Run(Config{Quick: true, Workers: workers, Metrics: sh}); err != nil {
+	atWidth(k, func() { _, err = e.Run(Config{Quick: true, Metrics: sh}) })
+	if err != nil {
 		t.Fatalf("%s with metrics: %v", id, err)
 	}
 	buf, err := json.Marshal(sh.Snapshot())
@@ -28,7 +29,7 @@ func runWithMetrics(t *testing.T, id string, workers int) []byte {
 	return buf
 }
 
-// The observability invariant mirrors the output one: per-worker metric
+// The observability invariant mirrors the output one: per-point metric
 // sinks absorbed into Config.Metrics yield a snapshot independent of the
 // pool width.
 func TestMetricsWorkerCountIndependent(t *testing.T) {
@@ -37,18 +38,17 @@ func TestMetricsWorkerCountIndependent(t *testing.T) {
 		if bytes.Contains(seq, []byte(`"hops":0,`)) {
 			t.Fatalf("%s: sequential metrics snapshot saw no hops", id)
 		}
-		for _, workers := range []int{2, 4} {
-			got := runWithMetrics(t, id, workers)
+		for _, k := range []int{2, 4} {
+			got := runWithMetrics(t, id, k)
 			if !bytes.Equal(seq, got) {
-				t.Fatalf("%s: metrics snapshot differs at workers=%d\nseq: %s\ngot: %s", id, workers, seq, got)
+				t.Fatalf("%s: metrics snapshot differs at GOMAXPROCS %d\nseq: %s\ngot: %s", id, k, seq, got)
 			}
 		}
 	}
 }
 
-// counting trace sink; also records the max goroutine-unsafe reentry it
-// would have seen if two workers ran concurrently (the pool must force
-// width 1 under a trace sink, so plain ints suffice and -race stays quiet).
+// counting trace sink with plain ints: the pool runs points one at a
+// time under a trace sink, so -race stays quiet.
 type countTrace struct {
 	hops, dels int
 }
@@ -58,20 +58,18 @@ func (c *countTrace) OnDeliver(d simnet.Delivery) {
 	c.dels++
 }
 
-// A trace sink forces the pool sequential — the unsynchronized counter
-// above is safe and must see every hop of the run.
+// A trace sink makes the pool serial, even at GOMAXPROCS 8 — the
+// unsynchronized counter above is safe and must see every hop of the
+// run.
 func TestTraceForcesSequentialPool(t *testing.T) {
-	cfg := Config{Quick: true, Workers: 8, Trace: &countTrace{}}
-	if w := cfg.workers(); w != 1 {
-		t.Fatalf("workers() = %d with a trace sink, want 1", w)
-	}
 	e, err := ByID("contention")
 	if err != nil {
 		t.Fatal(err)
 	}
 	tr := &countTrace{}
 	sh := observe.NewShared()
-	if _, err := e.Run(Config{Quick: true, Workers: 8, Trace: tr, Metrics: sh}); err != nil {
+	atWidth(8, func() { _, err = e.Run(Config{Quick: true, Trace: tr, Metrics: sh}) })
+	if err != nil {
 		t.Fatal(err)
 	}
 	if tr.hops == 0 || tr.dels == 0 {

@@ -81,8 +81,8 @@ func oraclePoints(quick bool) []oraclePoint {
 }
 
 // runOraclePoint simulates one sweep cell with a live oracle teed onto
-// the worker's configured sinks and turns the verdict into a table row.
-func runOraclePoint(cfg Config, pt oraclePoint, env *Env) (row, error) {
+// the point's configured sinks and turns the verdict into a table row.
+func runOraclePoint(cfg Config, pt oraclePoint, obs simnet.Observer) (row, error) {
 	g := pt.graph()
 	n := g.N()
 	p := cfg.params()
@@ -123,7 +123,7 @@ func runOraclePoint(cfg Config, pt oraclePoint, env *Env) (row, error) {
 
 	res, err := x.Run(core.Config{
 		Eta: pt.eta, Params: p, SkipCopies: true,
-		Scratch: env.Scratch, Observe: observe.Tee(env.Obs, orc),
+		Observe: observe.Tee(obs, orc),
 	})
 	if err != nil {
 		return nil, err
@@ -179,8 +179,8 @@ func runContention(cfg Config) ([]*tablefmt.Table, error) {
 	t := tablefmt.New(
 		fmt.Sprintf("Oracle sweep — Theorems 3 & 4 verified live from the hop stream (τ_S=%d α=%d D=%d)", p.TauS, p.Alpha, p.D),
 		"Network", "N", "η", "μ", "DataHops", "Theorem 3", "PeakFIFO", "Finish", "Closed form", "Checks")
-	rows, err := sweep(cfg, len(pts), func(i int, env *Env) (row, error) {
-		return runOraclePoint(cfg, pts[i], env)
+	rows, err := sweep(cfg, len(pts), func(i int, obs simnet.Observer) (row, error) {
+		return runOraclePoint(cfg, pts[i], obs)
 	})
 	if err != nil {
 		return nil, err

@@ -6,27 +6,25 @@ package harness
 // persists across Run calls on one Network, so sharing one across
 // goroutines would be both a data race and a correctness bug). That
 // independence makes the whole suite embarrassingly parallel: sweep()
-// fans points out across a bounded worker pool and merges the results
-// back in input order, and RunAll() does the same across whole
-// experiments in the registry's stable ID order — so the rendered output
-// is byte-identical to a sequential run regardless of worker count.
+// fans points out on the par pool and merges the results back in input
+// order, and RunAll() does the same across whole experiments in the
+// registry's stable ID order — so the rendered output is byte-identical
+// to a sequential run at every GOMAXPROCS.
 
 import (
-	"errors"
 	"fmt"
-	"runtime"
-	"sync"
 	"sync/atomic"
 	"time"
 
 	"ihc/internal/observe"
+	"ihc/internal/par"
 	"ihc/internal/simnet"
 	"ihc/internal/tablefmt"
 )
 
-// ErrCanceled is returned by sweep points that were skipped because
-// the Config's Cancel channel closed before they ran.
-var ErrCanceled = errors.New("harness: run canceled")
+// ErrCanceled is the error of an experiment or sweep point skipped
+// because the Config's Cancel channel closed before it started.
+var ErrCanceled = par.ErrCanceled
 
 // RunStats accumulates observable execution counters across a batch of
 // experiment runs and sweep points. All updates are atomic, so one
@@ -75,58 +73,6 @@ func (s *RunStats) Summary() string {
 	return msg
 }
 
-// workers resolves the effective worker-pool width: Workers, or
-// GOMAXPROCS when unset. A raw trace sink is inherently single-stream,
-// so tracing forces sequential execution regardless of the configured
-// width — the exported stream is then the engine's deterministic event
-// order, every time. The pool does not narrow the engine: a large run
-// may still drain on up to GOMAXPROCS workers (simnet's automatic
-// rule), and the Go scheduler shares the cores.
-func (c Config) workers() int {
-	if c.Trace != nil {
-		return 1
-	}
-	if c.Workers > 0 {
-		return c.Workers
-	}
-	return runtime.GOMAXPROCS(0)
-}
-
-// Env is the execution environment a sweep worker hands to every point
-// it runs: reusable simulator working memory plus the observability
-// sink the point should attach to its simulation runs (nil when no
-// sink is configured — the engine's fast path).
-type Env struct {
-	Scratch *simnet.Scratch
-	Obs     simnet.Observer
-
-	metrics *observe.Metrics // this worker's private aggregator, absorbed at drain
-}
-
-// newEnv builds one worker's environment from the run Config.
-func newEnv(cfg Config) *Env {
-	env := &Env{Scratch: simnet.NewScratch()}
-	var obs []simnet.Observer
-	if cfg.Trace != nil {
-		obs = append(obs, cfg.Trace)
-	}
-	if cfg.Metrics != nil {
-		env.metrics = observe.NewMetrics()
-		obs = append(obs, env.metrics)
-	}
-	env.Obs = observe.Tee(obs...)
-	return env
-}
-
-// close merges the worker's private metrics into the shared aggregate.
-// Merging is commutative and associative over whole runs, so the final
-// snapshot is identical for every worker count and drain order.
-func (e *Env) close(cfg Config) {
-	if e.metrics != nil {
-		cfg.Metrics.Absorb(e.metrics)
-	}
-}
-
 // addEvents credits simulator events to the run's stats collector, when
 // one is attached.
 func (c Config) addEvents(n int64) {
@@ -135,52 +81,31 @@ func (c Config) addEvents(n int64) {
 	}
 }
 
-// sweep runs fn(0..n-1) — the independent points of one experiment sweep
-// — on a bounded pool of cfg.workers() goroutines and returns the
-// results in index order, so callers produce output identical to a
-// sequential loop. Each worker goroutine owns one Env (simulator
-// scratch plus, when configured, a private metrics sink absorbed into
-// cfg.Metrics when the worker drains), handed to every point it runs;
-// points that do not simulate simply ignore it. Each point is timed
-// into cfg.Stats. On failure the error of the lowest-indexed failing
-// point is returned, matching what a sequential loop would have
-// surfaced first.
-func sweep[T any](cfg Config, n int, fn func(i int, env *Env) (T, error)) ([]T, error) {
-	out := make([]T, n)
-	errs := make([]error, n)
-	workers := cfg.workers()
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		env := newEnv(cfg)
-		defer env.close(cfg)
-		for i := 0; i < n; i++ {
-			out[i], errs[i] = runPoint(cfg, i, env, fn)
-			if errs[i] != nil {
-				return nil, errs[i]
-			}
+// sweep runs fn(0..n-1), the independent points of one experiment
+// sweep, on the par pool and returns the results in index order, so
+// callers produce output identical to a sequential loop. A trace sink
+// takes one stream, so under cfg.Trace the points run one at a time in
+// index order. Each point gets its own observer: the trace sink plus,
+// under cfg.Metrics, a private metrics sink absorbed into the shared
+// aggregate when the point returns (nil with neither, the engine's fast
+// path); points that do not simulate ignore it. Each point is timed
+// into cfg.Stats. Every point runs, and the error of the lowest-indexed
+// failing point is returned.
+func sweep[T any](cfg Config, n int, fn func(i int, obs simnet.Observer) (T, error)) ([]T, error) {
+	out, errs := par.Map(n, cfg.Trace != nil, cfg.Cancel, func(i int) (T, error) {
+		obs := []simnet.Observer{cfg.Trace}
+		if cfg.Metrics != nil {
+			met := observe.NewMetrics()
+			defer cfg.Metrics.Absorb(met)
+			obs = append(obs, met)
 		}
-		return out, nil
-	}
-	idx := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			env := newEnv(cfg) // per-worker: never shared across goroutines
-			defer env.close(cfg)
-			for i := range idx {
-				out[i], errs[i] = runPoint(cfg, i, env, fn)
-			}
-		}()
-	}
-	for i := 0; i < n; i++ {
-		idx <- i
-	}
-	close(idx)
-	wg.Wait()
+		start := time.Now()
+		v, err := fn(i, observe.Tee(obs...))
+		if cfg.Stats != nil {
+			cfg.Stats.record(time.Since(start), err)
+		}
+		return v, err
+	})
 	for _, err := range errs {
 		if err != nil {
 			return nil, err
@@ -189,28 +114,13 @@ func sweep[T any](cfg Config, n int, fn func(i int, env *Env) (T, error)) ([]T, 
 	return out, nil
 }
 
-func runPoint[T any](cfg Config, i int, env *Env, fn func(int, *Env) (T, error)) (T, error) {
-	select {
-	case <-cfg.Cancel:
-		var zero T
-		return zero, ErrCanceled
-	default:
-	}
-	start := time.Now()
-	v, err := fn(i, env)
-	if cfg.Stats != nil {
-		cfg.Stats.record(time.Since(start), err)
-	}
-	return v, err
-}
-
 // row is one rendered table row: the cells passed to tablefmt.Addf.
 type row []interface{}
 
 // sweepRows is sweep specialized to experiments whose points each
 // produce exactly one table row.
-func sweepRows(cfg Config, points []func(env *Env) (row, error)) ([]row, error) {
-	return sweep(cfg, len(points), func(i int, env *Env) (row, error) { return points[i](env) })
+func sweepRows(cfg Config, points []func(obs simnet.Observer) (row, error)) ([]row, error) {
+	return sweep(cfg, len(points), func(i int, obs simnet.Observer) (row, error) { return points[i](obs) })
 }
 
 // Report is one experiment's outcome in a batch run.
@@ -221,55 +131,28 @@ type Report struct {
 	Wall   time.Duration
 }
 
-// RunAll executes every registered experiment on the Config's worker
-// pool and returns the reports in the registry's stable ID order — the
-// same order, and therefore byte-identical rendered output, as running
-// the experiments one at a time.
+// RunAll executes every registered experiment on the par pool and
+// returns the reports in the registry's stable ID order — the same
+// order, and therefore byte-identical rendered output, as running the
+// experiments one at a time.
 func RunAll(cfg Config) []Report { return RunExperiments(All(), cfg) }
 
-// RunExperiments executes the given experiments on the Config's worker
-// pool, returning reports in input order. Experiments themselves fan
-// their internal sweep points across the same pool width; failures are
-// reported per experiment rather than aborting the batch.
+// RunExperiments executes the given experiments on the par pool,
+// returning reports in input order; under cfg.Trace they run one at a
+// time. Experiments themselves fan their sweep points out on the same
+// pool; failures are reported per experiment rather than aborting the
+// batch, and an experiment skipped after cfg.Cancel closed reports
+// ErrCanceled.
 func RunExperiments(exps []Experiment, cfg Config) []Report {
-	reports := make([]Report, len(exps))
-	workers := cfg.workers()
-	if workers > len(exps) {
-		workers = len(exps)
-	}
-	runOne := func(i int) {
-		e := exps[i]
-		select {
-		case <-cfg.Cancel:
-			reports[i] = Report{Experiment: e, Err: ErrCanceled}
-			return
-		default:
-		}
+	reports, errs := par.Map(len(exps), cfg.Trace != nil, cfg.Cancel, func(i int) (Report, error) {
 		start := time.Now()
-		tables, err := e.Run(cfg)
-		reports[i] = Report{Experiment: e, Tables: tables, Err: err, Wall: time.Since(start)}
-	}
-	if workers <= 1 {
-		for i := range exps {
-			runOne(i)
+		tables, err := exps[i].Run(cfg)
+		return Report{Experiment: exps[i], Tables: tables, Err: err, Wall: time.Since(start)}, nil
+	})
+	for i, err := range errs {
+		if err != nil {
+			reports[i] = Report{Experiment: exps[i], Err: err}
 		}
-		return reports
 	}
-	idx := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range idx {
-				runOne(i)
-			}
-		}()
-	}
-	for i := range exps {
-		idx <- i
-	}
-	close(idx)
-	wg.Wait()
 	return reports
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"ihc/internal/campaign"
+	"ihc/internal/simnet"
 	"ihc/internal/tablefmt"
 	"ihc/internal/topology"
 )
@@ -37,7 +38,7 @@ func runRecovery(cfg Config) ([]*tablefmt.Table, error) {
 		maxSafe int
 		reports []*campaign.RepairedReport
 	}
-	results, err := sweep(cfg, len(graphs), func(i int, _ *Env) (result, error) {
+	results, err := sweep(cfg, len(graphs), func(i int, _ simnet.Observer) (result, error) {
 		g := graphs[i]
 		x, err := newIHC(g)
 		if err != nil {

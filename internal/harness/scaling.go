@@ -5,6 +5,7 @@ import (
 
 	"ihc/internal/core"
 	"ihc/internal/model"
+	"ihc/internal/simnet"
 	"ihc/internal/tablefmt"
 	"ihc/internal/topology"
 )
@@ -56,7 +57,7 @@ func runScaling(cfg Config) ([]*tablefmt.Table, error) {
 	t := tablefmt.New(
 		fmt.Sprintf("Engine scaling — IHC beyond the paper's Q10 (η=μ=%d, exactness preserved at scale)", eta),
 		"Network", "N", "Cycles run", "Injections", "Deliveries", "Events", "Measured", "Model", "Match")
-	rows, err := sweep(cfg, len(points), func(i int, env *Env) (row, error) {
+	rows, err := sweep(cfg, len(points), func(i int, obs simnet.Observer) (row, error) {
 		pt := points[i]
 		g := pt.graph()
 		x, err := newIHC(g)
@@ -64,7 +65,7 @@ func runScaling(cfg Config) ([]*tablefmt.Table, error) {
 			return nil, err
 		}
 		res, err := x.Run(core.Config{
-			Eta: eta, Params: p, Cycles: pt.cycles, SkipCopies: true, Scratch: env.Scratch, Observe: env.Obs,
+			Eta: eta, Params: p, Cycles: pt.cycles, SkipCopies: true, Observe: obs,
 		})
 		if err != nil {
 			return nil, err

@@ -65,10 +65,9 @@ func runTable1(cfg Config) ([]*tablefmt.Table, error) {
 }
 
 // ihcMeasured runs IHC on a fresh network over g and returns the
-// measured finish, crediting simulator events to cfg.Stats. env is the
-// calling sweep worker's environment: reusable scratch plus the
-// configured observer sink, both attached to the run.
-func ihcMeasured(cfg Config, g *topology.Graph, p simnet.Params, eta int, env *Env) (simnet.Time, *core.Result, error) {
+// measured finish, crediting simulator events to cfg.Stats. obs is the
+// calling sweep point's observer, attached to the run.
+func ihcMeasured(cfg Config, g *topology.Graph, p simnet.Params, eta int, obs simnet.Observer) (simnet.Time, *core.Result, error) {
 	cycles, err := hamilton.Decompose(g)
 	if err != nil {
 		return 0, nil, err
@@ -77,7 +76,7 @@ func ihcMeasured(cfg Config, g *topology.Graph, p simnet.Params, eta int, env *E
 	if err != nil {
 		return 0, nil, err
 	}
-	res, err := x.Run(core.Config{Eta: eta, Params: p, SkipCopies: true, Scratch: env.Scratch, Observe: env.Obs})
+	res, err := x.Run(core.Config{Eta: eta, Params: p, SkipCopies: true, Observe: obs})
 	if err != nil {
 		return 0, nil, err
 	}
@@ -107,14 +106,14 @@ func runTable2(cfg Config) ([]*tablefmt.Table, error) {
 		fmt.Sprintf("Table II — execution times, ρ=0 (τ_S=%d α=%d μ=%d, η=%d ticks)", p.TauS, p.Alpha, p.Mu, eta),
 		"Algorithm", "Network", "N", "Model", "Measured", "Measured-Model")
 
-	var points []func(env *Env) (row, error)
+	var points []func(obs simnet.Observer) (row, error)
 	// IHC on all three families.
 	for _, g := range []*topology.Graph{
 		topology.MustHypercube(qDim), topology.MustSquareTorus(sqM), topology.MustHexMesh(hM),
 	} {
 		g := g
-		points = append(points, func(env *Env) (row, error) {
-			measured, res, err := ihcMeasured(cfg, g, p, eta, env)
+		points = append(points, func(obs simnet.Observer) (row, error) {
+			measured, res, err := ihcMeasured(cfg, g, p, eta, obs)
 			if err != nil {
 				return nil, err
 			}
@@ -126,8 +125,8 @@ func runTable2(cfg Config) ([]*tablefmt.Table, error) {
 		})
 	}
 	points = append(points,
-		func(env *Env) (row, error) {
-			vres, err := rs.ATA(qDim, p, atarun.Options{Scratch: env.Scratch, Observe: env.Obs})
+		func(obs simnet.Observer) (row, error) {
+			vres, err := rs.ATA(qDim, p, atarun.Options{Observe: obs})
 			if err != nil {
 				return nil, err
 			}
@@ -135,8 +134,8 @@ func runTable2(cfg Config) ([]*tablefmt.Table, error) {
 			vm := model.VRSATABest(mp, 1<<qDim)
 			return row{"VRS-ATA", fmt.Sprintf("Q%d", qDim), 1 << qDim, vm, vres.Finish, match(vres.Finish, vm)}, nil
 		},
-		func(env *Env) (row, error) {
-			kres, err := ks.ATA(hM, p, atarun.Options{Scratch: env.Scratch, Observe: env.Obs})
+		func(obs simnet.Observer) (row, error) {
+			kres, err := ks.ATA(hM, p, atarun.Options{Observe: obs})
 			if err != nil {
 				return nil, err
 			}
@@ -144,8 +143,8 @@ func runTable2(cfg Config) ([]*tablefmt.Table, error) {
 			km := model.KSATABest(mp, hM)
 			return row{"KS-ATA", fmt.Sprintf("H%d", hM), topology.HexMeshSize(hM), km, kres.Finish, match(kres.Finish, km)}, nil
 		},
-		func(env *Env) (row, error) {
-			sres, err := vsq.ATA(sqM, p, atarun.Options{Scratch: env.Scratch, Observe: env.Obs})
+		func(obs simnet.Observer) (row, error) {
+			sres, err := vsq.ATA(sqM, p, atarun.Options{Observe: obs})
 			if err != nil {
 				return nil, err
 			}
@@ -153,7 +152,7 @@ func runTable2(cfg Config) ([]*tablefmt.Table, error) {
 			sm := model.VSQATABest(mp, sqM)
 			return row{"VSQ-ATA", fmt.Sprintf("SQ%d", sqM), sqM * sqM, sm, sres.Finish, match(sres.Finish, sm)}, nil
 		},
-		func(env *Env) (row, error) {
+		func(obs simnet.Observer) (row, error) {
 			fres, err := frs.Run(qDim, p, false)
 			if err != nil {
 				return nil, err
@@ -190,20 +189,20 @@ func runTable3(cfg Config) ([]*tablefmt.Table, error) {
 	qDim, sqM, hM := table2Sizes(cfg.Quick)
 	n := 1 << qDim
 
-	points := []func(env *Env) (simnet.Time, error){
-		func(env *Env) (simnet.Time, error) {
-			f, _, err := ihcMeasured(cfg, topology.MustHypercube(qDim), p, 2, env)
+	points := []func(obs simnet.Observer) (simnet.Time, error){
+		func(obs simnet.Observer) (simnet.Time, error) {
+			f, _, err := ihcMeasured(cfg, topology.MustHypercube(qDim), p, 2, obs)
 			return f, err
 		},
-		func(env *Env) (simnet.Time, error) {
-			vres, err := rs.ATA(qDim, p, atarun.Options{Scratch: env.Scratch, Observe: env.Obs})
+		func(obs simnet.Observer) (simnet.Time, error) {
+			vres, err := rs.ATA(qDim, p, atarun.Options{Observe: obs})
 			if err != nil {
 				return 0, err
 			}
 			cfg.addEvents(vres.Events)
 			return vres.Finish, nil
 		},
-		func(env *Env) (simnet.Time, error) {
+		func(obs simnet.Observer) (simnet.Time, error) {
 			fres, err := frs.Run(qDim, p, false)
 			if err != nil {
 				return 0, err
@@ -211,24 +210,24 @@ func runTable3(cfg Config) ([]*tablefmt.Table, error) {
 			cfg.addEvents(fres.Events)
 			return fres.Finish, nil
 		},
-		func(env *Env) (simnet.Time, error) {
-			f, _, err := ihcMeasured(cfg, topology.MustSquareTorus(sqM), p, 2, env)
+		func(obs simnet.Observer) (simnet.Time, error) {
+			f, _, err := ihcMeasured(cfg, topology.MustSquareTorus(sqM), p, 2, obs)
 			return f, err
 		},
-		func(env *Env) (simnet.Time, error) {
-			sres, err := vsq.ATA(sqM, p, atarun.Options{Scratch: env.Scratch, Observe: env.Obs})
+		func(obs simnet.Observer) (simnet.Time, error) {
+			sres, err := vsq.ATA(sqM, p, atarun.Options{Observe: obs})
 			if err != nil {
 				return 0, err
 			}
 			cfg.addEvents(sres.Events)
 			return sres.Finish, nil
 		},
-		func(env *Env) (simnet.Time, error) {
-			f, _, err := ihcMeasured(cfg, topology.MustHexMesh(hM), p, 2, env)
+		func(obs simnet.Observer) (simnet.Time, error) {
+			f, _, err := ihcMeasured(cfg, topology.MustHexMesh(hM), p, 2, obs)
 			return f, err
 		},
-		func(env *Env) (simnet.Time, error) {
-			kres, err := ks.ATA(hM, p, atarun.Options{Scratch: env.Scratch, Observe: env.Obs})
+		func(obs simnet.Observer) (simnet.Time, error) {
+			kres, err := ks.ATA(hM, p, atarun.Options{Observe: obs})
 			if err != nil {
 				return 0, err
 			}
@@ -236,7 +235,7 @@ func runTable3(cfg Config) ([]*tablefmt.Table, error) {
 			return kres.Finish, nil
 		},
 	}
-	fin, err := sweep(cfg, len(points), func(i int, env *Env) (simnet.Time, error) { return points[i](env) })
+	fin, err := sweep(cfg, len(points), func(i int, obs simnet.Observer) (simnet.Time, error) { return points[i](obs) })
 	if err != nil {
 		return nil, err
 	}
@@ -275,8 +274,8 @@ func runTable4(cfg Config) ([]*tablefmt.Table, error) {
 		fmt.Sprintf("Table IV — worst-case times (every hop buffered + queued; τ_S=%d α=%d μ=%d D=%d)", p.TauS, p.Alpha, p.Mu, p.D),
 		"Algorithm", "Network", "Model (paper)", "Measured", "Measured-Model")
 
-	points := []func(env *Env) (row, error){
-		func(env *Env) (row, error) {
+	points := []func(obs simnet.Observer) (row, error){
+		func(obs simnet.Observer) (row, error) {
 			cycles, err := hamilton.Decompose(topology.MustHypercube(qDim))
 			if err != nil {
 				return nil, err
@@ -285,7 +284,7 @@ func runTable4(cfg Config) ([]*tablefmt.Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			res, err := x.Run(core.Config{Eta: eta, Params: p, Saturated: true, SkipCopies: true, Scratch: env.Scratch, Observe: env.Obs})
+			res, err := x.Run(core.Config{Eta: eta, Params: p, Saturated: true, SkipCopies: true, Observe: obs})
 			if err != nil {
 				return nil, err
 			}
@@ -293,8 +292,8 @@ func runTable4(cfg Config) ([]*tablefmt.Table, error) {
 			im := model.IHCWorst(mp, n, eta)
 			return row{"IHC", fmt.Sprintf("Q%d", qDim), im, res.Finish, match(res.Finish, im)}, nil
 		},
-		func(env *Env) (row, error) {
-			vres, err := rs.ATA(qDim, p, atarun.Options{Saturated: true, Scratch: env.Scratch, Observe: env.Obs})
+		func(obs simnet.Observer) (row, error) {
+			vres, err := rs.ATA(qDim, p, atarun.Options{Saturated: true, Observe: obs})
 			if err != nil {
 				return nil, err
 			}
@@ -302,8 +301,8 @@ func runTable4(cfg Config) ([]*tablefmt.Table, error) {
 			vm := model.VRSATAWorst(mp, n)
 			return row{"VRS-ATA", fmt.Sprintf("Q%d", qDim), vm, vres.Finish, match(vres.Finish, vm)}, nil
 		},
-		func(env *Env) (row, error) {
-			kres, err := ks.ATA(hM, p, atarun.Options{Saturated: true, Scratch: env.Scratch, Observe: env.Obs})
+		func(obs simnet.Observer) (row, error) {
+			kres, err := ks.ATA(hM, p, atarun.Options{Saturated: true, Observe: obs})
 			if err != nil {
 				return nil, err
 			}
@@ -311,8 +310,8 @@ func runTable4(cfg Config) ([]*tablefmt.Table, error) {
 			km := model.KSATAWorst(mp, hM)
 			return row{"KS-ATA", fmt.Sprintf("H%d", hM), km, kres.Finish, match(kres.Finish, km)}, nil
 		},
-		func(env *Env) (row, error) {
-			sres, err := vsq.ATA(sqM, p, atarun.Options{Saturated: true, Scratch: env.Scratch, Observe: env.Obs})
+		func(obs simnet.Observer) (row, error) {
+			sres, err := vsq.ATA(sqM, p, atarun.Options{Saturated: true, Observe: obs})
 			if err != nil {
 				return nil, err
 			}
@@ -320,7 +319,7 @@ func runTable4(cfg Config) ([]*tablefmt.Table, error) {
 			sm := model.VSQATAWorst(mp, sqM)
 			return row{"VSQ-ATA", fmt.Sprintf("SQ%d", sqM), sm, sres.Finish, match(sres.Finish, sm)}, nil
 		},
-		func(env *Env) (row, error) {
+		func(obs simnet.Observer) (row, error) {
 			// FRS's worst case only adds D per step (its packets are
 			// already store-and-forward); model it and measure with D
 			// folded into τ_S.

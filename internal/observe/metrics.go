@@ -207,7 +207,7 @@ func (m *Metrics) stage(seq int) *StageMetrics {
 // Merge folds other into m. Aggregates are sums, maxima, and sample
 // concatenations, so merging per-worker sinks in any order produces
 // the same Snapshot as long as each packet's events all went to one
-// sink (the harness's per-worker attachment guarantees that).
+// sink (the harness's per-point attachment guarantees that).
 func (m *Metrics) Merge(other *Metrics) {
 	for lk, o := range other.links {
 		lm := m.links[lk]

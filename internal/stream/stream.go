@@ -704,11 +704,13 @@ func (nd *Node) acceptCopy(f *transport.Frame, now time.Time) {
 
 // serveNak answers a pull against the epoch's store — open or
 // retained — with a REPAIR, or a MISS if we do not hold the copy. A
-// NAK from a non-neighbor is dropped: nothing can be sent to it.
+// NAK from a non-neighbor is dropped: nothing can be sent to it. So is
+// one from the copy's own source, before signing: no honest node pulls
+// its own message, and the source drops any copy of it on arrival.
 func (nd *Node) serveNak(f *transport.Frame) {
 	w := repair.Want{Source: f.Source, Channel: f.Channel}
 	requester := f.From
-	if !nd.cfg.IHC.Graph().HasEdge(nd.cfg.Self, requester) {
+	if requester == f.Source || !nd.cfg.IHC.Graph().HasEdge(nd.cfg.Self, requester) {
 		return
 	}
 	var payload []byte

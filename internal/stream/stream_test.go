@@ -338,11 +338,14 @@ func TestRelayStaysOnCycle(t *testing.T) {
 // From can name anything. One from a node that is not a neighbor, or
 // from no node at all, is dropped unanswered, through handle and
 // through Serve, instead of indexing the schedule or signing a reply
-// nothing can be sent to. The same JOIN from a neighbor is answered.
+// nothing can be sent to. So is a neighbor's NAK for a copy of its own
+// message, held or not. The same JOIN from a neighbor is answered.
 func TestNakFromNonNeighborIgnored(t *testing.T) {
 	for _, via := range []string{"handle", "Serve"} {
 		nd, ep, kr := testNode(t, nil)
 		nd.handle(copyBody(t, nd, kr, 5, 0, []byte("batch"), hlc.Timestamp{}))
+		nb := nd.neighbors[0]
+		nd.handle(copyBody(t, nd, kr, nb, 0, []byte("batch"), hlc.Timestamp{}))
 		deliver := func(bodies ...[]byte) {
 			ep.sent = nil
 			if via == "handle" {
@@ -365,11 +368,13 @@ func TestNakFromNonNeighborIgnored(t *testing.T) {
 				encode(t, kr, &transport.Frame{Kind: transport.FrameNak, From: from, Source: 6}),
 				encode(t, kr, &transport.Frame{Kind: transport.FrameJoin, From: from, Source: from}))
 		}
+		bodies = append(bodies,
+			encode(t, kr, &transport.Frame{Kind: transport.FrameNak, From: nb, Source: nb}),
+			encode(t, kr, &transport.Frame{Kind: transport.FrameNak, From: nb, Source: nb, Channel: 1}))
 		deliver(bodies...)
 		if len(ep.sent) != 0 {
-			t.Fatalf("%s: NAKs or JOINs from non-neighbors answered: %+v", via, ep.sent)
+			t.Fatalf("%s: NAKs from non-neighbors or for the requester's own copy, or JOINs from non-neighbors, answered: %+v", via, ep.sent)
 		}
-		nb := nd.neighbors[0]
 		deliver(encode(t, kr, &transport.Frame{Kind: transport.FrameJoin, From: nb, Source: nb}))
 		if len(ep.sent) != 1 || ep.sent[0].to != nb || ep.sent[0].f.Kind != transport.FrameEpoch {
 			t.Fatalf("%s: JOIN from neighbor %d answered with %+v, want one EPOCH frame", via, nb, ep.sent)

@@ -41,7 +41,7 @@ type loopQueued struct {
 	after time.Time
 }
 
-// Loopback is an in-process Mesh: every node of the graph gets an
+// Loopback is an in-process network: every node of the graph gets an
 // Endpoint, frames cross per-directed-link FIFO goroutines with a fixed
 // latency, and an optional LinkFilter injects faults. It is the
 // transport analogue of running the same schedule under simnet, and the

@@ -54,14 +54,6 @@ type Endpoint interface {
 	Close() error
 }
 
-// Mesh builds endpoints for the nodes of one network. The loopback mesh
-// serves all nodes in-process; a TCP mesh normally serves exactly one
-// (the local daemon's), with the rest reached over the network.
-type Mesh interface {
-	Endpoint(v topology.Node) (Endpoint, error)
-	Close() error
-}
-
 // EndpointStats counts what an endpoint observed. All fields are
 // monotonic totals.
 type EndpointStats struct {
