@@ -27,16 +27,16 @@ fmt-check:
 
 # Wire-layer dependency gate: internal/transport is frames, endpoints
 # and retry only. Its frames carry no route (every node takes a copy's
-# next hop from the IHC schedule), and it must import none of the
-# schedule, repair or protocol packages built on top of it. Fails,
-# naming them, when `go list -deps` finds any.
+# next hop from the IHC schedule), and it must import neither the
+# simulator nor the schedule, repair or protocol packages built on top
+# of it. Fails, naming them, when `go list -deps` finds any.
 transport-deps:
 	@deps=$$($(GO) list -deps ./internal/transport) || exit 1; \
-	bad=$$(echo "$$deps" | grep -xE 'ihc/internal/(core|repair|reliable|stream|cluster|chaos)'); \
+	bad=$$(echo "$$deps" | grep -xE 'ihc/internal/(simnet|core|repair|reliable|stream|cluster|chaos)'); \
 	if [ -n "$$bad" ]; then \
 		echo "transport-deps: internal/transport must not depend on:"; echo "$$bad"; exit 1; \
 	fi; \
-	echo "transport-deps: internal/transport depends on none of core, repair, reliable, stream, cluster, chaos"
+	echo "transport-deps: internal/transport depends on none of simnet, core, repair, reliable, stream, cluster, chaos"
 
 bench:
 	$(GO) test -bench=. -benchmem

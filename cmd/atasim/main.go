@@ -86,7 +86,7 @@ func main() {
 		TauS: simnet.Time(*taus), Alpha: simnet.Time(*alpha), Mu: *mu,
 		D: simnet.Time(*d), Rho: *rho, Seed: *seed,
 	}
-	g, err := buildGraph(*net)
+	g, err := hamilton.ParseNetwork(*net)
 	if err != nil {
 		fail(err)
 	}
@@ -189,10 +189,13 @@ func main() {
 				if err := res.Ledger.VerifyATA(x.Gamma()); err != nil {
 					fail(fmt.Errorf("ATA postcondition violated: %w", err))
 				}
+				// Collect first, so the heap figure is what is live, not
+				// what the last collection left behind.
+				runtime.GC()
 				var ms runtime.MemStats
 				runtime.ReadMemStats(&ms)
 				fmt.Printf("verified:     every node holds %d copies of every other node's message (O(N) ledger)\n", x.Gamma())
-				fmt.Printf("memory:       %.1f MiB heap in use, %.1f MiB from OS\n",
+				fmt.Printf("memory:       %.1f MiB heap in use after GC, %.1f MiB from OS\n",
 					float64(ms.HeapAlloc)/(1<<20), float64(ms.Sys)/(1<<20))
 			}
 			if o.orc != nil {
@@ -334,22 +337,6 @@ func sizeOf(g *topology.Graph, prefix string) (int, bool) {
 	}
 	m, err := strconv.Atoi(name[len(prefix):])
 	return m, err == nil
-}
-
-// buildGraph resolves the -net name through the decomposition registry,
-// so every registered family (Q, SQ, H, T, TQ, KT) is simulatable
-// without per-family dispatch here. Names are case-insensitive.
-func buildGraph(name string) (*topology.Graph, error) {
-	canon := strings.ReplaceAll(strings.ToUpper(name), "X", "x")
-	in, err := hamilton.Parse(canon)
-	if err != nil {
-		keys := make([]string, 0, 8)
-		for _, f := range hamilton.Families() {
-			keys = append(keys, f.Key()+"...")
-		}
-		return nil, fmt.Errorf("cannot parse network %q (registered families: %s)", name, strings.Join(keys, ", "))
-	}
-	return in.Graph()
 }
 
 func fail(err error) {

@@ -40,7 +40,6 @@ import (
 	"ihc/internal/par"
 	"ihc/internal/profiling"
 	"ihc/internal/simnet"
-	"ihc/internal/topology"
 )
 
 type report struct {
@@ -106,7 +105,7 @@ func main() {
 	}
 	var repairTargets []topoIHC
 	for _, name := range strings.Split(*topos, ",") {
-		g, err := parseTopo(strings.TrimSpace(name))
+		g, err := hamilton.ParseNetwork(strings.TrimSpace(name))
 		if err != nil {
 			fail(err)
 		}
@@ -300,24 +299,6 @@ func preflight(x *core.IHC) error {
 		return err
 	}
 	return orc.Finalize()
-}
-
-// parseTopo maps a topology name (sq4, q6, h3, tq4, kt4x2, t4x4 — case
-// insensitive) to its graph through the decomposition registry, so the
-// campaign accepts every registered family without its own switch.
-func parseTopo(s string) (*topology.Graph, error) {
-	// Canonical names are uppercase except the 'x' dimension
-	// separators ("KT4x2", "T4x4").
-	canon := strings.ReplaceAll(strings.ToUpper(s), "X", "x")
-	in, err := hamilton.Parse(canon)
-	if err != nil {
-		keys := make([]string, 0, 8)
-		for _, f := range hamilton.Families() {
-			keys = append(keys, strings.ToLower(f.Key()))
-		}
-		return nil, fmt.Errorf("unknown topology %q (registered families: %s)", s, strings.Join(keys, ", "))
-	}
-	return in.Graph()
 }
 
 func fail(err error) {

@@ -18,7 +18,6 @@ import (
 	"strings"
 
 	"ihc/internal/hamilton"
-	"ihc/internal/topology"
 )
 
 func main() {
@@ -28,9 +27,9 @@ func main() {
 	)
 	flag.Parse()
 
-	g, err := buildGraph(*net)
+	g, err := hamilton.ParseNetwork(*net)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
+		fmt.Fprintln(os.Stderr, "hcgen:", err)
 		os.Exit(2)
 	}
 	cycles, err := hamilton.Decompose(g)
@@ -57,20 +56,4 @@ func main() {
 			fmt.Printf("HC%d: %d %d %d ... (%d nodes)\n", i+1, c[0], c[1], c[2], len(c))
 		}
 	}
-}
-
-// buildGraph resolves a network name through the decomposition
-// registry, so hcgen prints cycles for every registered family
-// (Q, SQ, H, T, TQ, KT). Names are case-insensitive.
-func buildGraph(name string) (*topology.Graph, error) {
-	canon := strings.ReplaceAll(strings.ToUpper(name), "X", "x")
-	in, err := hamilton.Parse(canon)
-	if err != nil {
-		keys := make([]string, 0, 8)
-		for _, f := range hamilton.Families() {
-			keys = append(keys, f.Key()+"...")
-		}
-		return nil, fmt.Errorf("hcgen: cannot parse network %q (registered families: %s)", name, strings.Join(keys, ", "))
-	}
-	return in.Graph()
 }

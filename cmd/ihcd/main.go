@@ -140,24 +140,37 @@ func main() {
 		soak      = flag.Bool("soak", false, "stream pipelined epochs over loopback with kill/restart + partition chaos")
 		epochs    = flag.Int("epochs", 24, "soak mode: epochs to stream")
 		period    = flag.Duration("period", 150*time.Millisecond, "soak mode: epoch cadence")
-		inflight  = flag.Int("max-inflight", 2, "soak mode: concurrently open epochs")
 		deadline  = flag.Duration("deadline", 0, "launch/soak: hard wall-clock budget; on expiry children are killed and the exit code is 4 (0 = off)")
 	)
 	flag.Parse()
 
+	x, err := buildIHC(*m)
+	if err != nil {
+		fail("%v", err)
+	}
+	// The node template every mode runs: a daemon directly, the soak
+	// through cluster.Run, a launch through the flags it hands its
+	// children.
+	tmpl := stream.Config{
+		IHC: x, Eta: *eta,
+		StageDur: *stageDur, HopLatency: *hopLat, Slack: *slack,
+		Retry:       transport.BackoffConfig{Base: 10 * time.Millisecond, Max: 150 * time.Millisecond, Factor: 1.6, Jitter: 0.2, Seed: *seed},
+		MaxAttempts: *maxAtt,
+	}
 	wd := &watchdog{}
 	if *soak {
 		wd.arm(*deadline, "soak")
-		os.Exit(runSoak(*m, *eta, *epochs, *inflight, *period, *stageDur, *hopLat, *slack, *keySeed, *seed, *maxAtt, *timeout))
+		tmpl.Epochs, tmpl.Period = *epochs, *period
+		os.Exit(runSoak(tmpl, *keySeed, *seed, *timeout))
 	}
 	if *launch {
 		wd.arm(*deadline, "launch")
-		os.Exit(runLaunch(*m, *eta, *faultfree, *keySeed, *seed, *stageDur, *hopLat, *slack, *maxAtt, *timeout, wd))
+		os.Exit(runLaunch(tmpl, *m, *faultfree, *keySeed, *seed, *timeout, wd))
 	}
 	if *node < 0 {
 		fail("daemon mode needs -node (or use -launch)")
 	}
-	os.Exit(runDaemon(*m, *eta, *node, *listen, *peersPath, *epochNano, *stageDur, *hopLat, *slack, *keySeed, *seed, *maxAtt, *timeout))
+	os.Exit(runDaemon(tmpl, *node, *listen, *peersPath, *epochNano, *keySeed, *seed, *timeout))
 }
 
 func buildIHC(m int) (*core.IHC, error) {
@@ -175,11 +188,8 @@ func buildIHC(m int) (*core.IHC, error) {
 // ---------------------------------------------------------------------------
 // Daemon mode
 
-func runDaemon(m, eta, self int, listen, peersPath string, epochNano int64, stageDur, hopLat, slack time.Duration, keySeed, seed int64, maxAtt int, timeout time.Duration) int {
-	x, err := buildIHC(m)
-	if err != nil {
-		fail("%v", err)
-	}
+func runDaemon(node stream.Config, self int, listen, peersPath string, epochNano int64, keySeed, seed int64, timeout time.Duration) int {
+	x := node.IHC
 	if peersPath == "" {
 		fail("daemon mode needs -peers")
 	}
@@ -204,35 +214,31 @@ func runDaemon(m, eta, self int, listen, peersPath string, epochNano int64, stag
 		epoch = time.Now().Add(time.Second)
 	}
 
+	ln, err := net.Listen("tcp", listen)
+	if err != nil {
+		fail("listen %s: %v", listen, err)
+	}
 	ep, err := transport.NewTCP(transport.TCPConfig{
-		Self:   topology.Node(self),
-		Graph:  x.Graph(),
-		Listen: listen,
-		Peers:  peers,
-		Dial:   transport.BackoffConfig{Seed: seed + int64(self) + 1},
+		Self:     topology.Node(self),
+		Graph:    x.Graph(),
+		Listener: ln,
+		Peers:    peers,
+		Dial:     transport.BackoffConfig{Seed: seed + int64(self) + 1},
 	})
 	if err != nil {
 		fail("%v", err)
 	}
 	defer ep.Close()
 
-	// One round is a one-epoch stream; stages are 1/4 of the period.
-	nd, err := stream.NewNode(stream.Config{
-		IHC:         x,
-		Eta:         eta,
-		Self:        topology.Node(self),
-		Endpoint:    ep,
-		Keyring:     reliable.NewKeyring(x.N(), keySeed),
-		Epoch0:      epoch,
-		Period:      4 * stageDur,
-		StageDur:    stageDur,
-		HopLatency:  hopLat,
-		Slack:       slack,
-		Retry:       transport.BackoffConfig{Base: 10 * time.Millisecond, Max: 150 * time.Millisecond, Factor: 1.6, Jitter: 0.2, Seed: seed*31 + int64(self) + 1},
-		MaxAttempts: maxAtt,
-		Epochs:      1,
-		Payload:     func(uint32) []byte { return reliable.TruthPayload(topology.Node(self)) },
-	})
+	// One round is a one-epoch stream.
+	node.Self = topology.Node(self)
+	node.Endpoint = ep
+	node.Keyring = reliable.NewKeyring(x.N(), keySeed)
+	node.Epoch0 = epoch
+	node.Retry.Seed = seed*31 + int64(self) + 1
+	node.Epochs = 1
+	node.Payload = func(uint32) []byte { return reliable.TruthPayload(topology.Node(self)) }
+	nd, err := stream.NewNode(node)
 	if err != nil {
 		fail("%v", err)
 	}
@@ -308,11 +314,8 @@ func runDaemon(m, eta, self int, listen, peersPath string, epochNano int64, stag
 // via the JOIN handshake and catch up through the pull planner. The
 // verdict requires every node to complete every epoch with the exact
 // γ-copy ledger postcondition and zero high-priority sheds.
-func runSoak(m, eta, epochs, inflight int, period, stageDur, hopLat, slack time.Duration, keySeed, seed int64, maxAtt int, timeout time.Duration) int {
-	x, err := buildIHC(m)
-	if err != nil {
-		fail("%v", err)
-	}
+func runSoak(node stream.Config, keySeed, seed int64, timeout time.Duration) int {
+	x, period := node.IHC, node.Period
 	// The fault script scales with the cadence: kill after 4 epochs,
 	// stay down ~3, partition a non-victim link while the rejoiner is
 	// catching up.
@@ -320,16 +323,17 @@ func runSoak(m, eta, epochs, inflight int, period, stageDur, hopLat, slack time.
 	downFor := 3 * period
 	partFrom := 9 * period
 	partFor := 3 * period
-	gauges := &observe.StreamGauges{}
+	// The load deliberately outruns the low-priority token bucket
+	// (~250 low/s offered against 200/s admitted), so the soak also
+	// exercises overload shedding — which must hit ONLY the low class;
+	// one shed high-priority payload fails the verdict.
+	node.Ingress = stream.IngressConfig{Rate: 200, Burst: 50}
+	node.Drain = 10 * time.Second
+	node.Gauges = &observe.StreamGauges{}
 	cfg := cluster.Config{
-		IHC: x, Eta: eta, KeySeed: keySeed,
-		StageDur: stageDur, HopLatency: hopLat, Slack: slack,
-		Retry: transport.BackoffConfig{
-			Base: 10 * time.Millisecond, Max: 150 * time.Millisecond,
-			Factor: 1.6, Jitter: 0.2, Seed: seed,
-		},
-		MaxAttempts: maxAtt,
-		Timeout:     timeout,
+		Node:    node,
+		KeySeed: keySeed,
+		Timeout: timeout,
 		Chaos: &chaos.Config{
 			Seed:     seed,
 			DropRate: 0.02, DupRate: 0.02, CorruptRate: 0.01, DelayRate: 0.05,
@@ -340,21 +344,11 @@ func runSoak(m, eta, epochs, inflight int, period, stageDur, hopLat, slack time.
 				Until: simnet.Time((partFrom + partFor) / time.Millisecond),
 			}}},
 		},
-		Epochs:      epochs,
-		Period:      period,
-		MaxInflight: inflight,
-		Drain:       10 * time.Second,
-		// The load deliberately outruns the low-priority token bucket
-		// (~250 low/s offered against 200/s admitted), so the soak also
-		// exercises overload shedding — which must hit ONLY the low
-		// class; one shed high-priority payload fails the verdict.
-		Ingress: stream.IngressConfig{Rate: 200, Burst: 50},
-		Load:    cluster.LoadSpec{Interval: 3 * time.Millisecond, Bytes: 64, HighEvery: 4},
-		Kill:    &cluster.KillSpec{Node: 6, At: killAt, Downtime: downFor},
-		Gauges:  gauges,
+		Load: cluster.LoadSpec{Interval: 3 * time.Millisecond, Bytes: 64, HighEvery: 4},
+		Kill: &cluster.KillSpec{Node: 6, At: killAt, Downtime: downFor},
 	}
-	fmt.Printf("ihcd: soaking Q%d: %d epochs @ %s, ≤%d inflight; kill node 6 at %s for %s, partition {1,3} at %s for %s\n",
-		m, epochs, period, inflight, killAt, downFor, partFrom, partFor)
+	fmt.Printf("ihcd: soaking %s: %d epochs @ %s, ≤%d inflight; kill node 6 at %s for %s, partition {1,3} at %s for %s\n",
+		x.Graph().Name(), node.Epochs, period, stream.MaxInflight, killAt, downFor, partFrom, partFor)
 
 	sigCtx, stopSignals := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stopSignals()
@@ -370,7 +364,7 @@ func runSoak(m, eta, epochs, inflight int, period, stageDur, hopLat, slack time.
 	verdictErr := res.Verify()
 	out := map[string]any{
 		"ok":       verdictErr == nil,
-		"epochs":   epochs,
+		"epochs":   node.Epochs,
 		"elapsed":  elapsed.String(),
 		"naks":     res.NaksSent,
 		"snapshot": snap,
@@ -385,7 +379,7 @@ func runSoak(m, eta, epochs, inflight int, period, stageDur, hopLat, slack time.
 		return 1
 	}
 	fmt.Printf("ihcd: soak complete in %s: all %d nodes completed %d epochs (γ-copy exact), %d caught up after the kill, 0 high-priority sheds\n",
-		elapsed.Round(time.Millisecond), x.N(), epochs, snap.EpochsCaughtUp)
+		elapsed.Round(time.Millisecond), x.N(), node.Epochs, snap.EpochsCaughtUp)
 	return 0
 }
 
@@ -413,11 +407,8 @@ func launchErr(format string, args ...any) int {
 	return 1
 }
 
-func runLaunch(m, eta int, faultfree bool, keySeed, seed int64, stageDur, hopLat, slack time.Duration, maxAtt int, timeout time.Duration, wd *watchdog) int {
-	x, err := buildIHC(m)
-	if err != nil {
-		fail("%v", err)
-	}
+func runLaunch(node stream.Config, m int, faultfree bool, keySeed, seed int64, timeout time.Duration, wd *watchdog) int {
+	x := node.IHC
 	g := x.Graph()
 	n := g.N()
 	gamma := x.Gamma()
@@ -466,7 +457,7 @@ func runLaunch(m, eta int, faultfree bool, keySeed, seed int64, stageDur, hopLat
 				Nodes: []fault.NodeFault{{Node: 6, Kind: fault.Crash, At: 1}},
 				Links: []fault.LinkFault{{U: 1, V: 3, From: 1, Until: 4}},
 			},
-			TickDur:     stageDur, // plan ticks are whole stages
+			TickDur:     node.StageDur, // plan ticks are whole stages
 			Seed:        seed,
 			DropRate:    0.05,
 			DupRate:     0.05,
@@ -518,16 +509,16 @@ func runLaunch(m, eta int, faultfree bool, keySeed, seed int64, stageDur, hopLat
 		cmd := exec.Command(self,
 			"-node", strconv.Itoa(v),
 			"-m", strconv.Itoa(m),
-			"-eta", strconv.Itoa(eta),
+			"-eta", strconv.Itoa(node.Eta),
 			"-listen", realAddrs[nodeID],
 			"-peers", path,
 			"-epoch", strconv.FormatInt(epoch.UnixNano(), 10),
-			"-stage-dur", stageDur.String(),
-			"-hop-latency", hopLat.String(),
-			"-slack", slack.String(),
+			"-stage-dur", node.StageDur.String(),
+			"-hop-latency", node.HopLatency.String(),
+			"-slack", node.Slack.String(),
 			"-key-seed", strconv.FormatInt(keySeed, 10),
 			"-seed", strconv.FormatInt(seed, 10),
-			"-max-attempts", strconv.Itoa(maxAtt),
+			"-max-attempts", strconv.Itoa(node.MaxAttempts),
 			"-timeout", timeout.String(),
 		)
 		cmd.Stderr = os.Stderr
@@ -635,7 +626,7 @@ func runLaunch(m, eta int, faultfree bool, keySeed, seed int64, stageDur, hopLat
 		}
 		graded.Nodes[v] = []stream.EpochResult{{Node: v, Completed: true, Copies: copies}}
 	}
-	if err := cluster.CompareWithSimnet(cluster.Config{IHC: x, Eta: eta}, graded); err != nil {
+	if err := cluster.CompareWithSimnet(node.IHC, node.Eta, graded); err != nil {
 		fmt.Fprintf(os.Stderr, "ihcd: %v\n", err)
 		violations++
 	} else if faultfree && violations == 0 {

@@ -82,15 +82,6 @@ func MustNew(m int, src topology.Node) *Broadcast {
 	return b
 }
 
-// dirStep returns the address step of direction d in H_m: directions 0,
-// 1, 2 are +1, +(3m-1), +(3m-2); directions 3, 4, 5 their negations.
-// (s₀ + s₂ = s₁, the hexagonal closure property.)
-func dirStep(m, d int) int {
-	n := topology.HexMeshSize(m)
-	steps := [6]int{1, 3*m - 1, 3*m - 2, n - 1, n - (3*m - 1), n - (3*m - 2)}
-	return steps[d]
-}
-
 // buildTree emits direction dir's comb: the direction-0 pattern with all
 // addresses multiplied by ω^dir and translated to the source.
 func (b *Broadcast) buildTree(dir int) {

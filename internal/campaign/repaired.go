@@ -1,12 +1,14 @@
 package campaign
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"time"
 
 	"ihc/internal/core"
 	"ihc/internal/fault"
+	"ihc/internal/par"
 	"ihc/internal/reliable"
 	"ihc/internal/repair"
 	"ihc/internal/topology"
@@ -161,23 +163,27 @@ func gradeRepaired(x *core.IHC, edges []topology.Edge, elems []int, seed int64) 
 // reports plus MaxSafe: the largest t whose connected placements all
 // delivered everywhere after repair. The walk stops early at the first
 // t with a violation (the frontier) or when every graded placement at
-// some t was partitioned (nothing left to defend).
+// some t was partitioned (nothing left to defend). The points run on
+// the par pool, so a frontier that stops early also searched the points
+// past its stop; their reports and errors are dropped.
 func RepairedFrontier(x *core.IHC, maxT int, cfg Search, seed int64) ([]*RepairedReport, int, error) {
+	points, errs := par.Map(max(maxT, 0), false, cfg.Cancel, func(i int) (*RepairedReport, error) {
+		return RunRepairedPoint(x, i+1, cfg, seed)
+	})
 	var reports []*RepairedReport
 	maxSafe := 0
-	for t := 1; t <= maxT; t++ {
-		rep, err := RunRepairedPoint(x, t, cfg, seed)
-		if err != nil {
-			return nil, 0, err
+	for i, rep := range points {
+		if errors.Is(errs[i], par.ErrCanceled) {
+			return nil, 0, ErrCanceled
+		}
+		if errs[i] != nil {
+			return nil, 0, errs[i]
 		}
 		reports = append(reports, rep)
-		if rep.Violations > 0 {
+		if rep.Violations > 0 || rep.Placements == 0 {
 			break
 		}
-		if rep.Placements == 0 {
-			break
-		}
-		maxSafe = t
+		maxSafe = i + 1
 	}
 	return reports, maxSafe, nil
 }

@@ -4,6 +4,8 @@ import (
 	"math/rand"
 	"testing"
 
+	"ihc/internal/core"
+	"ihc/internal/hamilton"
 	"ihc/internal/topology"
 )
 
@@ -37,6 +39,27 @@ func TestRepairedFrontierBeatsStaticBound(t *testing.T) {
 	last := reports[len(reports)-1]
 	if last.T >= gamma && last.PartitionedSkipped == 0 && last.Exhaustive {
 		t.Fatalf("t=%d exhaustive with no partitioned placements — screen suspect", last.T)
+	}
+}
+
+// TestRepairedFrontierStopsAtPartition: on a ring every placement of
+// two broken links cuts the graph, so the walk stops at t = 2 with
+// nothing graded and MaxSafe = 1. The points past the stop run on the
+// pool too; the frontier must drop them.
+func TestRepairedFrontierStopsAtPartition(t *testing.T) {
+	x, err := core.New(topology.MustCycle(8), []hamilton.Cycle{{0, 1, 2, 3, 4, 5, 6, 7}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	reports, maxSafe, err := RepairedFrontier(x, 4, Search{Budget: 40, Samples: 25}, 12)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if maxSafe != 1 || len(reports) != 2 {
+		t.Fatalf("MaxSafe %d over %d reports, want 1 over 2 (t = 1, 2)", maxSafe, len(reports))
+	}
+	if last := reports[1]; last.T != 2 || last.Placements != 0 || last.PartitionedSkipped == 0 {
+		t.Fatalf("t=%d: %d graded, %d partitioned; want t=2 with every placement partitioned", last.T, last.Placements, last.PartitionedSkipped)
 	}
 }
 

@@ -34,13 +34,6 @@ type Proxy struct {
 	conns  map[net.Conn]struct{}
 	wg     sync.WaitGroup
 	closed atomic.Bool
-
-	// counters, for the harness's curiosity
-	Forwarded  atomic.Int64
-	Dropped    atomic.Int64
-	Corrupted  atomic.Int64
-	Duplicated atomic.Int64
-	Severed    atomic.Int64
 }
 
 // NewProxy starts a proxy for the directed link from→to, forwarding to
@@ -107,7 +100,6 @@ func (p *Proxy) accept() {
 			// listener queue is not ours to pause) but hang up
 			// immediately, so the dialer sees a dead link.
 			c.Close()
-			p.Severed.Add(1)
 			continue
 		}
 		if !p.track(c) {
@@ -141,17 +133,14 @@ func (p *Proxy) pipe(in net.Conn) {
 		if p.plan.Partitioned(p.from, p.to, now) {
 			// Entering an outage mid-connection: sever both sides so
 			// the sender's breaker and reconnect logic engage.
-			p.Severed.Add(1)
 			return
 		}
 		act := p.plan.Filter(p.from, p.to, now)
 		if act.Drop {
-			p.Dropped.Add(1)
 			continue
 		}
 		if act.Corrupt && len(body) > 0 {
 			body[len(body)/2] ^= 0xFF
-			p.Corrupted.Add(1)
 		}
 		if act.Delay > 0 {
 			time.Sleep(act.Delay)
@@ -159,14 +148,12 @@ func (p *Proxy) pipe(in net.Conn) {
 		writes := 1
 		if act.Duplicate {
 			writes = 2
-			p.Duplicated.Add(1)
 		}
 		for i := 0; i < writes; i++ {
 			if err := transport.WriteFrame(out, body); err != nil {
 				return
 			}
 		}
-		p.Forwarded.Add(1)
 	}
 }
 
@@ -175,14 +162,13 @@ func (p *Proxy) pipe(in net.Conn) {
 // renders, per node, the peer table pointing each neighbor through the
 // right proxy.
 type ProxyMesh struct {
-	plan    *Plan
 	proxies map[[2]topology.Node]*Proxy
 }
 
 // NewProxyMesh builds a proxy per directed arc of plan's graph.
 // realAddrs maps each node to its actual listener address.
 func NewProxyMesh(plan *Plan, realAddrs map[topology.Node]string) (*ProxyMesh, error) {
-	pm := &ProxyMesh{plan: plan, proxies: make(map[[2]topology.Node]*Proxy)}
+	pm := &ProxyMesh{proxies: make(map[[2]topology.Node]*Proxy)}
 	for _, a := range plan.cfg.Graph.Arcs() {
 		target, ok := realAddrs[a.To]
 		if !ok {
@@ -208,11 +194,6 @@ func (pm *ProxyMesh) Addrs(v topology.Node) map[topology.Node]string {
 		}
 	}
 	return out
-}
-
-// Proxy returns the proxy for one directed arc (nil if absent).
-func (pm *ProxyMesh) Proxy(from, to topology.Node) *Proxy {
-	return pm.proxies[[2]topology.Node{from, to}]
 }
 
 // Close stops every proxy.

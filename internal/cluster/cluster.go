@@ -28,7 +28,6 @@ import (
 
 	"ihc/internal/chaos"
 	"ihc/internal/core"
-	"ihc/internal/hlc"
 	"ihc/internal/observe"
 	"ihc/internal/reliable"
 	"ihc/internal/simnet"
@@ -37,58 +36,38 @@ import (
 	"ihc/internal/transport"
 )
 
+// setupDelay is how far in the future Run places epoch 0's stage 0,
+// leaving time to build every node.
+const setupDelay = 100 * time.Millisecond
+
 // Config shapes one cluster run.
 type Config struct {
-	IHC *core.IHC
-	Eta int
+	// Node is every node's stream.Config. Run copies it per node and
+	// owns Self, Endpoint, Keyring, Epoch0, Join, Clock and Payload:
+	// each node lifetime gets its own clock, and when Load is zero node
+	// v injects reliable.TruthPayload(v) every epoch, as in a one-shot
+	// round. Retry is seeded per node and also shapes (TCP) reconnect
+	// dialing. Epochs defaults to 1; every other zero field takes
+	// stream.Config's default.
+	Node stream.Config
 	// KeySeed derives the cluster's HMAC keyring.
 	KeySeed int64
-	// TCP selects real sockets; false runs the loopback mesh.
+	// TCP selects real sockets; false runs the loopback mesh, whose
+	// per-hop latency is Node's HopLatency.
 	TCP bool
 	// Chaos, when non-nil, interposes the compiled fault plan on every
 	// link (loopback filter or per-arc TCP proxies) and kills the
 	// plan's crashed nodes for good. Its Epoch is overridden with the
 	// cluster's.
 	Chaos *chaos.Config
-	// Timing. StageDur must comfortably exceed per-hop latency ×
-	// longest route for fault-free runs to finish inside the schedule.
-	StageDur   time.Duration
-	HopLatency time.Duration
-	Slack      time.Duration
-	// Retry shapes the repair backoff and (TCP) reconnect dialing.
-	Retry       transport.BackoffConfig
-	MaxAttempts int
 	// Timeout bounds the whole run. Default 30s.
 	Timeout time.Duration
-	// SetupDelay is how far in the future epoch 0's stage 0 is placed,
-	// leaving construction time. Default 100ms.
-	SetupDelay time.Duration
-	// Epochs to stream (default 1, a one-shot round); Period between
-	// epoch starts (default four stages); MaxInflight overlapping
-	// rounds; Retain closed epochs kept to serve late pulls; Drain
-	// bounds the post-schedule straggler window. Zero MaxInflight,
-	// Retain and Drain take stream.Config's defaults.
-	Epochs      int
-	Period      time.Duration
-	MaxInflight int
-	Retain      int
-	Drain       time.Duration
-	// Ingress and Load shape the client-payload path. A zero Load
-	// disables the generators.
-	Ingress stream.IngressConfig
-	Load    LoadSpec
+	// Load shapes the synthetic client load on each node's ingress; a
+	// zero Load disables the generators.
+	Load LoadSpec
 	// Kill, when non-nil, schedules the mid-run kill and restart of
 	// one node (loopback only).
 	Kill *KillSpec
-	// Payload, when non-nil, bypasses ingress on every node: node v's
-	// epoch-e injection is Payload(v, e). With neither Payload nor Load,
-	// node v injects reliable.TruthPayload(v) every epoch, as in a
-	// one-shot round.
-	Payload func(v topology.Node, epoch uint32) []byte
-	// Gauges aggregates cluster-wide streaming metrics (shared sink).
-	Gauges *observe.StreamGauges
-	// CollectPayloads retains delivered payload bytes per epoch result.
-	CollectPayloads bool
 }
 
 // KillSpec schedules the mid-run kill and restart of one node.
@@ -111,42 +90,24 @@ type LoadSpec struct {
 }
 
 func (c Config) defaulted() Config {
-	if c.StageDur <= 0 {
-		c.StageDur = 50 * time.Millisecond
-	}
-	if c.HopLatency <= 0 {
-		c.HopLatency = time.Millisecond
-	}
-	if c.Slack <= 0 {
-		c.Slack = c.StageDur
-	}
 	if c.Timeout <= 0 {
 		c.Timeout = 30 * time.Second
 	}
-	if c.SetupDelay <= 0 {
-		c.SetupDelay = 100 * time.Millisecond
-	}
-	if c.Epochs <= 0 {
-		c.Epochs = 1
-	}
-	if c.Period <= 0 {
-		c.Period = 4 * c.StageDur
-	}
-	if c.Payload == nil && c.Load.Interval <= 0 {
-		c.Payload = func(v topology.Node, _ uint32) []byte { return reliable.TruthPayload(v) }
+	if c.Node.Epochs <= 0 {
+		c.Node.Epochs = 1
 	}
 	return c
 }
 
 // validate rejects a configuration the harness cannot execute.
 func (c Config) validate() error {
-	if c.IHC == nil {
+	if c.Node.IHC == nil {
 		return fmt.Errorf("cluster: config needs an IHC schedule")
 	}
 	if k := c.Kill; k != nil {
 		switch {
-		case k.Node < 0 || int(k.Node) >= c.IHC.N():
-			return fmt.Errorf("cluster: kill node %d outside [0,%d)", k.Node, c.IHC.N())
+		case k.Node < 0 || int(k.Node) >= c.Node.IHC.N():
+			return fmt.Errorf("cluster: kill node %d outside [0,%d)", k.Node, c.Node.IHC.N())
 		case k.At < 0:
 			return fmt.Errorf("cluster: kill time %s is negative", k.At)
 		case k.Downtime <= 0:
@@ -231,10 +192,10 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	g := cfg.IHC.Graph()
+	g := cfg.Node.IHC.Graph()
 	n := g.N()
 	keyring := reliable.NewKeyring(n, cfg.KeySeed)
-	epoch0 := time.Now().Add(cfg.SetupDelay)
+	epoch0 := time.Now().Add(setupDelay)
 
 	var plan *chaos.Plan
 	crashes := map[topology.Node]time.Duration{}
@@ -296,7 +257,7 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 				Graph:    g,
 				Listener: listeners[node],
 				Peers:    peerAddrs(node),
-				Dial:     cfg.Retry,
+				Dial:     cfg.Node.Retry,
 			})
 			if err != nil {
 				return nil, fmt.Errorf("cluster: node %d endpoint: %w", v, err)
@@ -305,7 +266,7 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 			closers = append(closers, func() { ep.Close() })
 		}
 	} else {
-		lbCfg := transport.LoopbackConfig{Graph: g, Latency: cfg.HopLatency, Epoch: epoch0}
+		lbCfg := transport.LoopbackConfig{Graph: g, Latency: cfg.Node.Defaulted().HopLatency, Epoch: epoch0}
 		if plan != nil {
 			lbCfg.Filter = plan
 		}
@@ -368,31 +329,17 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 	// start runs one lifetime of node v and returns the func that ends
 	// it with zero notice.
 	start := func(v topology.Node, join bool) (func(), error) {
-		sc := stream.Config{
-			IHC:             cfg.IHC,
-			Eta:             cfg.Eta,
-			Self:            v,
-			Endpoint:        endpoints[v],
-			Keyring:         keyring,
-			Epoch0:          epoch0,
-			Period:          cfg.Period,
-			StageDur:        cfg.StageDur,
-			HopLatency:      cfg.HopLatency,
-			Slack:           cfg.Slack,
-			Retry:           seededFor(cfg.Retry, v),
-			MaxAttempts:     cfg.MaxAttempts,
-			MaxInflight:     cfg.MaxInflight,
-			Retain:          cfg.Retain,
-			Epochs:          cfg.Epochs,
-			Drain:           cfg.Drain,
-			Join:            join,
-			Ingress:         cfg.Ingress,
-			Clock:           hlc.New(),
-			Gauges:          cfg.Gauges,
-			CollectPayloads: cfg.CollectPayloads,
-		}
-		if cfg.Payload != nil {
-			sc.Payload = func(e uint32) []byte { return cfg.Payload(v, e) }
+		sc := cfg.Node
+		sc.Self = v
+		sc.Endpoint = endpoints[v]
+		sc.Keyring = keyring
+		sc.Epoch0 = epoch0
+		sc.Join = join
+		sc.Retry = seededFor(sc.Retry, v)
+		sc.Clock = nil // NewNode gives each lifetime its own
+		sc.Payload = nil
+		if cfg.Load.Interval <= 0 {
+			sc.Payload = func(uint32) []byte { return reliable.TruthPayload(v) }
 		}
 		nd, err := stream.NewNode(sc)
 		if err != nil {
@@ -475,7 +422,7 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 	}
 
 	res := &Result{
-		Epochs:  cfg.Epochs,
+		Epochs:  cfg.Node.Epochs,
 		Kill:    cfg.Kill,
 		Nodes:   make(map[topology.Node][]stream.EpochResult),
 		RunErrs: make(map[topology.Node]error),
@@ -506,7 +453,7 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 	for _, ers := range res.Nodes {
 		sort.Slice(ers, func(i, j int) bool { return ers[i].Epoch < ers[j].Epoch })
 	}
-	res.Snapshot = cfg.Gauges.Snapshot()
+	res.Snapshot = cfg.Node.Gauges.Snapshot()
 	return res, nil
 }
 
@@ -526,16 +473,16 @@ func seededFor(b transport.BackoffConfig, v topology.Node) transport.BackoffConf
 // CopyMatrix records for (r, s). It is the acceptance bridge between
 // the two executions — same topology, same schedule, same multiset —
 // and the delivery check both Run's callers and `ihcd -launch` apply.
-func CompareWithSimnet(cfg Config, res *Result) error {
-	sim, err := cfg.IHC.Run(core.Config{Eta: cfg.Eta, Params: simnet.Params{}.Defaulted()})
+func CompareWithSimnet(x *core.IHC, eta int, res *Result) error {
+	sim, err := x.Run(core.Config{Eta: eta, Params: simnet.Params{}.Defaulted()})
 	if err != nil {
 		return fmt.Errorf("cluster: simnet reference run: %w", err)
 	}
 	if sim.Copies == nil {
 		return fmt.Errorf("cluster: simnet reference run recorded no copy matrix")
 	}
-	n := cfg.IHC.N()
-	gamma := cfg.IHC.Gamma()
+	n := x.N()
+	gamma := x.Gamma()
 	for r, results := range res.Nodes {
 		for _, er := range results {
 			for s := 0; s < n; s++ {

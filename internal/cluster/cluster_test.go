@@ -15,6 +15,7 @@ import (
 	"ihc/internal/observe"
 	"ihc/internal/reliable"
 	"ihc/internal/repair"
+	"ihc/internal/stream"
 	"ihc/internal/topology"
 	"ihc/internal/transport"
 )
@@ -33,24 +34,30 @@ func q3(t *testing.T) *core.IHC {
 	return x
 }
 
-func quickTiming(cfg Config) Config {
-	cfg.StageDur = 30 * time.Millisecond
-	cfg.HopLatency = time.Millisecond
-	cfg.Slack = 60 * time.Millisecond
-	cfg.Retry = transport.BackoffConfig{
-		Base: 10 * time.Millisecond, Max: 150 * time.Millisecond,
-		Factor: 1.6, Jitter: 0.2, Seed: 42,
+// quick is a one-shot round of x at eta on the tests' short timing.
+func quick(x *core.IHC, eta int) Config {
+	return Config{
+		Node: stream.Config{
+			IHC: x, Eta: eta,
+			StageDur:   30 * time.Millisecond,
+			HopLatency: time.Millisecond,
+			Slack:      60 * time.Millisecond,
+			Retry: transport.BackoffConfig{
+				Base: 10 * time.Millisecond, Max: 150 * time.Millisecond,
+				Factor: 1.6, Jitter: 0.2, Seed: 42,
+			},
+			MaxAttempts: 30,
+		},
+		KeySeed: 7,
+		Timeout: 20 * time.Second,
 	}
-	cfg.MaxAttempts = 30
-	cfg.Timeout = 20 * time.Second
-	return cfg
 }
 
 // TestLoopbackFaultFree runs a fault-free Q3 ATA round over the
 // in-process mesh and checks both the per-node γ-copy ledgers and the
 // delivery-multiset equivalence against the discrete-event engine.
 func TestLoopbackFaultFree(t *testing.T) {
-	cfg := quickTiming(Config{IHC: q3(t), Eta: 2, KeySeed: 7})
+	cfg := quick(q3(t), 2)
 	res, err := Run(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -61,14 +68,15 @@ func TestLoopbackFaultFree(t *testing.T) {
 	if len(res.Nodes) != 8 {
 		t.Fatalf("got %d survivors, want 8", len(res.Nodes))
 	}
-	if err := CompareWithSimnet(cfg, res); err != nil {
+	if err := CompareWithSimnet(cfg.Node.IHC, cfg.Node.Eta, res); err != nil {
 		t.Fatal(err)
 	}
 }
 
 // TestTCPFaultFree is the same round over real sockets.
 func TestTCPFaultFree(t *testing.T) {
-	cfg := quickTiming(Config{IHC: q3(t), Eta: 2, KeySeed: 7, TCP: true})
+	cfg := quick(q3(t), 2)
+	cfg.TCP = true
 	res, err := Run(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -76,7 +84,7 @@ func TestTCPFaultFree(t *testing.T) {
 	if err := res.Verify(); err != nil {
 		t.Fatal(err)
 	}
-	if err := CompareWithSimnet(cfg, res); err != nil {
+	if err := CompareWithSimnet(cfg.Node.IHC, cfg.Node.Eta, res); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -110,8 +118,8 @@ func chaosQuick(stageDur time.Duration) *chaos.Config {
 // corrupt, delay, partition, crash — over the in-process mesh and
 // asserts the surviving nodes' exact γ-copy postcondition.
 func TestLoopbackChaos(t *testing.T) {
-	cfg := quickTiming(Config{IHC: q3(t), Eta: 2, KeySeed: 7})
-	cfg.Chaos = chaosQuick(cfg.StageDur)
+	cfg := quick(q3(t), 2)
+	cfg.Chaos = chaosQuick(cfg.Node.StageDur)
 	res, err := Run(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -130,8 +138,9 @@ func TestLoopbackChaos(t *testing.T) {
 // TestTCPChaos is the headline scenario over real sockets and
 // socket-level chaos proxies.
 func TestTCPChaos(t *testing.T) {
-	cfg := quickTiming(Config{IHC: q3(t), Eta: 2, KeySeed: 7, TCP: true})
-	cfg.Chaos = chaosQuick(cfg.StageDur)
+	cfg := quick(q3(t), 2)
+	cfg.TCP = true
+	cfg.Chaos = chaosQuick(cfg.Node.StageDur)
 	res, err := Run(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -153,7 +162,7 @@ func TestEtaSweepOneShot(t *testing.T) {
 	x := q3(t)
 	for eta := 1; eta <= x.N(); eta++ {
 		t.Run(fmt.Sprintf("eta=%d", eta), func(t *testing.T) {
-			cfg := quickTiming(Config{IHC: x, Eta: eta, KeySeed: 7})
+			cfg := quick(x, eta)
 			res, err := Run(context.Background(), cfg)
 			if err != nil {
 				t.Fatal(err)
@@ -161,7 +170,7 @@ func TestEtaSweepOneShot(t *testing.T) {
 			if err := res.Verify(); err != nil {
 				t.Fatal(err)
 			}
-			if err := CompareWithSimnet(cfg, res); err != nil {
+			if err := CompareWithSimnet(x, eta, res); err != nil {
 				t.Fatal(err)
 			}
 		})
@@ -183,7 +192,9 @@ func TestRunRejectsBadKill(t *testing.T) {
 		{"no downtime", KillSpec{Node: 6}, false},
 		{"over TCP", ok, true},
 	} {
-		cfg := quickTiming(Config{IHC: q3(t), Eta: 2, KeySeed: 7, TCP: tc.tcp, Kill: &tc.kill})
+		cfg := quick(q3(t), 2)
+		cfg.TCP = tc.tcp
+		cfg.Kill = &tc.kill
 		if _, err := Run(context.Background(), cfg); err == nil {
 			t.Errorf("%s: Run accepted kill %+v", tc.name, tc.kill)
 		}
@@ -192,13 +203,12 @@ func TestRunRejectsBadKill(t *testing.T) {
 
 func quickStream(t *testing.T) Config {
 	t.Helper()
-	cfg := quickTiming(Config{IHC: q3(t), Eta: 2, KeySeed: 7})
-	cfg.Epochs = 6
-	cfg.Period = 120 * time.Millisecond
-	cfg.MaxInflight = 2
-	cfg.Drain = 4 * time.Second
+	cfg := quick(q3(t), 2)
+	cfg.Node.Epochs = 6
+	cfg.Node.Period = 120 * time.Millisecond
+	cfg.Node.Drain = 4 * time.Second
+	cfg.Node.Gauges = &observe.StreamGauges{}
 	cfg.Load = LoadSpec{Interval: 10 * time.Millisecond, Bytes: 64, HighEvery: 4}
-	cfg.Gauges = &observe.StreamGauges{}
 	return cfg
 }
 
@@ -214,8 +224,8 @@ func TestStreamFaultFree(t *testing.T) {
 	if err := res.Verify(); err != nil {
 		t.Fatal(err)
 	}
-	if res.Snapshot.EpochsCompleted < int64(cfg.Epochs*8) {
-		t.Fatalf("completed %d per-node epochs, want ≥ %d", res.Snapshot.EpochsCompleted, cfg.Epochs*8)
+	if res.Snapshot.EpochsCompleted < int64(cfg.Node.Epochs*8) {
+		t.Fatalf("completed %d per-node epochs, want ≥ %d", res.Snapshot.EpochsCompleted, cfg.Node.Epochs*8)
 	}
 	if res.Snapshot.Payloads == 0 {
 		t.Fatal("no client payloads delivered under load")
@@ -223,17 +233,16 @@ func TestStreamFaultFree(t *testing.T) {
 }
 
 // TestStreamEquivalenceOneShot is the acceptance bridge to the
-// simulator: at MaxInflight=1 with no load, every epoch of every node
-// must deliver the discrete-event engine's multiset — one copy per
-// channel per source (CompareWithSimnet) — and every (source, channel)
-// copy must carry the source's reliable.TruthPayload, the harness's
-// injection when neither Payload nor Load is set.
+// simulator: with no load, every epoch of every node must deliver the
+// discrete-event engine's multiset — one copy per channel per source
+// (CompareWithSimnet) — and every (source, channel) copy must carry the
+// source's reliable.TruthPayload, the harness's injection when Load is
+// zero. Up to stream.MaxInflight epochs overlap.
 func TestStreamEquivalenceOneShot(t *testing.T) {
 	cfg := quickStream(t)
-	cfg.Epochs = 3
-	cfg.MaxInflight = 1
+	cfg.Node.Epochs = 3
+	cfg.Node.CollectPayloads = true
 	cfg.Load = LoadSpec{}
-	cfg.CollectPayloads = true
 	res, err := Run(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -241,21 +250,21 @@ func TestStreamEquivalenceOneShot(t *testing.T) {
 	if err := res.Verify(); err != nil {
 		t.Fatal(err)
 	}
-	if err := CompareWithSimnet(cfg, res); err != nil {
+	if err := CompareWithSimnet(cfg.Node.IHC, cfg.Node.Eta, res); err != nil {
 		t.Fatal(err)
 	}
 	for v, results := range res.Nodes {
-		if len(results) != cfg.Epochs {
-			t.Fatalf("node %d reported %d epochs, want %d", v, len(results), cfg.Epochs)
+		if len(results) != cfg.Node.Epochs {
+			t.Fatalf("node %d reported %d epochs, want %d", v, len(results), cfg.Node.Epochs)
 		}
 		for _, er := range results {
-			for s := 0; s < cfg.IHC.N(); s++ {
+			for s := 0; s < cfg.Node.IHC.N(); s++ {
 				src := topology.Node(s)
 				if src == v {
 					continue
 				}
 				want := reliable.TruthPayload(src)
-				for j := 0; j < cfg.IHC.Gamma(); j++ {
+				for j := 0; j < cfg.Node.IHC.Gamma(); j++ {
 					got := er.Payloads[repair.Want{Source: src, Channel: uint8(j)}]
 					if !bytes.Equal(got, want) {
 						t.Fatalf("node %d epoch %d source %d channel %d: payload %x, want %x",
@@ -274,9 +283,8 @@ func TestStreamEquivalenceOneShot(t *testing.T) {
 func TestTCPStream(t *testing.T) {
 	cfg := quickStream(t)
 	cfg.TCP = true
-	cfg.Epochs = 3
-	cfg.MaxInflight = 2
-	cfg.Chaos = chaosQuick(cfg.StageDur)
+	cfg.Node.Epochs = 3
+	cfg.Chaos = chaosQuick(cfg.Node.StageDur)
 	cfg.Chaos.Plan.Nodes = nil
 	res, err := Run(context.Background(), cfg)
 	if err != nil {
@@ -288,7 +296,7 @@ func TestTCPStream(t *testing.T) {
 	if err := res.Verify(); err != nil {
 		t.Fatal(err)
 	}
-	if err := CompareWithSimnet(cfg, res); err != nil {
+	if err := CompareWithSimnet(cfg.Node.IHC, cfg.Node.Eta, res); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -306,10 +314,10 @@ func TestStreamSoakKillRestart(t *testing.T) {
 	}
 	before := runtime.NumGoroutine()
 	cfg := quickStream(t)
-	cfg.Epochs = 20
-	cfg.Period = 150 * time.Millisecond
+	cfg.Node.Epochs = 20
+	cfg.Node.Period = 150 * time.Millisecond
+	cfg.Node.Drain = 10 * time.Second
 	cfg.Timeout = 45 * time.Second
-	cfg.Drain = 10 * time.Second
 	cfg.Kill = &KillSpec{Node: 6, At: 600 * time.Millisecond, Downtime: 500 * time.Millisecond}
 	cfg.Chaos = &chaos.Config{
 		Seed:     99,

@@ -21,33 +21,14 @@ import (
 	"ihc/internal/simnet"
 )
 
-// Options tune the battery; the zero value is the standard quick run.
-type Options struct {
-	// Params are the timing parameters (zero value → the repository
-	// defaults τ_S=100 α=20 μ=2 D=37, with μ overridden per point).
-	Params simnet.Params
-	// MaxOracleN caps the sizes that run the full O(N²) copy-matrix
-	// oracle leg (default 64; larger instances still run every other
-	// check).
-	MaxOracleN int
-}
-
-func (o Options) defaulted() Options {
-	if o.Params == (simnet.Params{}) {
-		o.Params = simnet.Params{TauS: 100, Alpha: 20, Mu: 2, D: 37}
-	}
-	if o.MaxOracleN == 0 {
-		o.MaxOracleN = 64
-	}
-	return o
-}
+// maxOracleN caps the sizes that run the full O(N²) copy-matrix oracle
+// leg; larger instances still run every other check.
+const maxOracleN = 64
 
 // Check runs the full battery on one registry instance. A nil error
 // means every property held; the error otherwise names the first
 // failing property.
-func Check(in *hamilton.Instance, opt Options) error {
-	opt = opt.defaulted()
-
+func Check(in *hamilton.Instance) error {
 	// Property 1 — decomposition validity: every cycle Hamiltonian,
 	// cycles pairwise edge-disjoint, full cover iff declared, and the
 	// declared N/γ matching the construction. Build verifies all of it.
@@ -74,7 +55,8 @@ func Check(in *hamilton.Instance, opt Options) error {
 	if in.N%2 != 0 {
 		eta = 1
 	}
-	p := opt.Params
+	// The repository's default timing, with μ = η.
+	p := simnet.Params{}.Defaulted()
 	p.Mu = eta
 
 	// Property 2 — schedule feasibility: the static η ≥ μ schedule
@@ -88,7 +70,7 @@ func Check(in *hamilton.Instance, opt Options) error {
 	// compiled cycle and the exact Theorem 3/4 closed-form finish.
 	mp := model.Params{TauS: p.TauS, Alpha: p.Alpha, Mu: p.Mu, D: p.D}
 	copies := 0
-	if in.N <= opt.MaxOracleN {
+	if in.N <= maxOracleN {
 		copies = x.Gamma()
 	}
 	orc, err := observe.NewOracle(observe.OracleConfig{
@@ -126,13 +108,13 @@ func Check(in *hamilton.Instance, opt Options) error {
 
 // CheckFamily runs Check on every conformance size the family declares,
 // returning the first failure annotated with the instance name.
-func CheckFamily(f hamilton.Family, opt Options) error {
-	for _, params := range f.Conformance() {
-		in, err := f.New(params...)
+func CheckFamily(f hamilton.Family) error {
+	for _, size := range f.Conformance() {
+		in, err := f.New(size...)
 		if err != nil {
-			return fmt.Errorf("%s%v: %w", f.Key(), params, err)
+			return fmt.Errorf("%s%v: %w", f.Key(), size, err)
 		}
-		if err := Check(in, opt); err != nil {
+		if err := Check(in); err != nil {
 			return fmt.Errorf("%s: %w", in.Name, err)
 		}
 	}

@@ -29,7 +29,7 @@ func TestCrossFamilyConformance(t *testing.T) {
 			if len(f.Conformance()) == 0 {
 				t.Fatalf("family %s declares no conformance sizes", f.Key())
 			}
-			if err := conformance.CheckFamily(f, conformance.Options{}); err != nil {
+			if err := conformance.CheckFamily(f); err != nil {
 				t.Fatal(err)
 			}
 		})

@@ -3,6 +3,7 @@ package hamilton
 import (
 	"fmt"
 	"sort"
+	"strings"
 	"sync"
 
 	"ihc/internal/topology"
@@ -133,6 +134,23 @@ func Parse(name string) (*Instance, error) {
 		}
 	}
 	return nil, fmt.Errorf("hamilton: no decomposition rule for %q", name)
+}
+
+// ParseNetwork resolves a network name as the command-line tools take
+// it — case-insensitive, so "q6", "kt4x2" and "T4X4" all name graphs —
+// to its graph. The error lists the registered families.
+func ParseNetwork(name string) (*topology.Graph, error) {
+	// Canonical names are uppercase except the 'x' dimension
+	// separators ("KT4x2", "T4x4").
+	in, err := Parse(strings.ReplaceAll(strings.ToUpper(name), "X", "x"))
+	if err != nil {
+		keys := make([]string, 0, 8)
+		for _, f := range Families() {
+			keys = append(keys, f.Key()+"...")
+		}
+		return nil, fmt.Errorf("cannot parse network %q (registered families: %s)", name, strings.Join(keys, ", "))
+	}
+	return in.Graph()
 }
 
 // Decompose returns the Hamiltonian decomposition for any graph of a

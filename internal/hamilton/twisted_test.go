@@ -1,6 +1,7 @@
 package hamilton
 
 import (
+	"strings"
 	"testing"
 
 	"ihc/internal/topology"
@@ -143,6 +144,28 @@ func TestRegistryParse(t *testing.T) {
 		if _, err := Parse(name); err == nil {
 			t.Fatalf("Parse(%q) should fail", name)
 		}
+	}
+}
+
+// TestParseNetwork pins the command-line spelling of network names: any
+// case resolves to the canonical graph, and an unknown name's error
+// lists the registered families.
+func TestParseNetwork(t *testing.T) {
+	for name, want := range map[string]string{
+		"q6": "Q6", "Q6": "Q6", "sq4": "SQ4", "h3": "H3",
+		"t4X4": "T4x4", "tq4": "TQ4", "kt4x2": "KT4x2", "KT4X2": "KT4x2",
+	} {
+		g, err := ParseNetwork(name)
+		if err != nil {
+			t.Fatalf("ParseNetwork(%q): %v", name, err)
+		}
+		if g.Name() != want {
+			t.Fatalf("ParseNetwork(%q) built %s, want %s", name, g.Name(), want)
+		}
+	}
+	_, err := ParseNetwork("nope")
+	if err == nil || !strings.Contains(err.Error(), "KT..., Q...") {
+		t.Fatalf("ParseNetwork(\"nope\") = %v, want an error listing the families", err)
 	}
 }
 

@@ -312,7 +312,3 @@ func (o *Oracle) Finalize() error {
 
 // Stats returns the oracle's counters so far.
 func (o *Oracle) Stats() OracleStats { return o.stats }
-
-// Violations returns the recorded violation details (capped at
-// maxViolationDetail; Stats().Violations has the full count).
-func (o *Oracle) Violations() []string { return o.violations }

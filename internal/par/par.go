@@ -1,6 +1,7 @@
 // Package par is the one pool that fans independent jobs out across
 // goroutines: the experiments and sweep points of the harness, the
-// frontier series of the fault campaign and the η sweeps of atasim.
+// frontier series and repaired-frontier points of the fault campaign and
+// the η sweeps of atasim.
 // Its width is GOMAXPROCS, with no setting of its own, and results come
 // back in index order, so a caller's output is the same at every width.
 package par

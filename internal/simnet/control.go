@@ -46,21 +46,15 @@ type Runtime struct {
 	st *runState
 }
 
-// Now returns the timestamp of the event currently being processed.
-func (rt *Runtime) Now() Time { return rt.st.now }
-
-// NumSpecs returns the current size of the spec table, including
-// packets injected mid-run.
-func (rt *Runtime) NumSpecs() int { return len(rt.st.specs) }
-
 // Spec returns a copy of spec i. The Route slice inside the copy is
 // shared with the engine and must not be modified.
 func (rt *Runtime) Spec(i int32) PacketSpec { return rt.st.specs[i] }
 
-// SetTimer schedules OnTimer(at, token) — at is clamped to Now() so a
-// timer can never fire in the simulated past. The token waits in the
-// run's token table, indexed by the timer's set sequence, so a timer
-// costs one queue slot and, once the Scratch is warm, no allocation.
+// SetTimer schedules OnTimer(at, token) — at is clamped to the current
+// event's time so a timer can never fire in the simulated past. The
+// token waits in the run's token table, indexed by the timer's set
+// sequence, so a timer costs one queue slot and, once the Scratch is
+// warm, no allocation.
 func (rt *Runtime) SetTimer(at Time, token int64) {
 	st := rt.st
 	if at < st.now {
@@ -73,9 +67,9 @@ func (rt *Runtime) SetTimer(at Time, token int64) {
 // index in the spec table. The spec goes through the same route
 // compilation and validation as the packets the run started with
 // (adjacency, duplicate directed links); its inject time is clamped to
-// Now(). Dependencies (After) are not supported for mid-run injections —
-// the controller is the dependency mechanism. Inject must only be
-// called from OnTimer (see Controller).
+// the current event's time. Dependencies (After) are not supported for
+// mid-run injections — the controller is the dependency mechanism.
+// Inject must only be called from OnTimer (see Controller).
 func (rt *Runtime) Inject(spec PacketSpec) (int32, error) {
 	st := rt.st
 	i := int32(len(st.specs))

@@ -78,10 +78,6 @@ func (l *CopyLedger) Add(recv, src topology.Node) {
 	l.fpSum[recv] += ledgerMix(src)
 }
 
-// Count returns how many copies recv received from nodes other than
-// itself.
-func (l *CopyLedger) Count(recv topology.Node) int64 { return l.count[recv] }
-
 // Merge adds all of other's aggregates into l. The ledgers must be the
 // same size. Merging is commutative and associative, so worker-local
 // ledgers combined in any order yield identical totals.

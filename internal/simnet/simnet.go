@@ -485,9 +485,3 @@ func (n *Network) arcIndex(from, to topology.Node) int32 {
 	}
 	return -1
 }
-
-// Graph returns the underlying topology.
-func (n *Network) Graph() *topology.Graph { return n.g }
-
-// Params returns the network's timing parameters.
-func (n *Network) Params() Params { return n.p }

@@ -23,35 +23,21 @@ const (
 	High
 )
 
+const (
+	// queueCap bounds each priority class's queue (items).
+	queueCap = 1024
+	// maxBatchBytes bounds one epoch batch's encoded size: 32 KiB,
+	// comfortably inside transport.MaxFrame with the frame header and
+	// the MAC.
+	maxBatchBytes = 32 << 10
+)
+
 // IngressConfig shapes one node's client-payload admission.
 type IngressConfig struct {
-	// HighCap / LowCap bound the per-class queues (items). Defaults
-	// 1024 each.
-	HighCap, LowCap int
 	// Rate is the low-priority admission rate in payloads/second via a
 	// token bucket of depth Burst; <= 0 disables rate limiting (queue
 	// bounds still apply). Burst defaults to Rate.
 	Rate, Burst float64
-	// MaxBatchBytes bounds one epoch batch's encoded size. Default
-	// 32 KiB (comfortably inside transport.MaxFrame with the 33-byte
-	// frame header and the MAC).
-	MaxBatchBytes int
-}
-
-func (c IngressConfig) defaulted() IngressConfig {
-	if c.HighCap <= 0 {
-		c.HighCap = 1024
-	}
-	if c.LowCap <= 0 {
-		c.LowCap = 1024
-	}
-	if c.Burst <= 0 {
-		c.Burst = c.Rate
-	}
-	if c.MaxBatchBytes <= 0 {
-		c.MaxBatchBytes = 32 << 10
-	}
-	return c
 }
 
 // Ingress is one node's bounded, two-class client-payload queue.
@@ -72,7 +58,9 @@ type Ingress struct {
 
 // NewIngress returns an empty queue publishing into gauges (nil ok).
 func NewIngress(cfg IngressConfig, gauges *observe.StreamGauges) *Ingress {
-	cfg = cfg.defaulted()
+	if cfg.Burst <= 0 {
+		cfg.Burst = cfg.Rate
+	}
 	return &Ingress{cfg: cfg, tokens: cfg.Burst, gauges: gauges, now: time.Now}
 }
 
@@ -96,7 +84,7 @@ func (in *Ingress) Submit(data []byte, pri Priority) error {
 	in.mu.Lock()
 	defer in.mu.Unlock()
 	if pri == High {
-		if len(in.high) >= in.cfg.HighCap {
+		if len(in.high) >= queueCap {
 			in.gauges.Shed(true)
 			return ErrShed
 		}
@@ -105,7 +93,7 @@ func (in *Ingress) Submit(data []byte, pri Priority) error {
 		return nil
 	}
 	in.refillLocked(in.now())
-	if len(in.low) >= in.cfg.LowCap || (in.cfg.Rate > 0 && in.tokens < 1) {
+	if len(in.low) >= queueCap || (in.cfg.Rate > 0 && in.tokens < 1) {
 		in.gauges.Shed(false)
 		return ErrShed
 	}
@@ -130,7 +118,7 @@ func (in *Ingress) Depth() (high, low int) {
 func (in *Ingress) drain() []Item {
 	in.mu.Lock()
 	defer in.mu.Unlock()
-	budget := in.cfg.MaxBatchBytes - batchHdr
+	budget := maxBatchBytes - batchHdr
 	var items []Item
 	bytesOut := 0
 	take := func(q *[][]byte, high bool) {

@@ -21,8 +21,8 @@ func newTestIngress(cfg IngressConfig) (*Ingress, *manualClock) {
 }
 
 func TestIngressQueueBoundsShed(t *testing.T) {
-	in, _ := newTestIngress(IngressConfig{HighCap: 2, LowCap: 2})
-	for i := 0; i < 2; i++ {
+	in, _ := newTestIngress(IngressConfig{})
+	for i := 0; i < queueCap; i++ {
 		if err := in.Submit([]byte{byte(i)}, High); err != nil {
 			t.Fatalf("high %d: %v", i, err)
 		}
@@ -37,8 +37,8 @@ func TestIngressQueueBoundsShed(t *testing.T) {
 		t.Fatalf("full low queue returned %v, want ErrShed", err)
 	}
 	h, l := in.Depth()
-	if h != 2 || l != 2 {
-		t.Fatalf("depth (%d,%d), want (2,2)", h, l)
+	if h != queueCap || l != queueCap {
+		t.Fatalf("depth (%d,%d), want (%d,%d)", h, l, queueCap, queueCap)
 	}
 }
 
@@ -68,13 +68,15 @@ func TestIngressTokenBucketShedsLowNotHigh(t *testing.T) {
 }
 
 func TestIngressDrainHighFirstWithinBudget(t *testing.T) {
-	in, _ := newTestIngress(IngressConfig{MaxBatchBytes: batchHdr + 3*(itemOverhead+4)})
+	in, _ := newTestIngress(IngressConfig{})
+	// Three items fill the batch budget; a fourth does not fit.
+	size := (maxBatchBytes-batchHdr)/3 - itemOverhead
 	for i := 0; i < 3; i++ {
-		if err := in.Submit([]byte{0, 0, 0, byte(i)}, Low); err != nil {
+		if err := in.Submit(make([]byte, size), Low); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := in.Submit([]byte{1, 1, 1, 1}, High); err != nil {
+	if err := in.Submit(make([]byte, size), High); err != nil {
 		t.Fatal(err)
 	}
 	items := in.drain()
@@ -96,14 +98,15 @@ func TestIngressDrainHighFirstWithinBudget(t *testing.T) {
 
 func TestIngressGaugesCount(t *testing.T) {
 	g := &observe.StreamGauges{}
-	in := NewIngress(IngressConfig{HighCap: 1, LowCap: 1}, g)
-	_ = in.Submit([]byte{1}, High)
-	_ = in.Submit([]byte{2}, High) // shed
+	in := NewIngress(IngressConfig{}, g)
+	for i := 0; i <= queueCap; i++ {
+		_ = in.Submit([]byte{1}, High) // the last one is shed
+	}
 	_ = in.Submit([]byte{3}, Low)
 	in.drain()
 	s := g.Snapshot()
-	if s.SubmittedHigh != 1 || s.SubmittedLow != 1 || s.ShedHigh != 1 {
-		t.Fatalf("snapshot %+v: want 1 high, 1 low submitted, 1 high shed", s)
+	if s.SubmittedHigh != queueCap || s.SubmittedLow != 1 || s.ShedHigh != 1 {
+		t.Fatalf("snapshot %+v: want %d high, 1 low submitted, 1 high shed", s, queueCap)
 	}
 	if s.QueueDepth != 0 {
 		t.Fatalf("queue depth %d after drain, want 0", s.QueueDepth)

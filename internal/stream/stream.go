@@ -37,7 +37,12 @@ import (
 	"ihc/internal/transport"
 )
 
-// Config shapes one streaming node.
+// MaxInflight caps concurrently open (live, non-stalled) epochs; epoch
+// opening is deferred while the cap is hit.
+const MaxInflight = 2
+
+// Config shapes one streaming node. A zero timing or repair field takes
+// the default Defaulted writes.
 type Config struct {
 	IHC      *core.IHC
 	Eta      int
@@ -54,28 +59,27 @@ type Config struct {
 	// StageDur / HopLatency / Slack are the per-round timing model:
 	// stage s of an epoch starts s·StageDur after it opens, and a copy
 	// h hops from its source is pulled once its stage start plus
-	// h·HopLatency plus Slack (default StageDur) has passed.
+	// h·HopLatency plus Slack has passed. StageDur must comfortably
+	// exceed the per-hop latency × the longest relay for fault-free
+	// rounds to finish inside the schedule.
 	StageDur   time.Duration
 	HopLatency time.Duration
 	Slack      time.Duration
 	// Retry shapes pull backoff; MaxAttempts bounds pulls per missing
-	// copy. The default, 60, is patient: the provider may be a killed
-	// node that has not rejoined yet.
+	// copy. The default is patient: the provider may be a killed node
+	// that has not rejoined yet.
 	Retry       transport.BackoffConfig
 	MaxAttempts int
-	// MaxInflight caps concurrently open (live, non-stalled) epochs;
-	// epoch opening is deferred while the cap is hit. Default 2.
-	MaxInflight int
 	// Retain is how many epochs of accepted-payload store are kept
 	// after an epoch closes, to serve late pulls from rejoiners and
-	// stragglers. Also bounds the rejoin catch-up horizon. Default 64.
+	// stragglers. Also bounds the rejoin catch-up horizon.
 	Retain int
 	// Epochs stops the stream after this many epochs (0 = run until
 	// ctx is cancelled).
 	Epochs int
 	// Drain bounds how long after the last scheduled epoch the node
 	// waits for stalled epochs to revive before finalizing them as
-	// failed. Default 5s.
+	// failed.
 	Drain time.Duration
 	// Join starts the node with no epoch base: it discovers the
 	// current epoch from peers (JOIN handshake / any signed frame) and
@@ -96,38 +100,33 @@ type Config struct {
 	CollectPayloads bool
 }
 
-func (c Config) defaulted() (Config, error) {
-	if c.IHC == nil || c.Endpoint == nil || c.Keyring == nil {
-		return c, fmt.Errorf("stream: config needs IHC, Endpoint, and Keyring")
+// Defaulted fills zero timing and repair fields with the wall-clock
+// defaults: StageDur 50ms, Period 4·StageDur, HopLatency 1ms, Slack
+// StageDur, MaxAttempts 60, Retain 64 and Drain 5s. A negative field is
+// left as it is, for NewNode to reject.
+func (c Config) Defaulted() Config {
+	if c.StageDur == 0 {
+		c.StageDur = 50 * time.Millisecond
 	}
-	if c.Eta < 1 || c.Eta > c.IHC.N() {
-		return c, fmt.Errorf("stream: eta %d outside [1,%d]", c.Eta, c.IHC.N())
+	if c.Period == 0 {
+		c.Period = 4 * c.StageDur
 	}
-	if c.Period <= 0 {
-		return c, fmt.Errorf("stream: Period must be positive")
+	if c.HopLatency == 0 {
+		c.HopLatency = time.Millisecond
 	}
-	if c.StageDur <= 0 {
-		return c, fmt.Errorf("stream: StageDur must be positive")
-	}
-	if c.Slack <= 0 {
+	if c.Slack == 0 {
 		c.Slack = c.StageDur
 	}
-	if c.MaxAttempts <= 0 {
+	if c.MaxAttempts == 0 {
 		c.MaxAttempts = 60
 	}
-	if c.MaxInflight <= 0 {
-		c.MaxInflight = 2
-	}
-	if c.Retain <= 0 {
+	if c.Retain == 0 {
 		c.Retain = 64
 	}
-	if c.Drain <= 0 {
+	if c.Drain == 0 {
 		c.Drain = 5 * time.Second
 	}
-	if c.Clock == nil {
-		c.Clock = hlc.New()
-	}
-	return c, nil
+	return c
 }
 
 // EpochResult is one node's verdict for one epoch.
@@ -202,9 +201,19 @@ type Node struct {
 
 // NewNode validates cfg and prepares the streaming state.
 func NewNode(cfg Config) (*Node, error) {
-	cfg, err := cfg.defaulted()
-	if err != nil {
-		return nil, err
+	if cfg.IHC == nil || cfg.Endpoint == nil || cfg.Keyring == nil {
+		return nil, fmt.Errorf("stream: config needs IHC, Endpoint, and Keyring")
+	}
+	if cfg.Eta < 1 || cfg.Eta > cfg.IHC.N() {
+		return nil, fmt.Errorf("stream: eta %d outside [1,%d]", cfg.Eta, cfg.IHC.N())
+	}
+	cfg = cfg.Defaulted()
+	if cfg.StageDur < 0 || cfg.Period < 0 || cfg.HopLatency < 0 || cfg.Slack < 0 || cfg.Drain < 0 || cfg.MaxAttempts < 0 || cfg.Retain < 0 {
+		return nil, fmt.Errorf("stream: negative setting: StageDur %s, Period %s, HopLatency %s, Slack %s, Drain %s, MaxAttempts %d, Retain %d",
+			cfg.StageDur, cfg.Period, cfg.HopLatency, cfg.Slack, cfg.Drain, cfg.MaxAttempts, cfg.Retain)
+	}
+	if cfg.Clock == nil {
+		cfg.Clock = hlc.New()
 	}
 	nd := &Node{
 		cfg:      cfg,
@@ -436,7 +445,7 @@ func (nd *Node) step(now time.Time) {
 	// Open live epochs: wall-clock schedule plus HLC-carried
 	// fast-forward (highest signed epoch seen), gated by MaxInflight.
 	for int(nd.next) < nd.cfg.Epochs || nd.cfg.Epochs <= 0 {
-		if nd.liveOpen() >= nd.cfg.MaxInflight {
+		if nd.liveOpen() >= MaxInflight {
 			break
 		}
 		if now.Before(nd.scheduled(nd.next)) && nd.highest < nd.next {
@@ -529,7 +538,7 @@ func (nd *Node) wakeIn() time.Duration {
 			wake = nd.joinAt
 		}
 	} else {
-		if (nd.cfg.Epochs <= 0 || int(nd.next) < nd.cfg.Epochs) && nd.liveOpen() < nd.cfg.MaxInflight {
+		if (nd.cfg.Epochs <= 0 || int(nd.next) < nd.cfg.Epochs) && nd.liveOpen() < MaxInflight {
 			if t := nd.scheduled(nd.next); t.Before(wake) {
 				wake = t
 			}
@@ -674,7 +683,7 @@ func (nd *Node) acceptCopy(f *transport.Frame, now time.Time) {
 		// A future epoch arrived before our wall clock opened it —
 		// HLC fast-forward. Respect the pipeline cap: if we are full,
 		// drop; the schedule or a pull will bring it back.
-		if nd.liveOpen() >= nd.cfg.MaxInflight {
+		if nd.liveOpen() >= MaxInflight {
 			return
 		}
 		st = nd.openEpoch(f.Epoch, now, false)

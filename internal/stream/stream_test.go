@@ -40,10 +40,8 @@ func (e *memEndpoint) PeerDown(topology.Node) bool    { return false }
 func (e *memEndpoint) Stats() transport.EndpointStats { return transport.EndpointStats{} }
 func (e *memEndpoint) Close() error                   { return nil }
 
-// testNode builds node 0 of a Q4 stream (γ = 4) on an in-memory endpoint.
-// Epoch 0 is scheduled an hour out, so only the frames a test hands
-// to handle open it.
-func testNode(t *testing.T, clock *hlc.Clock) (*Node, *memEndpoint, *reliable.Keyring) {
+// q4 is the IHC schedule of Q4 (N = 16, γ = 4).
+func q4(t *testing.T) *core.IHC {
 	t.Helper()
 	g := topology.MustHypercube(4)
 	cycles, err := hamilton.Decompose(g)
@@ -54,6 +52,15 @@ func testNode(t *testing.T, clock *hlc.Clock) (*Node, *memEndpoint, *reliable.Ke
 	if err != nil {
 		t.Fatal(err)
 	}
+	return x
+}
+
+// testNode builds node 0 of a Q4 stream on an in-memory endpoint.
+// Epoch 0 is scheduled an hour out, so only the frames a test hands
+// to handle open it.
+func testNode(t *testing.T, clock *hlc.Clock) (*Node, *memEndpoint, *reliable.Keyring) {
+	t.Helper()
+	x := q4(t)
 	ep := &memEndpoint{self: 0, recv: make(chan []byte, 1)}
 	kr := reliable.NewKeyring(x.N(), 3)
 	nd, err := NewNode(Config{
@@ -66,6 +73,64 @@ func testNode(t *testing.T, clock *hlc.Clock) (*Node, *memEndpoint, *reliable.Ke
 		t.Fatal(err)
 	}
 	return nd, ep, kr
+}
+
+// TestNewNodeDefaults builds a node from its schedule and identity
+// alone and checks that it runs the documented default timing: epochs
+// 4·50ms apart, each copy pulled once its 50ms stage start plus 1ms per
+// hop plus a 50ms slack has passed, 60 pulls per copy, 64 retained
+// epochs and a 5s drain.
+func TestNewNodeDefaults(t *testing.T) {
+	x := q4(t)
+	epoch0 := time.Now().Add(time.Hour)
+	nd, err := NewNode(Config{
+		IHC: x, Eta: 2, Self: 0, Endpoint: &memEndpoint{recv: make(chan []byte, 1)},
+		Keyring: reliable.NewKeyring(x.N(), 3), Epoch0: epoch0,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const stage, hop = 50 * time.Millisecond, time.Millisecond
+	if got := nd.scheduled(1).Sub(nd.scheduled(0)); got != 4*stage {
+		t.Errorf("epochs %s apart, want %s", got, 4*stage)
+	}
+	if c := nd.cfg; c.MaxAttempts != 60 || c.Retain != 64 || c.Drain != 5*time.Second {
+		t.Errorf("MaxAttempts %d, Retain %d, Drain %s; want 60, 64, 5s", c.MaxAttempts, c.Retain, c.Drain)
+	}
+	st := nd.openEpoch(0, epoch0, false)
+	var first time.Time
+	for j := 0; j < nd.gamma; j++ {
+		for s := 1; s < nd.n; s++ {
+			src := topology.Node(s)
+			due := epoch0.Add(time.Duration(nd.stageOf(src, j))*stage + time.Duration(nd.hops(0, src, j))*hop + stage)
+			if first.IsZero() || due.Before(first) {
+				first = due
+			}
+		}
+	}
+	if got, ok := st.planner.NextWake(); !ok || !got.Equal(first) {
+		t.Errorf("first pull due %s after epoch 0 opens, want %s", got.Sub(epoch0), first.Sub(epoch0))
+	}
+}
+
+// TestNewNodeRejectsNegative checks that only a zero setting takes the
+// default: a negative StageDur (say, a mistyped -stage-dur flag) or
+// MaxAttempts is an error, not a quiet 50ms stage or 60 pulls.
+func TestNewNodeRejectsNegative(t *testing.T) {
+	x := q4(t)
+	base := Config{
+		IHC: x, Eta: 2, Self: 0, Endpoint: &memEndpoint{recv: make(chan []byte, 1)},
+		Keyring: reliable.NewKeyring(x.N(), 3), Epoch0: time.Now().Add(time.Hour),
+	}
+	stage := base
+	stage.StageDur = -50 * time.Millisecond
+	attempts := base
+	attempts.MaxAttempts = -1
+	for name, cfg := range map[string]Config{"StageDur": stage, "MaxAttempts": attempts} {
+		if _, err := NewNode(cfg); err == nil {
+			t.Errorf("negative %s accepted", name)
+		}
+	}
 }
 
 // copyFrame is source s's channel-j copy of epoch 0 as the node's

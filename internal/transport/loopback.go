@@ -6,34 +6,20 @@ import (
 	"sync/atomic"
 	"time"
 
-	"ihc/internal/simnet"
 	"ihc/internal/topology"
 )
 
 // LoopbackConfig shapes an in-process mesh.
 type LoopbackConfig struct {
 	Graph *topology.Graph
-	// Latency is the per-hop link latency every frame pays. Use
-	// SimLatency to derive it from simnet timing parameters.
+	// Latency is the per-hop link latency every frame pays: the wall
+	// time of the paper's per-hop cost τ_S + α.
 	Latency time.Duration
 	// Filter, when non-nil, interposes on every directed link — this
 	// is where the chaos plan attaches.
 	Filter LinkFilter
-	// QueueLen bounds each link's and each inbox's queue; overflow
-	// drops frames (counted). Default 1024.
-	QueueLen int
 	// Epoch anchors the Filter's time axis; defaults to creation time.
 	Epoch time.Time
-}
-
-// SimLatency converts the simulator's per-hop store-and-forward cost
-// (τ_S switching + α header transfer, in ticks) to wall time at the
-// given tick duration. This is what makes Loopback the deterministic
-// double of simnet: same topology, same per-link FIFO order, hop
-// latency scaled from the same timing model.
-func SimLatency(p simnet.Params, perTick time.Duration) time.Duration {
-	p = p.Defaulted()
-	return time.Duration(int64(p.TauS)+int64(p.Alpha)) * perTick
 }
 
 type loopQueued struct {
@@ -44,7 +30,6 @@ type loopQueued struct {
 // Loopback is an in-process network: every node of the graph gets an
 // Endpoint, frames cross per-directed-link FIFO goroutines with a fixed
 // latency, and an optional LinkFilter injects faults. It is the
-// transport analogue of running the same schedule under simnet, and the
 // race-detector-friendly substrate for the cluster protocol tests.
 type Loopback struct {
 	cfg    LoopbackConfig
@@ -60,9 +45,6 @@ func NewLoopback(cfg LoopbackConfig) (*Loopback, error) {
 	if cfg.Graph == nil {
 		return nil, fmt.Errorf("transport: loopback requires a graph")
 	}
-	if cfg.QueueLen <= 0 {
-		cfg.QueueLen = 1024
-	}
 	if cfg.Epoch.IsZero() {
 		cfg.Epoch = time.Now()
 	}
@@ -77,11 +59,11 @@ func NewLoopback(cfg LoopbackConfig) (*Loopback, error) {
 		lb.eps[v] = &loopEndpoint{
 			mesh:  lb,
 			self:  topology.Node(v),
-			inbox: make(chan []byte, cfg.QueueLen),
+			inbox: make(chan []byte, queueLen),
 		}
 	}
 	for _, a := range cfg.Graph.Arcs() {
-		ch := make(chan loopQueued, cfg.QueueLen)
+		ch := make(chan loopQueued, queueLen)
 		lb.links[[2]topology.Node{a.From, a.To}] = ch
 		lb.wg.Add(1)
 		go lb.runLink(ch, lb.eps[a.To])

@@ -109,49 +109,27 @@ func (s BreakerState) String() string {
 	}
 }
 
-// BreakerConfig shapes a per-peer circuit breaker.
-type BreakerConfig struct {
-	// Threshold consecutive failures trip the breaker open.
-	Threshold int
-	// Cooldown is how long the breaker stays open before admitting a
-	// single half-open probe.
-	Cooldown time.Duration
-}
+// A breaker trips open after breakerThreshold consecutive failures and
+// admits one half-open probe breakerCooldown later.
+const (
+	breakerThreshold = 5
+	breakerCooldown  = 500 * time.Millisecond
+)
 
-// Defaulted fills zero fields: trip after 5 consecutive failures, probe
-// after 500ms.
-func (c BreakerConfig) Defaulted() BreakerConfig {
-	if c.Threshold <= 0 {
-		c.Threshold = 5
-	}
-	if c.Cooldown <= 0 {
-		c.Cooldown = 500 * time.Millisecond
-	}
-	return c
-}
-
-// Breaker is a per-peer circuit breaker: after Threshold consecutive
-// failures it refuses traffic for Cooldown, then admits exactly one
-// probe; the probe's outcome closes or re-opens it. Safe for concurrent
-// use.
+// Breaker is a per-peer circuit breaker: after breakerThreshold
+// consecutive failures it refuses traffic for breakerCooldown, then
+// admits exactly one probe; the probe's outcome closes or re-opens it.
+// Safe for concurrent use.
 type Breaker struct {
 	mu       sync.Mutex
-	cfg      BreakerConfig
 	state    BreakerState
 	failures int
 	openedAt time.Time
 	now      func() time.Time // test hook
 }
 
-// NewBreaker returns a closed breaker over c (zero fields defaulted).
-func NewBreaker(c BreakerConfig) *Breaker {
-	return &Breaker{cfg: c.Defaulted(), now: time.Now}
-}
-
-// newBreakerAt is the test constructor with a manual clock.
-func newBreakerAt(c BreakerConfig, now func() time.Time) *Breaker {
-	return &Breaker{cfg: c.Defaulted(), now: now}
-}
+// NewBreaker returns a closed breaker.
+func NewBreaker() *Breaker { return &Breaker{now: time.Now} }
 
 // Allow reports whether an attempt may proceed now. In the open state
 // it returns false until the cooldown elapses, then transitions to
@@ -164,7 +142,7 @@ func (b *Breaker) Allow() bool {
 	case BreakerClosed:
 		return true
 	case BreakerOpen:
-		if b.now().Sub(b.openedAt) >= b.cfg.Cooldown {
+		if b.now().Sub(b.openedAt) >= breakerCooldown {
 			b.state = BreakerHalfOpen
 			return true
 		}
@@ -183,7 +161,7 @@ func (b *Breaker) Admittable() bool {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if b.state == BreakerOpen {
-		return b.now().Sub(b.openedAt) >= b.cfg.Cooldown
+		return b.now().Sub(b.openedAt) >= breakerCooldown
 	}
 	return true
 }
@@ -198,8 +176,8 @@ func (b *Breaker) Success() {
 }
 
 // Failure records a failed attempt. In half-open it re-opens
-// immediately; in closed it trips once Threshold consecutive failures
-// accumulate.
+// immediately; in closed it trips once breakerThreshold consecutive
+// failures accumulate.
 func (b *Breaker) Failure() {
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -209,7 +187,7 @@ func (b *Breaker) Failure() {
 		return
 	}
 	b.failures++
-	if b.state == BreakerClosed && b.failures >= b.cfg.Threshold {
+	if b.state == BreakerClosed && b.failures >= breakerThreshold {
 		b.state = BreakerOpen
 		b.openedAt = b.now()
 	}

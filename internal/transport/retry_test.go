@@ -91,19 +91,19 @@ func TestBackoffNoJitter(t *testing.T) {
 func TestBreakerTransitions(t *testing.T) {
 	now := time.Unix(0, 0)
 	clock := func() time.Time { return now }
-	cfg := BreakerConfig{Threshold: 3, Cooldown: 100 * time.Millisecond}
-	b := newBreakerAt(cfg, clock)
+	b := &Breaker{now: clock}
 
 	if b.State() != BreakerClosed {
 		t.Fatalf("initial state %v, want closed", b.State())
 	}
 	// Failures below the threshold keep it closed.
-	b.Failure()
-	b.Failure()
-	if b.State() != BreakerClosed || !b.Allow() {
-		t.Fatalf("state %v after 2/3 failures, want closed+allowing", b.State())
+	for i := 1; i < breakerThreshold; i++ {
+		b.Failure()
 	}
-	// Third consecutive failure trips it.
+	if b.State() != BreakerClosed || !b.Allow() {
+		t.Fatalf("state %v after %d/%d failures, want closed+allowing", b.State(), breakerThreshold-1, breakerThreshold)
+	}
+	// The threshold-th consecutive failure trips it.
 	b.Failure()
 	if b.State() != BreakerOpen {
 		t.Fatalf("state %v after threshold failures, want open", b.State())
@@ -115,7 +115,7 @@ func TestBreakerTransitions(t *testing.T) {
 		t.Fatal("open breaker admitted new traffic before cooldown")
 	}
 	// Cooldown not yet elapsed.
-	now = now.Add(99 * time.Millisecond)
+	now = now.Add(breakerCooldown - time.Millisecond)
 	if b.Allow() {
 		t.Fatal("open breaker allowed traffic 1ms early")
 	}
@@ -145,20 +145,21 @@ func TestBreakerTransitions(t *testing.T) {
 	if b.Allow() {
 		t.Fatal("re-opened breaker allowed traffic without a fresh cooldown")
 	}
-	now = now.Add(cfg.Cooldown)
+	now = now.Add(breakerCooldown)
 	if !b.Allow() {
 		t.Fatal("second probe refused after fresh cooldown")
 	}
 	// Probe success closes it and clears the failure count: the next
-	// trip needs a full Threshold of new failures.
+	// trip needs a full threshold of new failures.
 	b.Success()
 	if b.State() != BreakerClosed {
 		t.Fatalf("state %v after successful probe, want closed", b.State())
 	}
-	b.Failure()
-	b.Failure()
+	for i := 1; i < breakerThreshold; i++ {
+		b.Failure()
+	}
 	if b.State() != BreakerClosed {
-		t.Fatalf("failure count not cleared on close: state %v after 2 failures", b.State())
+		t.Fatalf("failure count not cleared on close: state %v after %d failures", b.State(), breakerThreshold-1)
 	}
 }
 
@@ -189,13 +190,12 @@ func TestBreakerConcurrentSingleProbe(t *testing.T) {
 	clock := func() time.Time { mu.Lock(); defer mu.Unlock(); return now }
 	advance := func(d time.Duration) { mu.Lock(); now = now.Add(d); mu.Unlock() }
 
-	cfg := BreakerConfig{Threshold: 3, Cooldown: time.Second}
-	b := newBreakerAt(cfg, clock)
-	for i := 0; i < cfg.Threshold; i++ {
+	b := &Breaker{now: clock}
+	for i := 0; i < breakerThreshold; i++ {
 		b.Failure()
 	}
 	if b.State() != BreakerOpen {
-		t.Fatalf("breaker %v after %d failures, want open", b.State(), cfg.Threshold)
+		t.Fatalf("breaker %v after %d failures, want open", b.State(), breakerThreshold)
 	}
 
 	const goroutines = 32
@@ -222,7 +222,7 @@ func TestBreakerConcurrentSingleProbe(t *testing.T) {
 
 		// Cooldown elapsed: every Admittable poll may say yes, but the
 		// probe slot goes to exactly one Allow winner.
-		advance(cfg.Cooldown)
+		advance(breakerCooldown)
 		var wins atomic.Int64
 		for g := 0; g < goroutines; g++ {
 			wg.Add(1)
@@ -250,7 +250,7 @@ func TestBreakerConcurrentSingleProbe(t *testing.T) {
 	}
 
 	// A winning probe closes it for everyone.
-	advance(cfg.Cooldown)
+	advance(breakerCooldown)
 	if !b.Allow() {
 		t.Fatal("post-cooldown probe refused")
 	}

@@ -10,27 +10,24 @@ import (
 	"ihc/internal/topology"
 )
 
+// dialTimeout bounds each dial attempt and each frame write.
+const dialTimeout = time.Second
+
 // TCPConfig shapes one node's real-socket attachment to the mesh.
 type TCPConfig struct {
 	Self  topology.Node
 	Graph *topology.Graph
-	// Listen is the address to accept peer connections on; use
-	// "127.0.0.1:0" for an ephemeral port and read it back via Addr.
-	Listen string
-	// Listener, when non-nil, is used instead of binding Listen — the
-	// cluster harness pre-binds every node's listener so all addresses
-	// are known before any node (or chaos proxy) is constructed.
+	// Listener accepts peer connections; Close closes it. Callers bind
+	// it first, so every address — and every chaos proxy in front of
+	// one — is known before any node starts.
 	Listener net.Listener
 	// Peers maps each graph neighbor to its dial address. Addresses
 	// normally point at the peer's listener; the chaos harness points
 	// them at per-link fault proxies instead.
 	Peers map[topology.Node]string
-	// Dial shapes the reconnect backoff; Breaker the per-peer circuit
-	// breaker. Zero values take production defaults.
-	Dial        BackoffConfig
-	Breaker     BreakerConfig
-	QueueLen    int           // per-peer outbound + shared inbox bound (default 1024)
-	DialTimeout time.Duration // per-attempt dial timeout (default 1s)
+	// Dial shapes the reconnect backoff; zero fields take
+	// BackoffConfig's defaults.
+	Dial BackoffConfig
 }
 
 // TCPNode is the tcpmesh Endpoint: one node's live attachment, with a
@@ -70,29 +67,18 @@ func NewTCP(cfg TCPConfig) (*TCPNode, error) {
 	if int(cfg.Self) < 0 || int(cfg.Self) >= cfg.Graph.N() {
 		return nil, fmt.Errorf("transport: self %d outside graph %s", cfg.Self, cfg.Graph.Name())
 	}
-	if cfg.QueueLen <= 0 {
-		cfg.QueueLen = 1024
-	}
-	if cfg.DialTimeout <= 0 {
-		cfg.DialTimeout = time.Second
+	if cfg.Listener == nil {
+		return nil, fmt.Errorf("transport: tcp mesh requires a listener")
 	}
 	for _, nb := range cfg.Graph.Neighbors(cfg.Self) {
 		if _, ok := cfg.Peers[nb]; !ok {
 			return nil, fmt.Errorf("transport: no address for neighbor %d of %d", nb, cfg.Self)
 		}
 	}
-	ln := cfg.Listener
-	if ln == nil {
-		var err error
-		ln, err = net.Listen("tcp", cfg.Listen)
-		if err != nil {
-			return nil, fmt.Errorf("transport: listen %s: %w", cfg.Listen, err)
-		}
-	}
 	n := &TCPNode{
 		cfg:   cfg,
-		ln:    ln,
-		inbox: make(chan []byte, cfg.QueueLen),
+		ln:    cfg.Listener,
+		inbox: make(chan []byte, queueLen),
 		peers: make(map[topology.Node]*tcpPeer),
 		conns: make(map[net.Conn]struct{}),
 		done:  make(chan struct{}),
@@ -106,8 +92,8 @@ func NewTCP(cfg TCPConfig) (*TCPNode, error) {
 		p := &tcpPeer{
 			node:    nb,
 			addr:    cfg.Peers[nb],
-			queue:   make(chan []byte, cfg.QueueLen),
-			breaker: NewBreaker(cfg.Breaker),
+			queue:   make(chan []byte, queueLen),
+			breaker: NewBreaker(),
 			backoff: NewBackoff(bo),
 		}
 		n.peers[nb] = p
@@ -275,7 +261,7 @@ func (n *TCPNode) runWriter(p *tcpPeer) {
 				continue // frame dropped; done may also have fired
 			}
 		}
-		conn.SetWriteDeadline(time.Now().Add(n.cfg.DialTimeout))
+		conn.SetWriteDeadline(time.Now().Add(dialTimeout))
 		if err := WriteFrame(conn, body); err != nil {
 			n.untrack(conn)
 			conn = nil
@@ -302,7 +288,7 @@ func (n *TCPNode) dialPeer(p *tcpPeer) net.Conn {
 			// new traffic until the cooldown admits a probe.
 			return nil
 		}
-		c, err := net.DialTimeout("tcp", p.addr, n.cfg.DialTimeout)
+		c, err := net.DialTimeout("tcp", p.addr, dialTimeout)
 		if err == nil {
 			if !n.track(c) {
 				c.Close()

@@ -25,18 +25,16 @@ func newPair(t *testing.T) (*TCPNode, *TCPNode, *topology.Graph) {
 	}
 	a, err := NewTCP(TCPConfig{
 		Self: 0, Graph: g, Listener: lnA,
-		Peers:   map[topology.Node]string{1: lnB.Addr().String()},
-		Dial:    BackoffConfig{Base: 5 * time.Millisecond, Max: 20 * time.Millisecond, Factor: 2, Jitter: 0.1, Seed: 1},
-		Breaker: BreakerConfig{Threshold: 3, Cooldown: 30 * time.Millisecond},
+		Peers: map[topology.Node]string{1: lnB.Addr().String()},
+		Dial:  BackoffConfig{Base: 5 * time.Millisecond, Max: 20 * time.Millisecond, Factor: 2, Jitter: 0.1, Seed: 1},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	b, err := NewTCP(TCPConfig{
 		Self: 1, Graph: g, Listener: lnB,
-		Peers:   map[topology.Node]string{0: lnA.Addr().String()},
-		Dial:    BackoffConfig{Base: 5 * time.Millisecond, Max: 20 * time.Millisecond, Factor: 2, Jitter: 0.1, Seed: 2},
-		Breaker: BreakerConfig{Threshold: 3, Cooldown: 30 * time.Millisecond},
+		Peers: map[topology.Node]string{0: lnA.Addr().String()},
+		Dial:  BackoffConfig{Base: 5 * time.Millisecond, Max: 20 * time.Millisecond, Factor: 2, Jitter: 0.1, Seed: 2},
 	})
 	if err != nil {
 		a.Close()
@@ -117,14 +115,17 @@ func TestTCPReconnectRecoversNakPath(t *testing.T) {
 
 	// Restart the peer on the same address — a fresh process with fresh
 	// connections, as after a crash-recover.
-	b2, err := NewTCP(TCPConfig{
-		Self: 1, Graph: g, Listen: bAddr,
-		Peers:   map[topology.Node]string{0: a.Addr()},
-		Dial:    BackoffConfig{Base: 5 * time.Millisecond, Max: 20 * time.Millisecond, Factor: 2, Jitter: 0.1, Seed: 3},
-		Breaker: BreakerConfig{Threshold: 3, Cooldown: 30 * time.Millisecond},
-	})
+	lnB2, err := net.Listen("tcp", bAddr)
 	if err != nil {
 		t.Fatalf("restart peer on %s: %v", bAddr, err)
+	}
+	b2, err := NewTCP(TCPConfig{
+		Self: 1, Graph: g, Listener: lnB2,
+		Peers: map[topology.Node]string{0: a.Addr()},
+		Dial:  BackoffConfig{Base: 5 * time.Millisecond, Max: 20 * time.Millisecond, Factor: 2, Jitter: 0.1, Seed: 3},
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 	defer b2.Close()
 

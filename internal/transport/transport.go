@@ -4,12 +4,11 @@
 // protocol node (internal/stream), the cluster harness and the ihcd
 // daemon are written against, with two implementations:
 //
-//   - Loopback: an in-process deterministic test double. Frames cross
-//     per-directed-link FIFO queues with a latency function derived
-//     from the simnet timing model (one tick scaled to wall time), so
+//   - Loopback: an in-process test double. Frames cross
+//     per-directed-link FIFO queues after a fixed per-hop latency, so
 //     protocol logic can be driven — and chaos-tested — without
-//     sockets, while keeping exactly the per-link FIFO and adjacency
-//     discipline of the simulated network.
+//     sockets, under the per-link FIFO and adjacency discipline a
+//     store-and-forward mesh has.
 //   - TCP (tcpmesh.go): every node is a real process or goroutine
 //     cluster exchanging length-prefixed, HMAC-signed frames over TCP
 //     along the mesh's links, with per-peer reconnecting connections,
@@ -28,6 +27,11 @@ import (
 
 	"ihc/internal/topology"
 )
+
+// queueLen bounds every queue an endpoint keeps: each loopback link
+// and inbox, and each TCP peer's outbound queue and TCP inbox. A frame
+// that finds its queue full is dropped and counted.
+const queueLen = 1024
 
 // Endpoint is one node's attachment to a mesh. Send is adjacency-
 // checked: a node may talk only to its graph neighbors, exactly like a
