@@ -177,9 +177,10 @@ transport-quick:
 # mid-stream and cold-restarts into the epoch-resume handshake, and
 # link {1,3} is partitioned for a window. The verdict requires every
 # survivor to hold the exact γ-copy ledger postcondition on every
-# epoch, the rejoiner to catch up all missed epochs, and zero
-# high-priority sheds; the watchdog turns a hang into exit 4 instead
-# of a stuck CI job.
+# epoch, the rejoiner to catch up all missed epochs, zero
+# high-priority sheds, and no node above stream.MaxInflight live
+# epochs; the watchdog turns a hang into exit 4 instead of a stuck CI
+# job.
 soak-quick:
 	$(GO) run ./cmd/ihcd -soak -deadline 60s
 

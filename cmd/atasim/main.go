@@ -227,8 +227,12 @@ func main() {
 			met = observe.NewMetrics()
 			sinks = append(sinks, met)
 		}
-		res, gamma, err := runSerialized(*algo, g, p, atarun.Options{
-			Copies: *verify, Saturated: *saturated, Observe: observe.Tee(sinks...),
+		var copies *simnet.CopyMatrix
+		if *verify {
+			copies = simnet.NewCopyMatrix(g.N())
+		}
+		res, gamma, err := runSerialized(*algo, g, p, simnet.Options{
+			Copies: copies, Saturated: *saturated, Observe: observe.Tee(sinks...),
 		})
 		if err != nil {
 			fail(err)
@@ -237,8 +241,8 @@ func main() {
 		fmt.Printf("finish:       %d ticks\n", res.Finish)
 		fmt.Printf("per broadcast: %d ticks\n", res.BroadcastFinish[0])
 		fmt.Printf("cut-throughs: %d   buffered: %d   contentions: %d\n", res.CutThroughs, res.BufferedHops, res.Contentions)
-		if *verify && res.Copies != nil {
-			if err := res.Copies.VerifyATA(gamma); err != nil {
+		if copies != nil {
+			if err := copies.VerifyATA(gamma); err != nil {
 				fail(fmt.Errorf("ATA postcondition violated: %w", err))
 			}
 			fmt.Printf("verified:     every node holds %d copies of every other node's message\n", gamma)
@@ -286,7 +290,7 @@ func main() {
 	}
 }
 
-func runSerialized(algo string, g *topology.Graph, p simnet.Params, opts atarun.Options) (*atarun.Result, int, error) {
+func runSerialized(algo string, g *topology.Graph, p simnet.Params, opts simnet.Options) (*atarun.Result, int, error) {
 	switch algo {
 	case "vrs":
 		m, ok := hypercubeDim(g)

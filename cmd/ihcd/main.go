@@ -32,7 +32,8 @@
 //
 // It prints the streaming gauges (throughput, shed counts, latency
 // percentiles) and exits nonzero unless every node completed every
-// epoch with the exact γ-copy ledger postcondition.
+// epoch with the exact γ-copy ledger postcondition and no node held
+// more than stream.MaxInflight live epochs open at once.
 //
 // Both -launch and -soak accept -deadline: a hard wall-clock budget
 // enforced by a watchdog that kills any child processes and exits 4.
@@ -313,7 +314,8 @@ func runDaemon(node stream.Config, self int, listen, peersPath string, epochNano
 // notice mid-stream and restarted cold — it must rediscover the epoch
 // via the JOIN handshake and catch up through the pull planner. The
 // verdict requires every node to complete every epoch with the exact
-// γ-copy ledger postcondition and zero high-priority sheds.
+// γ-copy ledger postcondition, zero high-priority sheds, and no node
+// above stream.MaxInflight live epochs.
 func runSoak(node stream.Config, keySeed, seed int64, timeout time.Duration) int {
 	x, period := node.IHC, node.Period
 	// The fault script scales with the cadence: kill after 4 epochs,
@@ -362,6 +364,9 @@ func runSoak(node stream.Config, keySeed, seed int64, timeout time.Duration) int
 	snap := res.Snapshot
 	fmt.Print(snap.Summary())
 	verdictErr := res.Verify()
+	if verdictErr == nil && snap.PeakInflight > stream.MaxInflight {
+		verdictErr = fmt.Errorf("a node held %d live epochs open, above the cap of %d", snap.PeakInflight, stream.MaxInflight)
+	}
 	out := map[string]any{
 		"ok":       verdictErr == nil,
 		"epochs":   node.Epochs,

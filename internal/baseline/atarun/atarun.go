@@ -17,64 +17,31 @@ import (
 // sequence number so packet IDs stay unique across broadcasts.
 type Generator func(src topology.Node, start simnet.Time, seq int) []simnet.PacketSpec
 
-// Options mirror the relevant simulation switches.
-type Options struct {
-	Copies    bool // build the delivery matrix
-	Saturated bool // heavy-traffic limiting regime (Table IV)
-	// Observe optionally streams every performed hop and delivery of
-	// all N chained broadcasts to an observability sink. Nil is the
-	// fast path.
-	Observe simnet.Observer
-}
-
-// Result aggregates a full serialized ATA broadcast.
+// Result aggregates a full serialized ATA broadcast: the simulator's
+// counters summed over the N broadcasts, and when each finished.
 type Result struct {
-	Finish          simnet.Time
+	simnet.Result
 	BroadcastFinish []simnet.Time // completion time of each node's broadcast
-	Contentions     int
-	BgBlocked       int
-	CutThroughs     int
-	BufferedHops    int
-	Injections      int
-	Deliveries      int
-	Events          int64
-	LinkBusy        simnet.Time
-	Copies          *simnet.CopyMatrix
 }
 
 // Sequential runs gen(src) for every node of g in turn on a single fresh
-// network with parameters p.
-func Sequential(g *topology.Graph, p simnet.Params, gen Generator, opts Options) (*Result, error) {
+// network with parameters p. Every broadcast runs with opts, so its sinks
+// (a copy matrix, a delivery log, a ledger, an observer) accumulate the
+// whole ATA.
+func Sequential(g *topology.Graph, p simnet.Params, gen Generator, opts simnet.Options) (*Result, error) {
 	net, err := simnet.New(g, p)
 	if err != nil {
 		return nil, err
 	}
 	res := &Result{}
-	if opts.Copies {
-		res.Copies = simnet.NewCopyMatrix(g.N())
-	}
-	simOpts := simnet.Options{
-		Copies: opts.Copies, Saturated: opts.Saturated, Observe: opts.Observe,
-	}
 	start := simnet.Time(0)
 	for src := 0; src < g.N(); src++ {
-		r, err := net.Run(gen(topology.Node(src), start, src), simOpts)
+		r, err := net.Run(gen(topology.Node(src), start, src), opts)
 		if err != nil {
 			return nil, err
 		}
-		res.Finish = r.Finish
+		res.Merge(r)
 		res.BroadcastFinish = append(res.BroadcastFinish, r.Finish)
-		res.Contentions += r.Contentions
-		res.BgBlocked += r.BgBlocked
-		res.CutThroughs += r.CutThroughs
-		res.BufferedHops += r.BufferedHops
-		res.Injections += r.Injections
-		res.Deliveries += r.Deliveries
-		res.Events += r.Events
-		res.LinkBusy += r.LinkBusy
-		if res.Copies != nil && r.Copies != nil {
-			res.Copies.Merge(r.Copies)
-		}
 		start = r.Finish
 	}
 	return res, nil

@@ -164,14 +164,11 @@ func Packets(m int, mu int, start simnet.Time) []simnet.PacketSpec {
 	return specs
 }
 
-// Result is an FRS execution summary.
+// Result is an FRS execution summary: the simulator's counters and, from
+// the content model, the delivery matrix.
 type Result struct {
-	Finish      simnet.Time
-	Contentions int
-	Injections  int
-	Events      int64
-	LinkBusy    simnet.Time
-	Copies      *simnet.CopyMatrix // from the content model
+	simnet.Result
+	Copies *simnet.CopyMatrix // from the content model
 }
 
 // Run executes FRS on a fresh Q_m network. The switching mode of p is
@@ -191,13 +188,7 @@ func Run(m int, p simnet.Params, copies bool) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	res := &Result{
-		Finish:      r.Finish,
-		Contentions: r.Contentions,
-		Injections:  r.Injections,
-		Events:      r.Events,
-		LinkBusy:    r.LinkBusy,
-	}
+	res := &Result{Result: *r}
 	if copies {
 		res.Copies = Copies(m)
 	}

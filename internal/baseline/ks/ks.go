@@ -440,7 +440,7 @@ func (b *Broadcast) Arcs() [6][]topology.Arc {
 }
 
 // ATA runs KS-ATA: every node of H_m broadcasts in turn.
-func ATA(m int, p simnet.Params, opts atarun.Options) (*atarun.Result, error) {
+func ATA(m int, p simnet.Params, opts simnet.Options) (*atarun.Result, error) {
 	g, err := topology.HexMesh(m)
 	if err != nil {
 		return nil, err

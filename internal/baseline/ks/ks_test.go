@@ -4,7 +4,6 @@ import (
 	"testing"
 	"testing/quick"
 
-	"ihc/internal/baseline/atarun"
 	"ihc/internal/model"
 	"ihc/internal/simnet"
 	"ihc/internal/topology"
@@ -98,7 +97,8 @@ func TestSingleBroadcast(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := net.Run(MustNew(m, 0).Packets(0, 0), simnet.Options{Copies: true})
+		copies := simnet.NewCopyMatrix(n)
+		res, err := net.Run(MustNew(m, 0).Packets(0, 0), simnet.Options{Copies: copies})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -106,7 +106,7 @@ func TestSingleBroadcast(t *testing.T) {
 			t.Fatalf("H%d: %d contentions", m, res.Contentions)
 		}
 		for v := 1; v < n; v++ {
-			if got := res.Copies.Get(topology.Node(v), 0); got != 6 {
+			if got := copies.Get(topology.Node(v), 0); got != 6 {
 				t.Fatalf("H%d: node %d got %d copies", m, v, got)
 			}
 		}
@@ -115,11 +115,12 @@ func TestSingleBroadcast(t *testing.T) {
 
 func TestATA(t *testing.T) {
 	for _, m := range []int{2, 3} {
-		res, err := ATA(m, p, atarun.Options{Copies: true})
+		copies := simnet.NewCopyMatrix(topology.HexMeshSize(m))
+		res, err := ATA(m, p, simnet.Options{Copies: copies})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := res.Copies.VerifyATA(6); err != nil {
+		if err := copies.VerifyATA(6); err != nil {
 			t.Fatalf("H%d: %v", m, err)
 		}
 		if res.Contentions != 0 {

@@ -229,7 +229,7 @@ func (b *Broadcast) StepOps() [][]Op {
 }
 
 // ATA runs VRS-ATA: every node of Q_m executes the VRS broadcast in turn.
-func ATA(m int, p simnet.Params, opts atarun.Options) (*atarun.Result, error) {
+func ATA(m int, p simnet.Params, opts simnet.Options) (*atarun.Result, error) {
 	g, err := topology.Hypercube(m)
 	if err != nil {
 		return nil, err

@@ -4,7 +4,6 @@ import (
 	"testing"
 	"testing/quick"
 
-	"ihc/internal/baseline/atarun"
 	"ihc/internal/model"
 	"ihc/internal/simnet"
 	"ihc/internal/topology"
@@ -146,7 +145,8 @@ func TestSingleBroadcastTiming(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := net.Run(MustNew(m, 0, false).Packets(0, 0), simnet.Options{Copies: true})
+		copies := simnet.NewCopyMatrix(g.N())
+		res, err := net.Run(MustNew(m, 0, false).Packets(0, 0), simnet.Options{Copies: copies})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -154,7 +154,7 @@ func TestSingleBroadcastTiming(t *testing.T) {
 			t.Fatalf("Q%d: %d contentions", m, res.Contentions)
 		}
 		for v := 1; v < g.N(); v++ {
-			if got := res.Copies.Get(topology.Node(v), 0); got != m {
+			if got := copies.Get(topology.Node(v), 0); got != m {
 				t.Fatalf("Q%d: node %d got %d copies", m, v, got)
 			}
 		}
@@ -172,11 +172,12 @@ func TestSingleBroadcastTiming(t *testing.T) {
 
 func TestATACompleteAndBounded(t *testing.T) {
 	for _, m := range []int{3, 4, 5} {
-		res, err := ATA(m, p, atarun.Options{Copies: true})
+		copies := simnet.NewCopyMatrix(1 << m)
+		res, err := ATA(m, p, simnet.Options{Copies: copies})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := res.Copies.VerifyATA(m); err != nil {
+		if err := copies.VerifyATA(m); err != nil {
 			t.Fatalf("Q%d: %v", m, err)
 		}
 		if res.Contentions != 0 {
@@ -203,7 +204,7 @@ func TestATACompleteAndBounded(t *testing.T) {
 func TestATAMuchSlowerThanIHCModel(t *testing.T) {
 	for _, m := range []int{4, 5, 6} {
 		n := 1 << m
-		res, err := ATA(m, p, atarun.Options{})
+		res, err := ATA(m, p, simnet.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -215,7 +216,7 @@ func TestATAMuchSlowerThanIHCModel(t *testing.T) {
 }
 
 func TestSaturatedATAWithinTableIV(t *testing.T) {
-	res, err := ATA(4, p, atarun.Options{Saturated: true})
+	res, err := ATA(4, p, simnet.Options{Saturated: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,7 +227,7 @@ func TestSaturatedATAWithinTableIV(t *testing.T) {
 	// And saturation really hurts: at least 2x the dedicated time (VRS is
 	// already store-and-forward dominated, so the slowdown is milder than
 	// for IHC).
-	ded, err := ATA(4, p, atarun.Options{})
+	ded, err := ATA(4, p, simnet.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -262,7 +263,8 @@ func TestQuickBroadcastFromAnySource(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		res, err := net.Run(MustNew(5, src, false).Packets(0, 0), simnet.Options{Copies: true})
+		copies := simnet.NewCopyMatrix(g.N())
+		res, err := net.Run(MustNew(5, src, false).Packets(0, 0), simnet.Options{Copies: copies})
 		if err != nil || res.Contentions != 0 {
 			return false
 		}
@@ -271,7 +273,7 @@ func TestQuickBroadcastFromAnySource(t *testing.T) {
 			if topology.Node(v) == src {
 				want = 0
 			}
-			if res.Copies.Get(topology.Node(v), src) != want {
+			if copies.Get(topology.Node(v), src) != want {
 				return false
 			}
 		}

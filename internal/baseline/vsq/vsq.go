@@ -210,7 +210,7 @@ func (b *Broadcast) Arcs() [4][]topology.Arc {
 }
 
 // ATA runs VSQ-ATA: every node of SQ_m broadcasts in turn.
-func ATA(m int, p simnet.Params, opts atarun.Options) (*atarun.Result, error) {
+func ATA(m int, p simnet.Params, opts simnet.Options) (*atarun.Result, error) {
 	g, err := topology.SquareTorus(m)
 	if err != nil {
 		return nil, err

@@ -4,7 +4,6 @@ import (
 	"testing"
 	"testing/quick"
 
-	"ihc/internal/baseline/atarun"
 	"ihc/internal/model"
 	"ihc/internal/simnet"
 	"ihc/internal/topology"
@@ -96,7 +95,8 @@ func TestSingleBroadcast(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := net.Run(MustNew(m, 0).Packets(0, 0), simnet.Options{Copies: true})
+		copies := simnet.NewCopyMatrix(g.N())
+		res, err := net.Run(MustNew(m, 0).Packets(0, 0), simnet.Options{Copies: copies})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -104,7 +104,7 @@ func TestSingleBroadcast(t *testing.T) {
 			t.Fatalf("SQ%d: %d contentions", m, res.Contentions)
 		}
 		for v := 1; v < m*m; v++ {
-			if got := res.Copies.Get(topology.Node(v), 0); got != 4 {
+			if got := copies.Get(topology.Node(v), 0); got != 4 {
 				t.Fatalf("SQ%d: node %d got %d copies", m, v, got)
 			}
 		}
@@ -123,11 +123,12 @@ func TestSingleBroadcast(t *testing.T) {
 
 func TestATA(t *testing.T) {
 	for _, m := range []int{3, 4, 5} {
-		res, err := ATA(m, p, atarun.Options{Copies: true})
+		copies := simnet.NewCopyMatrix(m * m)
+		res, err := ATA(m, p, simnet.Options{Copies: copies})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := res.Copies.VerifyATA(4); err != nil {
+		if err := copies.VerifyATA(4); err != nil {
 			t.Fatalf("SQ%d: %v", m, err)
 		}
 		if res.Contentions != 0 {
@@ -147,7 +148,7 @@ func TestATA(t *testing.T) {
 }
 
 func TestSaturatedWithinTableIV(t *testing.T) {
-	res, err := ATA(4, p, atarun.Options{Saturated: true})
+	res, err := ATA(4, p, simnet.Options{Saturated: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -339,6 +339,11 @@ func TestStreamSoakKillRestart(t *testing.T) {
 	if res.Snapshot.Joins == 0 {
 		t.Fatal("restarted node never sent a JOIN")
 	}
+	// The gauge is the most live epochs one node held open: at least
+	// one, and never above the pipeline cap, kill and catch-up included.
+	if p := res.Snapshot.PeakInflight; p < 1 || p > stream.MaxInflight {
+		t.Fatalf("peak inflight %d, want within [1, %d]", p, stream.MaxInflight)
+	}
 	// Goroutine hygiene: everything Run started must be gone.
 	deadline := time.Now().Add(2 * time.Second)
 	for runtime.NumGoroutine() > before+2 && time.Now().Before(deadline) {

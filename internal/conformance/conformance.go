@@ -1,9 +1,9 @@
 // Package conformance is the cross-family verification battery behind
-// the decomposition registry: one table-driven property suite that any
-// registered hamilton.Family passes end to end, so a new family gets
-// the repository's full checking stack — decomposition validity,
-// schedule feasibility, the live Theorem 3/4 oracles and the γ-copy
-// ledger postcondition — by registering. The suite is what
+// the hamilton family table: one table-driven property suite that every
+// hamilton.Family passes end to end, so a new family gets the
+// repository's full checking stack — decomposition validity, schedule
+// feasibility, the live Theorem 3/4 oracles and the γ-copy ledger
+// postcondition — by joining the table. The suite is what
 // `internal/hamilton/conformance_test.go` and `make families-quick` run;
 // it lives outside internal/core because it drives core and observe
 // together (core cannot import observe). Byte identity across engine
@@ -109,10 +109,10 @@ func Check(in *hamilton.Instance) error {
 // CheckFamily runs Check on every conformance size the family declares,
 // returning the first failure annotated with the instance name.
 func CheckFamily(f hamilton.Family) error {
-	for _, size := range f.Conformance() {
+	for _, size := range f.Conformance {
 		in, err := f.New(size...)
 		if err != nil {
-			return fmt.Errorf("%s%v: %w", f.Key(), size, err)
+			return fmt.Errorf("%s%v: %w", f.Key, size, err)
 		}
 		if err := Check(in); err != nil {
 			return fmt.Errorf("%s: %w", in.Name, err)

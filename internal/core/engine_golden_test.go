@@ -70,8 +70,14 @@ func digestDeliveries(ds []simnet.Delivery) string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
+// hopTrace is an Observer that records each packet's hops in hop order.
+type hopTrace map[simnet.PacketID][]simnet.HopEvent
+
+func (tr hopTrace) OnHop(h simnet.HopEvent) { tr[h.ID] = append(tr[h.ID], h) }
+func (hopTrace) OnDeliver(simnet.Delivery)  {}
+
 // digestTraces hashes every hop of every packet, packets in ID order.
-func digestTraces(tr map[simnet.PacketID][]simnet.Hop) string {
+func digestTraces(tr hopTrace) string {
 	ids := make([]simnet.PacketID, 0, len(tr))
 	for id := range tr {
 		ids = append(ids, id)
@@ -246,11 +252,11 @@ func TestEngineGoldenTraces(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := net.Run(specs, simnet.Options{Trace: true})
-		if err != nil {
+		tr := hopTrace{}
+		if _, err := net.Run(specs, simnet.Options{Observe: tr}); err != nil {
 			t.Fatal(err)
 		}
-		if got := digestTraces(res.Traces); got != engineGoldenTraces[mode] {
+		if got := digestTraces(tr); got != engineGoldenTraces[mode] {
 			t.Errorf("%s: trace digest %s, want %s", mode, got, engineGoldenTraces[mode])
 		}
 	}

@@ -214,8 +214,9 @@ type Config struct {
 	SkipCopies bool
 	// Scratch optionally supplies reusable simulator working memory,
 	// shared by every stage of the run (and by subsequent runs that pass
-	// the same Scratch). Nil borrows from simnet's internal pool. Must
-	// not be shared by concurrent runs.
+	// the same Scratch). Nil gives the run a Scratch of its own, shared
+	// by its stages and unreachable once Run returns, as its sinks are.
+	// Must not be shared by concurrent runs.
 	Scratch *simnet.Scratch
 	// Fault, when non-nil, injects faults into every stage's relay path
 	// (see simnet.FaultHook and fault.TemporalPlan.Compile). Stage
@@ -252,60 +253,15 @@ type Config struct {
 	Ledger bool
 }
 
-// Result aggregates an ATA broadcast execution.
+// Result aggregates an ATA broadcast execution: the simulator's counters
+// summed over every stage run (Finish is the latest stage's), and the
+// sinks the run allocated once and shared across its stages.
 type Result struct {
-	Finish       simnet.Time   // completion of the whole ATA broadcast
-	StageFinish  []simnet.Time // completion time of each stage (slowest cycle)
-	Contentions  int           // broadcast-vs-broadcast link conflicts (0 when η >= μ, ρ = 0)
-	BgBlocked    int           // hops delayed by background traffic
-	CutThroughs  int
-	BufferedHops int
-	Stalls       int
-	Injections   int
-	Deliveries   int
-	Events       int64 // simulator events processed across all stage runs (int64: Q16-scale runs exceed 32-bit counts)
-	LinkBusy     simnet.Time
-	FaultDrops   int                // copies killed in flight by the fault hook
-	FaultTaints  int                // payload corruptions injected by the fault hook
-	Copies       *simnet.CopyMatrix // nil when SkipCopies
-	Ledger       *simnet.CopyLedger // populated only when Config.Ledger
-	Deliveriesv  []simnet.Delivery  // populated only when RecordDeliveries
-}
-
-// Utilization returns the fraction of total link capacity (links x
-// makespan) the broadcast operation used.
-func (r *Result) Utilization(links int) float64 {
-	if r.Finish <= 0 || links == 0 {
-		return 0
-	}
-	return float64(r.LinkBusy) / (float64(links) * float64(r.Finish))
-}
-
-func (r *Result) absorb(s *simnet.Result) {
-	if s.Finish > r.Finish {
-		r.Finish = s.Finish
-	}
-	r.Contentions += s.Contentions
-	r.BgBlocked += s.BgBlocked
-	r.CutThroughs += s.CutThroughs
-	r.BufferedHops += s.BufferedHops
-	r.Stalls += s.Stalls
-	r.Injections += s.Injections
-	r.Deliveries += s.Deliveries
-	r.Events += s.Events
-	r.LinkBusy += s.LinkBusy
-	r.FaultDrops += s.FaultDrops
-	r.FaultTaints += s.FaultTaints
-	if r.Copies != nil && s.Copies != nil {
-		r.Copies.Merge(s.Copies)
-	}
-	// Each stage run returns a fresh log, so the first one is adopted
-	// rather than copied.
-	if r.Deliveriesv == nil {
-		r.Deliveriesv = s.Deliveriesv
-	} else {
-		r.Deliveriesv = append(r.Deliveriesv, s.Deliveriesv...)
-	}
+	simnet.Result
+	StageFinish []simnet.Time      // completion time of each stage (slowest cycle)
+	Copies      *simnet.CopyMatrix // nil when SkipCopies
+	Ledger      *simnet.CopyLedger // populated only when Config.Ledger
+	Deliveriesv []simnet.Delivery  // populated only when RecordDeliveries
 }
 
 func (x *IHC) validate(cfg *Config) error {
@@ -333,27 +289,49 @@ func (x *IHC) Run(cfg Config) (*Result, error) {
 	if err := x.validate(&cfg); err != nil {
 		return nil, err
 	}
-	net, err := simnet.New(x.g, cfg.Params)
-	if err != nil {
+	res := x.begin(&cfg)
+	if err := x.run(cfg, res); err != nil {
 		return nil, err
+	}
+	return res, nil
+}
+
+// begin allocates what a Run owns: the sinks cfg asks for, one copy
+// matrix and one ledger that every stage run adds to (the engine grows
+// the delivery log in place), and a Scratch for its stages when cfg
+// brings none.
+func (x *IHC) begin(cfg *Config) *Result {
+	if cfg.Scratch == nil {
+		cfg.Scratch = simnet.NewScratch()
 	}
 	res := &Result{}
 	if !cfg.SkipCopies {
 		res.Copies = simnet.NewCopyMatrix(x.N())
 	}
-	opts := simnet.Options{
-		Copies:           !cfg.SkipCopies,
-		Saturated:        cfg.Saturated,
-		Fault:            cfg.Fault,
-		RecordDeliveries: cfg.RecordDeliveries,
-		Control:          cfg.Control,
-		Observe:          cfg.Observe,
-	}
 	if cfg.Ledger {
-		// One ledger shared by every stage run: the engine only adds, so
-		// chaining accumulates the whole broadcast's deliveries.
 		res.Ledger = simnet.NewCopyLedger(x.N())
-		opts.Ledger = res.Ledger
+	}
+	return res
+}
+
+// run executes the stages of one broadcast on a fresh network, adding
+// every delivery to res's sinks and merging every stage's counters into
+// res.
+func (x *IHC) run(cfg Config, res *Result) error {
+	net, err := simnet.New(x.g, cfg.Params)
+	if err != nil {
+		return err
+	}
+	opts := simnet.Options{
+		Copies:    res.Copies,
+		Saturated: cfg.Saturated,
+		Fault:     cfg.Fault,
+		Control:   cfg.Control,
+		Observe:   cfg.Observe,
+		Ledger:    res.Ledger,
+	}
+	if cfg.RecordDeliveries {
+		opts.Log = &res.Deliveriesv
 	}
 	overlapLead := simnet.Time(0)
 	if cfg.Overlap {
@@ -365,54 +343,52 @@ func (x *IHC) Run(cfg Config) (*Result, error) {
 	}
 	stages := stageOrder(cfg.Eta, cfg.Overlap)
 	paths := newPathCache(x, net)
-
-	if cfg.PerCycle {
-		for _, j := range cycles {
-			start := cfg.Start
-			for _, i := range stages {
-				specs, err := x.StagePackets([]int{j}, i, cfg.Eta, start, cfg.Skew)
-				if err != nil {
-					return nil, err
-				}
-				if cfg.PatchRoutes != nil {
-					cfg.PatchRoutes(specs)
-				}
-				if err := paths.attach(specs); err != nil {
-					return nil, err
-				}
-				r, err := net.RunScratch(specs, opts, cfg.Scratch)
-				if err != nil {
-					return nil, err
-				}
-				res.absorb(r)
-				start = r.Finish - overlapLead
-			}
-		}
-		// StageFinish is not meaningful per-cycle; leave it empty.
-		return res, nil
-	}
-
-	start := cfg.Start
-	for _, i := range stages {
+	// runStage simulates stage i of the given cycles from start and
+	// returns its finish time.
+	runStage := func(cycles []int, i int, start simnet.Time) (simnet.Time, error) {
 		specs, err := x.StagePackets(cycles, i, cfg.Eta, start, cfg.Skew)
 		if err != nil {
-			return nil, err
+			return 0, err
 		}
 		if cfg.PatchRoutes != nil {
 			cfg.PatchRoutes(specs)
 		}
 		if err := paths.attach(specs); err != nil {
-			return nil, err
+			return 0, err
 		}
 		r, err := net.RunScratch(specs, opts, cfg.Scratch)
 		if err != nil {
-			return nil, err
+			return 0, err
 		}
-		res.absorb(r)
-		res.StageFinish = append(res.StageFinish, r.Finish)
-		start = r.Finish - overlapLead
+		res.Merge(r)
+		return r.Finish, nil
 	}
-	return res, nil
+
+	if cfg.PerCycle {
+		// StageFinish is not meaningful per cycle; it stays empty.
+		for _, j := range cycles {
+			start := cfg.Start
+			for _, i := range stages {
+				finish, err := runStage([]int{j}, i, start)
+				if err != nil {
+					return err
+				}
+				start = finish - overlapLead
+			}
+		}
+		return nil
+	}
+
+	start := cfg.Start
+	for _, i := range stages {
+		finish, err := runStage(cycles, i, start)
+		if err != nil {
+			return err
+		}
+		res.StageFinish = append(res.StageFinish, finish)
+		start = finish - overlapLead
+	}
+	return nil
 }
 
 // pathCache shares one compiled route per directed doubled cycle across
@@ -485,43 +461,20 @@ func (x *IHC) RunSequential(cfg Config, k int) (*Result, error) {
 	if k < 1 || k > x.Gamma() {
 		return nil, fmt.Errorf("core: k = %d out of range [1,%d]", k, x.Gamma())
 	}
-	res := &Result{}
-	if !cfg.SkipCopies {
-		res.Copies = simnet.NewCopyMatrix(x.N())
+	cfg.Cycles = nil // each invocation runs one cycle of its own
+	if err := x.validate(&cfg); err != nil {
+		return nil, err
 	}
-	if cfg.Ledger {
-		res.Ledger = simnet.NewCopyLedger(x.N())
-	}
+	res := x.begin(&cfg)
 	start := cfg.Start
 	for j := 0; j < k; j++ {
 		sub := cfg
 		sub.Cycles = []int{j}
 		sub.Start = start
-		r, err := x.Run(sub)
-		if err != nil {
+		if err := x.run(sub, res); err != nil {
 			return nil, err
 		}
-		res.Finish = r.Finish
-		res.StageFinish = append(res.StageFinish, r.StageFinish...)
-		res.Contentions += r.Contentions
-		res.BgBlocked += r.BgBlocked
-		res.CutThroughs += r.CutThroughs
-		res.BufferedHops += r.BufferedHops
-		res.Stalls += r.Stalls
-		res.Injections += r.Injections
-		res.Deliveries += r.Deliveries
-		res.Events += r.Events
-		res.LinkBusy += r.LinkBusy
-		res.FaultDrops += r.FaultDrops
-		res.FaultTaints += r.FaultTaints
-		if res.Copies != nil && r.Copies != nil {
-			res.Copies.Merge(r.Copies)
-		}
-		if res.Ledger != nil && r.Ledger != nil {
-			res.Ledger.Merge(r.Ledger)
-		}
-		res.Deliveriesv = append(res.Deliveriesv, r.Deliveriesv...)
-		start = r.Finish
+		start = res.Finish
 	}
 	return res, nil
 }

@@ -6,31 +6,11 @@ import (
 	"ihc/internal/topology"
 )
 
-// This file registers the built-in families. Each registration binds a
-// topology constructor to its decomposition rule and declares the
-// invariants (N, γ, full cover) the registry verifies on Build. The
-// per-family size caps keep Build tractable (the topology layer caps
-// node counts at 2^22 anyway) while New stays cheap: it only validates.
-
-// family is the shared Family implementation: a bundle of closures.
-type family struct {
-	key, desc string
-	build     func(params []int) (*Instance, error)
-	parse     func(name string) ([]int, bool)
-	conf      [][]int
-}
-
-func (f *family) Key() string                          { return f.key }
-func (f *family) Describe() string                     { return f.desc }
-func (f *family) New(params ...int) (*Instance, error) { return f.build(params) }
-func (f *family) ParseName(name string) ([]int, bool)  { return f.parse(name) }
-func (f *family) Conformance() [][]int {
-	out := make([][]int, len(f.conf))
-	for i, p := range f.conf {
-		out[i] = append([]int(nil), p...)
-	}
-	return out
-}
+// This file holds the family table. Each entry binds a topology
+// constructor to its decomposition rule and declares the invariants (N,
+// γ, full cover) that Build verifies. The per-family size caps keep
+// Build tractable (the topology layer caps node counts at 2^22 anyway)
+// while New stays cheap: it only validates.
 
 // one adapts single-integer families to the params-slice contract.
 func one(params []int) (int, error) {
@@ -51,63 +31,12 @@ func scanOne(prefix string) func(string) ([]int, bool) {
 	}
 }
 
-func init() {
-	Register(&family{
-		key:  "Q",
-		desc: "binary hypercube Q_m: N=2^m, γ=2⌊m/2⌋ (odd m leaves a matching unused)",
-		build: func(params []int) (*Instance, error) {
-			m, err := one(params)
-			if err != nil {
-				return nil, err
-			}
-			if m < 2 || m > 22 {
-				return nil, fmt.Errorf("hamilton: hypercube dimension %d out of range [2,22]", m)
-			}
-			return &Instance{
-				FamilyKey: "Q",
-				Name:      fmt.Sprintf("Q%d", m),
-				Params:    []int{m},
-				N:         1 << m,
-				Gamma:     2 * (m / 2),
-				FullCover: m%2 == 0,
-				graph:     func() (*topology.Graph, error) { return topology.Hypercube(m) },
-				decompose: func() ([]Cycle, error) { return Hypercube(m) },
-			}, nil
-		},
-		parse: scanOne("Q"),
-		conf:  [][]int{{2}, {3}, {4}, {5}, {6}},
-	})
-
-	Register(&family{
-		key:  "SQ",
-		desc: "torus-wrapped square mesh SQ_m: N=m², γ=4",
-		build: func(params []int) (*Instance, error) {
-			m, err := one(params)
-			if err != nil {
-				return nil, err
-			}
-			if m < 3 || m > 2048 {
-				return nil, fmt.Errorf("hamilton: square torus size %d out of range [3,2048]", m)
-			}
-			return &Instance{
-				FamilyKey: "SQ",
-				Name:      fmt.Sprintf("SQ%d", m),
-				Params:    []int{m},
-				N:         m * m,
-				Gamma:     4,
-				FullCover: true,
-				graph:     func() (*topology.Graph, error) { return topology.SquareTorus(m) },
-				decompose: func() ([]Cycle, error) { return SquareTorus(m) },
-			}, nil
-		},
-		parse: scanOne("SQ"),
-		conf:  [][]int{{3}, {4}, {5}},
-	})
-
-	Register(&family{
-		key:  "H",
-		desc: "C-wrapped hexagonal mesh H_m: N=3m(m-1)+1, γ=6",
-		build: func(params []int) (*Instance, error) {
+// families is the table of every family, sorted by key.
+var families = []Family{
+	{
+		Key:      "H",
+		Describe: "C-wrapped hexagonal mesh H_m: N=3m(m-1)+1, γ=6",
+		New: func(params ...int) (*Instance, error) {
 			m, err := one(params)
 			if err != nil {
 				return nil, err
@@ -126,14 +55,104 @@ func init() {
 				decompose: func() ([]Cycle, error) { return HexMesh(m) },
 			}, nil
 		},
-		parse: scanOne("H"),
-		conf:  [][]int{{2}, {3}},
-	})
-
-	Register(&family{
-		key:  "T",
-		desc: "mixed-radix torus C_k1 x ... x C_kd: N=∏ki, γ=2d",
-		build: func(params []int) (*Instance, error) {
+		ParseName:   scanOne("H"),
+		Conformance: [][]int{{2}, {3}},
+	},
+	{
+		Key:      "KT",
+		Describe: "k-ary n-dimensional torus: N=k^n, γ=2n (Jung–Sakho ATA bound)",
+		New: func(params ...int) (*Instance, error) {
+			if len(params) != 2 {
+				return nil, fmt.Errorf("hamilton: k-ary torus takes exactly 2 parameters (k, n), got %d", len(params))
+			}
+			k, n := params[0], params[1]
+			if k < 3 {
+				return nil, fmt.Errorf("hamilton: k-ary torus arity %d must be >= 3", k)
+			}
+			if n < 1 {
+				return nil, fmt.Errorf("hamilton: k-ary torus needs >= 1 dimension, got %d", n)
+			}
+			size := 1
+			for i := 0; i < n; i++ {
+				if size > 1<<22/k {
+					return nil, fmt.Errorf("hamilton: KAryTorus(%d,%d) exceeds the 2^22-node cap", k, n)
+				}
+				size *= k
+			}
+			return &Instance{
+				FamilyKey: "KT",
+				Name:      fmt.Sprintf("KT%dx%d", k, n),
+				Params:    []int{k, n},
+				N:         size,
+				Gamma:     2 * n,
+				FullCover: true,
+				graph:     func() (*topology.Graph, error) { return topology.KAryTorus(k, n) },
+				decompose: func() ([]Cycle, error) { return KAryTorus(k, n) },
+			}, nil
+		},
+		ParseName: func(name string) ([]int, bool) {
+			k, n, ok := topology.KAryDims(name)
+			if !ok {
+				return nil, false
+			}
+			return []int{k, n}, true
+		},
+		Conformance: [][]int{{3, 2}, {4, 2}, {3, 3}},
+	},
+	{
+		Key:      "Q",
+		Describe: "binary hypercube Q_m: N=2^m, γ=2⌊m/2⌋ (odd m leaves a matching unused)",
+		New: func(params ...int) (*Instance, error) {
+			m, err := one(params)
+			if err != nil {
+				return nil, err
+			}
+			if m < 2 || m > 22 {
+				return nil, fmt.Errorf("hamilton: hypercube dimension %d out of range [2,22]", m)
+			}
+			return &Instance{
+				FamilyKey: "Q",
+				Name:      fmt.Sprintf("Q%d", m),
+				Params:    []int{m},
+				N:         1 << m,
+				Gamma:     2 * (m / 2),
+				FullCover: m%2 == 0,
+				graph:     func() (*topology.Graph, error) { return topology.Hypercube(m) },
+				decompose: func() ([]Cycle, error) { return Hypercube(m) },
+			}, nil
+		},
+		ParseName:   scanOne("Q"),
+		Conformance: [][]int{{2}, {3}, {4}, {5}, {6}},
+	},
+	{
+		Key:      "SQ",
+		Describe: "torus-wrapped square mesh SQ_m: N=m², γ=4",
+		New: func(params ...int) (*Instance, error) {
+			m, err := one(params)
+			if err != nil {
+				return nil, err
+			}
+			if m < 3 || m > 2048 {
+				return nil, fmt.Errorf("hamilton: square torus size %d out of range [3,2048]", m)
+			}
+			return &Instance{
+				FamilyKey: "SQ",
+				Name:      fmt.Sprintf("SQ%d", m),
+				Params:    []int{m},
+				N:         m * m,
+				Gamma:     4,
+				FullCover: true,
+				graph:     func() (*topology.Graph, error) { return topology.SquareTorus(m) },
+				decompose: func() ([]Cycle, error) { return SquareTorus(m) },
+			}, nil
+		},
+		ParseName:   scanOne("SQ"),
+		Conformance: [][]int{{3}, {4}, {5}},
+	},
+	{
+		Key:      "T",
+		Describe: "mixed-radix torus C_k1 x ... x C_kd: N=∏ki, γ=2d",
+		New: func(params ...int) (*Instance, error) {
 			if len(params) == 0 {
 				return nil, fmt.Errorf("hamilton: torus needs at least one dimension")
 			}
@@ -164,14 +183,13 @@ func init() {
 				decompose: func() ([]Cycle, error) { return MultiTorus(dims...) },
 			}, nil
 		},
-		parse: func(name string) ([]int, bool) { return topology.TorusDims(name) },
-		conf:  [][]int{{3, 3}, {4, 4}, {3, 3, 3}},
-	})
-
-	Register(&family{
-		key:  "TQ",
-		desc: "twisted cube TQ_n: N=2^n, two edge-disjoint HCs (γ=4; γ=2 for n=3)",
-		build: func(params []int) (*Instance, error) {
+		ParseName:   func(name string) ([]int, bool) { return topology.TorusDims(name) },
+		Conformance: [][]int{{3, 3}, {4, 4}, {3, 3, 3}},
+	},
+	{
+		Key:      "TQ",
+		Describe: "twisted cube TQ_n: N=2^n, two edge-disjoint HCs (γ=4; γ=2 for n=3)",
+		New: func(params ...int) (*Instance, error) {
 			n, err := one(params)
 			if err != nil {
 				return nil, err
@@ -196,55 +214,13 @@ func init() {
 				decompose: func() ([]Cycle, error) { return TwistedCube(n) },
 			}, nil
 		},
-		parse: func(name string) ([]int, bool) {
+		ParseName: func(name string) ([]int, bool) {
 			n, ok := topology.TwistedDim(name)
 			if !ok {
 				return nil, false
 			}
 			return []int{n}, true
 		},
-		conf: [][]int{{3}, {4}, {5}, {6}},
-	})
-
-	Register(&family{
-		key:  "KT",
-		desc: "k-ary n-dimensional torus: N=k^n, γ=2n (Jung–Sakho ATA bound)",
-		build: func(params []int) (*Instance, error) {
-			if len(params) != 2 {
-				return nil, fmt.Errorf("hamilton: k-ary torus takes exactly 2 parameters (k, n), got %d", len(params))
-			}
-			k, n := params[0], params[1]
-			if k < 3 {
-				return nil, fmt.Errorf("hamilton: k-ary torus arity %d must be >= 3", k)
-			}
-			if n < 1 {
-				return nil, fmt.Errorf("hamilton: k-ary torus needs >= 1 dimension, got %d", n)
-			}
-			size := 1
-			for i := 0; i < n; i++ {
-				if size > 1<<22/k {
-					return nil, fmt.Errorf("hamilton: KAryTorus(%d,%d) exceeds the 2^22-node cap", k, n)
-				}
-				size *= k
-			}
-			return &Instance{
-				FamilyKey: "KT",
-				Name:      fmt.Sprintf("KT%dx%d", k, n),
-				Params:    []int{k, n},
-				N:         size,
-				Gamma:     2 * n,
-				FullCover: true,
-				graph:     func() (*topology.Graph, error) { return topology.KAryTorus(k, n) },
-				decompose: func() ([]Cycle, error) { return KAryTorus(k, n) },
-			}, nil
-		},
-		parse: func(name string) ([]int, bool) {
-			k, n, ok := topology.KAryDims(name)
-			if !ok {
-				return nil, false
-			}
-			return []int{k, n}, true
-		},
-		conf: [][]int{{3, 2}, {4, 2}, {3, 3}},
-	})
+		Conformance: [][]int{{3}, {4}, {5}, {6}},
+	},
 }

@@ -1,11 +1,11 @@
-// The cross-family conformance suite: every family registered in the
-// decomposition registry is run through the full verification battery
+// The cross-family conformance suite: every family in the hamilton
+// family table is run through the full verification battery
 // (decomposition validity, schedule feasibility, Theorem 3/4 oracle
 // cleanliness, γ-copy ledger) at the small sizes the family declares
-// via Conformance(); internal/simnet checks the same sizes for
-// identity across engine widths. The battery
-// itself lives in internal/conformance — this file is deliberately just
-// the registry iteration, so registering a family is all it takes to be
+// in Conformance; internal/simnet checks the same sizes for identity
+// across engine widths. The battery itself lives in
+// internal/conformance — this file is deliberately just the table
+// iteration, so adding a family to the table is all it takes to be
 // covered. External test package: the battery drives internal/core and
 // internal/observe, which import hamilton.
 package hamilton_test
@@ -24,10 +24,10 @@ func TestCrossFamilyConformance(t *testing.T) {
 	}
 	for _, f := range fams {
 		f := f
-		t.Run(f.Key(), func(t *testing.T) {
+		t.Run(f.Key, func(t *testing.T) {
 			t.Parallel()
-			if len(f.Conformance()) == 0 {
-				t.Fatalf("family %s declares no conformance sizes", f.Key())
+			if len(f.Conformance) == 0 {
+				t.Fatalf("family %s declares no conformance sizes", f.Key)
 			}
 			if err := conformance.CheckFamily(f); err != nil {
 				t.Fatal(err)

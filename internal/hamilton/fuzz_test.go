@@ -1,6 +1,7 @@
 package hamilton
 
 import (
+	"slices"
 	"testing"
 )
 
@@ -30,10 +31,11 @@ func FuzzFamilyParams(f *testing.F) {
 		if in, err := Parse(key); err == nil {
 			checkInstance(t, in)
 		}
-		fam, ok := FamilyByKey(key)
-		if !ok {
+		i := slices.IndexFunc(families, func(f Family) bool { return f.Key == key })
+		if i < 0 {
 			return
 		}
+		fam := families[i]
 		for _, params := range [][]int{{}, {a}, {a, b}, {a, b, c}} {
 			in, err := fam.New(params...)
 			if err != nil {

@@ -2,37 +2,35 @@ package hamilton
 
 import (
 	"fmt"
-	"sort"
 	"strings"
-	"sync"
 
 	"ihc/internal/topology"
 )
 
-// Family is one registered topology family: a parameterized class of
-// graphs together with its edge-disjoint Hamiltonian cycle
-// construction. Families register themselves at init time; everything
-// downstream — Decompose, the harness experiments, the fault campaign
-// topology parser, and the cross-family conformance suite — dispatches
-// through the registry instead of a hard-coded family switch, so a new
-// family gets the full verification stack by registering.
-type Family interface {
+// Family is one topology family: a parameterized class of graphs
+// together with its edge-disjoint Hamiltonian cycle construction. The
+// families table (builtin.go) lists every family; everything downstream
+// — Decompose, the harness experiments, the command-line network parser,
+// and the cross-family conformance suite — iterates it instead of a
+// hard-coded family switch, so a family added to the table gets the full
+// verification stack.
+type Family struct {
 	// Key is the short family identifier ("Q", "SQ", "H", "T", "TQ",
-	// "KT"), unique across the registry.
-	Key() string
+	// "KT"), unique in the table.
+	Key string
 	// Describe is a one-line human description of the family.
-	Describe() string
+	Describe string
 	// New validates params and returns the family member they select.
 	// Invalid parameters return an error — never a panic: this is the
 	// contract FuzzFamilyParams enforces.
-	New(params ...int) (*Instance, error)
+	New func(params ...int) (*Instance, error)
 	// ParseName recovers the parameters from a canonical graph name
 	// (the name the family's topology constructor bakes into the
 	// Graph), reporting ok=false for names of other families.
-	ParseName(name string) ([]int, bool)
+	ParseName func(name string) ([]int, bool)
 	// Conformance lists small parameter sets the cross-family
 	// conformance suite runs for this family.
-	Conformance() [][]int
+	Conformance [][]int
 }
 
 // Instance is one concrete family member. The graph and decomposition
@@ -40,7 +38,7 @@ type Family interface {
 // the instance's invariants, so enumerating or fuzzing the registry is
 // cheap even for large parameterizations.
 type Instance struct {
-	// FamilyKey is the owning family's Key().
+	// FamilyKey is the owning family's Key.
 	FamilyKey string
 	// Name is the canonical graph name ("TQ4", "KT4x2", "Q6", ...).
 	Name string
@@ -85,50 +83,14 @@ func (in *Instance) Build() (*topology.Graph, []Cycle, error) {
 	return g, cycles, nil
 }
 
-var (
-	regMu    sync.RWMutex
-	registry = map[string]Family{}
-)
-
-// Register adds a family to the registry. A duplicate key panics:
-// registration is init-time wiring, and a collision is a programming
-// error, not a runtime condition.
-func Register(f Family) {
-	regMu.Lock()
-	defer regMu.Unlock()
-	key := f.Key()
-	if _, dup := registry[key]; dup {
-		panic(fmt.Sprintf("hamilton: family %q registered twice", key))
-	}
-	registry[key] = f
-}
-
-// Families returns every registered family, sorted by key for
-// deterministic iteration order.
-func Families() []Family {
-	regMu.RLock()
-	defer regMu.RUnlock()
-	out := make([]Family, 0, len(registry))
-	for _, f := range registry {
-		out = append(out, f)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Key() < out[j].Key() })
-	return out
-}
-
-// FamilyByKey looks a family up by its registry key.
-func FamilyByKey(key string) (Family, bool) {
-	regMu.RLock()
-	defer regMu.RUnlock()
-	f, ok := registry[key]
-	return f, ok
-}
+// Families returns every family, sorted by key. The slice is the table
+// itself; callers must not modify it.
+func Families() []Family { return families }
 
 // Parse resolves a canonical graph name ("Q6", "SQ4", "T4x4x4", "TQ5",
-// "KT4x2", ...) against every registered family and returns the
-// matching instance.
+// "KT4x2", ...) against every family and returns the matching instance.
 func Parse(name string) (*Instance, error) {
-	for _, f := range Families() {
+	for _, f := range families {
 		if params, ok := f.ParseName(name); ok {
 			return f.New(params...)
 		}
@@ -138,15 +100,15 @@ func Parse(name string) (*Instance, error) {
 
 // ParseNetwork resolves a network name as the command-line tools take
 // it — case-insensitive, so "q6", "kt4x2" and "T4X4" all name graphs —
-// to its graph. The error lists the registered families.
+// to its graph. The error lists the families.
 func ParseNetwork(name string) (*topology.Graph, error) {
 	// Canonical names are uppercase except the 'x' dimension
 	// separators ("KT4x2", "T4x4").
 	in, err := Parse(strings.ReplaceAll(strings.ToUpper(name), "X", "x"))
 	if err != nil {
 		keys := make([]string, 0, 8)
-		for _, f := range Families() {
-			keys = append(keys, f.Key()+"...")
+		for _, f := range families {
+			keys = append(keys, f.Key+"...")
 		}
 		return nil, fmt.Errorf("cannot parse network %q (registered families: %s)", name, strings.Join(keys, ", "))
 	}
@@ -154,7 +116,7 @@ func ParseNetwork(name string) (*topology.Graph, error) {
 }
 
 // Decompose returns the Hamiltonian decomposition for any graph of a
-// registered family, dispatching on the graph's constructor name. The
+// family in the table, dispatching on the graph's constructor name. The
 // result is fully verified against g before being returned: every
 // cycle Hamiltonian, pairwise edge-disjoint, and covering all edges
 // when the family declares full cover (odd hypercubes and most twisted

@@ -110,6 +110,18 @@ func TestKAryTorusDecomposition(t *testing.T) {
 	}
 }
 
+// TestFamiliesSortedByKey pins the family table's order: keys strictly
+// increasing, so Families and Parse iterate in key order and no key
+// appears twice.
+func TestFamiliesSortedByKey(t *testing.T) {
+	for i := 1; i < len(families); i++ {
+		if families[i-1].Key >= families[i].Key {
+			t.Fatalf("family %q listed after %q: the table must be sorted by key, without duplicates",
+				families[i].Key, families[i-1].Key)
+		}
+	}
+}
+
 // TestRegistryParse pins name round-trips through the registry for
 // every family, plus rejection of non-family names.
 func TestRegistryParse(t *testing.T) {

@@ -17,8 +17,8 @@ func init() {
 		Title: "Decomposition registry: twisted cubes and k-ary tori vs the per-link load bound", Run: runFamilies})
 }
 
-// runFamilies exercises the decomposition registry end-to-end: an
-// overview of every registered family, the twisted-cube series checked
+// runFamilies exercises the family table end-to-end: an overview of
+// every family, the twisted-cube series checked
 // against the Table II closed form, and the k-ary n-torus series
 // checked against the Jung-Sakho per-link load bound τ_S+(N-1)μα.
 func runFamilies(cfg Config) ([]*tablefmt.Table, error) {
@@ -37,22 +37,22 @@ func runFamilies(cfg Config) ([]*tablefmt.Table, error) {
 	return []*tablefmt.Table{overview, tq, kt}, nil
 }
 
-// familiesOverview lists every family the registry resolves, with the
+// familiesOverview lists every family hamilton.Parse resolves, with the
 // instances its conformance battery runs. No simulation: New is lazy,
-// so enumerating the registry only computes invariants.
+// so enumerating the families only computes invariants.
 func familiesOverview() (*tablefmt.Table, error) {
 	t := tablefmt.New("Decomposition registry — families answering hamilton.Parse/Decompose",
 		"Key", "Family", "Conformance instances")
 	for _, f := range hamilton.Families() {
 		names := make([]string, 0, 4)
-		for _, params := range f.Conformance() {
+		for _, params := range f.Conformance {
 			in, err := f.New(params...)
 			if err != nil {
 				return nil, err
 			}
 			names = append(names, fmt.Sprintf("%s (N=%d γ=%d)", in.Name, in.N, in.Gamma))
 		}
-		t.Addf(f.Key(), f.Describe(), strings.Join(names, ", "))
+		t.Addf(f.Key, f.Describe, strings.Join(names, ", "))
 	}
 	t.Note("each instance passes the five-property conformance battery: build validity, static")
 	t.Note("contention-freeness, exact live-oracle finish, γ-copy ATA postcondition, multi-worker identity")

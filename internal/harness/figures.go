@@ -32,24 +32,30 @@ func runFig1(cfg Config) ([]*tablefmt.Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	res, err := net.Run([]simnet.PacketSpec{{
+	var hops hopLog
+	if _, err := net.Run([]simnet.PacketSpec{{
 		ID:    simnet.PacketID{Source: 0},
 		Route: []topology.Node{0, 1, 2, 3},
 		Flits: 10,
 		Tee:   true,
-	}}, simnet.Options{Trace: true})
-	if err != nil {
+	}}, simnet.Options{Observe: &hops}); err != nil {
 		return nil, err
 	}
 	t := tablefmt.New("Fig. 1 — 10-flit packet cutting through nodes 1 and 2 (times in ticks)",
 		"Hop", "Kind", "HeaderDeparts", "TailArrives")
-	for _, hop := range res.Traces[simnet.PacketID{Source: 0}] {
+	for _, hop := range hops {
 		t.Addf(fmt.Sprintf("%d→%d", hop.From, hop.To), hop.Kind.String(), hop.HeaderDepart, hop.TailArrive)
 	}
 	t.Note("header advances α=%d per node; the 10-flit tail lags by 10α=%d — the packet is spread", p.Alpha, 10*p.Alpha)
 	t.Note("across source, intermediate FIFOs, and receiver exactly as in the paper's Fig. 1")
 	return []*tablefmt.Table{t}, nil
 }
+
+// hopLog is an Observer that keeps every hop in engine order.
+type hopLog []simnet.HopEvent
+
+func (l *hopLog) OnHop(h simnet.HopEvent) { *l = append(*l, h) }
+func (*hopLog) OnDeliver(simnet.Delivery) {}
 
 // renderCycles prints a decomposition with verification status.
 func renderCycles(g *topology.Graph, cycles []hamilton.Cycle, cover bool) (*tablefmt.Table, error) {

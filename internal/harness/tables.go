@@ -3,7 +3,6 @@ package harness
 import (
 	"fmt"
 
-	"ihc/internal/baseline/atarun"
 	"ihc/internal/baseline/frs"
 	"ihc/internal/baseline/ks"
 	"ihc/internal/baseline/rs"
@@ -126,7 +125,7 @@ func runTable2(cfg Config) ([]*tablefmt.Table, error) {
 	}
 	points = append(points,
 		func(obs simnet.Observer) (row, error) {
-			vres, err := rs.ATA(qDim, p, atarun.Options{Observe: obs})
+			vres, err := rs.ATA(qDim, p, simnet.Options{Observe: obs})
 			if err != nil {
 				return nil, err
 			}
@@ -135,7 +134,7 @@ func runTable2(cfg Config) ([]*tablefmt.Table, error) {
 			return row{"VRS-ATA", fmt.Sprintf("Q%d", qDim), 1 << qDim, vm, vres.Finish, match(vres.Finish, vm)}, nil
 		},
 		func(obs simnet.Observer) (row, error) {
-			kres, err := ks.ATA(hM, p, atarun.Options{Observe: obs})
+			kres, err := ks.ATA(hM, p, simnet.Options{Observe: obs})
 			if err != nil {
 				return nil, err
 			}
@@ -144,7 +143,7 @@ func runTable2(cfg Config) ([]*tablefmt.Table, error) {
 			return row{"KS-ATA", fmt.Sprintf("H%d", hM), topology.HexMeshSize(hM), km, kres.Finish, match(kres.Finish, km)}, nil
 		},
 		func(obs simnet.Observer) (row, error) {
-			sres, err := vsq.ATA(sqM, p, atarun.Options{Observe: obs})
+			sres, err := vsq.ATA(sqM, p, simnet.Options{Observe: obs})
 			if err != nil {
 				return nil, err
 			}
@@ -195,7 +194,7 @@ func runTable3(cfg Config) ([]*tablefmt.Table, error) {
 			return f, err
 		},
 		func(obs simnet.Observer) (simnet.Time, error) {
-			vres, err := rs.ATA(qDim, p, atarun.Options{Observe: obs})
+			vres, err := rs.ATA(qDim, p, simnet.Options{Observe: obs})
 			if err != nil {
 				return 0, err
 			}
@@ -215,7 +214,7 @@ func runTable3(cfg Config) ([]*tablefmt.Table, error) {
 			return f, err
 		},
 		func(obs simnet.Observer) (simnet.Time, error) {
-			sres, err := vsq.ATA(sqM, p, atarun.Options{Observe: obs})
+			sres, err := vsq.ATA(sqM, p, simnet.Options{Observe: obs})
 			if err != nil {
 				return 0, err
 			}
@@ -227,7 +226,7 @@ func runTable3(cfg Config) ([]*tablefmt.Table, error) {
 			return f, err
 		},
 		func(obs simnet.Observer) (simnet.Time, error) {
-			kres, err := ks.ATA(hM, p, atarun.Options{Observe: obs})
+			kres, err := ks.ATA(hM, p, simnet.Options{Observe: obs})
 			if err != nil {
 				return 0, err
 			}
@@ -293,7 +292,7 @@ func runTable4(cfg Config) ([]*tablefmt.Table, error) {
 			return row{"IHC", fmt.Sprintf("Q%d", qDim), im, res.Finish, match(res.Finish, im)}, nil
 		},
 		func(obs simnet.Observer) (row, error) {
-			vres, err := rs.ATA(qDim, p, atarun.Options{Saturated: true, Observe: obs})
+			vres, err := rs.ATA(qDim, p, simnet.Options{Saturated: true, Observe: obs})
 			if err != nil {
 				return nil, err
 			}
@@ -302,7 +301,7 @@ func runTable4(cfg Config) ([]*tablefmt.Table, error) {
 			return row{"VRS-ATA", fmt.Sprintf("Q%d", qDim), vm, vres.Finish, match(vres.Finish, vm)}, nil
 		},
 		func(obs simnet.Observer) (row, error) {
-			kres, err := ks.ATA(hM, p, atarun.Options{Saturated: true, Observe: obs})
+			kres, err := ks.ATA(hM, p, simnet.Options{Saturated: true, Observe: obs})
 			if err != nil {
 				return nil, err
 			}
@@ -311,7 +310,7 @@ func runTable4(cfg Config) ([]*tablefmt.Table, error) {
 			return row{"KS-ATA", fmt.Sprintf("H%d", hM), km, kres.Finish, match(kres.Finish, km)}, nil
 		},
 		func(obs simnet.Observer) (row, error) {
-			sres, err := vsq.ATA(sqM, p, atarun.Options{Saturated: true, Observe: obs})
+			sres, err := vsq.ATA(sqM, p, simnet.Options{Saturated: true, Observe: obs})
 			if err != nil {
 				return nil, err
 			}

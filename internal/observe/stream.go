@@ -14,8 +14,10 @@ import (
 // internal/stream nodes publish admission, backpressure, and epoch
 // progress into while the service runs. All counters are deltas, so a
 // single shared sink across every node of a cluster aggregates
-// cluster-wide totals — queue depth and inflight are maintained by
-// +1/-1 adjustments and sum correctly across nodes.
+// cluster-wide totals — queue depth is maintained by +1/-1 adjustments
+// and sums correctly across nodes. The one per-node figure is peak
+// inflight: the most live epochs any one node held open at once, which
+// stream.MaxInflight caps.
 //
 // The zero value is ready to use; a nil *StreamGauges is a valid no-op
 // sink (every method checks the receiver), mirroring the engine's
@@ -28,7 +30,6 @@ type StreamGauges struct {
 	queueDepth    atomic.Int64
 	queueBytes    atomic.Int64
 	peakQueue     atomic.Int64
-	inflight      atomic.Int64
 	peakInflight  atomic.Int64
 
 	epochsCompleted atomic.Int64
@@ -87,13 +88,14 @@ func (g *StreamGauges) Drained(count, bytes int) {
 	g.queueBytes.Add(int64(-bytes))
 }
 
-// EpochOpened tracks the inflight-epoch gauge.
-func (g *StreamGauges) EpochOpened() {
+// LiveEpochs records one node's count of live open epochs (neither
+// stalled nor catching up), which the node reports whenever it changes;
+// the gauge keeps the largest count any node reported.
+func (g *StreamGauges) LiveEpochs(n int) {
 	if g == nil {
 		return
 	}
-	d := g.inflight.Add(1)
-	peakMax(&g.peakInflight, d)
+	peakMax(&g.peakInflight, int64(n))
 }
 
 // EpochClosed records one epoch leaving the open set. completed
@@ -104,7 +106,6 @@ func (g *StreamGauges) EpochClosed(completed bool, latency time.Duration) {
 	if g == nil {
 		return
 	}
-	g.inflight.Add(-1)
 	if !completed {
 		g.epochsFailed.Add(1)
 		return
@@ -184,8 +185,7 @@ type StreamSnapshot struct {
 	QueueDepth      int64 `json:"queue_depth"`
 	QueueBytes      int64 `json:"queue_bytes"`
 	PeakQueueDepth  int64 `json:"peak_queue_depth"`
-	Inflight        int64 `json:"inflight"`
-	PeakInflight    int64 `json:"peak_inflight"`
+	PeakInflight    int64 `json:"peak_inflight"` // most live epochs one node held open at once
 	EpochsCompleted int64 `json:"epochs_completed"`
 	EpochsFailed    int64 `json:"epochs_failed"`
 	EpochsCaughtUp  int64 `json:"epochs_caught_up"`
@@ -219,7 +219,6 @@ func (g *StreamGauges) Snapshot() StreamSnapshot {
 		QueueDepth:      g.queueDepth.Load(),
 		QueueBytes:      g.queueBytes.Load(),
 		PeakQueueDepth:  g.peakQueue.Load(),
-		Inflight:        g.inflight.Load(),
 		PeakInflight:    g.peakInflight.Load(),
 		EpochsCompleted: g.epochsCompleted.Load(),
 		EpochsFailed:    g.epochsFailed.Load(),
@@ -259,7 +258,7 @@ func pctIdx(n int, q float64) int {
 // Summary is a human-readable digest for soak reporting.
 func (s StreamSnapshot) Summary() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "epochs: %d completed, %d failed, %d caught up after rejoin; peak inflight %d\n",
+	fmt.Fprintf(&b, "epochs: %d completed, %d failed, %d caught up after rejoin; peak inflight %d per node\n",
 		s.EpochsCompleted, s.EpochsFailed, s.EpochsCaughtUp, s.PeakInflight)
 	fmt.Fprintf(&b, "ingress: %d high / %d low admitted, %d high / %d low shed, peak queue depth %d\n",
 		s.SubmittedHigh, s.SubmittedLow, s.ShedHigh, s.ShedLow, s.PeakQueueDepth)

@@ -297,11 +297,11 @@ func TestDeadlineIsSufficient(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			res, err := net.Run(specs, simnet.Options{RecordDeliveries: true})
-			if err != nil {
+			var log []simnet.Delivery
+			if _, err := net.Run(specs, simnet.Options{Log: &log}); err != nil {
 				t.Fatal(err)
 			}
-			for _, d := range res.Deliveriesv {
+			for _, d := range log {
 				if d.At > byID[d.ID] {
 					t.Fatalf("%s ρ=%g: packet %v reached node %d at %d, after its deadline %d",
 						name, rho, d.ID, d.Node, d.At, byID[d.ID])

@@ -114,29 +114,13 @@ func (c *timerLoad) OnTimer(at Time, token int64) {
 	}
 }
 
-// resultKey projects the comparable counters of a Result, for exact
-// run-to-run identity checks.
-type resultKey struct {
-	finish                             Time
-	deliveries, contentions, bgBlocked int
-	cutThroughs, bufferedHops, stalls  int
-	injections                         int
-	events                             int64
-	linkBusy                           Time
-}
-
-func keyOf(r *Result) resultKey {
-	return resultKey{r.Finish, r.Deliveries, r.Contentions, r.BgBlocked,
-		r.CutThroughs, r.BufferedHops, r.Stalls, r.Injections, r.Events, r.LinkBusy}
-}
-
 // TestRunScratchReuseIdentical checks the determinism oracle at the unit
 // level: a reused Scratch and a fresh one produce identical results.
 func TestRunScratchReuseIdentical(t *testing.T) {
 	g, specs := pipelineSpecs(32)
 	p := Params{TauS: 100, Alpha: 20, Mu: 2, D: 37}
 	sc := NewScratch()
-	var first resultKey
+	var first Result
 	for i := 0; i < 3; i++ {
 		net, err := New(g, p)
 		if err != nil {
@@ -147,11 +131,11 @@ func TestRunScratchReuseIdentical(t *testing.T) {
 			t.Fatal(err)
 		}
 		if i == 0 {
-			first = keyOf(res)
+			first = *res
 			continue
 		}
-		if keyOf(res) != first {
-			t.Fatalf("run %d with reused scratch differs: %+v != %+v", i, keyOf(res), first)
+		if *res != first {
+			t.Fatalf("run %d with reused scratch differs: %+v != %+v", i, *res, first)
 		}
 	}
 	net, err := New(g, p)
@@ -162,8 +146,8 @@ func TestRunScratchReuseIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if keyOf(res) != first {
-		t.Fatalf("nil-scratch run differs from reused-scratch run: %+v != %+v", keyOf(res), first)
+	if *res != first {
+		t.Fatalf("nil-scratch run differs from reused-scratch run: %+v != %+v", *res, first)
 	}
 }
 

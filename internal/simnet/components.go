@@ -20,15 +20,16 @@ import (
 // undirected cycles), so every cycle of a stage run is a component.
 //
 // A run of at least parallelMinHops hops with at least two components,
-// no After dependencies, and no Control, Observe, Trace,
-// RecordDeliveries or Fault drains them on up to GOMAXPROCS goroutines,
-// balanced by hop count; any other run drains on one. GOMAXPROCS is the
-// only setting of a run's width. Worker 0 is the Scratch's own runState
-// and acquires the network's link state in place. Every other worker
-// owns a calendar queue, counters, a ledger or copy matrix, and a
-// private copy of the link state, so no two workers write one cache
-// line; after the drain it writes the link state of its own arcs back to
-// the network.
+// no After dependencies, and no Control, Observe, Log or Fault drains
+// them on up to GOMAXPROCS goroutines, balanced by hop count; any other
+// run drains on one. GOMAXPROCS is the only setting of a run's width.
+// Worker 0 is the Scratch's own runState: it acquires the network's link
+// state in place and adds to the caller's sinks. Every other worker owns
+// a calendar queue, counters, a private copy matrix and ledger where the
+// caller passed one, and a private copy of the link state, so no two
+// workers write one cache line; after the drain it writes the link state
+// of its own arcs back to the network and merges its counters and sinks
+// into the caller's.
 //
 // Results are byte-identical at every worker count. A worker handles its
 // events in (time, key) order, which restricted to one arc is the
@@ -36,7 +37,7 @@ import (
 // set alone), so every link sees the same requests in the same order and
 // makes the same switching decisions and background-traffic draws. What
 // is left to combine is commutative: the counters, the copy matrix and
-// the ledger are sums, and Finish is a max.
+// the ledger are sums, and Finish is a max (Result.Merge).
 
 // parallelMinHops is the smallest run, in hops summed over its packets,
 // that spreads over several workers. Smaller runs stay on one: the
@@ -50,7 +51,7 @@ var parallelMinHops int64 = 20_000
 func (st *runState) workerLimit() int {
 	o := &st.opts
 	if st.hasDeps || o.Control != nil || o.Fault != nil || o.Observe != nil ||
-		o.Trace || o.RecordDeliveries || st.hops < parallelMinHops {
+		o.Log != nil || st.hops < parallelMinHops {
 		return 1
 	}
 	return runtime.GOMAXPROCS(0)
@@ -181,6 +182,7 @@ type worker struct {
 	_      [64]byte
 	st     runState
 	res    Result
+	copies *CopyMatrix // reused across runs, merged into Options.Copies
 	ledger *CopyLedger // reused across runs, merged into Options.Ledger
 	_      [64]byte
 }
@@ -189,7 +191,7 @@ type worker struct {
 // assigned them: it injects every packet into its worker's queue, drains
 // workers 1..k-1 on goroutines of their own and worker 0 on the calling
 // one, then writes the extra workers' link state back and merges their
-// results into the run's.
+// counters into the run's and their sinks into the caller's.
 func (sc *Scratch) drainComponents(k int) {
 	st, p := &sc.st, &sc.part
 	n := st.net
@@ -206,8 +208,13 @@ func (sc *Scratch) drainComponents(k int) {
 		ws.queue.reset(spanForParams(n.p))
 		ws.freeAt = slices.Clone(n.freeAt)
 		ws.bg = slices.Clone(n.bg)
-		if st.opts.Copies {
-			w.res.Copies = NewCopyMatrix(n.g.N())
+		if c := st.opts.Copies; c != nil {
+			if w.copies == nil || w.copies.n != c.n {
+				w.copies = NewCopyMatrix(c.n)
+			} else {
+				clear(w.copies.counts)
+			}
+			ws.copies = w.copies
 		}
 		if l := st.opts.Ledger; l != nil {
 			if w.ledger == nil || w.ledger.N() != l.N() {
@@ -248,23 +255,12 @@ func (sc *Scratch) drainComponents(k int) {
 			n.bg[a] = ws.bg[a]
 		}
 	}
-	res := st.res
 	for _, w := range extra {
-		r := &w.res
-		res.Finish = max(res.Finish, r.Finish)
-		res.Deliveries += r.Deliveries
-		res.Contentions += r.Contentions
-		res.BgBlocked += r.BgBlocked
-		res.CutThroughs += r.CutThroughs
-		res.BufferedHops += r.BufferedHops
-		res.Stalls += r.Stalls
-		res.Injections += r.Injections
-		res.Events += r.Events
-		res.LinkBusy += r.LinkBusy
-		if res.Copies != nil {
+		st.res.Merge(&w.res)
+		if c := st.opts.Copies; c != nil {
 			// Saturating adds are order-independent: min(a+b+c, cap) no
 			// matter how the merges associate.
-			res.Copies.Merge(r.Copies)
+			c.Merge(w.copies)
 		}
 		if l := st.opts.Ledger; l != nil {
 			l.Merge(w.ledger)

@@ -42,16 +42,16 @@ func (c componentCase) String() string {
 
 // chainRun is everything a chain of stage runs on one Network outputs.
 type chainRun struct {
-	results     []simnet.Result // per stage run: every counter, Finish and the copy matrix
-	stageFinish []simnet.Time
-	ledger      *simnet.CopyLedger
-	links       []simnet.ArcState // after the last stage run
+	results []simnet.Result // per stage run: every counter and Finish
+	copies  *simnet.CopyMatrix
+	ledger  *simnet.CopyLedger
+	links   []simnet.ArcState // after the last stage run
 }
 
 // runChain simulates two IHC broadcasts back to back on one Network at
 // width w: 2η stage runs, each injected when the previous one finished,
-// sharing one ledger. It also reports the most workers any stage run
-// planned.
+// sharing one copy matrix and one ledger. It also reports the most
+// workers any stage run planned.
 func runChain(t *testing.T, x *core.IHC, c componentCase, w int, sc *simnet.Scratch) (chainRun, int) {
 	t.Helper()
 	defer simnet.SetWidth(w)()
@@ -70,8 +70,8 @@ func runChain(t *testing.T, x *core.IHC, c componentCase, w int, sc *simnet.Scra
 			paths = append(paths, cp)
 		}
 	}
-	out := chainRun{ledger: simnet.NewCopyLedger(x.N())}
-	opts := simnet.Options{Copies: true, Saturated: c.sat, Ledger: out.ledger}
+	out := chainRun{copies: simnet.NewCopyMatrix(x.N()), ledger: simnet.NewCopyLedger(x.N())}
+	opts := simnet.Options{Copies: out.copies, Saturated: c.sat, Ledger: out.ledger}
 	planned := 0
 	start := simnet.Time(0)
 	for round := 0; round < 2; round++ {
@@ -96,7 +96,6 @@ func runChain(t *testing.T, x *core.IHC, c componentCase, w int, sc *simnet.Scra
 				t.Fatal(err)
 			}
 			out.results = append(out.results, *r)
-			out.stageFinish = append(out.stageFinish, r.Finish)
 			start = r.Finish
 		}
 	}
@@ -107,7 +106,7 @@ func runChain(t *testing.T, x *core.IHC, c componentCase, w int, sc *simnet.Scra
 // TestComponentsIdentical pins the component-parallel drain to one
 // worker across switching modes, saturation, packet lengths, background
 // load and interleaving distances on six families: every counter, every
-// stage's Finish, the copy matrix, the shared ledger and the final state
+// stage's Finish, the shared copy matrix and ledger, and the final state
 // of every link must match at every width. The second broadcast of each
 // chain runs on the link state the first one left, so a worker that
 // failed to hand its links back would show up there as well.
@@ -147,6 +146,9 @@ func TestComponentsIdentical(t *testing.T) {
 				if err := want.ledger.VerifyATA(2 * x.Gamma()); err != nil {
 					t.Fatalf("%v: one-worker reference fails the ATA postcondition: %v", c, err)
 				}
+				if err := want.copies.VerifyATA(2 * x.Gamma()); err != nil {
+					t.Fatalf("%v: one-worker reference copy matrix fails the ATA postcondition: %v", c, err)
+				}
 				for _, w := range componentWidths {
 					got, k := runChain(t, x, c, w, sc)
 					if k < 2 {
@@ -155,8 +157,8 @@ func TestComponentsIdentical(t *testing.T) {
 					if !reflect.DeepEqual(got.results, want.results) {
 						t.Errorf("%v width %d: stage results differ:\n got %+v\nwant %+v", c, w, got.results, want.results)
 					}
-					if !reflect.DeepEqual(got.stageFinish, want.stageFinish) {
-						t.Errorf("%v width %d: stage finishes %v, want %v", c, w, got.stageFinish, want.stageFinish)
+					if !reflect.DeepEqual(got.copies, want.copies) {
+						t.Errorf("%v width %d: copy matrix differs", c, w)
 					}
 					if !reflect.DeepEqual(got.ledger, want.ledger) {
 						t.Errorf("%v width %d: ledger differs", c, w)
@@ -195,7 +197,8 @@ func (nopController) OnTimer(simnet.Time, int64)                  {}
 // TestComponentsFaultHookOneGoroutine pins what holds a run on one
 // worker. At width 4 a stage with several arc-disjoint components plans
 // several workers, and the same stage with a controller, a fault hook,
-// an observer, a trace, a delivery log or an After list plans one. The
+// an observer, a delivery log or an After list plans one; a copy matrix
+// and a ledger do not hold it. The
 // hooked stage then runs with a hook that appends without a lock, which
 // -race would catch if two workers called it.
 func TestComponentsFaultHookOneGoroutine(t *testing.T) {
@@ -231,13 +234,16 @@ func TestComponentsFaultHookOneGoroutine(t *testing.T) {
 		{"Control", specs, simnet.Options{Control: nopController{}}},
 		{"Fault", specs, simnet.Options{Fault: hook}},
 		{"Observe", specs, simnet.Options{Observe: nopObserver{}}},
-		{"Trace", specs, simnet.Options{Trace: true}},
-		{"RecordDeliveries", specs, simnet.Options{RecordDeliveries: true}},
+		{"Log", specs, simnet.Options{Log: new([]simnet.Delivery)}},
 		{"After", after, simnet.Options{}},
 	} {
 		if k, err := net.PlannedWorkers(tc.specs, tc.opts); err != nil || k != 1 {
 			t.Errorf("%s: planned %d workers (%v), want 1", tc.name, k, err)
 		}
+	}
+	sinks := simnet.Options{Copies: simnet.NewCopyMatrix(g.N()), Ledger: simnet.NewCopyLedger(g.N())}
+	if k, err := net.PlannedWorkers(specs, sinks); err != nil || k < 2 {
+		t.Errorf("copy matrix and ledger: planned %d workers (%v), want several", k, err)
 	}
 	res, err := net.Run(specs, simnet.Options{Fault: hook})
 	if err != nil {
@@ -250,13 +256,13 @@ func TestComponentsFaultHookOneGoroutine(t *testing.T) {
 
 // TestComponentsIdenticalRegistry runs a full IHC broadcast with the
 // copy matrix and the ledger on every conformance size of every
-// registered family, at one worker and at widths 2 and 4: the whole
+// family, at one worker and at widths 2 and 4: the whole
 // core.Result — every counter, every stage finish, the copy matrix and
 // the ledger — must be identical. Odd-N families run η = μ = 1, as the
 // conformance battery does.
 func TestComponentsIdenticalRegistry(t *testing.T) {
 	for _, f := range hamilton.Families() {
-		for _, params := range f.Conformance() {
+		for _, params := range f.Conformance {
 			in, err := f.New(params...)
 			if err != nil {
 				t.Fatal(err)

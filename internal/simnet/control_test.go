@@ -64,8 +64,8 @@ func TestControllerTimerOrderingAndClamp(t *testing.T) {
 	// Timers at 1 (future), 0 (boundary), and one set from OnTimer in the
 	// past, which must clamp to the firing time instead of time-traveling.
 	wrap := &timerSetter{inner: ctl, at: []Time{1, 0}, tokens: []int64{2, 1}, pastToken: 3}
-	res, err := net.Run([]PacketSpec{spec}, Options{Control: wrap, RecordDeliveries: true})
-	if err != nil {
+	var log []Delivery
+	if _, err := net.Run([]PacketSpec{spec}, Options{Control: wrap, Log: &log}); err != nil {
 		t.Fatal(err)
 	}
 	if ctl.attached != 1 || ctl.specsSeen != 1 {
@@ -86,12 +86,12 @@ func TestControllerTimerOrderingAndClamp(t *testing.T) {
 		t.Fatalf("past timer fired at %d, want clamped to 0", ctl.timers[1])
 	}
 	// Deliveries observed by the controller match the recorded log.
-	if len(ctl.delivers) != len(res.Deliveriesv) {
-		t.Fatalf("controller saw %d deliveries, engine recorded %d", len(ctl.delivers), len(res.Deliveriesv))
+	if len(ctl.delivers) != len(log) {
+		t.Fatalf("controller saw %d deliveries, engine recorded %d", len(ctl.delivers), len(log))
 	}
 	for i := range ctl.delivers {
-		if ctl.delivers[i] != res.Deliveriesv[i] {
-			t.Fatalf("delivery %d: controller %+v vs engine %+v", i, ctl.delivers[i], res.Deliveriesv[i])
+		if ctl.delivers[i] != log[i] {
+			t.Fatalf("delivery %d: controller %+v vs engine %+v", i, ctl.delivers[i], log[i])
 		}
 	}
 }
@@ -144,7 +144,8 @@ func TestRuntimeInjectMidRun(t *testing.T) {
 		ID:    PacketID{Source: 0, Channel: 0, Seq: 0},
 		Route: []topology.Node{0, 1},
 	}
-	res, err := net.Run([]PacketSpec{spec}, Options{Control: wrap, RecordDeliveries: true})
+	var log []Delivery
+	res, err := net.Run([]PacketSpec{spec}, Options{Control: wrap, Log: &log})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,7 +158,7 @@ func TestRuntimeInjectMidRun(t *testing.T) {
 	// The injected packet's inject time clamps to the timer firing time,
 	// and both its tee copy (node 2) and final copy (node 3) deliver.
 	got := map[topology.Node]Time{}
-	for _, d := range res.Deliveriesv {
+	for _, d := range log {
 		if d.ID.Seq == 5 {
 			got[d.Node] = d.At
 		}
@@ -269,7 +270,8 @@ func TestControllerNoOpIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	base, err := net1.Run(specs(net1), Options{RecordDeliveries: true})
+	var baseLog, watchedLog []Delivery
+	base, err := net1.Run(specs(net1), Options{Log: &baseLog})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -278,16 +280,16 @@ func TestControllerNoOpIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctl := &recController{}
-	watched, err := net2.Run(specs(net2), Options{RecordDeliveries: true, Control: ctl})
+	watched, err := net2.Run(specs(net2), Options{Log: &watchedLog, Control: ctl})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(base.Deliveriesv) != len(watched.Deliveriesv) {
-		t.Fatalf("delivery counts differ: %d vs %d", len(base.Deliveriesv), len(watched.Deliveriesv))
+	if len(baseLog) != len(watchedLog) {
+		t.Fatalf("delivery counts differ: %d vs %d", len(baseLog), len(watchedLog))
 	}
-	for i := range base.Deliveriesv {
-		if base.Deliveriesv[i] != watched.Deliveriesv[i] {
-			t.Fatalf("delivery %d differs: %+v vs %+v", i, base.Deliveriesv[i], watched.Deliveriesv[i])
+	for i := range baseLog {
+		if baseLog[i] != watchedLog[i] {
+			t.Fatalf("delivery %d differs: %+v vs %+v", i, baseLog[i], watchedLog[i])
 		}
 	}
 	if base.Finish != watched.Finish {

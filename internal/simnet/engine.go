@@ -2,6 +2,7 @@ package simnet
 
 import (
 	"fmt"
+	"slices"
 
 	"ihc/internal/topology"
 )
@@ -157,15 +158,20 @@ func (h *eventHeap) pop() event {
 	return top
 }
 
-// Options controls what a Run records beyond aggregate counters.
+// Options controls what a Run records beyond its counters. Every record
+// goes into a sink the caller owns — Copies, Log, Ledger, Observe — and
+// the engine only adds to it, so chained runs (a core run's stages, a
+// serialized ATA's broadcasts) share one sink and merge counters only.
 type Options struct {
-	// Copies builds the (receiver, source) copy-count matrix. Costs
-	// O(N^2) memory; leave off for very large networks.
-	Copies bool
-	// Trace records the per-hop trace of every packet.
-	Trace bool
-	// RecordDeliveries keeps an ordered log of every delivery.
-	RecordDeliveries bool
+	// Copies, when non-nil, accumulates every delivery into the
+	// (receiver, source) copy-count matrix. Costs O(N^2) memory; leave
+	// nil for very large networks (Ledger is the O(N) check). Extra
+	// workers count into private matrices merged into this one.
+	Copies *CopyMatrix
+	// Log, when non-nil, has every delivery appended to it in the
+	// engine's deterministic (time, key) order. A log keeps the run on
+	// one worker.
+	Log *[]Delivery
 	// Saturated models the heavy-traffic limiting regime of the paper's
 	// worst-case analysis (Table IV): every hop is performed from
 	// intermediate storage and pays the queueing delay D, regardless of
@@ -194,11 +200,10 @@ type Options struct {
 	// Ledger, when non-nil, accumulates every delivery into the O(N)
 	// incremental Theorem-4 copy ledger (see CopyLedger) — the
 	// counters-only replacement for the O(N²) Copies matrix at Q14+/Q16
-	// scale. The engine only adds to it; callers may share one ledger
-	// across chained runs (core does, per stage) and verify at the end.
-	// Extra workers accumulate into ledgers of their own, merged
-	// commutatively, so the final counts are identical at every worker
-	// count.
+	// scale. Like Copies it is shared across chained runs and verified
+	// at the end; extra workers accumulate into ledgers of their own,
+	// merged commutatively, so the final counts are identical at every
+	// worker count.
 	Ledger *CopyLedger
 }
 
@@ -215,7 +220,8 @@ type runState struct {
 	queue    calQueue
 	tokens   []int64 // controller timer tokens, indexed by set sequence
 	res      *Result
-	ledger   *CopyLedger // delivery sink when Options.Ledger is set (worker-local on extra workers)
+	copies   *CopyMatrix // Options.Copies (worker-local on extra workers)
+	ledger   *CopyLedger // Options.Ledger (worker-local on extra workers)
 	freeAt   []Time      // link state this drain acquires: the network's own, or an extra worker's private copy
 	bg       []bgProcess // background traffic beside freeAt; nil when ρ = 0
 	arcStamp []int32     // per arc: spec index + 1 that last used it (duplicate detection)
@@ -239,11 +245,13 @@ type runState struct {
 }
 
 // release drops the pointers a finished run would otherwise pin in the
-// scratch (the caller's specs, the network's link state and the returned
-// Result), keeping only the reusable backing arrays.
+// scratch (the caller's specs, options and sinks, the network's link
+// state and the returned Result), keeping only the reusable backing
+// arrays. A pooled scratch outlives its run, so a sink left here would
+// keep, say, a whole delivery log alive until the pool is emptied.
 func (st *runState) release() {
 	st.net, st.specs, st.res = nil, nil, nil
-	st.ledger = nil
+	st.opts, st.copies, st.ledger = Options{}, nil, nil
 	st.freeAt, st.bg = nil, nil
 	// Route windows may alias caller-owned CompiledPaths; drop every
 	// reference (including tail entries from earlier, larger runs) so the
@@ -358,7 +366,7 @@ func (st *runState) prepare(n *Network, specs []PacketSpec, opts Options) error 
 	st.res = &Result{}
 	st.queue.reset(spanForParams(n.p))
 	st.tokens = st.tokens[:0]
-	st.ledger = opts.Ledger
+	st.copies, st.ledger = opts.Copies, opts.Ledger
 	st.freeAt, st.bg = n.freeAt, n.bg
 	if len(specs) > maxSpecs {
 		return fmt.Errorf("simnet: %d packets exceed the engine's %d-packet capacity", len(specs), maxSpecs)
@@ -465,14 +473,8 @@ func (st *runState) prepare(n *Network, specs []PacketSpec, opts Options) error 
 			return err
 		}
 	}
-	if opts.Copies {
-		st.res.Copies = NewCopyMatrix(n.g.N())
-	}
-	if opts.Trace {
-		st.res.Traces = make(map[PacketID][]Hop, len(specs))
-	}
-	if opts.RecordDeliveries {
-		st.res.Deliveriesv = make([]Delivery, 0, deliveries)
+	if opts.Log != nil {
+		*opts.Log = slices.Grow(*opts.Log, deliveries)
 	}
 	return nil
 }
@@ -705,13 +707,6 @@ func (st *runState) handle(t Time, key uint64) {
 
 	tailAtNext := depart + pt
 	last := int32(len(spec.Route) - 2)
-	if st.opts.Trace {
-		h := Hop{
-			From: from, To: to, Kind: kind,
-			HeaderDepart: depart, TailArrive: tailAtNext, Blocked: blocked,
-		}
-		st.res.Traces[spec.ID] = append(st.res.Traces[spec.ID], h)
-	}
 	if st.opts.Observe != nil {
 		flits := p.Mu
 		if spec.Flits > 0 {
@@ -761,19 +756,19 @@ func (st *runState) deliver(pkt int32, node topology.Node, at Time) {
 	if at > st.res.Finish {
 		st.res.Finish = at
 	}
-	if st.res.Copies != nil {
-		st.res.Copies.Add(node, id.Source)
+	if st.copies != nil {
+		st.copies.Add(node, id.Source)
 	}
 	if st.ledger != nil {
 		st.ledger.Add(node, id.Source)
 	}
-	if st.opts.RecordDeliveries || st.opts.Observe != nil {
+	if st.opts.Log != nil || st.opts.Observe != nil {
 		d := Delivery{
 			ID: id, Node: node, At: at,
 			Corrupted: st.opts.Fault != nil && st.corrupt[pkt],
 		}
-		if st.opts.RecordDeliveries {
-			st.res.Deliveriesv = append(st.res.Deliveriesv, d)
+		if log := st.opts.Log; log != nil {
+			*log = append(*log, d)
 		}
 		if st.opts.Observe != nil {
 			st.opts.Observe.OnDeliver(d)

@@ -15,7 +15,7 @@ func (f hookFunc) Relay(id PacketID, hop int, from, to topology.Node, depart Tim
 
 // teeRun simulates one teed packet around a 6-cycle under the given hook
 // and returns the result.
-func teeRun(t *testing.T, hook FaultHook) *Result {
+func teeRun(t *testing.T, hook FaultHook) (*Result, []Delivery) {
 	t.Helper()
 	g := topology.MustCycle(6)
 	net, err := New(g, Params{TauS: 100, Alpha: 20, Mu: 2, D: 37})
@@ -27,18 +27,19 @@ func teeRun(t *testing.T, hook FaultHook) *Result {
 		Route: []topology.Node{0, 1, 2, 3, 4, 5},
 		Tee:   true,
 	}}
-	res, err := net.Run(specs, Options{RecordDeliveries: true, Fault: hook})
+	var log []Delivery
+	res, err := net.Run(specs, Options{Log: &log, Fault: hook})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return res
+	return res, log
 }
 
 // TestFaultHookDrop kills the copy at hop 3 (node 3 → 4): nodes 1..3
 // still receive, nodes 4 and 5 never do, and nothing downstream of the
 // drop is simulated.
 func TestFaultHookDrop(t *testing.T) {
-	res := teeRun(t, hookFunc(func(id PacketID, hop int, from, to topology.Node, depart Time) FaultAction {
+	res, log := teeRun(t, hookFunc(func(id PacketID, hop int, from, to topology.Node, depart Time) FaultAction {
 		if hop == 3 {
 			return FaultDrop
 		}
@@ -51,7 +52,7 @@ func TestFaultHookDrop(t *testing.T) {
 		t.Fatalf("Deliveries = %d, want 3 (nodes 1..3)", res.Deliveries)
 	}
 	got := map[topology.Node]bool{}
-	for _, d := range res.Deliveriesv {
+	for _, d := range log {
 		if d.Corrupted {
 			t.Fatalf("drop-only hook produced a corrupted delivery at node %d", d.Node)
 		}
@@ -72,7 +73,7 @@ func TestFaultHookDrop(t *testing.T) {
 // TestFaultHookCorrupt taints the copy at hop 2 (node 2 → 3): deliveries
 // at nodes 1 and 2 are clean, deliveries at 3..5 carry the taint.
 func TestFaultHookCorrupt(t *testing.T) {
-	res := teeRun(t, hookFunc(func(id PacketID, hop int, from, to topology.Node, depart Time) FaultAction {
+	res, log := teeRun(t, hookFunc(func(id PacketID, hop int, from, to topology.Node, depart Time) FaultAction {
 		if hop == 2 {
 			return FaultCorrupt
 		}
@@ -84,7 +85,7 @@ func TestFaultHookCorrupt(t *testing.T) {
 	if res.Deliveries != 5 {
 		t.Fatalf("Deliveries = %d, want 5 (corruption must not drop copies)", res.Deliveries)
 	}
-	for _, d := range res.Deliveriesv {
+	for _, d := range log {
 		wantTaint := d.Node >= 3
 		if d.Corrupted != wantTaint {
 			t.Errorf("node %d: Corrupted = %v, want %v", d.Node, d.Corrupted, wantTaint)
@@ -100,7 +101,7 @@ func TestFaultHookTemporal(t *testing.T) {
 	var departs []Time
 	cut := Time(0)
 	first := true
-	res := teeRun(t, hookFunc(func(id PacketID, hop int, from, to topology.Node, depart Time) FaultAction {
+	res, _ := teeRun(t, hookFunc(func(id PacketID, hop int, from, to topology.Node, depart Time) FaultAction {
 		departs = append(departs, depart)
 		if first {
 			// Fail the link for a window that ends just after hop 1's
@@ -141,50 +142,51 @@ func TestFaultHookScratchReuse(t *testing.T) {
 	p := Params{TauS: 100, Alpha: 20, Mu: 2, D: 37}
 	sc := NewScratch()
 
-	run := func(opts Options) *Result {
+	run := func(hook FaultHook) (*Result, []Delivery) {
 		net, err := New(g, p)
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := net.RunScratch(specs, opts, sc)
+		var log []Delivery
+		res, err := net.RunScratch(specs, Options{Log: &log, Fault: hook}, sc)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return res
+		return res, log
 	}
 
-	clean := run(Options{RecordDeliveries: true})
-	tainted := run(Options{RecordDeliveries: true, Fault: hookFunc(
+	clean, _ := run(nil)
+	tainted, taintedLog := run(hookFunc(
 		func(id PacketID, hop int, from, to topology.Node, depart Time) FaultAction {
 			return FaultCorrupt
-		})})
+		}))
 	if tainted.FaultTaints == 0 {
 		t.Fatal("corrupt-everything hook tainted nothing")
 	}
-	for _, d := range tainted.Deliveriesv {
+	for _, d := range taintedLog {
 		if !d.Corrupted {
 			t.Fatalf("delivery at node %d escaped the corrupt-everything hook", d.Node)
 		}
 	}
-	after := run(Options{RecordDeliveries: true})
-	if keyOf(after) != keyOf(clean) {
-		t.Fatalf("fault-free run after a faulted run differs: %+v != %+v", keyOf(after), keyOf(clean))
+	after, afterLog := run(nil)
+	if *after != *clean {
+		t.Fatalf("fault-free run after a faulted run differs: %+v != %+v", *after, *clean)
 	}
-	for _, d := range after.Deliveriesv {
+	for _, d := range afterLog {
 		if d.Corrupted {
 			t.Fatalf("stale taint bit leaked into a fault-free run at node %d", d.Node)
 		}
 	}
 	// And a second faulted run must re-clear its own bits: corrupt only
 	// packet 0 and check the others are clean.
-	partial := run(Options{RecordDeliveries: true, Fault: hookFunc(
+	_, partialLog := run(hookFunc(
 		func(id PacketID, hop int, from, to topology.Node, depart Time) FaultAction {
 			if id.Source == 0 && hop == 0 {
 				return FaultCorrupt
 			}
 			return FaultNone
-		})})
-	for _, d := range partial.Deliveriesv {
+		}))
+	for _, d := range partialLog {
 		if want := d.ID.Source == 0; d.Corrupted != want {
 			t.Fatalf("pkt src=%d at node %d: Corrupted = %v, want %v",
 				d.ID.Source, d.Node, d.Corrupted, want)

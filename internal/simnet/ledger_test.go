@@ -115,9 +115,9 @@ func TestLedgerMatchesMatrix(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ledger := NewCopyLedger(g.N())
+		ledger, copies := NewCopyLedger(g.N()), NewCopyMatrix(g.N())
 		restore := SetWidth(w)
-		res, err := net.Run(specs, Options{Copies: true, Ledger: ledger})
+		_, err = net.Run(specs, Options{Copies: copies, Ledger: ledger})
 		restore()
 		if err != nil {
 			t.Fatalf("workers=%d: %v", w, err)
@@ -126,7 +126,7 @@ func TestLedgerMatchesMatrix(t *testing.T) {
 			var wantCount int64
 			var wantSum uint64
 			for s := 0; s < g.N(); s++ {
-				c := int64(res.Copies.Get(topology.Node(r), topology.Node(s)))
+				c := int64(copies.Get(topology.Node(r), topology.Node(s)))
 				if r == s {
 					if ledger.self[r] != c {
 						t.Fatalf("workers=%d: receiver %d self copies ledger %d, matrix %d", w, r, ledger.self[r], c)

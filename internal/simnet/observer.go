@@ -8,7 +8,7 @@ import "ihc/internal/topology"
 // fault hook (FaultDrop) are never observed, and a blocked virtual
 // cut-through attempt that falls back to buffering is observed once,
 // when the buffered send finally departs — the same convention as
-// Result.Traces and FaultHook.Relay.
+// FaultHook.Relay. HopEvent is the engine's only per-hop record.
 type HopEvent struct {
 	ID           PacketID
 	Hop          int // index of From along the packet's route (0 = source injection)

@@ -1,6 +1,10 @@
 package simnet
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
+	"slices"
 	"testing"
 
 	"ihc/internal/topology"
@@ -15,8 +19,34 @@ type recObserver struct {
 func (o *recObserver) OnHop(h HopEvent)     { o.hops = append(o.hops, h) }
 func (o *recObserver) OnDeliver(d Delivery) { o.deliveries = append(o.deliveries, d) }
 
+// digestHops hashes every field of every hop in stream order.
+func digestHops(hops []HopEvent) string {
+	h := sha256.New()
+	var buf [82]byte
+	for _, e := range hops {
+		binary.LittleEndian.PutUint64(buf[0:], uint64(e.ID.Source))
+		binary.LittleEndian.PutUint64(buf[8:], uint64(e.ID.Channel))
+		binary.LittleEndian.PutUint64(buf[16:], uint64(e.ID.Seq))
+		binary.LittleEndian.PutUint64(buf[24:], uint64(e.Hop))
+		binary.LittleEndian.PutUint64(buf[32:], uint64(e.From))
+		binary.LittleEndian.PutUint64(buf[40:], uint64(e.To))
+		binary.LittleEndian.PutUint64(buf[48:], uint64(e.Arc))
+		binary.LittleEndian.PutUint64(buf[56:], uint64(e.HeaderDepart))
+		binary.LittleEndian.PutUint64(buf[64:], uint64(e.TailArrive))
+		binary.LittleEndian.PutUint64(buf[72:], uint64(e.Flits))
+		buf[80] = byte(e.Kind)
+		buf[81] = 0
+		if e.Blocked {
+			buf[81] = 1
+		}
+		h.Write(buf[:])
+	}
+	return hex.EncodeToString(h.Sum(nil))
+}
+
 // The observer sees exactly the performed hops (matching the per-hop
-// counters and the recorded traces) and exactly the accounted
+// counters and a digest of the hop stream recorded when the engine
+// still kept a per-hop trace of its own) and exactly the logged
 // deliveries, and its presence does not perturb the run.
 func TestObserverSeesAllHopsAndDeliveries(t *testing.T) {
 	g := topology.MustCycle(12)
@@ -26,14 +56,14 @@ func TestObserverSeesAllHopsAndDeliveries(t *testing.T) {
 		{ID: PacketID{Source: 0, Channel: 1}, Route: pathRoute(7), Inject: 40},
 		{ID: PacketID{Source: 0, Channel: 2, Seq: 3}, Route: pathRoute(5), Inject: 80, Flits: 5},
 	}
-	base := mustRun(t, g, p, specs, Options{Trace: true, RecordDeliveries: true})
+	base := mustRun(t, g, p, specs, Options{})
 
 	obs := &recObserver{}
-	res := mustRun(t, g, p, specs, Options{Trace: true, RecordDeliveries: true, Observe: obs})
+	var log []Delivery
+	res := mustRun(t, g, p, specs, Options{Log: &log, Observe: obs})
 
-	if res.Finish != base.Finish || res.Events != base.Events || res.Deliveries != base.Deliveries {
-		t.Fatalf("observer perturbed the run: finish %d/%d events %d/%d deliveries %d/%d",
-			res.Finish, base.Finish, res.Events, base.Events, res.Deliveries, base.Deliveries)
+	if *res != *base {
+		t.Fatalf("observer perturbed the run: %+v vs %+v", res, base)
 	}
 
 	performed := res.Injections + res.CutThroughs + res.BufferedHops + res.Stalls
@@ -43,23 +73,20 @@ func TestObserverSeesAllHopsAndDeliveries(t *testing.T) {
 	if len(obs.deliveries) != res.Deliveries {
 		t.Fatalf("observed %d deliveries, result says %d", len(obs.deliveries), res.Deliveries)
 	}
+	const wantHops = "70685be7f8a7851b83b2fa00934b17b0350b3d4bfe2c0abfcda6a7d1ed5353fa"
+	if got := digestHops(obs.hops); got != wantHops {
+		t.Fatalf("hop stream digest %s, want %s", got, wantHops)
+	}
 
-	// Each observed hop must be byte-equal to the corresponding trace
-	// entry, carry the right arc id and the effective flit count.
+	// Each observed hop continues its packet's route, carries the right
+	// arc id and the effective flit count.
 	seen := map[PacketID]int{}
 	arcs := g.Arcs()
 	for _, h := range obs.hops {
 		k := seen[h.ID]
 		seen[h.ID] = k + 1
-		tr := res.Traces[h.ID]
-		if k >= len(tr) {
-			t.Fatalf("packet %v: observed %d hops, trace has %d", h.ID, k+1, len(tr))
-		}
-		want := tr[k]
-		if h.From != want.From || h.To != want.To || h.Kind != want.Kind ||
-			h.HeaderDepart != want.HeaderDepart || h.TailArrive != want.TailArrive ||
-			h.Blocked != want.Blocked || h.Hop != k {
-			t.Fatalf("packet %v hop %d: observed %+v, trace %+v", h.ID, k, h, want)
+		if h.Hop != k || h.From != topology.Node(k) || h.To != topology.Node(k+1) {
+			t.Fatalf("packet %v: observed hop %d as %+v", h.ID, k, h)
 		}
 		if h.Arc < 0 || h.Arc >= len(arcs) || arcs[h.Arc].From != h.From || arcs[h.Arc].To != h.To {
 			t.Fatalf("packet %v hop %d: arc id %d does not resolve to %d→%d", h.ID, k, h.Arc, h.From, h.To)
@@ -72,16 +99,13 @@ func TestObserverSeesAllHopsAndDeliveries(t *testing.T) {
 			t.Fatalf("packet %v hop %d: flits = %d, want %d", h.ID, k, h.Flits, wantFlits)
 		}
 	}
-	for id, tr := range res.Traces {
-		if seen[id] != len(tr) {
-			t.Fatalf("packet %v: observed %d hops, trace has %d", id, seen[id], len(tr))
+	for _, s := range specs {
+		if seen[s.ID] != len(s.Route)-1 {
+			t.Fatalf("packet %v: observed %d hops, route has %d", s.ID, seen[s.ID], len(s.Route)-1)
 		}
 	}
-	for i, d := range obs.deliveries {
-		want := res.Deliveriesv[i]
-		if d != want {
-			t.Fatalf("delivery %d: observed %+v, recorded %+v", i, d, want)
-		}
+	if !slices.Equal(obs.deliveries, log) {
+		t.Fatalf("observed deliveries differ from the log:\n%+v\n%+v", obs.deliveries, log)
 	}
 }
 
@@ -105,7 +129,7 @@ func TestObserverSkipsDroppedHops(t *testing.T) {
 		return FaultNone
 	})
 	obs := &recObserver{}
-	res := mustRun(t, g, p, specs, Options{Fault: hook, RecordDeliveries: true, Observe: obs})
+	res := mustRun(t, g, p, specs, Options{Fault: hook, Observe: obs})
 	if res.FaultDrops != 1 || res.FaultTaints != 1 {
 		t.Fatalf("drops=%d taints=%d, want 1 and 1", res.FaultDrops, res.FaultTaints)
 	}

@@ -31,74 +31,56 @@ func mirrored(n int, specs []PacketSpec) []PacketSpec {
 
 // fullResult bundles what a run outputs, for deep comparison.
 type fullResult struct {
-	key         resultKey
-	faultDrops  int
-	faultTaints int
-	deliveries  []Delivery
-	copies      [][]int
-	workers     int // workers the run planned
+	res        Result
+	copies     *CopyMatrix
+	deliveries []Delivery // nil unless the run kept a log
+	workers    int        // workers the run planned
 }
 
-// capture runs specs on a fresh network at width w.
-func capture(t *testing.T, g *topology.Graph, p Params, specs []PacketSpec, opts Options, w int) fullResult {
+// capture runs specs on a fresh network at width w into a fresh copy
+// matrix and, when log is set, a delivery log, which holds the run on
+// one worker.
+func capture(t *testing.T, g *topology.Graph, p Params, specs []PacketSpec, opts Options, log bool, w int) fullResult {
 	t.Helper()
 	defer SetWidth(w)()
 	net, err := New(g, p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	k, err := net.PlannedWorkers(specs, opts)
-	if err != nil {
+	f := fullResult{copies: NewCopyMatrix(g.N())}
+	opts.Copies = f.copies
+	if log {
+		opts.Log = &f.deliveries
+	}
+	if f.workers, err = net.PlannedWorkers(specs, opts); err != nil {
 		t.Fatalf("width %d: %v", w, err)
 	}
 	res, err := net.RunScratch(specs, opts, nil)
 	if err != nil {
 		t.Fatalf("width %d: %v", w, err)
 	}
-	f := fullResult{
-		key:         keyOf(res),
-		faultDrops:  res.FaultDrops,
-		faultTaints: res.FaultTaints,
-		deliveries:  res.Deliveriesv,
-		workers:     k,
-	}
-	if res.Copies != nil {
-		f.copies = make([][]int, g.N())
-		for r := 0; r < g.N(); r++ {
-			f.copies[r] = make([]int, g.N())
-			for s := 0; s < g.N(); s++ {
-				f.copies[r][s] = res.Copies.Get(topology.Node(r), topology.Node(s))
-			}
-		}
-	}
+	f.res = *res
 	return f
 }
 
 // assertShardedIdentical runs the workload once with the delivery log
-// and traces on, which hold it on one worker, and then without them at
-// every test width: the counters, the fault counts and the copy matrix
-// must match the reference at every width. A parallel workload must
-// plan several workers at every width above one; any other must stay on
-// one.
+// on, which holds it on one worker, and then without it at every test
+// width: every counter and the copy matrix must match the reference at
+// every width. A parallel workload must plan several workers at every
+// width above one; any other must stay on one.
 func assertShardedIdentical(t *testing.T, g *topology.Graph, p Params, specs []PacketSpec, opts Options, parallel bool) {
 	t.Helper()
-	full := opts
-	full.RecordDeliveries, full.Trace = true, true
-	want := capture(t, g, p, specs, full, 1)
-	if want.key.deliveries == 0 {
+	want := capture(t, g, p, specs, opts, true, 1)
+	if want.res.Deliveries == 0 {
 		t.Fatal("workload delivered nothing; equivalence check vacuous")
 	}
 	for _, w := range testWidths {
-		got := capture(t, g, p, specs, opts, w)
+		got := capture(t, g, p, specs, opts, false, w)
 		if several := parallel && w > 1; several != (got.workers > 1) {
 			t.Fatalf("width %d: planned %d workers, want several: %t", w, got.workers, several)
 		}
-		if got.key != want.key {
-			t.Errorf("width %d: counters differ:\n got %+v\nwant %+v", w, got.key, want.key)
-		}
-		if got.faultDrops != want.faultDrops || got.faultTaints != want.faultTaints {
-			t.Errorf("width %d: fault counters differ: got %d/%d want %d/%d",
-				w, got.faultDrops, got.faultTaints, want.faultDrops, want.faultTaints)
+		if got.res != want.res {
+			t.Errorf("width %d: counters differ:\n got %+v\nwant %+v", w, got.res, want.res)
 		}
 		if !reflect.DeepEqual(got.copies, want.copies) {
 			t.Errorf("width %d: copy matrix differs", w)
@@ -112,7 +94,7 @@ func TestShardedIdenticalModes(t *testing.T) {
 	for _, mode := range []Mode{VirtualCutThrough, StoreAndForward, Wormhole} {
 		t.Run(mode.String(), func(t *testing.T) {
 			p := Params{TauS: 100, Alpha: 20, Mu: 2, D: 37, Mode: mode}
-			assertShardedIdentical(t, g, p, specs, Options{Copies: true}, true)
+			assertShardedIdentical(t, g, p, specs, Options{}, true)
 		})
 	}
 }
@@ -138,7 +120,7 @@ func TestShardedIdenticalContended(t *testing.T) {
 	// τ_S = 0 and μ = 1 make the blocked-cut-through fallback land at the
 	// exact timestamp of its evCut — the tightest tie the key must break.
 	p := Params{TauS: 0, Alpha: 20, Mu: 1, D: 37}
-	assertShardedIdentical(t, g, p, mirrored(6, specs), Options{Copies: true}, true)
+	assertShardedIdentical(t, g, p, mirrored(6, specs), Options{}, true)
 }
 
 func TestShardedIdenticalBackground(t *testing.T) {
@@ -182,7 +164,7 @@ func TestShardedIdenticalDeps(t *testing.T) {
 		{ID: PacketID{Source: 9, Seq: 3}, Route: route(9, 4), Tee: true, After: []int{2, 3}},
 	}
 	p := Params{TauS: 100, Alpha: 20, Mu: 2, D: 37}
-	assertShardedIdentical(t, g, p, specs, Options{Copies: true}, false)
+	assertShardedIdentical(t, g, p, specs, Options{}, false)
 }
 
 // pureFault drops or taints hops as a pure function of its arguments,
@@ -216,13 +198,13 @@ func TestShardedWorkerClamp(t *testing.T) {
 	g := topology.MustCycle(3)
 	specs := mirrored(3, []PacketSpec{{ID: PacketID{Source: 0}, Route: []topology.Node{0, 1, 2}, Tee: true}})
 	p := Params{TauS: 100, Alpha: 20, Mu: 2, D: 37}
-	want := capture(t, g, p, specs, Options{}, 1)
-	got := capture(t, g, p, specs, Options{}, 64)
+	want := capture(t, g, p, specs, Options{}, false, 1)
+	got := capture(t, g, p, specs, Options{}, false, 64)
 	if got.workers != 2 {
 		t.Fatalf("width 64 planned %d workers for 2 components, want 2", got.workers)
 	}
-	if got.key != want.key {
-		t.Fatalf("clamped run differs: got %+v want %+v", got.key, want.key)
+	if got.res != want.res || !reflect.DeepEqual(got.copies, want.copies) {
+		t.Fatalf("clamped run differs: got %+v want %+v", got.res, want.res)
 	}
 }
 
@@ -266,11 +248,15 @@ func TestScratchReuseAcrossTopologies(t *testing.T) {
 		for _, w := range []int{1, 3} {
 			// The delivery log holds a run on one worker, so only the
 			// one-worker runs keep it.
-			opts := Options{RecordDeliveries: w == 1}
-			fresh := capture(t, wl.g, p, wl.specs, opts, w)
+			fresh := capture(t, wl.g, p, wl.specs, Options{}, w == 1, w)
 			net, err := New(wl.g, p)
 			if err != nil {
 				t.Fatal(err)
+			}
+			var log []Delivery
+			opts := Options{Copies: NewCopyMatrix(wl.g.N())}
+			if w == 1 {
+				opts.Log = &log
 			}
 			restore := SetWidth(w)
 			res, err := net.RunScratch(wl.specs, opts, sc)
@@ -278,11 +264,14 @@ func TestScratchReuseAcrossTopologies(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s width %d reused scratch: %v", wl.name, w, err)
 			}
-			if keyOf(res) != fresh.key {
+			if *res != fresh.res {
 				t.Errorf("%s width %d: reused scratch differs from fresh:\n got %+v\nwant %+v",
-					wl.name, w, keyOf(res), fresh.key)
+					wl.name, w, *res, fresh.res)
 			}
-			if !reflect.DeepEqual(res.Deliveriesv, fresh.deliveries) {
+			if !reflect.DeepEqual(opts.Copies, fresh.copies) {
+				t.Errorf("%s width %d: reused-scratch copy matrix differs", wl.name, w)
+			}
+			if !reflect.DeepEqual(log, fresh.deliveries) {
 				t.Errorf("%s width %d: reused-scratch delivery log differs", wl.name, w)
 			}
 		}
@@ -308,7 +297,7 @@ func TestCompiledPathWindows(t *testing.T) {
 			Tee:   true,
 		})
 	}
-	want := capture(t, g, p, plain, Options{Copies: true, RecordDeliveries: true}, 1)
+	want := capture(t, g, p, plain, Options{}, true, 1)
 
 	net, err := New(g, p)
 	if err != nil {
@@ -323,14 +312,19 @@ func TestCompiledPathWindows(t *testing.T) {
 	for i := range shared {
 		shared[i].Path, shared[i].PathOff = cp, int(shared[i].ID.Source)
 	}
-	res, err := net.Run(shared, Options{Copies: true, RecordDeliveries: true})
+	copies := NewCopyMatrix(g.N())
+	var log []Delivery
+	res, err := net.Run(shared, Options{Copies: copies, Log: &log})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if keyOf(res) != want.key {
-		t.Errorf("compiled-path run differs: got %+v want %+v", keyOf(res), want.key)
+	if *res != want.res {
+		t.Errorf("compiled-path run differs: got %+v want %+v", *res, want.res)
 	}
-	if !reflect.DeepEqual(res.Deliveriesv, want.deliveries) {
+	if !reflect.DeepEqual(copies, want.copies) {
+		t.Error("compiled-path copy matrix differs from per-hop compilation")
+	}
+	if !reflect.DeepEqual(log, want.deliveries) {
 		t.Error("compiled-path delivery log differs from per-hop compilation")
 	}
 

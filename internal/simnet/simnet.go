@@ -291,16 +291,12 @@ func (k HopKind) String() string {
 	}
 }
 
-// Hop is one step of a packet trace.
-type Hop struct {
-	From, To     topology.Node
-	Kind         HopKind
-	HeaderDepart Time // when the header left From
-	TailArrive   Time // when the tail fully arrived at To
-	Blocked      bool // transmitter (or background traffic) was busy
-}
-
-// Result aggregates a simulation run.
+// Result holds a run's counters. It is the one counter set of the
+// simulator: core, atarun and frs embed it, and every chained run (a
+// core stage, a serialized broadcast, an extra worker of a
+// component-parallel run) folds into its caller's with Merge. Per-hop
+// and per-delivery records never live here; they go to the sinks the
+// caller passes in Options (Copies, Log, Ledger, Observe).
 type Result struct {
 	Finish       Time // latest delivery time (makespan)
 	Deliveries   int  // total copies delivered (tee + final)
@@ -318,9 +314,22 @@ type Result struct {
 	LinkBusy    Time // total busy time summed over all links (broadcast traffic only)
 	FaultDrops  int  // hops canceled by the fault hook (copy killed in flight)
 	FaultTaints int  // hops at which the fault hook corrupted a payload
-	Copies      *CopyMatrix
-	Traces      map[PacketID][]Hop // populated only when Options.Trace
-	Deliveriesv []Delivery         // populated only when Options.RecordDeliveries
+}
+
+// Merge adds o's counters into r and keeps the later Finish.
+func (r *Result) Merge(o *Result) {
+	r.Finish = max(r.Finish, o.Finish)
+	r.Deliveries += o.Deliveries
+	r.Contentions += o.Contentions
+	r.BgBlocked += o.BgBlocked
+	r.CutThroughs += o.CutThroughs
+	r.BufferedHops += o.BufferedHops
+	r.Stalls += o.Stalls
+	r.Injections += o.Injections
+	r.Events += o.Events
+	r.LinkBusy += o.LinkBusy
+	r.FaultDrops += o.FaultDrops
+	r.FaultTaints += o.FaultTaints
 }
 
 // Utilization returns the fraction of total link capacity used by the
@@ -333,7 +342,9 @@ func (r *Result) Utilization(links int) float64 {
 }
 
 // CopyMatrix counts, for every (receiver, source) pair, how many copies of
-// source's message the receiver obtained.
+// source's message the receiver obtained. It is a caller-owned sink
+// (Options.Copies): the engine only adds to it, so one matrix serves any
+// number of chained runs.
 type CopyMatrix struct {
 	n      int
 	counts []uint16

@@ -1,6 +1,7 @@
 package simnet
 
 import (
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -33,6 +34,12 @@ func mustRun(t *testing.T, g *topology.Graph, p Params, specs []PacketSpec, o Op
 	}
 	return res
 }
+
+// hopTrace is an Observer that records each packet's hops in hop order.
+type hopTrace map[PacketID][]HopEvent
+
+func (tr hopTrace) OnHop(h HopEvent) { tr[h.ID] = append(tr[h.ID], h) }
+func (hopTrace) OnDeliver(Delivery)  {}
 
 func TestParamsValidate(t *testing.T) {
 	good := dedicated(2)
@@ -134,21 +141,23 @@ func TestWormholeMatchesVCTWhenDedicated(t *testing.T) {
 func TestTeeDeliversToEveryNodeOnRoute(t *testing.T) {
 	g := topology.MustCycle(8)
 	p := dedicated(2)
+	copies := NewCopyMatrix(g.N())
+	var log []Delivery
 	res := mustRun(t, g, p, []PacketSpec{{
 		ID:    PacketID{Source: 0},
 		Route: pathRoute(7),
 		Tee:   true,
-	}}, Options{Copies: true, RecordDeliveries: true})
+	}}, Options{Copies: copies, Log: &log})
 	if res.Deliveries != 7 {
 		t.Fatalf("deliveries = %d, want 7", res.Deliveries)
 	}
 	for v := topology.Node(1); v <= 7; v++ {
-		if res.Copies.Get(v, 0) != 1 {
-			t.Fatalf("node %d got %d copies", v, res.Copies.Get(v, 0))
+		if copies.Get(v, 0) != 1 {
+			t.Fatalf("node %d got %d copies", v, copies.Get(v, 0))
 		}
 	}
 	// Tee delivery at node i happens when the tail passes: τ_S + (i-1)α + μα.
-	for _, d := range res.Deliveriesv {
+	for _, d := range log {
 		i := Time(d.Node)
 		want := p.TauS + (i-1)*p.Alpha + p.PacketTime()
 		if d.At != want {
@@ -159,15 +168,16 @@ func TestTeeDeliversToEveryNodeOnRoute(t *testing.T) {
 
 func TestWithoutTeeOnlyFinalNodeReceives(t *testing.T) {
 	g := topology.MustCycle(8)
+	copies := NewCopyMatrix(g.N())
 	res := mustRun(t, g, dedicated(1), []PacketSpec{{
 		ID:    PacketID{Source: 0},
 		Route: pathRoute(5),
-	}}, Options{Copies: true})
+	}}, Options{Copies: copies})
 	if res.Deliveries != 1 {
 		t.Fatalf("deliveries = %d, want 1", res.Deliveries)
 	}
-	if res.Copies.Get(5, 0) != 1 || res.Copies.Get(3, 0) != 0 {
-		t.Fatalf("copies wrong: final=%d mid=%d", res.Copies.Get(5, 0), res.Copies.Get(3, 0))
+	if copies.Get(5, 0) != 1 || copies.Get(3, 0) != 0 {
+		t.Fatalf("copies wrong: final=%d mid=%d", copies.Get(5, 0), copies.Get(3, 0))
 	}
 }
 
@@ -181,7 +191,7 @@ func TestContentionDetectedAndResolved(t *testing.T) {
 		{ID: PacketID{Source: 0}, Route: []topology.Node{0, 1, 2, 3, 4}},
 		{ID: PacketID{Source: 2, Channel: 1}, Route: []topology.Node{2, 3, 4, 5}, Inject: 10},
 	}
-	res := mustRun(t, g, p, specs, Options{Trace: true})
+	res := mustRun(t, g, p, specs, Options{})
 	if res.Contentions == 0 {
 		t.Fatalf("expected contention on link 2->3")
 	}
@@ -262,15 +272,17 @@ func TestDeterminism(t *testing.T) {
 		{ID: PacketID{Source: 5, Channel: 1}, Route: []topology.Node{5, 1, 2, 6}, Tee: true},
 		{ID: PacketID{Source: 12, Channel: 2}, Route: []topology.Node{12, 13, 14, 2, 1}, Tee: true},
 	}
-	run := func() *Result { return mustRun(t, g, p, specs, Options{RecordDeliveries: true}) }
-	a, b := run(), run()
-	if a.Finish != b.Finish || a.Deliveries != b.Deliveries || a.BgBlocked != b.BgBlocked {
+	run := func() (*Result, []Delivery) {
+		var log []Delivery
+		return mustRun(t, g, p, specs, Options{Log: &log}), log
+	}
+	a, la := run()
+	b, lb := run()
+	if *a != *b {
 		t.Fatalf("nondeterministic: %+v vs %+v", a, b)
 	}
-	for i := range a.Deliveriesv {
-		if a.Deliveriesv[i] != b.Deliveriesv[i] {
-			t.Fatalf("delivery %d differs: %+v vs %+v", i, a.Deliveriesv[i], b.Deliveriesv[i])
-		}
+	if !slices.Equal(la, lb) {
+		t.Fatalf("delivery logs differ:\n%+v\n%+v", la, lb)
 	}
 }
 
@@ -414,11 +426,11 @@ func TestQuickTraceConsistency(t *testing.T) {
 		h := int(hRaw)%15 + 1
 		p := dedicated(2)
 		n, _ := New(g, p)
-		res, err := n.Run([]PacketSpec{{ID: PacketID{Source: 0}, Route: pathRoute(h)}}, Options{Trace: true})
-		if err != nil {
+		tr := hopTrace{}
+		if _, err := n.Run([]PacketSpec{{ID: PacketID{Source: 0}, Route: pathRoute(h)}}, Options{Observe: tr}); err != nil {
 			return false
 		}
-		trace := res.Traces[PacketID{Source: 0}]
+		trace := tr[PacketID{Source: 0}]
 		if len(trace) != h {
 			return false
 		}
@@ -456,11 +468,12 @@ func TestDependencyInjection(t *testing.T) {
 		// Redirect at node 2: starts once packet 0 delivers there.
 		{ID: PacketID{Source: 2, Channel: 1}, Route: []topology.Node{2, 3, 4}, After: []int{0}},
 	}
-	res := mustRun(t, g, p, specs, Options{Trace: true})
+	trace := hopTrace{}
+	mustRun(t, g, p, specs, Options{Observe: trace})
 	// Packet 0 tees at node 2 at τ_S + α + μα; packet 1 injects then,
 	// departs τ_S later.
 	tee := p.TauS + p.Alpha + p.PacketTime()
-	tr := res.Traces[PacketID{Source: 2, Channel: 1}]
+	tr := trace[PacketID{Source: 2, Channel: 1}]
 	if len(tr) != 2 {
 		t.Fatalf("child trace has %d hops", len(tr))
 	}
@@ -479,10 +492,11 @@ func TestDependencyMultipleParentsUsesLatest(t *testing.T) {
 		// processing.
 		{ID: PacketID{Source: 2, Channel: 2}, Route: []topology.Node{2, 3}, After: []int{0, 1}, Inject: 25},
 	}
-	res := mustRun(t, g, p, specs, Options{Trace: true})
+	trace := hopTrace{}
+	res := mustRun(t, g, p, specs, Options{Observe: trace})
 	// Parent 1 arrives at 2 at 500+τ_S+α+μα; child departs +25+τ_S.
 	arrive := Time(500) + p.TauS + p.Alpha + p.PacketTime()
-	tr := res.Traces[PacketID{Source: 2, Channel: 2}]
+	tr := trace[PacketID{Source: 2, Channel: 2}]
 	if tr[0].HeaderDepart != arrive+25+p.TauS {
 		t.Fatalf("merge departed at %d, want %d", tr[0].HeaderDepart, arrive+25+p.TauS)
 	}
@@ -594,11 +608,12 @@ func TestDuplicateParentDeliveryDoesNotReleaseChild(t *testing.T) {
 		{ID: PacketID{Source: 3, Channel: 1}, Route: []topology.Node{3, 2, 1}, Inject: 1000, Tee: true},
 		{ID: PacketID{Source: 1, Channel: 2}, Route: []topology.Node{1, 0}, After: []int{0, 1}},
 	}
-	res := mustRun(t, g, p, specs, Options{Trace: true})
+	trace := hopTrace{}
+	mustRun(t, g, p, specs, Options{Observe: trace})
 	// Parent 1 reaches node 1 at 1000 + τ_S + α + μα; only then may the
 	// child start, τ_S later.
 	arrive := Time(1000) + p.TauS + p.Alpha + p.PacketTime()
-	tr := res.Traces[PacketID{Source: 1, Channel: 2}]
+	tr := trace[PacketID{Source: 1, Channel: 2}]
 	if len(tr) != 1 {
 		t.Fatalf("child trace has %d hops", len(tr))
 	}

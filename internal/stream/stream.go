@@ -375,7 +375,7 @@ func (nd *Node) openEpoch(e uint32, now time.Time, catchup bool) *epochState {
 	if e >= nd.next {
 		nd.next = e + 1
 	}
-	nd.cfg.Gauges.EpochOpened()
+	nd.cfg.Gauges.LiveEpochs(nd.liveOpen())
 	if catchup {
 		for stg := 0; stg < nd.cfg.Eta; stg++ {
 			nd.injectStage(st, stg)
@@ -476,6 +476,7 @@ func (nd *Node) step(now time.Time) {
 			// and wait: a rejoiner's late injection can still revive
 			// and complete this round.
 			st.stalled = true
+			nd.cfg.Gauges.LiveEpochs(nd.liveOpen())
 		}
 		// Epochs that fell out of the retain horizon can never be
 		// revived (peers have dropped their stores); fail them.
@@ -809,6 +810,7 @@ func (nd *Node) finalize(st *epochState, completed bool, now time.Time) {
 		}
 	}
 	delete(nd.open, st.epoch)
+	nd.cfg.Gauges.LiveEpochs(nd.liveOpen())
 	res := EpochResult{
 		Epoch:     st.epoch,
 		Node:      nd.cfg.Self,
