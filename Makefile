@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race vet fmt-check transport-deps bench bench-engine bench-fault fuzz smoke-engine sharded-quick recovery-quick oracle-quick families-quick transport-quick soak-quick perfbench-check q14-smoke verify
+.PHONY: all build test race vet fmt-check transport-deps bench bench-engine bench-fault fuzz smoke-engine sharded-quick recovery-quick oracle-quick families-quick transport-quick soak-quick launch-seeds perfbench-check q14-smoke verify
 
 all: verify
 
@@ -183,6 +183,30 @@ transport-quick:
 # job.
 soak-quick:
 	$(GO) run ./cmd/ihcd -soak -deadline 60s
+
+# Launch reliability, outside verify: build ihcd once, run the chaos
+# `ihcd -launch` REPEAT times at every seed in SEEDS, print each seed's
+# tally and the total, keep every failing launch's log in a temporary
+# directory (named on exit) and exit non-zero if any launch failed.
+# Chaos launches are timing-sensitive, so read every failing log, e.g.
+#   make launch-seeds REPEAT=100
+#   make launch-seeds SEEDS="$(seq 101 120)" REPEAT=1
+SEEDS ?= 99
+REPEAT ?= 10
+launch-seeds:
+	@tmp=$$(mktemp -d); $(GO) build -o $$tmp/ihcd ./cmd/ihcd || exit 1; \
+	total=0; failed=0; \
+	for s in $(SEEDS); do pass=0; \
+		for i in $$(seq $(REPEAT)); do total=$$((total+1)); log=$$tmp/seed$$s-$$i.log; \
+			if $$tmp/ihcd -launch -seed $$s -deadline 60s >$$log 2>&1; then pass=$$((pass+1)); rm $$log; \
+			else failed=$$((failed+1)); fi; \
+		done; \
+		echo "launch-seeds: seed $$s: $$pass of $(REPEAT) passed"; \
+	done; \
+	echo "launch-seeds: $$((total-failed)) of $$total chaos launches passed"; \
+	rm $$tmp/ihcd; \
+	if [ $$failed -gt 0 ]; then echo "launch-seeds: failing logs in $$tmp"; exit 1; fi; \
+	rmdir $$tmp
 
 # The benchmark (perfbench/) is a module of its own, so `go build ./...`
 # and `go test ./...` never compile it: vet it and run its self-test

@@ -14,7 +14,7 @@
 //	faultcamp -quick                   # smaller budgets (seconds)
 //	faultcamp -topo sq4,h3 -samples 20000
 //	faultcamp -repair                  # also sweep the self-healing frontier
-//	faultcamp -oracle                  # pre-flight: verify fault-free invariants per topology
+//	faultcamp -oracle                  # pre-flight: conformance.Check on each topology
 //	faultcamp -cpuprofile cpu.pprof -memprofile mem.pprof
 package main
 
@@ -33,13 +33,12 @@ import (
 	"time"
 
 	"ihc/internal/campaign"
+	"ihc/internal/conformance"
 	"ihc/internal/core"
 	"ihc/internal/fault"
 	"ihc/internal/hamilton"
-	"ihc/internal/observe"
 	"ihc/internal/par"
 	"ihc/internal/profiling"
-	"ihc/internal/simnet"
 )
 
 type report struct {
@@ -75,7 +74,7 @@ func main() {
 		seed    = flag.Int64("seed", 1, "campaign seed (sampling and Byzantine coins)")
 		quick   = flag.Bool("quick", false, "shrink budgets so the campaign runs in seconds")
 		repairF = flag.Bool("repair", false, "also sweep the broken-link frontier with the self-healing layer on; fail unless it beats the static γ bound")
-		oracleF = flag.Bool("oracle", false, "pre-flight each topology fault-free under the live theorem oracle before the campaign")
+		oracleF = flag.Bool("oracle", false, "pre-flight each topology through the conformance battery (live theorem oracle included) before the campaign")
 		out     = flag.String("o", "BENCH_fault.json", "output file (\"-\" for stdout)")
 		cpuProf = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memProf = flag.String("memprofile", "", "write a heap profile to this file on exit")
@@ -109,6 +108,20 @@ func main() {
 		if err != nil {
 			fail(err)
 		}
+		if *oracleF {
+			// Pre-flight: a topology whose fault-free run violates the
+			// paper's invariants would make every frontier below
+			// meaningless, so run its registry instance through the
+			// conformance battery before spending the campaign budget.
+			in, err := hamilton.Parse(g.Name())
+			if err != nil {
+				fail(err)
+			}
+			if err := conformance.Check(in); err != nil {
+				fail(fmt.Errorf("conformance pre-flight on %s: %w", g.Name(), err))
+			}
+			fmt.Printf("%-4s conformance pre-flight passed (fault-free oracle, γ=%d copies, zero contention)\n", g.Name(), in.Gamma)
+		}
 		cycles, err := hamilton.Decompose(g)
 		if err != nil {
 			fail(err)
@@ -134,20 +147,6 @@ func main() {
 			jobs = append(jobs, job{campaign.Point{
 				X: x, Signed: s.signed, Domain: s.domain, Kind: s.kind, Seed: *seed,
 			}, s.tMax})
-		}
-	}
-
-	if *oracleF {
-		// Pre-flight: a topology whose fault-free run violates the
-		// paper's invariants would make every frontier below meaningless,
-		// so verify each one under the live oracle before spending the
-		// campaign budget on it.
-		for _, tgt := range repairTargets {
-			if err := preflight(tgt.x); err != nil {
-				fail(fmt.Errorf("fault-free pre-flight on %s: %w", tgt.name, err))
-			}
-			fmt.Printf("%-4s fault-free oracle pre-flight passed (γ=%d copies, zero contention)\n",
-				tgt.name, tgt.x.Gamma())
 		}
 	}
 
@@ -272,33 +271,6 @@ func main() {
 			len(frontiers), len(jobs), *out)
 		os.Exit(3)
 	}
-}
-
-// preflight runs one fault-free IHC execution under the full theorem
-// oracle: contention-free (η = μ where N mod μ = 0, else η = μ = 1),
-// every copy on its compiled cycle, FIFO occupancy ≤ μ, and γ
-// edge-disjoint copies per (receiver, source) pair.
-func preflight(x *core.IHC) error {
-	p := simnet.Params{}.Defaulted()
-	eta := p.Mu
-	n := x.N()
-	if n%eta != 0 {
-		// Wrap-seam topologies (odd N): verify in the Theorem 4 regime.
-		p.Mu, eta = 1, 1
-	}
-	orc, err := observe.NewOracle(observe.OracleConfig{
-		X: x, Params: p, Eta: eta,
-		ExpectContentionFree: true,
-		ExpectFinish:         -1,
-		ExpectCopies:         x.Gamma(),
-	})
-	if err != nil {
-		return err
-	}
-	if _, err := x.Run(core.Config{Eta: eta, Params: p, SkipCopies: true, Observe: orc}); err != nil {
-		return err
-	}
-	return orc.Finalize()
 }
 
 func fail(err error) {

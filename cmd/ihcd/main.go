@@ -31,9 +31,18 @@
 //	ihcd -soak -epochs 24 -period 150ms
 //
 // It prints the streaming gauges (throughput, shed counts, latency
-// percentiles) and exits nonzero unless every node completed every
-// epoch with the exact γ-copy ledger postcondition and no node held
+// percentiles) and exits nonzero unless cluster.Result.Verify passes:
+// every node completed every epoch with the exact γ-copy ledger
+// postcondition, no high-priority payload was shed, and no node held
 // more than stream.MaxInflight live epochs open at once.
+//
+// ihcd is a thin CLI over internal/cluster: the chaos round
+// (cluster.ChaosRound) and the soak (cluster.Soak) are declared there,
+// a launch binds its listeners, proxies and address books with
+// cluster.Wire, and every daemon builds its node with
+// cluster.Config.NodeConfig, as cluster.Run does for each of its
+// nodes. Every mode runs stream.Config's default timing and repair
+// settings.
 //
 // Both -launch and -soak accept -deadline: a hard wall-clock budget
 // enforced by a watchdog that kills any child processes and exits 4.
@@ -60,11 +69,8 @@ import (
 	"ihc/internal/chaos"
 	"ihc/internal/cluster"
 	"ihc/internal/core"
-	"ihc/internal/fault"
 	"ihc/internal/hamilton"
-	"ihc/internal/observe"
 	"ihc/internal/reliable"
-	"ihc/internal/simnet"
 	"ihc/internal/stream"
 	"ihc/internal/topology"
 	"ihc/internal/transport"
@@ -131,12 +137,8 @@ func main() {
 		listen    = flag.String("listen", "127.0.0.1:0", "listen address (daemon mode)")
 		peersPath = flag.String("peers", "", "path to the JSON neighbor address book (daemon mode)")
 		epochNano = flag.Int64("epoch", 0, "cluster epoch: wall-clock start of stage 0, Unix nanoseconds")
-		stageDur  = flag.Duration("stage-dur", 50*time.Millisecond, "wall-clock length of one schedule stage")
-		hopLat    = flag.Duration("hop-latency", time.Millisecond, "expected per-hop relay latency (deadline model)")
-		slack     = flag.Duration("slack", 100*time.Millisecond, "deadline slack before the first repair pull")
 		keySeed   = flag.Int64("key-seed", 7, "HMAC keyring master seed")
 		seed      = flag.Int64("seed", 99, "chaos / retry-jitter seed")
-		maxAtt    = flag.Int("max-attempts", 30, "repair pulls per missing copy before giving up")
 		timeout   = flag.Duration("timeout", 30*time.Second, "round timeout")
 		soak      = flag.Bool("soak", false, "stream pipelined epochs over loopback with kill/restart + partition chaos")
 		epochs    = flag.Int("epochs", 24, "soak mode: epochs to stream")
@@ -151,12 +153,10 @@ func main() {
 	}
 	// The node template every mode runs: a daemon directly, the soak
 	// through cluster.Run, a launch through the flags it hands its
-	// children.
+	// children. Timing and repair take stream.Config's defaults.
 	tmpl := stream.Config{
 		IHC: x, Eta: *eta,
-		StageDur: *stageDur, HopLatency: *hopLat, Slack: *slack,
-		Retry:       transport.BackoffConfig{Base: 10 * time.Millisecond, Max: 150 * time.Millisecond, Factor: 1.6, Jitter: 0.2, Seed: *seed},
-		MaxAttempts: *maxAtt,
+		Retry: transport.BackoffConfig{Base: 10 * time.Millisecond, Max: 150 * time.Millisecond, Factor: 1.6, Jitter: 0.2, Seed: *seed},
 	}
 	wd := &watchdog{}
 	if *soak {
@@ -171,7 +171,7 @@ func main() {
 	if *node < 0 {
 		fail("daemon mode needs -node (or use -launch)")
 	}
-	os.Exit(runDaemon(tmpl, *node, *listen, *peersPath, *epochNano, *keySeed, *seed, *timeout))
+	os.Exit(runDaemon(tmpl, topology.Node(*node), *listen, *peersPath, *epochNano, *keySeed, *timeout))
 }
 
 func buildIHC(m int) (*core.IHC, error) {
@@ -189,8 +189,8 @@ func buildIHC(m int) (*core.IHC, error) {
 // ---------------------------------------------------------------------------
 // Daemon mode
 
-func runDaemon(node stream.Config, self int, listen, peersPath string, epochNano int64, keySeed, seed int64, timeout time.Duration) int {
-	x := node.IHC
+func runDaemon(tmpl stream.Config, self topology.Node, listen, peersPath string, epochNano, keySeed int64, timeout time.Duration) int {
+	x := tmpl.IHC
 	if peersPath == "" {
 		fail("daemon mode needs -peers")
 	}
@@ -198,17 +198,9 @@ func runDaemon(node stream.Config, self int, listen, peersPath string, epochNano
 	if err != nil {
 		fail("read peers: %v", err)
 	}
-	var book map[string]string
+	var book map[topology.Node]string
 	if err := json.Unmarshal(raw, &book); err != nil {
 		fail("parse peers: %v", err)
-	}
-	peers := make(map[topology.Node]string, len(book))
-	for k, addr := range book {
-		id, err := strconv.Atoi(k)
-		if err != nil {
-			fail("peers: bad node id %q", k)
-		}
-		peers[topology.Node(id)] = addr
 	}
 	epoch := time.Unix(0, epochNano)
 	if epochNano == 0 {
@@ -219,27 +211,15 @@ func runDaemon(node stream.Config, self int, listen, peersPath string, epochNano
 	if err != nil {
 		fail("listen %s: %v", listen, err)
 	}
-	ep, err := transport.NewTCP(transport.TCPConfig{
-		Self:     topology.Node(self),
-		Graph:    x.Graph(),
-		Listener: ln,
-		Peers:    peers,
-		Dial:     transport.BackoffConfig{Seed: seed + int64(self) + 1},
-	})
+	ep, err := transport.NewTCP(transport.TCPConfig{Self: self, Graph: x.Graph(), Listener: ln, Peers: book})
 	if err != nil {
 		fail("%v", err)
 	}
 	defer ep.Close()
 
-	// One round is a one-epoch stream.
-	node.Self = topology.Node(self)
-	node.Endpoint = ep
-	node.Keyring = reliable.NewKeyring(x.N(), keySeed)
-	node.Epoch0 = epoch
-	node.Retry.Seed = seed*31 + int64(self) + 1
-	node.Epochs = 1
-	node.Payload = func(uint32) []byte { return reliable.TruthPayload(topology.Node(self)) }
-	nd, err := stream.NewNode(node)
+	// One round is a one-epoch stream, built as cluster.Run builds each
+	// of its nodes.
+	nd, err := stream.NewNode(cluster.Config{Node: tmpl}.NodeConfig(self, ep, reliable.NewKeyring(x.N(), keySeed), epoch))
 	if err != nil {
 		fail("%v", err)
 	}
@@ -259,7 +239,7 @@ func runDaemon(node stream.Config, self int, listen, peersPath string, epochNano
 		round = res.Epochs[0]
 	}
 	out := result{
-		Node:      self,
+		Node:      int(self),
 		OK:        runErr == nil && round.Completed && round.LedgerErr == nil,
 		Exhausted: (x.N() - 1) * x.Gamma(),
 		Repaired:  round.Repaired,
@@ -308,49 +288,15 @@ func runDaemon(node stream.Config, self int, listen, peersPath string, epochNano
 // ---------------------------------------------------------------------------
 // Soak mode
 
-// runSoak streams pipelined epochs over the in-process loopback mesh
-// under the full chaos script: background drop/dup/corrupt/delay on
-// every link, one partition window, and one node killed with zero
-// notice mid-stream and restarted cold — it must rediscover the epoch
-// via the JOIN handshake and catch up through the pull planner. The
-// verdict requires every node to complete every epoch with the exact
-// γ-copy ledger postcondition, zero high-priority sheds, and no node
-// above stream.MaxInflight live epochs.
-func runSoak(node stream.Config, keySeed, seed int64, timeout time.Duration) int {
-	x, period := node.IHC, node.Period
-	// The fault script scales with the cadence: kill after 4 epochs,
-	// stay down ~3, partition a non-victim link while the rejoiner is
-	// catching up.
-	killAt := 4 * period
-	downFor := 3 * period
-	partFrom := 9 * period
-	partFor := 3 * period
-	// The load deliberately outruns the low-priority token bucket
-	// (~250 low/s offered against 200/s admitted), so the soak also
-	// exercises overload shedding — which must hit ONLY the low class;
-	// one shed high-priority payload fails the verdict.
-	node.Ingress = stream.IngressConfig{Rate: 200, Burst: 50}
-	node.Drain = 10 * time.Second
-	node.Gauges = &observe.StreamGauges{}
-	cfg := cluster.Config{
-		Node:    node,
-		KeySeed: keySeed,
-		Timeout: timeout,
-		Chaos: &chaos.Config{
-			Seed:     seed,
-			DropRate: 0.02, DupRate: 0.02, CorruptRate: 0.01, DelayRate: 0.05,
-			TickDur: time.Millisecond,
-			Plan: &fault.TemporalPlan{Links: []fault.LinkFault{{
-				U: 1, V: 3,
-				From:  simnet.Time(partFrom / time.Millisecond),
-				Until: simnet.Time((partFrom + partFor) / time.Millisecond),
-			}}},
-		},
-		Load: cluster.LoadSpec{Interval: 3 * time.Millisecond, Bytes: 64, HighEvery: 4},
-		Kill: &cluster.KillSpec{Node: 6, At: killAt, Downtime: downFor},
-	}
-	fmt.Printf("ihcd: soaking %s: %d epochs @ %s, ≤%d inflight; kill node 6 at %s for %s, partition {1,3} at %s for %s\n",
-		x.Graph().Name(), node.Epochs, period, stream.MaxInflight, killAt, downFor, partFrom, partFor)
+// runSoak runs cluster.Soak on the template's epochs and period and
+// prints its gauges and verdict.
+func runSoak(tmpl stream.Config, keySeed, seed int64, timeout time.Duration) int {
+	cfg := cluster.Soak(tmpl, seed)
+	cfg.KeySeed, cfg.Timeout = keySeed, timeout
+	k, part, tick := cfg.Kill, cfg.Chaos.Plan.Links[0], cfg.Chaos.TickDur
+	fmt.Printf("ihcd: soaking %s: %d epochs @ %s, ≤%d inflight; kill node %d at %s for %s, partition {%d,%d} at %s for %s\n",
+		tmpl.IHC.Graph().Name(), tmpl.Epochs, tmpl.Defaulted().Period, stream.MaxInflight, k.Node, k.At, k.Downtime,
+		part.U, part.V, time.Duration(part.From)*tick, time.Duration(part.Until-part.From)*tick)
 
 	sigCtx, stopSignals := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stopSignals()
@@ -364,12 +310,9 @@ func runSoak(node stream.Config, keySeed, seed int64, timeout time.Duration) int
 	snap := res.Snapshot
 	fmt.Print(snap.Summary())
 	verdictErr := res.Verify()
-	if verdictErr == nil && snap.PeakInflight > stream.MaxInflight {
-		verdictErr = fmt.Errorf("a node held %d live epochs open, above the cap of %d", snap.PeakInflight, stream.MaxInflight)
-	}
 	out := map[string]any{
 		"ok":       verdictErr == nil,
-		"epochs":   node.Epochs,
+		"epochs":   tmpl.Epochs,
 		"elapsed":  elapsed.String(),
 		"naks":     res.NaksSent,
 		"snapshot": snap,
@@ -384,7 +327,7 @@ func runSoak(node stream.Config, keySeed, seed int64, timeout time.Duration) int
 		return 1
 	}
 	fmt.Printf("ihcd: soak complete in %s: all %d nodes completed %d epochs (γ-copy exact), %d caught up after the kill, 0 high-priority sheds\n",
-		elapsed.Round(time.Millisecond), x.N(), node.Epochs, snap.EpochsCaughtUp)
+		elapsed.Round(time.Millisecond), tmpl.IHC.N(), tmpl.Epochs, snap.EpochsCaughtUp)
 	return 0
 }
 
@@ -412,11 +355,10 @@ func launchErr(format string, args ...any) int {
 	return 1
 }
 
-func runLaunch(node stream.Config, m int, faultfree bool, keySeed, seed int64, timeout time.Duration, wd *watchdog) int {
-	x := node.IHC
-	g := x.Graph()
+func runLaunch(tmpl stream.Config, m int, faultfree bool, keySeed, seed int64, timeout time.Duration, wd *watchdog) int {
+	g := tmpl.IHC.Graph()
 	n := g.N()
-	gamma := x.Gamma()
+	gamma := tmpl.IHC.Gamma()
 	self, err := os.Executable()
 	if err != nil {
 		fail("locate own binary: %v", err)
@@ -425,63 +367,22 @@ func runLaunch(node stream.Config, m int, faultfree bool, keySeed, seed int64, t
 	sigCtx, stopSignals := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stopSignals()
 
-	// Reserve one listener address per node. The listeners stay bound
-	// until the proxy mesh has its ports, so the kernel cannot hand a
-	// proxy a node's port; they close just before the children start
-	// and re-bind them.
-	realAddrs := make(map[topology.Node]string, n)
-	reserved := make([]net.Listener, n)
-	for v := 0; v < n; v++ {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			fail("reserve port: %v", err)
-		}
-		realAddrs[topology.Node(v)] = ln.Addr().String()
-		reserved[v] = ln
-	}
-
 	epoch := time.Now().Add(1500 * time.Millisecond)
-
-	// The chaos scenario: partition link {1,3} for stages [1,4) and
-	// crash node 6 one stage in — after its own stage-0 injections
-	// (η=2 puts every even-position node in stage 0) have propagated,
-	// so survivors still owe each other γ copies of all N sources.
 	var plan *chaos.Plan
 	crashes := map[topology.Node]time.Duration{}
-	peerAddrs := func(v topology.Node) map[topology.Node]string {
-		out := make(map[topology.Node]string)
-		for _, nb := range g.Neighbors(v) {
-			out[nb] = realAddrs[nb]
-		}
-		return out
-	}
 	if !faultfree {
-		plan, err = chaos.NewPlan(chaos.Config{
-			Graph: g,
-			Plan: &fault.TemporalPlan{
-				Nodes: []fault.NodeFault{{Node: 6, Kind: fault.Crash, At: 1}},
-				Links: []fault.LinkFault{{U: 1, V: 3, From: 1, Until: 4}},
-			},
-			TickDur:     node.StageDur, // plan ticks are whole stages
-			Seed:        seed,
-			DropRate:    0.05,
-			DupRate:     0.05,
-			CorruptRate: 0.03,
-			DelayRate:   0.1,
-			MaxDelay:    3 * time.Millisecond,
-			Epoch:       epoch,
-		})
-		if err != nil {
+		cc := cluster.ChaosRound(tmpl, seed)
+		cc.Graph, cc.Epoch = g, epoch
+		if plan, err = chaos.NewPlan(*cc); err != nil {
 			fail("%v", err)
 		}
-		pm, err := chaos.NewProxyMesh(plan, realAddrs)
-		if err != nil {
-			fail("%v", err)
-		}
-		defer pm.Close()
-		peerAddrs = pm.Addrs
 		crashes = plan.Crashes()
 	}
+	w, err := cluster.Wire(g, plan)
+	if err != nil {
+		fail("%v", err)
+	}
+	defer w.Close()
 
 	// Per-child address books.
 	dir, err := os.MkdirTemp("", "ihcd-launch-")
@@ -496,17 +397,17 @@ func runLaunch(node stream.Config, m int, faultfree bool, keySeed, seed int64, t
 			c.cmd.Process.Kill()
 		}
 	}()
-	for _, ln := range reserved {
+	// Each child binds its node's address itself: close the listeners
+	// Wire holds for them just before the children start.
+	listen := make([]string, n)
+	for v, ln := range w.Listeners {
+		listen[v] = ln.Addr().String()
 		ln.Close()
 	}
 	reports := make(chan report, 2*n)
 	for v := 0; v < n; v++ {
 		nodeID := topology.Node(v)
-		book := make(map[string]string)
-		for nb, addr := range peerAddrs(nodeID) {
-			book[strconv.Itoa(int(nb))] = addr
-		}
-		raw, _ := json.Marshal(book)
+		raw, _ := json.Marshal(w.Books[v])
 		path := fmt.Sprintf("%s/peers-%d.json", dir, v)
 		if err := os.WriteFile(path, raw, 0o644); err != nil {
 			return launchErr("%v", err)
@@ -514,16 +415,12 @@ func runLaunch(node stream.Config, m int, faultfree bool, keySeed, seed int64, t
 		cmd := exec.Command(self,
 			"-node", strconv.Itoa(v),
 			"-m", strconv.Itoa(m),
-			"-eta", strconv.Itoa(node.Eta),
-			"-listen", realAddrs[nodeID],
+			"-eta", strconv.Itoa(tmpl.Eta),
+			"-listen", listen[v],
 			"-peers", path,
 			"-epoch", strconv.FormatInt(epoch.UnixNano(), 10),
-			"-stage-dur", node.StageDur.String(),
-			"-hop-latency", node.HopLatency.String(),
-			"-slack", node.Slack.String(),
 			"-key-seed", strconv.FormatInt(keySeed, 10),
 			"-seed", strconv.FormatInt(seed, 10),
-			"-max-attempts", strconv.Itoa(node.MaxAttempts),
 			"-timeout", timeout.String(),
 		)
 		cmd.Stderr = os.Stderr
@@ -631,7 +528,7 @@ func runLaunch(node stream.Config, m int, faultfree bool, keySeed, seed int64, t
 		}
 		graded.Nodes[v] = []stream.EpochResult{{Node: v, Completed: true, Copies: copies}}
 	}
-	if err := cluster.CompareWithSimnet(node.IHC, node.Eta, graded); err != nil {
+	if err := cluster.CompareWithSimnet(tmpl.IHC, tmpl.Eta, graded); err != nil {
 		fmt.Fprintf(os.Stderr, "ihcd: %v\n", err)
 		violations++
 	} else if faultfree && violations == 0 {

@@ -87,7 +87,7 @@ func NewPlan(cfg Config) (*Plan, error) {
 		return nil, fmt.Errorf("chaos: plan requires a graph")
 	}
 	for _, r := range []float64{cfg.DropRate, cfg.DupRate, cfg.CorruptRate, cfg.DelayRate} {
-		if r < 0 || r > 1 {
+		if !(r >= 0 && r <= 1) { // NaN fails both
 			return nil, fmt.Errorf("chaos: rate %v outside [0,1]", r)
 		}
 	}

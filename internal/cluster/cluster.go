@@ -4,8 +4,11 @@
 // renders the per-node, per-epoch γ-copy verdicts. A run streams
 // Epochs rounds; the default of one is a one-shot ATA round. It is the
 // harness behind the transport and streaming tests, `ihcd -soak` and
-// `make transport-quick`; `ihcd -launch` runs the same protocol as one
-// OS process per node and grades it with CompareWithSimnet.
+// `make transport-quick`. `ihcd -launch` runs the same protocol as one
+// OS process per node: it binds its sockets with Wire, each daemon
+// builds its node with NodeConfig, and the launcher grades the round
+// with CompareWithSimnet. The chaos round (ChaosRound) and the soak
+// (Soak) are declared once, here, for the CLI and the tests alike.
 //
 // The harness can also kill a node mid-run, as close to SIGKILL as an
 // in-process cluster gets: its context is cancelled with zero notice,
@@ -28,6 +31,7 @@ import (
 
 	"ihc/internal/chaos"
 	"ihc/internal/core"
+	"ihc/internal/hlc"
 	"ihc/internal/observe"
 	"ihc/internal/reliable"
 	"ihc/internal/simnet"
@@ -42,13 +46,9 @@ const setupDelay = 100 * time.Millisecond
 
 // Config shapes one cluster run.
 type Config struct {
-	// Node is every node's stream.Config. Run copies it per node and
-	// owns Self, Endpoint, Keyring, Epoch0, Join, Clock and Payload:
-	// each node lifetime gets its own clock, and when Load is zero node
-	// v injects reliable.TruthPayload(v) every epoch, as in a one-shot
-	// round. Retry is seeded per node and also shapes (TCP) reconnect
-	// dialing. Epochs defaults to 1; every other zero field takes
-	// stream.Config's default.
+	// Node is every node's stream.Config template; NodeConfig turns it
+	// into node v's config, and Run owns Join besides. Epochs defaults
+	// to 1; every other zero field takes stream.Config's default.
 	Node stream.Config
 	// KeySeed derives the cluster's HMAC keyring.
 	KeySeed int64
@@ -144,7 +144,8 @@ type Result struct {
 //   - the killed node (if any) completed every epoch too, across its
 //     two lifetimes — pre-kill live rounds plus post-rejoin catch-up —
 //     with at least one catch-up completion proving the rejoin path ran;
-//   - no node's run failed, and no high-priority payload was shed.
+//   - no node's run failed, no high-priority payload was shed, and no
+//     node held more than stream.MaxInflight live epochs open at once.
 func (r *Result) Verify() error {
 	if len(r.Nodes) == 0 {
 		return fmt.Errorf("cluster: no surviving nodes")
@@ -183,6 +184,9 @@ func (r *Result) Verify() error {
 	if r.Snapshot.ShedHigh > 0 {
 		return fmt.Errorf("cluster: %d high-priority payloads shed", r.Snapshot.ShedHigh)
 	}
+	if p := r.Snapshot.PeakInflight; p > stream.MaxInflight {
+		return fmt.Errorf("cluster: a node held %d live epochs open, above the cap of %d", p, stream.MaxInflight)
+	}
 	return nil
 }
 
@@ -220,44 +224,14 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 	}()
 
 	if cfg.TCP {
-		// Pre-bind every listener so the address book (and the proxy
-		// mesh in front of it) exists before any node starts.
-		listeners := make(map[topology.Node]net.Listener, n)
-		realAddrs := make(map[topology.Node]string, n)
+		w, err := Wire(g, plan)
+		if err != nil {
+			return nil, err
+		}
+		closers = append(closers, w.Close)
 		for v := 0; v < n; v++ {
-			ln, err := net.Listen("tcp", "127.0.0.1:0")
-			if err != nil {
-				return nil, fmt.Errorf("cluster: bind node %d: %w", v, err)
-			}
-			listeners[topology.Node(v)] = ln
-			realAddrs[topology.Node(v)] = ln.Addr().String()
-		}
-		peerAddrs := func(v topology.Node) map[topology.Node]string {
-			out := make(map[topology.Node]string)
-			for _, nb := range g.Neighbors(v) {
-				out[nb] = realAddrs[nb]
-			}
-			return out
-		}
-		if plan != nil {
-			pm, err := chaos.NewProxyMesh(plan, realAddrs)
-			if err != nil {
-				for _, ln := range listeners {
-					ln.Close()
-				}
-				return nil, err
-			}
-			closers = append(closers, func() { pm.Close() })
-			peerAddrs = pm.Addrs
-		}
-		for v := 0; v < n; v++ {
-			node := topology.Node(v)
 			ep, err := transport.NewTCP(transport.TCPConfig{
-				Self:     node,
-				Graph:    g,
-				Listener: listeners[node],
-				Peers:    peerAddrs(node),
-				Dial:     cfg.Node.Retry,
+				Self: topology.Node(v), Graph: g, Listener: w.Listeners[v], Peers: w.Books[v],
 			})
 			if err != nil {
 				return nil, fmt.Errorf("cluster: node %d endpoint: %w", v, err)
@@ -295,8 +269,8 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 	results := make(chan outcome, n+1)
 	var wg sync.WaitGroup
 
-	// startLoad feeds nd's ingress until its lifetime ends.
-	startLoad := func(nd *stream.Node, life context.Context) {
+	// startLoad feeds nd's ingress until load is cancelled.
+	startLoad := func(nd *stream.Node, load context.Context) {
 		if cfg.Load.Interval <= 0 {
 			return
 		}
@@ -308,7 +282,7 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 			i := 0
 			for {
 				select {
-				case <-life.Done():
+				case <-load.Done():
 					return
 				case <-tick.C:
 					i++
@@ -329,29 +303,22 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 	// start runs one lifetime of node v and returns the func that ends
 	// it with zero notice.
 	start := func(v topology.Node, join bool) (func(), error) {
-		sc := cfg.Node
-		sc.Self = v
-		sc.Endpoint = endpoints[v]
-		sc.Keyring = keyring
-		sc.Epoch0 = epoch0
+		sc := cfg.NodeConfig(v, endpoints[v], keyring, epoch0)
 		sc.Join = join
-		sc.Retry = seededFor(sc.Retry, v)
-		sc.Clock = nil // NewNode gives each lifetime its own
-		sc.Payload = nil
-		if cfg.Load.Interval <= 0 {
-			sc.Payload = func(uint32) []byte { return reliable.TruthPayload(v) }
-		}
 		nd, err := stream.NewNode(sc)
 		if err != nil {
 			return nil, fmt.Errorf("cluster: node %d: %w", v, err)
 		}
 		life, stopRun := context.WithCancel(runCtx)
 		serve, stopServe := context.WithCancel(serveCtx)
-		startLoad(nd, life)
+		load, stopLoad := context.WithCancel(life)
+		startLoad(nd, load)
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			res, err := nd.Run(life)
+			// A finished stream takes no more client load.
+			stopLoad()
 			results <- outcome{node: v, res: res, err: err}
 			// Keep answering pulls and JOINs: a finished (or even a
 			// partially failed) node may be a straggler's only
@@ -457,8 +424,86 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 	return res, nil
 }
 
-// seededFor decorrelates per-node retry jitter while keeping the whole
-// cluster deterministic under one seed.
+// NodeConfig turns the template c.Node into node v's stream.Config:
+// Self, Endpoint, Keyring and Epoch0 as given, Retry seeded for v by
+// seededFor, a fresh Clock, and at least one epoch. With no Load, node
+// v injects reliable.TruthPayload(v) every epoch, as a one-shot round
+// does; otherwise its ingress feeds each epoch. Run builds every node
+// lifetime with it, and an ihcd daemon its one node.
+func (c Config) NodeConfig(v topology.Node, ep transport.Endpoint, kr *reliable.Keyring, epoch0 time.Time) stream.Config {
+	sc := c.defaulted().Node
+	sc.Self, sc.Endpoint, sc.Keyring, sc.Epoch0 = v, ep, kr, epoch0
+	sc.Retry = seededFor(sc.Retry, v)
+	sc.Clock = hlc.New()
+	sc.Payload = nil
+	if c.Load.Interval <= 0 {
+		sc.Payload = func(uint32) []byte { return reliable.TruthPayload(v) }
+	}
+	return sc
+}
+
+// Wiring is a TCP cluster's sockets before any node starts: one bound
+// listener per node and each node's address book, mapping every
+// neighbor to its listener or, under a chaos plan, to the proxy on
+// that arc.
+type Wiring struct {
+	Listeners []net.Listener
+	Books     []map[topology.Node]string
+	proxies   *chaos.ProxyMesh
+}
+
+// Wire binds a loopback listener for every node of g and, when plan is
+// non-nil, a chaos proxy for every arc, then renders the address
+// books. The listeners stay bound until the proxies have their ports,
+// so no proxy can take a node's port. Close releases everything Wire
+// bound; closing a listener an endpoint already closed is harmless.
+func Wire(g *topology.Graph, plan *chaos.Plan) (*Wiring, error) {
+	n := g.N()
+	w := &Wiring{Listeners: make([]net.Listener, 0, n), Books: make([]map[topology.Node]string, n)}
+	addrs := make(map[topology.Node]string, n)
+	for v := 0; v < n; v++ {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			w.Close()
+			return nil, fmt.Errorf("cluster: bind node %d: %w", v, err)
+		}
+		w.Listeners = append(w.Listeners, ln)
+		addrs[topology.Node(v)] = ln.Addr().String()
+	}
+	book := func(v topology.Node) map[topology.Node]string {
+		out := make(map[topology.Node]string)
+		for _, nb := range g.Neighbors(v) {
+			out[nb] = addrs[nb]
+		}
+		return out
+	}
+	if plan != nil {
+		pm, err := chaos.NewProxyMesh(plan, addrs)
+		if err != nil {
+			w.Close()
+			return nil, err
+		}
+		w.proxies, book = pm, pm.Addrs
+	}
+	for v := range w.Books {
+		w.Books[v] = book(topology.Node(v))
+	}
+	return w, nil
+}
+
+// Close closes every proxy and listener Wire bound.
+func (w *Wiring) Close() {
+	if w.proxies != nil {
+		w.proxies.Close()
+	}
+	for _, ln := range w.Listeners {
+		ln.Close()
+	}
+}
+
+// seededFor is the one per-node retry-seed rule: it decorrelates
+// per-node retry jitter while keeping the whole cluster deterministic
+// under one seed.
 func seededFor(b transport.BackoffConfig, v topology.Node) transport.BackoffConfig {
 	if b.Seed != 0 {
 		b.Seed = b.Seed*6364136223846793005 + int64(v) + 1

@@ -141,7 +141,6 @@ type loopEndpoint struct {
 	stats EndpointStats
 }
 
-func (e *loopEndpoint) Self() topology.Node         { return e.self }
 func (e *loopEndpoint) Recv() <-chan []byte         { return e.inbox }
 func (e *loopEndpoint) Close() error                { return nil }
 func (e *loopEndpoint) PeerDown(topology.Node) bool { return false }

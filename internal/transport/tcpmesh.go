@@ -25,9 +25,6 @@ type TCPConfig struct {
 	// normally point at the peer's listener; the chaos harness points
 	// them at per-link fault proxies instead.
 	Peers map[topology.Node]string
-	// Dial shapes the reconnect backoff; zero fields take
-	// BackoffConfig's defaults.
-	Dial BackoffConfig
 }
 
 // TCPNode is the tcpmesh Endpoint: one node's live attachment, with a
@@ -84,17 +81,14 @@ func NewTCP(cfg TCPConfig) (*TCPNode, error) {
 		done:  make(chan struct{}),
 	}
 	for _, nb := range cfg.Graph.Neighbors(cfg.Self) {
-		bo := cfg.Dial
-		if bo.Seed != 0 {
-			// Decorrelate per-peer jitter while keeping runs seeded.
-			bo.Seed = bo.Seed*1000003 + int64(nb) + 1
-		}
 		p := &tcpPeer{
 			node:    nb,
 			addr:    cfg.Peers[nb],
 			queue:   make(chan []byte, queueLen),
 			breaker: NewBreaker(),
-			backoff: NewBackoff(bo),
+			// Every arc redials on BackoffConfig's defaults, its
+			// jitter seeded by the arc alone.
+			backoff: NewBackoff(BackoffConfig{Seed: int64(cfg.Self)*int64(cfg.Graph.N()) + int64(nb) + 1}),
 		}
 		n.peers[nb] = p
 		n.wg.Add(1)
@@ -108,7 +102,6 @@ func NewTCP(cfg TCPConfig) (*TCPNode, error) {
 // Addr returns the listener's bound address.
 func (n *TCPNode) Addr() string { return n.ln.Addr().String() }
 
-func (n *TCPNode) Self() topology.Node { return n.cfg.Self }
 func (n *TCPNode) Recv() <-chan []byte { return n.inbox }
 
 // PeerDown reports whether the neighbor's circuit breaker is refusing

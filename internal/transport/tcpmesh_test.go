@@ -26,7 +26,6 @@ func newPair(t *testing.T) (*TCPNode, *TCPNode, *topology.Graph) {
 	a, err := NewTCP(TCPConfig{
 		Self: 0, Graph: g, Listener: lnA,
 		Peers: map[topology.Node]string{1: lnB.Addr().String()},
-		Dial:  BackoffConfig{Base: 5 * time.Millisecond, Max: 20 * time.Millisecond, Factor: 2, Jitter: 0.1, Seed: 1},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -34,7 +33,6 @@ func newPair(t *testing.T) (*TCPNode, *TCPNode, *topology.Graph) {
 	b, err := NewTCP(TCPConfig{
 		Self: 1, Graph: g, Listener: lnB,
 		Peers: map[topology.Node]string{0: lnA.Addr().String()},
-		Dial:  BackoffConfig{Base: 5 * time.Millisecond, Max: 20 * time.Millisecond, Factor: 2, Jitter: 0.1, Seed: 2},
 	})
 	if err != nil {
 		a.Close()
@@ -122,7 +120,6 @@ func TestTCPReconnectRecoversNakPath(t *testing.T) {
 	b2, err := NewTCP(TCPConfig{
 		Self: 1, Graph: g, Listener: lnB2,
 		Peers: map[topology.Node]string{0: a.Addr()},
-		Dial:  BackoffConfig{Base: 5 * time.Millisecond, Max: 20 * time.Millisecond, Factor: 2, Jitter: 0.1, Seed: 3},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -39,8 +39,6 @@ const queueLen = 1024
 // interference) — delivery is at-most-once per send, and the repair
 // layer above is what turns that into reliable broadcast.
 type Endpoint interface {
-	// Self returns the node this endpoint belongs to.
-	Self() topology.Node
 	// Send encodes f and queues it toward the adjacent node `to`.
 	// It never blocks: a full queue or an open circuit breaker drops
 	// the frame and returns an error.
