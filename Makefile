@@ -65,8 +65,9 @@ bench-fault:
 # independence of the observability aggregates), the calendar queue
 # (differential pop-order equivalence against the reference heap), the
 # transport wire codec (decode never panics, accepted frames re-encode
-# canonically), the wall-clock pull planner (differential equivalence
-# against the scan-based reference), and the decomposition registry
+# canonically), the stream node's pull planner (differential equivalence
+# against the scan-based reference, retry times included), and the
+# decomposition registry
 # (family constructors never panic on arbitrary parameters; valid
 # instances build and their names round-trip), mirroring the CI budget.
 fuzz:
@@ -76,7 +77,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzMetricsMerge -fuzztime=15s ./internal/observe
 	$(GO) test -fuzz=FuzzCalendarQueue -fuzztime=15s ./internal/simnet
 	$(GO) test -fuzz=FuzzFrameDecode -fuzztime=15s ./internal/transport
-	$(GO) test -fuzz=FuzzPlanner -fuzztime=15s ./internal/repair
+	$(GO) test -fuzz=FuzzPlanner -fuzztime=15s ./internal/stream
 	$(GO) test -fuzz=FuzzFamilyParams -fuzztime=15s ./internal/hamilton
 
 # Engine-regression smoke: one measured Q10 ATA run; fails if
@@ -157,7 +158,8 @@ q14-smoke:
 # tests under the race detector (jittered backoff, breaker transitions,
 # the peer-dies-and-reconnects NAK path, the one cluster harness's
 # loopback + TCP chaos rounds and streams — every round a one-epoch
-# stream.Node — and the streaming node's store), then the
+# stream.Node — and the streaming node's store and pull planner, which
+# times each missing copy's retries from its own attempt count), then the
 # multi-process check — `ihcd -launch` boots 8 real ihcd daemons as
 # separate OS processes on a Q3 overlay with a socket-level chaos proxy
 # on every link, SIGKILLs node 6 mid-round, partitions link {1,3}, and

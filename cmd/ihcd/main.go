@@ -153,11 +153,9 @@ func main() {
 	}
 	// The node template every mode runs: a daemon directly, the soak
 	// through cluster.Run, a launch through the flags it hands its
-	// children. Timing and repair take stream.Config's defaults.
-	tmpl := stream.Config{
-		IHC: x, Eta: *eta,
-		Retry: transport.BackoffConfig{Base: 10 * time.Millisecond, Max: 150 * time.Millisecond, Factor: 1.6, Jitter: 0.2, Seed: *seed},
-	}
+	// children. Timing and repair take stream.Config's defaults; -seed
+	// seeds the retry jitter.
+	tmpl := stream.Config{IHC: x, Eta: *eta, Retry: transport.BackoffConfig{Seed: *seed}}
 	wd := &watchdog{}
 	if *soak {
 		wd.arm(*deadline, "soak")
@@ -554,8 +552,12 @@ func runLaunch(tmpl stream.Config, m int, faultfree bool, keySeed, seed int64, t
 				continue
 			}
 			running--
-			children[rp.node].exited = true
-			if _, dies := crashes[rp.node]; !dies && rp.err != nil {
+			c := children[rp.node]
+			c.exited = true
+			// A daemon whose round failed exits 2 by design: its
+			// failure is counted above, not again here.
+			_, dies := crashes[rp.node]
+			if code := c.cmd.ProcessState.ExitCode(); !dies && code != 0 && (code != 2 || c.res.OK) {
 				fmt.Fprintf(os.Stderr, "ihcd: node %d did not shut down cleanly: %v\n", rp.node, rp.err)
 				violations++
 			}

@@ -33,6 +33,7 @@ import (
 
 	"ihc/internal/core"
 	"ihc/internal/hamilton"
+	"ihc/internal/model"
 	"ihc/internal/simnet"
 	"ihc/internal/topology"
 )
@@ -67,9 +68,7 @@ func DefaultParams() Params {
 
 // HeadlineParams returns the paper's Section VI constants at 1 tick =
 // 1 ns: Dally's α = 20 ns cut-through time and τ_S = 0.5 ms.
-func HeadlineParams() Params {
-	return Params{TauS: 500_000, Alpha: 20, Mu: 2}
-}
+func HeadlineParams() Params { return model.HeadlineParams() }
 
 // New builds an IHC instance for any supported class-Λ network by
 // constructing and verifying its Hamiltonian decomposition. Supported

@@ -11,10 +11,6 @@ import (
 
 var p = simnet.Params{TauS: 100, Alpha: 20, Mu: 2, D: 37}
 
-func mp() model.Params {
-	return model.Params{TauS: p.TauS, Alpha: p.Alpha, Mu: p.Mu, D: p.D}
-}
-
 func TestStepLengths(t *testing.T) {
 	// Q4: 1, 1, 2, 4, 7 — summing to N-1 = 15.
 	got := StepLengths(4)
@@ -103,7 +99,7 @@ func TestRunMatchesTableII(t *testing.T) {
 			t.Fatal(err)
 		}
 		n := 1 << m
-		want := model.FRSBest(mp(), n)
+		want := model.FRSBest(p, n)
 		if res.Finish != want {
 			t.Fatalf("Q%d: finish = %d, want %d", m, res.Finish, want)
 		}
@@ -133,13 +129,13 @@ func TestRunMatchesTableII(t *testing.T) {
 func TestWorstCaseOrderingVsIHC(t *testing.T) {
 	for _, m := range []int{4, 6, 8, 10} {
 		n := 1 << m
-		frsW := model.FRSWorst(mp(), n)
-		ihcW := model.IHCWorst(mp(), n, 2)
+		frsW := model.FRSWorst(p, n)
+		ihcW := model.IHCWorst(p, n, 2)
 		if frsW >= ihcW {
 			t.Fatalf("Q%d: FRS worst %d not faster than IHC worst %d", m, frsW, ihcW)
 		}
 		// But in the dedicated network IHC wins.
-		if model.IHCBest(mp(), n, 2) >= model.FRSBest(mp(), n) {
+		if model.IHCBest(p, n, 2) >= model.FRSBest(p, n) {
 			t.Fatalf("Q%d: IHC best not faster than FRS best", m)
 		}
 	}

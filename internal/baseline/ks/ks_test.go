@@ -11,10 +11,6 @@ import (
 
 var p = simnet.Params{TauS: 100, Alpha: 20, Mu: 2, D: 37}
 
-func mp() model.Params {
-	return model.Params{TauS: p.TauS, Alpha: p.Alpha, Mu: p.Mu, D: p.D}
-}
-
 // Each direction's pattern is a spanning tree of H_m, the six patterns
 // are pairwise arc-disjoint, and exactly six arcs of the mesh go unused.
 func TestTreesSpanAndDontInterfere(t *testing.T) {
@@ -133,12 +129,12 @@ func TestATA(t *testing.T) {
 		// up to one extra store-and-forward and a few extra cut-throughs
 		// per path vs the original Fig. 8 pattern.
 		n := topology.HexMeshSize(m)
-		bound := model.KSATABest(mp(), m) +
+		bound := model.KSATABest(p, m) +
 			simnet.Time(n)*((p.TauS+p.PacketTime())+simnet.Time(2*m)*p.Alpha)
 		if res.Finish > bound {
 			t.Fatalf("H%d: ATA %d exceeds stretched bound %d", m, res.Finish, bound)
 		}
-		if res.Finish < 4*model.IHCBest(mp(), n, 1) {
+		if res.Finish < 4*model.IHCBest(p, n, 1) {
 			t.Fatalf("H%d: KS-ATA %d not ≫ IHC", m, res.Finish)
 		}
 	}

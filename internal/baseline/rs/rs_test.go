@@ -11,10 +11,6 @@ import (
 
 var p = simnet.Params{TauS: 100, Alpha: 20, Mu: 2, D: 37}
 
-func mp() model.Params {
-	return model.Params{TauS: p.TauS, Alpha: p.Alpha, Mu: p.Mu, D: p.D}
-}
-
 func TestBroadcastStructureQ4(t *testing.T) {
 	b := MustNew(4, 0, false)
 	// γ 2^γ sends minus the γ omitted returns.
@@ -184,7 +180,7 @@ func TestATACompleteAndBounded(t *testing.T) {
 			t.Fatalf("Q%d: %d contentions in serialized ATA", m, res.Contentions)
 		}
 		n := 1 << m
-		bound := model.VRSATABest(mp(), n)
+		bound := model.VRSATABest(p, n)
 		if res.Finish > bound {
 			t.Fatalf("Q%d: ATA %d exceeds Table II bound %d", m, res.Finish, bound)
 		}
@@ -208,7 +204,7 @@ func TestATAMuchSlowerThanIHCModel(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ihc := model.IHCBest(mp(), n, 2)
+		ihc := model.IHCBest(p, n, 2)
 		if res.Finish < 4*ihc {
 			t.Fatalf("Q%d: VRS-ATA %d not ≫ IHC %d", m, res.Finish, ihc)
 		}
@@ -220,7 +216,7 @@ func TestSaturatedATAWithinTableIV(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bound := model.VRSATAWorst(mp(), 16)
+	bound := model.VRSATAWorst(p, 16)
 	if res.Finish > bound {
 		t.Fatalf("saturated ATA %d exceeds Table IV bound %d", res.Finish, bound)
 	}

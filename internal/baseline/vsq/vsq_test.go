@@ -11,10 +11,6 @@ import (
 
 var p = simnet.Params{TauS: 100, Alpha: 20, Mu: 2, D: 37}
 
-func mp() model.Params {
-	return model.Params{TauS: p.TauS, Alpha: p.Alpha, Mu: p.Mu, D: p.D}
-}
-
 // Each direction's pattern is a spanning tree, and the four patterns are
 // pairwise arc-disjoint ("do not interfere") with exactly one unused arc
 // per direction.
@@ -135,13 +131,13 @@ func TestATA(t *testing.T) {
 			t.Fatalf("SQ%d: %d contentions", m, res.Contentions)
 		}
 		n := m * m
-		bound := model.VSQATABest(mp(), m)
+		bound := model.VSQATABest(p, m)
 		// m=3 exceeds the paper form by N·α (see TestSingleBroadcast).
 		if res.Finish > bound+simnet.Time(n)*p.Alpha {
 			t.Fatalf("SQ%d: ATA %d far exceeds Table II bound %d", m, res.Finish, bound)
 		}
 		// And IHC dominates by a large factor.
-		if res.Finish < 4*model.IHCBest(mp(), n, 2) {
+		if res.Finish < 4*model.IHCBest(p, n, 2) {
 			t.Fatalf("SQ%d: VSQ-ATA %d not ≫ IHC", m, res.Finish)
 		}
 	}
@@ -160,7 +156,7 @@ func TestSaturatedWithinTableIV(t *testing.T) {
 	if res.Finish > bound {
 		t.Fatalf("saturated ATA %d exceeds bound %d", res.Finish, bound)
 	}
-	if paper := model.VSQATAWorst(mp(), 4); bound <= paper {
+	if paper := model.VSQATAWorst(p, 4); bound <= paper {
 		t.Fatalf("bound arithmetic wrong: %d <= %d", bound, paper)
 	}
 }

@@ -22,6 +22,7 @@ package cluster
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"net"
 	"slices"
@@ -269,7 +270,8 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 	results := make(chan outcome, n+1)
 	var wg sync.WaitGroup
 
-	// startLoad feeds nd's ingress until load is cancelled.
+	// startLoad feeds nd's ingress until load is cancelled or the
+	// ingress closes.
 	startLoad := func(nd *stream.Node, load context.Context) {
 		if cfg.Load.Interval <= 0 {
 			return
@@ -294,7 +296,11 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 					for j := range payload {
 						payload[j] = byte(i + j)
 					}
-					_ = nd.Ingress().Submit(payload, pri) // ErrShed is the point
+					// ErrShed is the point; ErrClosed means the
+					// node's last epoch has taken its batch.
+					if errors.Is(nd.Ingress().Submit(payload, pri), stream.ErrClosed) {
+						return
+					}
 				}
 			}
 		}()

@@ -12,7 +12,6 @@ import (
 	"ihc/internal/hamilton"
 	"ihc/internal/observe"
 	"ihc/internal/reliable"
-	"ihc/internal/repair"
 	"ihc/internal/stream"
 	"ihc/internal/topology"
 	"ihc/internal/transport"
@@ -40,11 +39,7 @@ func quick(x *core.IHC, eta int) Config {
 			StageDur:   30 * time.Millisecond,
 			HopLatency: time.Millisecond,
 			Slack:      60 * time.Millisecond,
-			Retry: transport.BackoffConfig{
-				Base: 10 * time.Millisecond, Max: 150 * time.Millisecond,
-				Factor: 1.6, Jitter: 0.2, Seed: 42,
-			},
-			MaxAttempts: 30,
+			Retry:      transport.BackoffConfig{Seed: 42},
 		},
 		KeySeed: 7,
 		Timeout: 20 * time.Second,
@@ -187,7 +182,9 @@ func quickStream(t *testing.T) Config {
 
 // TestStreamFaultFree pipelines six epochs over a fault-free Q3
 // loopback mesh under synthetic client load and checks every node's
-// per-epoch γ-copy verdict.
+// per-epoch γ-copy verdict, and that the stream took no load its epochs
+// did not carry: the last epoch's drain closes each ingress, so nothing
+// is left queued.
 func TestStreamFaultFree(t *testing.T) {
 	cfg := quickStream(t)
 	res, err := Run(context.Background(), cfg)
@@ -202,6 +199,9 @@ func TestStreamFaultFree(t *testing.T) {
 	}
 	if res.Snapshot.Payloads == 0 {
 		t.Fatal("no client payloads delivered under load")
+	}
+	if d := res.Snapshot.QueueDepth; d != 0 {
+		t.Fatalf("%d payloads still queued after the last epoch", d)
 	}
 }
 
@@ -238,7 +238,7 @@ func TestStreamEquivalenceOneShot(t *testing.T) {
 				}
 				want := reliable.TruthPayload(src)
 				for j := 0; j < cfg.Node.IHC.Gamma(); j++ {
-					got := er.Payloads[repair.Want{Source: src, Channel: uint8(j)}]
+					got := er.Payloads[stream.Want{Source: src, Channel: uint8(j)}]
 					if !bytes.Equal(got, want) {
 						t.Fatalf("node %d epoch %d source %d channel %d: payload %x, want %x",
 							v, er.Epoch, s, j, got, want)

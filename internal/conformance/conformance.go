@@ -68,7 +68,6 @@ func Check(in *hamilton.Instance) error {
 	// Property 3 — oracle cleanliness: a live oracle on the hop stream
 	// must score the run contention-free with every copy on its
 	// compiled cycle and the exact Theorem 3/4 closed-form finish.
-	mp := model.Params{TauS: p.TauS, Alpha: p.Alpha, Mu: p.Mu, D: p.D}
 	copies := 0
 	if in.N <= maxOracleN {
 		copies = x.Gamma()
@@ -76,7 +75,7 @@ func Check(in *hamilton.Instance) error {
 	orc, err := observe.NewOracle(observe.OracleConfig{
 		X: x, Params: p, Eta: eta,
 		ExpectContentionFree: true,
-		ExpectFinish:         model.IHCBest(mp, in.N, eta),
+		ExpectFinish:         model.IHCBest(p, in.N, eta),
 		ExpectCopies:         copies,
 		Light:                copies == 0,
 	})

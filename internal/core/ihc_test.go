@@ -15,10 +15,6 @@ func params(mu int) simnet.Params {
 	return simnet.Params{TauS: 100, Alpha: 20, Mu: mu, D: 37}
 }
 
-func modelParams(p simnet.Params) model.Params {
-	return model.Params{TauS: p.TauS, Alpha: p.Alpha, Mu: p.Mu, D: p.D}
-}
-
 func mustIHC(t *testing.T, g *topology.Graph) *IHC {
 	t.Helper()
 	cycles, err := hamilton.Decompose(g)
@@ -217,7 +213,7 @@ func TestDedicatedRunMatchesTableII(t *testing.T) {
 		if res.Contentions != 0 {
 			t.Fatalf("%s η=%d μ=%d: %d contentions", tc.g.Name(), tc.eta, tc.mu, res.Contentions)
 		}
-		want := model.IHCBest(modelParams(p), n, tc.eta)
+		want := model.IHCBest(p, n, tc.eta)
 		if res.Finish != want {
 			t.Fatalf("%s η=%d μ=%d: finish = %d, want %d", tc.g.Name(), tc.eta, tc.mu, res.Finish, want)
 		}
@@ -248,7 +244,7 @@ func TestTheorem4Optimality(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want := model.OptimalATATime(modelParams(p), g.N())
+		want := model.OptimalATATime(p, g.N())
 		if res.Finish != want {
 			t.Fatalf("%s: finish = %d, bound %d", g.Name(), res.Finish, want)
 		}
@@ -307,7 +303,7 @@ func TestOverlappedStages(t *testing.T) {
 		if err := over.Copies.VerifyATA(x.Gamma()); err != nil {
 			t.Fatal(err)
 		}
-		want2 := model.IHCBestOverlapped(modelParams(p), tc.g.N(), tc.eta)
+		want2 := model.IHCBestOverlapped(p, tc.g.N(), tc.eta)
 		if over.Finish != want2 {
 			t.Fatalf("%s: overlapped finish %d != model %d", tc.g.Name(), over.Finish, want2)
 		}
@@ -323,7 +319,7 @@ func TestSaturatedMatchesTableIV(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want := model.IHCWorst(modelParams(p), 16, eta)
+		want := model.IHCWorst(p, 16, eta)
 		if res.Finish != want {
 			t.Fatalf("η=%d: saturated finish = %d, want %d", eta, res.Finish, want)
 		}
@@ -344,7 +340,7 @@ func TestLoadedNetworkDegradesGracefully(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	clean := model.IHCBest(modelParams(params(2)), 16, 2)
+	clean := model.IHCBest(params(2), 16, 2)
 	if res.Finish <= clean {
 		t.Fatalf("loaded run %d not slower than dedicated %d", res.Finish, clean)
 	}
@@ -371,7 +367,7 @@ func TestSkewToleratedCorrectly(t *testing.T) {
 	if err := res.Copies.VerifyATA(x.Gamma()); err != nil {
 		t.Fatal(err)
 	}
-	base := model.IHCBest(modelParams(p), 16, 2)
+	base := model.IHCBest(p, 16, 2)
 	if res.Finish < base {
 		t.Fatalf("skewed run finished before dedicated bound")
 	}
@@ -411,7 +407,7 @@ func TestRunSequentialReducedReliability(t *testing.T) {
 		if err := res.Copies.VerifyATA(k); err != nil {
 			t.Fatalf("k=%d: %v", k, err)
 		}
-		want := simnet.Time(k) * model.IHCBest(modelParams(p), 16, 2)
+		want := simnet.Time(k) * model.IHCBest(p, 16, 2)
 		if res.Finish != want {
 			t.Fatalf("k=%d: finish = %d, want %d", k, res.Finish, want)
 		}
@@ -455,7 +451,7 @@ func TestQuickDedicatedInvariant(t *testing.T) {
 			return false
 		}
 		return res.Contentions == 0 &&
-			res.Finish == model.IHCBest(modelParams(p), 16, eta)
+			res.Finish == model.IHCBest(p, 16, eta)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
 		t.Fatal(err)

@@ -41,8 +41,6 @@ func newIHC(g *topology.Graph) (*core.IHC, error) {
 func runTheorem4(cfg Config) ([]*tablefmt.Table, error) {
 	p := cfg.params()
 	p.Mu = 1
-	mp := cfg.modelParams()
-	mp.Mu = 1
 	graphs := []*topology.Graph{topology.MustHypercube(4), topology.MustSquareTorus(5), topology.MustHexMesh(3)}
 	if !cfg.Quick {
 		graphs = append(graphs, topology.MustHypercube(8), topology.MustSquareTorus(12), topology.MustHexMesh(5))
@@ -60,7 +58,7 @@ func runTheorem4(cfg Config) ([]*tablefmt.Table, error) {
 			return nil, err
 		}
 		cfg.addEvents(res.Events)
-		bound := model.OptimalATATime(mp, g.N())
+		bound := model.OptimalATATime(p, g.N())
 		if res.Finish != bound {
 			return nil, fmt.Errorf("theorem4: %s measured %d != bound %d", g.Name(), res.Finish, bound)
 		}
@@ -143,7 +141,7 @@ func runHeadline(cfg Config) ([]*tablefmt.Table, error) {
 
 	if !cfg.Quick {
 		// Simulate Q10 end-to-end and check the model exactly.
-		p := simnet.Params{TauS: 500_000, Alpha: 20, Mu: 2}
+		p := model.HeadlineParams()
 		x, err := newIHC(topology.MustHypercube(10))
 		if err != nil {
 			return nil, err
@@ -152,8 +150,7 @@ func runHeadline(cfg Config) ([]*tablefmt.Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		hp := model.HeadlineParams()
-		want := model.IHCBest(hp, 1024, 2)
+		want := model.IHCBest(p, 1024, 2)
 		v := tablefmt.New("Headline cross-check — Q10 simulated at 1 tick = 1 ns",
 			"Measured", "Model", "Match", "Deliveries", "Contentions")
 		v.Addf(ns(res.Finish), ns(want), match(res.Finish, want), res.Deliveries, res.Contentions)
@@ -170,7 +167,7 @@ func runHeadline(cfg Config) ([]*tablefmt.Table, error) {
 // η <= min{log2 N - 1, 2√((N-1)/3) - 2, 2√N - 3}; and the τ_S condition
 // against FRS.
 func runCrossover(cfg Config) ([]*tablefmt.Table, error) {
-	mp := cfg.modelParams()
+	mp := cfg.params()
 	n := 1 << 6
 	if !cfg.Quick {
 		n = 1 << 10
@@ -362,7 +359,6 @@ func adversarialFrontier(cfg Config) (*tablefmt.Table, error) {
 // moving from the Table II best case toward the Table IV worst case.
 func runLoad(cfg Config) ([]*tablefmt.Table, error) {
 	p := cfg.params()
-	mp := cfg.modelParams()
 	g := topology.MustSquareTorus(4)
 	if !cfg.Quick {
 		g = topology.MustSquareTorus(8)
@@ -372,8 +368,8 @@ func runLoad(cfg Config) ([]*tablefmt.Table, error) {
 		return nil, err
 	}
 	eta := p.Mu
-	best := model.IHCBest(mp, g.N(), eta)
-	worst := model.IHCWorst(mp, g.N(), eta)
+	best := model.IHCBest(p, g.N(), eta)
+	worst := model.IHCWorst(p, g.N(), eta)
 	t := tablefmt.New(fmt.Sprintf("IHC on %s under background load (η=μ=%d)", g.Name(), eta),
 		"ρ", "Measured", "vs best", "Cut-throughs kept", "BgBlocked hops")
 	rhos := []float64{0, 0.2, 0.5, 0.8}

@@ -70,7 +70,6 @@ func familiesTwisted(cfg Config) (*tablefmt.Table, error) {
 		dims = append(dims, 6, 7, 8)
 	}
 	p := cfg.params()
-	mp := cfg.modelParams()
 	t := tablefmt.New("Twisted cubes — IHC finish vs the Table II closed form (η=μ)",
 		"Network", "N", "γ", "η=μ", "Model", "Measured", "Match")
 	rows, err := sweep(cfg, len(dims), func(i int, obs simnet.Observer) (row, error) {
@@ -84,7 +83,7 @@ func familiesTwisted(cfg Config) (*tablefmt.Table, error) {
 			return nil, err
 		}
 		cfg.addEvents(res.Events)
-		want := model.IHCBest(mp, g.N(), p.Mu)
+		want := model.IHCBest(p, g.N(), p.Mu)
 		if res.Finish != want || res.Contentions != 0 {
 			return nil, fmt.Errorf("families: %s finish %d != model %d (contentions %d)",
 				g.Name(), res.Finish, want, res.Contentions)
@@ -133,7 +132,6 @@ func familiesKAry(cfg Config) (*tablefmt.Table, error) {
 		j := jobs[i]
 		p := base
 		p.Mu = j.mu
-		mp := model.Params{TauS: p.TauS, Alpha: p.Alpha, Mu: j.mu, D: p.D}
 		x, err := newIHC(j.g)
 		if err != nil {
 			return nil, err
@@ -143,8 +141,8 @@ func familiesKAry(cfg Config) (*tablefmt.Table, error) {
 			return nil, err
 		}
 		cfg.addEvents(res.Events)
-		bound := model.JungSakhoBound(mp, j.g.N())
-		wantGap := simnet.Time(j.mu-1) * (mp.TauS + mp.PacketTime())
+		bound := model.JungSakhoBound(p, j.g.N())
+		wantGap := simnet.Time(j.mu-1) * (p.TauS + p.PacketTime())
 		if res.Contentions != 0 || res.Finish-bound != wantGap {
 			return nil, fmt.Errorf("families: %s μ=%d finish %d vs bound %d: gap %d != %d (contentions %d)",
 				j.g.Name(), j.mu, res.Finish, bound, res.Finish-bound, wantGap, res.Contentions)

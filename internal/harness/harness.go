@@ -11,7 +11,6 @@ import (
 	"fmt"
 	"sort"
 
-	"ihc/internal/model"
 	"ihc/internal/observe"
 	"ihc/internal/simnet"
 	"ihc/internal/tablefmt"
@@ -53,11 +52,6 @@ type Config struct {
 
 // params returns the effective timing parameters.
 func (c Config) params() simnet.Params { return c.Params.Defaulted() }
-
-func (c Config) modelParams() model.Params {
-	p := c.params()
-	return model.Params{TauS: p.TauS, Alpha: p.Alpha, Mu: p.Mu, D: p.D}
-}
 
 // Experiment reproduces one paper artifact.
 type Experiment struct {

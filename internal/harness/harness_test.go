@@ -85,10 +85,6 @@ func TestConfigDefaults(t *testing.T) {
 	if noAlpha.TauS != 50 || noAlpha.Mu != 3 || noAlpha.D != 11 || noAlpha.Alpha != 20 {
 		t.Fatalf("partial params without alpha = %+v", noAlpha)
 	}
-	mp := cfg.modelParams()
-	if mp.TauS != 100 || mp.Alpha != 20 {
-		t.Fatalf("model params = %+v", mp)
-	}
 }
 
 func TestHelperFormatting(t *testing.T) {

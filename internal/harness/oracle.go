@@ -87,8 +87,6 @@ func runOraclePoint(cfg Config, pt oraclePoint, obs simnet.Observer) (row, error
 	n := g.N()
 	p := cfg.params()
 	p.Mu = pt.mu
-	mp := cfg.modelParams()
-	mp.Mu = pt.mu
 
 	cycles, err := hamilton.Decompose(g)
 	if err != nil {
@@ -103,7 +101,7 @@ func runOraclePoint(cfg Config, pt oraclePoint, obs simnet.Observer) (row, error
 	fin := simnet.Time(-1)
 	var want simnet.Time
 	if pt.exactFinish {
-		want = model.IHCBest(mp, n, pt.eta) // = OptimalATATime for η = μ = 1
+		want = model.IHCBest(p, n, pt.eta) // = OptimalATATime for η = μ = 1
 		fin = want
 	}
 	copies := 0

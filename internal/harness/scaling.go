@@ -37,7 +37,6 @@ type scalingPoint struct {
 func runScaling(cfg Config) ([]*tablefmt.Table, error) {
 	p := cfg.params()
 	eta := p.Mu
-	mp := cfg.modelParams()
 
 	// Quick keeps the same shape (one cycle-restricted hypercube, one
 	// full torus) at sizes that stay sub-second; full runs the headline
@@ -71,7 +70,7 @@ func runScaling(cfg Config) ([]*tablefmt.Table, error) {
 			return nil, err
 		}
 		cfg.addEvents(res.Events)
-		m := model.IHCBest(mp, g.N(), eta)
+		m := model.IHCBest(p, g.N(), eta)
 		if res.Finish != m {
 			return nil, fmt.Errorf("scaling: %s measured %d != model %d", g.Name(), res.Finish, m)
 		}

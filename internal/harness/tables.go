@@ -98,7 +98,6 @@ func table2Sizes(quick bool) (qDim, sqM, hM int) {
 // pool and merged back in row order.
 func runTable2(cfg Config) ([]*tablefmt.Table, error) {
 	p := cfg.params()
-	mp := cfg.modelParams()
 	eta := p.Mu
 	qDim, sqM, hM := table2Sizes(cfg.Quick)
 	t := tablefmt.New(
@@ -119,7 +118,7 @@ func runTable2(cfg Config) ([]*tablefmt.Table, error) {
 			if res.Contentions != 0 && g.N()%eta == 0 {
 				return nil, fmt.Errorf("table2: IHC on %s had %d contentions", g.Name(), res.Contentions)
 			}
-			m := model.IHCBest(mp, g.N(), eta)
+			m := model.IHCBest(p, g.N(), eta)
 			return row{"IHC", g.Name(), g.N(), m, measured, match(measured, m)}, nil
 		})
 	}
@@ -130,7 +129,7 @@ func runTable2(cfg Config) ([]*tablefmt.Table, error) {
 				return nil, err
 			}
 			cfg.addEvents(vres.Events)
-			vm := model.VRSATABest(mp, 1<<qDim)
+			vm := model.VRSATABest(p, 1<<qDim)
 			return row{"VRS-ATA", fmt.Sprintf("Q%d", qDim), 1 << qDim, vm, vres.Finish, match(vres.Finish, vm)}, nil
 		},
 		func(obs simnet.Observer) (row, error) {
@@ -139,7 +138,7 @@ func runTable2(cfg Config) ([]*tablefmt.Table, error) {
 				return nil, err
 			}
 			cfg.addEvents(kres.Events)
-			km := model.KSATABest(mp, hM)
+			km := model.KSATABest(p, hM)
 			return row{"KS-ATA", fmt.Sprintf("H%d", hM), topology.HexMeshSize(hM), km, kres.Finish, match(kres.Finish, km)}, nil
 		},
 		func(obs simnet.Observer) (row, error) {
@@ -148,7 +147,7 @@ func runTable2(cfg Config) ([]*tablefmt.Table, error) {
 				return nil, err
 			}
 			cfg.addEvents(sres.Events)
-			sm := model.VSQATABest(mp, sqM)
+			sm := model.VSQATABest(p, sqM)
 			return row{"VSQ-ATA", fmt.Sprintf("SQ%d", sqM), sqM * sqM, sm, sres.Finish, match(sres.Finish, sm)}, nil
 		},
 		func(obs simnet.Observer) (row, error) {
@@ -157,7 +156,7 @@ func runTable2(cfg Config) ([]*tablefmt.Table, error) {
 				return nil, err
 			}
 			cfg.addEvents(fres.Events)
-			fm := model.FRSBest(mp, 1<<qDim)
+			fm := model.FRSBest(p, 1<<qDim)
 			return row{"FRS", fmt.Sprintf("Q%d", qDim), 1 << qDim, fm, fres.Finish, match(fres.Finish, fm)}, nil
 		},
 	)
@@ -183,8 +182,6 @@ func runTable2(cfg Config) ([]*tablefmt.Table, error) {
 func runTable3(cfg Config) ([]*tablefmt.Table, error) {
 	p := cfg.params()
 	p.Mu = 2
-	mp := cfg.modelParams()
-	mp.Mu = 2
 	qDim, sqM, hM := table2Sizes(cfg.Quick)
 	n := 1 << qDim
 
@@ -243,11 +240,11 @@ func runTable3(cfg Config) ([]*tablefmt.Table, error) {
 	t := tablefmt.New(
 		fmt.Sprintf("Table III — ρ=0, η=μ=2 (hypercube Q%d, N=%d): IHC vs the alternatives", qDim, n),
 		"Algorithm", "Model", "Measured", "Slower than IHC (measured)")
-	t.Addf("IHC (2τ_S+2Nα form)", model.IHCBest(mp, n, 2), ihcQ, "1.0x")
-	t.Addf("VRS-ATA", model.VRSATABest(mp, n), vrs, ratio(vrs, ihcQ))
-	t.Addf("FRS", model.FRSBest(mp, n), frsF, ratio(frsF, ihcQ))
-	t.Addf(fmt.Sprintf("VSQ-ATA (SQ%d vs IHC on SQ%d)", sqM, sqM), model.VSQATABest(mp, sqM), vsqF, ratio(vsqF, ihcSQ))
-	t.Addf(fmt.Sprintf("KS-ATA (H%d vs IHC on H%d)", hM, hM), model.KSATABest(mp, hM), ksF, ratio(ksF, ihcH))
+	t.Addf("IHC (2τ_S+2Nα form)", model.IHCBest(p, n, 2), ihcQ, "1.0x")
+	t.Addf("VRS-ATA", model.VRSATABest(p, n), vrs, ratio(vrs, ihcQ))
+	t.Addf("FRS", model.FRSBest(p, n), frsF, ratio(frsF, ihcQ))
+	t.Addf(fmt.Sprintf("VSQ-ATA (SQ%d vs IHC on SQ%d)", sqM, sqM), model.VSQATABest(p, sqM), vsqF, ratio(vsqF, ihcSQ))
+	t.Addf(fmt.Sprintf("KS-ATA (H%d vs IHC on H%d)", hM, hM), model.KSATABest(p, hM), ksF, ratio(ksF, ihcH))
 	t.Note("the paper's qualitative claim — IHC clearly better than all alternatives in a dedicated")
 	t.Note("network — holds with factors growing linearly in N (serialized baselines cost N broadcasts).")
 	return []*tablefmt.Table{t}, nil
@@ -260,7 +257,6 @@ func ratio(a, b simnet.Time) string { return fmt.Sprintf("%.1fx", float64(a)/flo
 // storage with queueing delay D, the paper's limiting regime.
 func runTable4(cfg Config) ([]*tablefmt.Table, error) {
 	p := cfg.params()
-	mp := cfg.modelParams()
 	eta := p.Mu
 	qDim, sqM, hM := table2Sizes(cfg.Quick)
 	if !cfg.Quick {
@@ -288,7 +284,7 @@ func runTable4(cfg Config) ([]*tablefmt.Table, error) {
 				return nil, err
 			}
 			cfg.addEvents(res.Events)
-			im := model.IHCWorst(mp, n, eta)
+			im := model.IHCWorst(p, n, eta)
 			return row{"IHC", fmt.Sprintf("Q%d", qDim), im, res.Finish, match(res.Finish, im)}, nil
 		},
 		func(obs simnet.Observer) (row, error) {
@@ -297,7 +293,7 @@ func runTable4(cfg Config) ([]*tablefmt.Table, error) {
 				return nil, err
 			}
 			cfg.addEvents(vres.Events)
-			vm := model.VRSATAWorst(mp, n)
+			vm := model.VRSATAWorst(p, n)
 			return row{"VRS-ATA", fmt.Sprintf("Q%d", qDim), vm, vres.Finish, match(vres.Finish, vm)}, nil
 		},
 		func(obs simnet.Observer) (row, error) {
@@ -306,7 +302,7 @@ func runTable4(cfg Config) ([]*tablefmt.Table, error) {
 				return nil, err
 			}
 			cfg.addEvents(kres.Events)
-			km := model.KSATAWorst(mp, hM)
+			km := model.KSATAWorst(p, hM)
 			return row{"KS-ATA", fmt.Sprintf("H%d", hM), km, kres.Finish, match(kres.Finish, km)}, nil
 		},
 		func(obs simnet.Observer) (row, error) {
@@ -315,7 +311,7 @@ func runTable4(cfg Config) ([]*tablefmt.Table, error) {
 				return nil, err
 			}
 			cfg.addEvents(sres.Events)
-			sm := model.VSQATAWorst(mp, sqM)
+			sm := model.VSQATAWorst(p, sqM)
 			return row{"VSQ-ATA", fmt.Sprintf("SQ%d", sqM), sm, sres.Finish, match(sres.Finish, sm)}, nil
 		},
 		func(obs simnet.Observer) (row, error) {
@@ -329,7 +325,7 @@ func runTable4(cfg Config) ([]*tablefmt.Table, error) {
 				return nil, err
 			}
 			cfg.addEvents(fres.Events)
-			fm := model.FRSWorst(mp, n)
+			fm := model.FRSWorst(p, n)
 			return row{"FRS", fmt.Sprintf("Q%d", qDim), fm, fres.Finish, match(fres.Finish, fm)}, nil
 		},
 	}

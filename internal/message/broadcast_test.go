@@ -55,8 +55,7 @@ func TestBroadcastMultiRound(t *testing.T) {
 	if res.Contentions != 0 {
 		t.Fatalf("contentions = %d", res.Contentions)
 	}
-	mp := model.Params{TauS: p.TauS, Alpha: p.Alpha, Mu: p.Mu, D: p.D}
-	want := simnet.Time(res.Rounds) * model.IHCBest(mp, n, 2)
+	want := simnet.Time(res.Rounds) * model.IHCBest(p, n, 2)
 	if res.Finish != want {
 		t.Fatalf("finish = %d, want rounds x T_IHC = %d", res.Finish, want)
 	}

@@ -19,16 +19,9 @@ import (
 	"ihc/internal/simnet"
 )
 
-// Params are the timing parameters shared with the simulator.
-type Params struct {
-	TauS  simnet.Time // message startup time τ_S
-	Alpha simnet.Time // cut-through delay per intermediate node α
-	Mu    int         // packet length in FIFO-buffer units μ
-	D     simnet.Time // queueing delay for blocked packets
-}
-
-// PacketTime returns μα.
-func (p Params) PacketTime() simnet.Time { return simnet.Time(p.Mu) * p.Alpha }
+// Params are the simulator's timing parameters; the closed forms read
+// τ_S, α, μ and D.
+type Params = simnet.Params
 
 // Log2 returns log2 of a power of two; it panics otherwise (the hypercube
 // algorithms are only defined for N = 2^m).

@@ -10,10 +10,6 @@ import (
 	"ihc/internal/topology"
 )
 
-func modelParams(p simnet.Params) model.Params {
-	return model.Params{TauS: p.TauS, Alpha: p.Alpha, Mu: p.Mu, D: p.D}
-}
-
 func runWithOracle(t *testing.T, x *core.IHC, cfg core.Config, ocfg OracleConfig) (*Oracle, *core.Result) {
 	t.Helper()
 	o, err := NewOracle(ocfg)
@@ -38,7 +34,7 @@ func TestOracleContentionFreePass(t *testing.T) {
 		OracleConfig{
 			X: x, Params: testParams, Eta: 2,
 			ExpectContentionFree: true,
-			ExpectFinish:         model.IHCBest(modelParams(testParams), g.N(), 2),
+			ExpectFinish:         model.IHCBest(testParams, g.N(), 2),
 			ExpectCopies:         x.Gamma(),
 		})
 	if err := o.Finalize(); err != nil {
@@ -70,7 +66,7 @@ func TestOracleTheorem4ExactFinish(t *testing.T) {
 			OracleConfig{
 				X: x, Params: p, Eta: 1,
 				ExpectContentionFree: true,
-				ExpectFinish:         model.OptimalATATime(modelParams(p), g.N()),
+				ExpectFinish:         model.OptimalATATime(p, g.N()),
 				ExpectCopies:         x.Gamma(),
 			})
 		if err := o.Finalize(); err != nil {
@@ -125,7 +121,7 @@ func TestOracleLightMode(t *testing.T) {
 		OracleConfig{
 			X: x, Params: testParams, Eta: 2, Light: true,
 			ExpectContentionFree: true,
-			ExpectFinish:         model.IHCBest(modelParams(testParams), g.N(), 2),
+			ExpectFinish:         model.IHCBest(testParams, g.N(), 2),
 		})
 	if err := o.Finalize(); err != nil {
 		t.Fatal(err)

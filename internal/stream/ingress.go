@@ -13,6 +13,11 @@ import (
 // Callers may retry later; nothing was enqueued.
 var ErrShed = errors.New("stream: payload shed (admission control)")
 
+// ErrClosed is Submit's verdict once a bounded stream's last epoch has
+// drained the queue: no later batch would carry the payload, so it is
+// refused, and neither counted nor shed.
+var ErrClosed = errors.New("stream: ingress closed after the last epoch")
+
 // Priority classes. High-priority traffic bypasses the token bucket
 // and is bounded only by its queue capacity; low-priority traffic is
 // rate-limited and is what overload sheds first.
@@ -52,6 +57,7 @@ type Ingress struct {
 	low    [][]byte
 	tokens float64
 	last   time.Time
+	closed bool
 	gauges *observe.StreamGauges
 	now    func() time.Time // test hook
 }
@@ -78,11 +84,15 @@ func (in *Ingress) refillLocked(now time.Time) {
 }
 
 // Submit admits one client payload into the queue for the next epoch
-// batch, or sheds it with ErrShed. The payload is referenced, not
-// copied — callers must not mutate it afterwards.
+// batch, sheds it with ErrShed, or refuses it with ErrClosed after the
+// last batch. The payload is referenced, not copied — callers must not
+// mutate it afterwards.
 func (in *Ingress) Submit(data []byte, pri Priority) error {
 	in.mu.Lock()
 	defer in.mu.Unlock()
+	if in.closed {
+		return ErrClosed
+	}
 	if pri == High {
 		if len(in.high) >= queueCap {
 			in.gauges.Shed(true)
@@ -114,10 +124,15 @@ func (in *Ingress) Depth() (high, low int) {
 
 // drain packs queued payloads — high class first, then low, FIFO
 // within a class — into one batch up to the configured byte budget.
-// Payloads that do not fit stay queued for the next epoch.
-func (in *Ingress) drain() []Item {
+// Payloads that do not fit stay queued for the next epoch. The last
+// drain closes the queue to further Submits in the same critical
+// section, so no payload is admitted after the last batch is cut.
+func (in *Ingress) drain(last bool) []Item {
 	in.mu.Lock()
 	defer in.mu.Unlock()
+	if last {
+		in.closed = true
+	}
 	budget := maxBatchBytes - batchHdr
 	var items []Item
 	bytesOut := 0

@@ -79,7 +79,7 @@ func TestIngressDrainHighFirstWithinBudget(t *testing.T) {
 	if err := in.Submit(make([]byte, size), High); err != nil {
 		t.Fatal(err)
 	}
-	items := in.drain()
+	items := in.drain(false)
 	if len(items) != 3 {
 		t.Fatalf("drained %d items into a 3-item budget", len(items))
 	}
@@ -91,11 +91,14 @@ func TestIngressDrainHighFirstWithinBudget(t *testing.T) {
 	if h != 0 || l != 1 {
 		t.Fatalf("post-drain depth (%d,%d), want (0,1)", h, l)
 	}
-	if next := in.drain(); len(next) != 1 {
+	if next := in.drain(false); len(next) != 1 {
 		t.Fatalf("second drain got %d items, want the leftover", len(next))
 	}
 }
 
+// TestIngressGaugesCount checks the gauges through a stream's last
+// drain, after which Submit refuses both classes with ErrClosed and
+// counts nothing.
 func TestIngressGaugesCount(t *testing.T) {
 	g := &observe.StreamGauges{}
 	in := NewIngress(IngressConfig{}, g)
@@ -103,7 +106,12 @@ func TestIngressGaugesCount(t *testing.T) {
 		_ = in.Submit([]byte{1}, High) // the last one is shed
 	}
 	_ = in.Submit([]byte{3}, Low)
-	in.drain()
+	in.drain(true)
+	for _, pri := range []Priority{High, Low} {
+		if err := in.Submit([]byte{4}, pri); !errors.Is(err, ErrClosed) {
+			t.Fatalf("Submit after the last drain returned %v, want ErrClosed", err)
+		}
+	}
 	s := g.Snapshot()
 	if s.SubmittedHigh != queueCap || s.SubmittedLow != 1 || s.ShedHigh != 1 {
 		t.Fatalf("snapshot %+v: want %d high, 1 low submitted, 1 high shed", s, queueCap)

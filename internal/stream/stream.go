@@ -31,7 +31,6 @@ import (
 	"ihc/internal/hlc"
 	"ihc/internal/observe"
 	"ihc/internal/reliable"
-	"ihc/internal/repair"
 	"ihc/internal/simnet"
 	"ihc/internal/topology"
 	"ihc/internal/transport"
@@ -40,6 +39,10 @@ import (
 // MaxInflight caps concurrently open (live, non-stalled) epochs; epoch
 // opening is deferred while the cap is hit.
 const MaxInflight = 2
+
+// maxAttempts bounds the NAKs a node sends per missing copy. It is
+// patient: the provider may be a killed node that has not rejoined yet.
+const maxAttempts = 60
 
 // Config shapes one streaming node. A zero timing or repair field takes
 // the default Defaulted writes.
@@ -65,11 +68,10 @@ type Config struct {
 	StageDur   time.Duration
 	HopLatency time.Duration
 	Slack      time.Duration
-	// Retry shapes pull backoff; MaxAttempts bounds pulls per missing
-	// copy. The default is patient: the provider may be a killed node
-	// that has not rejoined yet.
-	Retry       transport.BackoffConfig
-	MaxAttempts int
+	// Retry spaces each missing copy's pulls: after a copy's k-th NAK
+	// the node waits Retry.Delay(k−1) for it, half that after a MISS.
+	// Seed seeds each epoch's jitter.
+	Retry transport.BackoffConfig
 	// Retain is how many epochs of accepted-payload store are kept
 	// after an epoch closes, to serve late pulls from rejoiners and
 	// stragglers. Also bounds the rejoin catch-up horizon.
@@ -102,8 +104,9 @@ type Config struct {
 
 // Defaulted fills zero timing and repair fields with the wall-clock
 // defaults: StageDur 50ms, Period 4·StageDur, HopLatency 1ms, Slack
-// StageDur, MaxAttempts 60, Retain 64 and Drain 5s. A negative field is
-// left as it is, for NewNode to reject.
+// StageDur, Retain 64, Drain 5s, and the pull profile Retry of 10ms
+// Base, 150ms Max, Factor 1.6 and Jitter 0.2 (Seed stays as given). A
+// negative field is left as it is, for NewNode to reject.
 func (c Config) Defaulted() Config {
 	if c.StageDur == 0 {
 		c.StageDur = 50 * time.Millisecond
@@ -117,14 +120,23 @@ func (c Config) Defaulted() Config {
 	if c.Slack == 0 {
 		c.Slack = c.StageDur
 	}
-	if c.MaxAttempts == 0 {
-		c.MaxAttempts = 60
-	}
 	if c.Retain == 0 {
 		c.Retain = 64
 	}
 	if c.Drain == 0 {
 		c.Drain = 5 * time.Second
+	}
+	if c.Retry.Base == 0 {
+		c.Retry.Base = 10 * time.Millisecond
+	}
+	if c.Retry.Max == 0 {
+		c.Retry.Max = 150 * time.Millisecond
+	}
+	if c.Retry.Factor == 0 {
+		c.Retry.Factor = 1.6
+	}
+	if c.Retry.Jitter == 0 {
+		c.Retry.Jitter = 0.2
 	}
 	return c
 }
@@ -143,7 +155,7 @@ type EpochResult struct {
 	// Payloads maps each (source, channel) to its delivered payload
 	// bytes (CollectPayloads only).
 	Copies   map[topology.Node][]uint8
-	Payloads map[repair.Want][]byte
+	Payloads map[Want][]byte
 }
 
 // Result is a streaming node's final accounting.
@@ -159,7 +171,7 @@ type epochState struct {
 	epoch     uint32
 	scheduled time.Time // Epoch0 + e·Period
 	started   time.Time // actual local open (injection base)
-	planner   *repair.Planner
+	planner   *planner
 	store     [][]byte // accepted payloads by slot source·γ + channel; see keep
 	ledger    *simnet.CopyLedger
 	copies    map[topology.Node][]uint8
@@ -208,9 +220,12 @@ func NewNode(cfg Config) (*Node, error) {
 		return nil, fmt.Errorf("stream: eta %d outside [1,%d]", cfg.Eta, cfg.IHC.N())
 	}
 	cfg = cfg.Defaulted()
-	if cfg.StageDur < 0 || cfg.Period < 0 || cfg.HopLatency < 0 || cfg.Slack < 0 || cfg.Drain < 0 || cfg.MaxAttempts < 0 || cfg.Retain < 0 {
-		return nil, fmt.Errorf("stream: negative setting: StageDur %s, Period %s, HopLatency %s, Slack %s, Drain %s, MaxAttempts %d, Retain %d",
-			cfg.StageDur, cfg.Period, cfg.HopLatency, cfg.Slack, cfg.Drain, cfg.MaxAttempts, cfg.Retain)
+	if cfg.StageDur < 0 || cfg.Period < 0 || cfg.HopLatency < 0 || cfg.Slack < 0 || cfg.Drain < 0 || cfg.Retain < 0 {
+		return nil, fmt.Errorf("stream: negative setting: StageDur %s, Period %s, HopLatency %s, Slack %s, Drain %s, Retain %d",
+			cfg.StageDur, cfg.Period, cfg.HopLatency, cfg.Slack, cfg.Drain, cfg.Retain)
+	}
+	if r := cfg.Retry; r.Base < 0 || r.Max < 0 || r.Factor < 1 || r.Jitter < 0 || r.Jitter >= 1 {
+		return nil, fmt.Errorf("stream: Retry needs Base, Max ≥ 0, Factor ≥ 1 and Jitter in [0,1): %+v", r)
 	}
 	if cfg.Clock == nil {
 		cfg.Clock = hlc.New()
@@ -262,7 +277,7 @@ func (nd *Node) stageOf(s topology.Node, j int) int {
 
 // slot returns w's index in an epoch store, or -1 when w names no
 // copy of this network (an unsigned NAK can claim anything).
-func (nd *Node) slot(w repair.Want) int {
+func (nd *Node) slot(w Want) int {
 	if w.Source < 0 || int(w.Source) >= nd.n || int(w.Channel) >= nd.gamma {
 		return -1
 	}
@@ -275,7 +290,7 @@ func (nd *Node) slot(w repair.Want) int {
 // an epoch, and each retained epoch, holds one payload per source, not
 // γ. Copies that differ (a two-faced source) keep their own bytes. A
 // nil slot is an empty one, so an empty payload is stored non-nil.
-func (nd *Node) keep(store [][]byte, w repair.Want, payload []byte) {
+func (nd *Node) keep(store [][]byte, w Want, payload []byte) {
 	base := int(w.Source) * nd.gamma
 	for _, held := range store[base : base+nd.gamma] {
 		if held != nil && bytes.Equal(held, payload) {
@@ -326,32 +341,30 @@ func (nd *Node) openEpoch(e uint32, now time.Time, catchup bool) *epochState {
 	if start.Before(now) {
 		start = now
 	}
-	bo := transport.NewBackoff(nd.cfg.Retry)
 	st := &epochState{
 		epoch:     e,
 		scheduled: nd.scheduled(e),
 		started:   start,
-		planner: repair.NewPlanner(repair.PullConfig{
-			MaxAttempts: nd.cfg.MaxAttempts,
-			Delay:       func(int) time.Duration { return bo.Next() },
-		}),
-		store:    make([][]byte, nd.n*nd.gamma),
-		ledger:   simnet.NewCopyLedger(nd.n),
-		copies:   make(map[topology.Node][]uint8),
-		injected: make([]bool, nd.cfg.Eta),
-		catchup:  catchup,
+		planner:   newPlanner(maxAttempts, nd.cfg.Retry),
+		store:     make([][]byte, nd.n*nd.gamma),
+		ledger:    simnet.NewCopyLedger(nd.n),
+		copies:    make(map[topology.Node][]uint8),
+		injected:  make([]bool, nd.cfg.Eta),
+		catchup:   catchup,
 	}
 	// Injection payload: the ingress batch drained at open (the
-	// compaction step), or the test hook, or — for catch-up rounds,
-	// whose original client payloads died with the process — an empty
-	// heartbeat batch.
+	// compaction step; a bounded stream's last epoch closes the
+	// ingress, since no later batch would carry what it admits), or the
+	// test hook, or — for catch-up rounds, whose original client
+	// payloads died with the process — an empty heartbeat batch.
 	switch {
 	case nd.cfg.Payload != nil:
 		st.payload = nd.cfg.Payload(e)
 	case catchup:
 		st.payload, _ = EncodeBatch(nil)
 	default:
-		st.payload, _ = EncodeBatch(nd.ingress.drain())
+		last := nd.cfg.Epochs > 0 && int(e) >= nd.cfg.Epochs-1
+		st.payload, _ = EncodeBatch(nd.ingress.drain(last))
 	}
 	for j := 0; j < nd.gamma; j++ {
 		for s := 0; s < nd.n; s++ {
@@ -368,7 +381,7 @@ func (nd *Node) openEpoch(e uint32, now time.Time, catchup bool) *epochState {
 					Add(time.Duration(nd.hops(nd.cfg.Self, src, j)) * nd.cfg.HopLatency).
 					Add(nd.cfg.Slack)
 			}
-			st.planner.Expect(repair.Want{Source: src, Channel: uint8(j)}, deadline, nd.providers[j])
+			st.planner.expect(Want{Source: src, Channel: uint8(j)}, deadline, nd.providers[j])
 		}
 	}
 	nd.open[e] = st
@@ -463,14 +476,14 @@ func (nd *Node) step(now time.Time) {
 			}
 		}
 		// Repair pulls due.
-		for _, pull := range st.planner.Due(now, nd.cfg.Endpoint.PeerDown) {
-			nd.sendNak(st.epoch, pull)
+		for _, p := range st.planner.due(now, nd.cfg.Endpoint.PeerDown) {
+			nd.sendNak(st.epoch, p)
 		}
-		if st.planner.Done() {
+		if st.planner.done() {
 			nd.finalize(st, true, now)
 			continue
 		}
-		if st.planner.Terminal() && !st.stalled {
+		if st.planner.terminal() && !st.stalled {
 			// Out of pull budget with copies still missing (the
 			// provider is probably dead). Release the pipeline slot
 			// and wait: a rejoiner's late injection can still revive
@@ -553,7 +566,7 @@ func (nd *Node) wakeIn() time.Duration {
 					break
 				}
 			}
-			if t, ok := st.planner.NextWake(); ok && t.Before(wake) {
+			if t, ok := st.planner.nextWake(); ok && t.Before(wake) {
 				wake = t
 			}
 		}
@@ -573,7 +586,7 @@ func (nd *Node) injectStage(st *epochState, stg int) {
 		if nd.stageOf(nd.cfg.Self, j) != stg {
 			continue
 		}
-		w := repair.Want{Source: nd.cfg.Self, Channel: uint8(j)}
+		w := Want{Source: nd.cfg.Self, Channel: uint8(j)}
 		f := &transport.Frame{
 			Kind:    transport.FrameData,
 			From:    nd.cfg.Self,
@@ -650,7 +663,7 @@ func (nd *Node) handle(body []byte) {
 		nd.serveNak(f)
 	case transport.FrameMiss:
 		if st, ok := nd.open[f.Epoch]; ok {
-			st.planner.Miss(repair.Want{Source: f.Source, Channel: f.Channel}, now)
+			st.planner.miss(Want{Source: f.Source, Channel: f.Channel}, now)
 		}
 	case transport.FrameJoin:
 		nd.serveJoin(f)
@@ -665,7 +678,7 @@ func (nd *Node) handle(body []byte) {
 // own pull and may come from any neighbor. Either is relayed on from
 // this node's own position.
 func (nd *Node) acceptCopy(f *transport.Frame, now time.Time) {
-	w := repair.Want{Source: f.Source, Channel: f.Channel}
+	w := Want{Source: f.Source, Channel: f.Channel}
 	slot := nd.slot(w)
 	if slot < 0 || f.Source == nd.cfg.Self {
 		return
@@ -702,12 +715,12 @@ func (nd *Node) acceptCopy(f *transport.Frame, now time.Time) {
 	nd.keep(st.store, w, f.Payload)
 	st.ledger.Add(nd.cfg.Self, f.Source)
 	st.copies[f.Source] = append(st.copies[f.Source], f.Channel)
-	if first := st.planner.Got(w); first && f.Kind == transport.FrameRepair {
+	if first := st.planner.got(w); first && f.Kind == transport.FrameRepair {
 		st.repaired++
 		nd.cfg.Gauges.Repaired()
 	}
 	nd.forward(f)
-	if st.planner.Done() {
+	if st.planner.done() {
 		nd.finalize(st, true, now)
 	}
 }
@@ -718,7 +731,7 @@ func (nd *Node) acceptCopy(f *transport.Frame, now time.Time) {
 // one from the copy's own source, before signing: no honest node pulls
 // its own message, and the source drops any copy of it on arrival.
 func (nd *Node) serveNak(f *transport.Frame) {
-	w := repair.Want{Source: f.Source, Channel: f.Channel}
+	w := Want{Source: f.Source, Channel: f.Channel}
 	requester := f.From
 	if requester == f.Source || !nd.cfg.IHC.Graph().HasEdge(nd.cfg.Self, requester) {
 		return
@@ -784,7 +797,7 @@ func (nd *Node) serveJoin(f *transport.Frame) {
 }
 
 // sendNak emits one planned pull for one epoch.
-func (nd *Node) sendNak(epoch uint32, p repair.Pull) {
+func (nd *Node) sendNak(epoch uint32, p pull) {
 	nd.naksSent++
 	nd.cfg.Gauges.Nak()
 	f := &transport.Frame{
@@ -795,7 +808,7 @@ func (nd *Node) sendNak(epoch uint32, p repair.Pull) {
 		Channel: p.Channel,
 		HLC:     nd.clock.Now(),
 	}
-	nd.cfg.Endpoint.Send(p.Provider, f)
+	nd.cfg.Endpoint.Send(p.provider, f)
 }
 
 // finalize closes one epoch: inject any own stage still pending,
@@ -842,10 +855,10 @@ func (nd *Node) finalize(st *epochState, completed bool, now time.Time) {
 	}
 	res.Items = items
 	if nd.cfg.CollectPayloads {
-		res.Payloads = make(map[repair.Want][]byte)
+		res.Payloads = make(map[Want][]byte)
 		for i, p := range st.store {
 			if p != nil {
-				res.Payloads[repair.Want{Source: topology.Node(i / nd.gamma), Channel: uint8(i % nd.gamma)}] = p
+				res.Payloads[Want{Source: topology.Node(i / nd.gamma), Channel: uint8(i % nd.gamma)}] = p
 			}
 		}
 	}

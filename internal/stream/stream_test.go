@@ -12,7 +12,6 @@ import (
 	"ihc/internal/hamilton"
 	"ihc/internal/hlc"
 	"ihc/internal/reliable"
-	"ihc/internal/repair"
 	"ihc/internal/topology"
 	"ihc/internal/transport"
 )
@@ -78,7 +77,8 @@ func testNode(t *testing.T, clock *hlc.Clock) (*Node, *memEndpoint, *reliable.Ke
 // TestNewNodeDefaults builds a node from its schedule and identity
 // alone and checks that it runs the documented default timing: epochs
 // 4·50ms apart, each copy pulled once its 50ms stage start plus 1ms per
-// hop plus a 50ms slack has passed, 60 pulls per copy, 64 retained
+// hop plus a 50ms slack has passed, and pulled again at most 10ms
+// (the pull profile's Base) later, up to 60 pulls per copy; 64 retained
 // epochs and a 5s drain.
 func TestNewNodeDefaults(t *testing.T) {
 	x := q4(t)
@@ -94,8 +94,8 @@ func TestNewNodeDefaults(t *testing.T) {
 	if got := nd.scheduled(1).Sub(nd.scheduled(0)); got != 4*stage {
 		t.Errorf("epochs %s apart, want %s", got, 4*stage)
 	}
-	if c := nd.cfg; c.MaxAttempts != 60 || c.Retain != 64 || c.Drain != 5*time.Second {
-		t.Errorf("MaxAttempts %d, Retain %d, Drain %s; want 60, 64, 5s", c.MaxAttempts, c.Retain, c.Drain)
+	if c := nd.cfg; c.Retain != 64 || c.Drain != 5*time.Second {
+		t.Errorf("Retain %d, Drain %s; want 64, 5s", c.Retain, c.Drain)
 	}
 	st := nd.openEpoch(0, epoch0, false)
 	var first time.Time
@@ -108,14 +108,24 @@ func TestNewNodeDefaults(t *testing.T) {
 			}
 		}
 	}
-	if got, ok := st.planner.NextWake(); !ok || !got.Equal(first) {
+	if got, ok := st.planner.nextWake(); !ok || !got.Equal(first) {
 		t.Errorf("first pull due %s after epoch 0 opens, want %s", got.Sub(epoch0), first.Sub(epoch0))
+	}
+	pulls := st.planner.due(first, nil)
+	if len(pulls) == 0 {
+		t.Fatal("no pull due at the first deadline")
+	}
+	if retry := st.planner.wants[pulls[0].Want].nextAt; retry.After(first.Add(10 * time.Millisecond)) {
+		t.Errorf("first retry due %s after the first pull, want at most 10ms", retry.Sub(first))
+	}
+	if st.planner.maxAttempts != 60 {
+		t.Errorf("%d pulls per copy, want 60", st.planner.maxAttempts)
 	}
 }
 
 // TestNewNodeRejectsNegative checks that only a zero setting takes the
-// default: a negative StageDur (say, a mistyped -stage-dur flag) or
-// MaxAttempts is an error, not a quiet 50ms stage or 60 pulls.
+// default: a negative StageDur or retry Base is an error, not a quiet
+// 50ms stage or 10ms retry.
 func TestNewNodeRejectsNegative(t *testing.T) {
 	x := q4(t)
 	base := Config{
@@ -124,12 +134,41 @@ func TestNewNodeRejectsNegative(t *testing.T) {
 	}
 	stage := base
 	stage.StageDur = -50 * time.Millisecond
-	attempts := base
-	attempts.MaxAttempts = -1
-	for name, cfg := range map[string]Config{"StageDur": stage, "MaxAttempts": attempts} {
+	retry := base
+	retry.Retry.Base = -time.Millisecond
+	for name, cfg := range map[string]Config{"StageDur": stage, "Retry.Base": retry} {
 		if _, err := NewNode(cfg); err == nil {
 			t.Errorf("negative %s accepted", name)
 		}
+	}
+}
+
+// TestEachCopyRetriesOnItsOwnCount opens one catch-up epoch on the
+// in-memory endpoint with every copy missing and drives step with a
+// synthetic clock. The first step NAKs every copy; each copy has been
+// pulled once, so each one's second NAK must be due within the retry
+// profile's Base, whatever the epoch's other copies have drawn.
+func TestEachCopyRetriesOnItsOwnCount(t *testing.T) {
+	nd, ep, _ := testNode(t, nil)
+	t0 := nd.scheduled(0)
+	nd.openEpoch(0, t0, true)
+	missing := (nd.n - 1) * nd.gamma
+	naks := func(now time.Time) map[Want]int {
+		ep.sent = nil
+		nd.step(now)
+		out := map[Want]int{}
+		for _, sf := range ep.sent {
+			if sf.f.Kind == transport.FrameNak {
+				out[Want{Source: sf.f.Source, Channel: sf.f.Channel}]++
+			}
+		}
+		return out
+	}
+	if first := naks(t0); len(first) != missing {
+		t.Fatalf("first step NAKed %d copies, want all %d", len(first), missing)
+	}
+	if second := naks(t0.Add(nd.cfg.Retry.Base)); len(second) != missing {
+		t.Fatalf("%d of %d copies NAKed again within Base (%s) of their first NAK", len(second), missing, nd.cfg.Retry.Base)
 	}
 }
 
@@ -178,9 +217,9 @@ func TestStoreSharesOneCopyPerSource(t *testing.T) {
 	if st == nil {
 		t.Fatal("epoch 0 not opened by its copies")
 	}
-	first := st.store[nd.slot(repair.Want{Source: src})]
+	first := st.store[nd.slot(Want{Source: src})]
 	for j := 0; j < nd.gamma; j++ {
-		got := st.store[nd.slot(repair.Want{Source: src, Channel: uint8(j)})]
+		got := st.store[nd.slot(Want{Source: src, Channel: uint8(j)})]
 		if !bytes.Equal(got, batch) {
 			t.Fatalf("channel %d stored %d bytes, want the batch", j, len(got))
 		}
@@ -223,13 +262,13 @@ func TestStoreTwoFacedSource(t *testing.T) {
 	if st == nil {
 		t.Fatal("closed epoch not retained")
 	}
-	a := unsafe.SliceData(st[nd.slot(repair.Want{Source: liar, Channel: 0})])
-	if c := unsafe.SliceData(st[nd.slot(repair.Want{Source: liar, Channel: 2})]); c != a {
+	a := unsafe.SliceData(st[nd.slot(Want{Source: liar, Channel: 0})])
+	if c := unsafe.SliceData(st[nd.slot(Want{Source: liar, Channel: 2})]); c != a {
 		t.Error("the liar's two equal faces are stored twice")
 	}
 	requester := nd.neighbors[0]
 	for j := 0; j < nd.gamma; j++ {
-		w := repair.Want{Source: liar, Channel: uint8(j)}
+		w := Want{Source: liar, Channel: uint8(j)}
 		if got := res.Payloads[w]; !bytes.Equal(got, faces(j)) {
 			t.Errorf("collected channel %d: %q, want %q", j, got, faces(j))
 		}
@@ -332,7 +371,7 @@ func TestRelayStaysOnCycle(t *testing.T) {
 		if got := st.copies[c.s]; len(got) != 1 || int(got[0]) != c.j {
 			t.Errorf("%s: counted channels %v, want [%d]", c.tag, got, c.j)
 		}
-		if st.store[nd.slot(repair.Want{Source: c.s, Channel: uint8(c.j)})] == nil {
+		if st.store[nd.slot(Want{Source: c.s, Channel: uint8(c.j)})] == nil {
 			t.Errorf("%s: copy not stored", c.tag)
 		}
 		sent := relays(c)
@@ -373,7 +412,7 @@ func TestRelayStaysOnCycle(t *testing.T) {
 				f.From = nb
 				nd.handle(encode(t, kr, f))
 			}
-			w := repair.Want{Source: s, Channel: uint8(j)}
+			w := Want{Source: s, Channel: uint8(j)}
 			if st := nd.open[0]; st.store[nd.slot(w)] != nil || len(st.copies[s]) != 0 {
 				t.Errorf("copy (%d, %d) from off its cycle was stored or counted", s, j)
 			}

@@ -37,6 +37,35 @@ func (c BackoffConfig) Defaulted() BackoffConfig {
 	return c
 }
 
+// Delay is the one jittered exponential rule every retry sequence
+// follows: the wait after k earlier retries (k <= 0 gives Base) is
+// d = min(Base·Factor^k, Max), less d·Jitter·u. u, uniform in [0, 1),
+// is the caller's draw, so a sequence that owns its random source and
+// one that shares it (a pull planner's wants) time their waits alike.
+func (c BackoffConfig) Delay(k int, u float64) time.Duration {
+	d := float64(c.Base)
+	for i := 0; i < k; i++ {
+		d *= c.Factor
+		if d >= float64(c.Max) {
+			break
+		}
+	}
+	if d > float64(c.Max) {
+		d = float64(c.Max)
+	}
+	return time.Duration(d - d*c.Jitter*u)
+}
+
+// Rand returns the random source a sequence over c draws its jitter
+// from: seeded by Seed, or by the clock when Seed is 0.
+func (c BackoffConfig) Rand() *rand.Rand {
+	seed := c.Seed
+	if seed == 0 {
+		seed = time.Now().UnixNano()
+	}
+	return rand.New(rand.NewSource(seed))
+}
+
 // Backoff produces one peer's retry delays. Not safe for concurrent
 // use; each retry loop owns its own.
 type Backoff struct {
@@ -48,37 +77,16 @@ type Backoff struct {
 // NewBackoff returns a backoff sequence over c (zero fields defaulted).
 func NewBackoff(c BackoffConfig) *Backoff {
 	c = c.Defaulted()
-	seed := c.Seed
-	if seed == 0 {
-		seed = time.Now().UnixNano()
-	}
-	return &Backoff{cfg: c, rng: rand.New(rand.NewSource(seed))}
+	return &Backoff{cfg: c, rng: c.Rand()}
 }
 
 // Next returns the delay before the next attempt and advances the
 // sequence. Deterministic for a fixed Seed.
 func (b *Backoff) Next() time.Duration {
-	d := float64(b.cfg.Base)
-	for i := 0; i < b.attempt; i++ {
-		d *= b.cfg.Factor
-		if d >= float64(b.cfg.Max) {
-			d = float64(b.cfg.Max)
-			break
-		}
-	}
-	if d > float64(b.cfg.Max) {
-		d = float64(b.cfg.Max)
-	}
+	d := b.cfg.Delay(b.attempt, b.rng.Float64())
 	b.attempt++
-	if b.cfg.Jitter > 0 {
-		d -= d * b.cfg.Jitter * b.rng.Float64()
-	}
-	return time.Duration(d)
+	return d
 }
-
-// Attempt returns how many delays have been handed out since the last
-// Reset.
-func (b *Backoff) Attempt() int { return b.attempt }
 
 // Reset rewinds the sequence to the first delay after a success.
 func (b *Backoff) Reset() { b.attempt = 0 }
