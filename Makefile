@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race vet fmt-check transport-deps bench bench-engine bench-fault fuzz smoke-engine sharded-quick recovery-quick oracle-quick families-quick transport-quick soak-quick launch-seeds perfbench-check q14-smoke verify
+.PHONY: all build test race vet fmt-check transport-deps bench bench-engine bench-fault fuzz smoke-engine sharded-quick golden-full recovery-quick oracle-quick families-quick transport-quick soak-quick launch-seeds perfbench-check q14-smoke verify
 
 all: verify
 
@@ -66,8 +66,10 @@ bench-fault:
 # (differential pop-order equivalence against the reference heap), the
 # transport wire codec (decode never panics, accepted frames re-encode
 # canonically), the stream node's pull planner (differential equivalence
-# against the scan-based reference, retry times included), and the
-# decomposition registry
+# against the scan-based reference, retry times included), the stream
+# node's frame handling (validly signed or unsigned hostile frames never
+# panic it, never make it send to a non-neighbor, never move its next
+# epoch back), and the decomposition registry
 # (family constructors never panic on arbitrary parameters; valid
 # instances build and their names round-trip), mirroring the CI budget.
 fuzz:
@@ -78,6 +80,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzCalendarQueue -fuzztime=15s ./internal/simnet
 	$(GO) test -fuzz=FuzzFrameDecode -fuzztime=15s ./internal/transport
 	$(GO) test -fuzz=FuzzPlanner -fuzztime=15s ./internal/stream
+	$(GO) test -fuzz=FuzzNodeHandle -fuzztime=15s ./internal/stream
 	$(GO) test -fuzz=FuzzFamilyParams -fuzztime=15s ./internal/hamilton
 
 # Engine-regression smoke: one measured Q10 ATA run; fails if
@@ -111,6 +114,22 @@ sharded-quick:
 	fi
 	$(GO) test -race -run 'Sharded|Components|ScratchReuse|CompiledPath|BackgroundSeed|Ledger|CalQueue' ./internal/simnet ./internal/core
 	GOMAXPROCS=4 $(GO) test -race -count=1 -run 'Sharded|Components|Ledger' ./internal/simnet ./internal/core
+
+# Full-size table regression, outside verify: render every experiment
+# at full size (`ihcbench` without -quick, about half a minute) and
+# compare its stdout byte for byte with the committed golden file
+# (TestGoldenOutput pins the quick tables). A change meant to alter a
+# table records the new file in the same commit.
+GOLDEN_FULL := internal/harness/testdata/ihcbench_full.golden
+golden-full:
+	@tmp=$$(mktemp); \
+	if ! $(GO) run ./cmd/ihcbench >$$tmp 2>/dev/null; then rm -f $$tmp; echo "golden-full: ihcbench failed"; exit 1; fi; \
+	if cmp -s $$tmp $(GOLDEN_FULL); then \
+		echo "golden-full: full ihcbench stdout matches $(GOLDEN_FULL)"; rm -f $$tmp; \
+	else \
+		echo "golden-full: full ihcbench stdout differs from $(GOLDEN_FULL):"; \
+		diff $(GOLDEN_FULL) $$tmp | head -40; rm -f $$tmp; exit 1; \
+	fi
 
 # Quick self-healing sweep: the repaired broken-link frontier must beat
 # the static γ bound on every topology (exits non-zero otherwise).

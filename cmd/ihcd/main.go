@@ -253,12 +253,11 @@ func runDaemon(tmpl stream.Config, self topology.Node, listen, peersPath string,
 	if round.LedgerErr != nil {
 		out.LedgerErr = round.LedgerErr.Error()
 	}
-	for src, chans := range round.Copies {
+	for src, chans := range round.Copies { // each list in channel order
 		cs := make([]int, len(chans))
 		for i, c := range chans {
 			cs[i] = int(c)
 		}
-		sort.Ints(cs)
 		out.Copies[int(src)] = cs
 		out.Exhausted -= len(chans)
 	}

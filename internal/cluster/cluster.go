@@ -520,10 +520,11 @@ func seededFor(b transport.BackoffConfig, v topology.Node) transport.BackoffConf
 // CompareWithSimnet checks every epoch of every node in res against
 // the discrete-event engine's delivery multiset on the same schedule:
 // for each receiver r and source s ≠ r, the channels r's copies of s
-// arrived on must be exactly {0..γ−1}, in the number the engine's
-// CopyMatrix records for (r, s). It is the acceptance bridge between
-// the two executions — same topology, same schedule, same multiset —
-// and the delivery check both Run's callers and `ihcd -launch` apply.
+// arrived on, listed in channel order, must be exactly {0..γ−1}, in the
+// number the engine's CopyMatrix records for (r, s). It is the
+// acceptance bridge between the two executions — same topology, same
+// schedule, same multiset — and the delivery check both Run's callers
+// and `ihcd -launch` apply.
 func CompareWithSimnet(x *core.IHC, eta int, res *Result) error {
 	sim, err := x.Run(core.Config{Eta: eta, Params: simnet.Params{}.Defaulted()})
 	if err != nil {
@@ -541,8 +542,7 @@ func CompareWithSimnet(x *core.IHC, eta int, res *Result) error {
 				if src == r {
 					continue
 				}
-				chans := append([]uint8(nil), er.Copies[src]...)
-				slices.Sort(chans)
+				chans := er.Copies[src]
 				if want := sim.Copies.Get(r, src); len(chans) != want {
 					return fmt.Errorf("cluster: node %d epoch %d holds %d copies from source %d, simnet delivered %d", r, er.Epoch, len(chans), s, want)
 				}

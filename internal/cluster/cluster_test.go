@@ -237,8 +237,9 @@ func TestStreamEquivalenceOneShot(t *testing.T) {
 					continue
 				}
 				want := reliable.TruthPayload(src)
-				for j := 0; j < cfg.Node.IHC.Gamma(); j++ {
-					got := er.Payloads[stream.Want{Source: src, Channel: uint8(j)}]
+				gamma := cfg.Node.IHC.Gamma()
+				for j := 0; j < gamma; j++ {
+					got := er.Payloads[s*gamma+j]
 					if !bytes.Equal(got, want) {
 						t.Fatalf("node %d epoch %d source %d channel %d: payload %x, want %x",
 							v, er.Epoch, s, j, got, want)

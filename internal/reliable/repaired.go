@@ -31,8 +31,8 @@ type RepairedOutcome struct {
 // packets (negative Seq) are control traffic and are excluded from the
 // grade; retransmitted copies count as genuine copies of the original.
 //
-// cfg selects the execution exactly as in EvaluateTimed; rcfg tunes the
-// repair layer (the zero value picks the package defaults). The
+// cfg selects the execution exactly as in EvaluateTimed; rcfg goes to
+// repair.Run, which derives every repair value from cfg.Params. The
 // fault-free baseline run used for the overhead figure shares cfg but
 // has no faults and no repair layer.
 func EvaluateRepaired(x *core.IHC, tplan *fault.TemporalPlan, signed bool, kr *Keyring, cfg core.Config, rcfg repair.Config) (RepairedOutcome, error) {

@@ -8,7 +8,7 @@
 // first destination position without a copy localizes the loss to one
 // directed arc, a NAK travels from the detector back to the source
 // along a surviving directed Hamiltonian cycle, and the source
-// retransmits with exponential backoff, bounded by MaxAttempts.
+// retransmits with exponential backoff, bounded by maxAttempts.
 // Repeated loss on one arc diagnoses the underlying link dead, after
 // which routes — retransmissions immediately, subsequent stages via
 // core.Config.PatchRoutes — detour around it using edge-disjoint paths.
@@ -25,49 +25,20 @@ import (
 	"ihc/internal/topology"
 )
 
-// Config tunes detection and recovery. The zero value selects defaults
-// derived from the network parameters at Manager construction.
-type Config struct {
-	// SlackBase is added to every deadline on top of the closed-form
-	// arrival tick. Default: μα + τ_S + D.
-	SlackBase simnet.Time
-	// SlackPerHop is added per route hop, covering the worst case a
-	// healthy hop can suffer (buffered fallback + one background burst +
-	// queueing). Default: 0 when ρ = 0 (the schedule is contention-free,
-	// arrivals are exact), else 2·(2μα + τ_S + D).
-	SlackPerHop simnet.Time
-	// Backoff is the delay between a NAK reaching the source and the
-	// first retransmission; it doubles with every further attempt.
-	// Default: τ_S + 2μα.
-	Backoff simnet.Time
-	// MaxAttempts bounds recovery rounds (NAK + retransmission) per lost
-	// packet. Default: 5.
-	MaxAttempts int
-	// SuspectThreshold is how many independent losses must localize to
-	// the same directed arc before its link is diagnosed dead and routed
-	// around. Default: 2 ("repeated loss").
-	SuspectThreshold int
-}
+// Config has no fields: every repair value derives from the network
+// parameters when NewManager builds a Manager. Run still takes one for
+// its callers, the benchmark module among them.
+type Config struct{}
 
-func (c Config) withDefaults(p simnet.Params) Config {
-	pt := p.PacketTime()
-	if c.SlackBase == 0 {
-		c.SlackBase = pt + p.TauS + p.D
-	}
-	if c.SlackPerHop == 0 && (p.Rho > 0 || p.Mode != simnet.VirtualCutThrough) {
-		c.SlackPerHop = 2 * (2*pt + p.TauS + p.D)
-	}
-	if c.Backoff == 0 {
-		c.Backoff = p.TauS + 2*pt
-	}
-	if c.MaxAttempts == 0 {
-		c.MaxAttempts = 5
-	}
-	if c.SuspectThreshold == 0 {
-		c.SuspectThreshold = 2
-	}
-	return c
-}
+const (
+	// maxAttempts bounds recovery rounds (NAK + retransmission) per lost
+	// packet.
+	maxAttempts = 5
+	// suspectThreshold is how many independent losses must localize to
+	// the same directed arc before its link is diagnosed dead and routed
+	// around ("repeated loss").
+	suspectThreshold = 2
+)
 
 // Stats aggregates what the repair layer observed and did across every
 // stage run the Manager was attached to.
@@ -76,7 +47,7 @@ type Stats struct {
 	Naks            int // NAK packets injected
 	Retransmissions int // retransmission packets injected
 	Recovered       int // copies delivered to a previously-missing destination
-	GaveUp          int // copies abandoned (MaxAttempts exhausted or no route)
+	GaveUp          int // copies abandoned (maxAttempts exhausted or no route)
 	DeadLinks       int // links diagnosed dead
 	DeadNodes       int // nodes with ≥2 dead links, avoided as detour relays
 	Detours         int // stage routes rewritten by PatchSpecs
@@ -128,10 +99,21 @@ type track struct {
 // id — the topology.Graph.Arcs order, the same numbering simnet uses for
 // its link table — so diagnosis and route patching never hash.
 type Manager struct {
-	x   *core.IHC
-	g   *topology.Graph
-	p   simnet.Params
-	cfg Config
+	x *core.IHC
+	g *topology.Graph
+	p simnet.Params
+
+	// Derived from p by NewManager. slackBase, μα + τ_S + D, is added to
+	// every deadline on top of the closed-form arrival tick.
+	// recoverySlack, 2·(2μα + τ_S + D), is the worst case a healthy hop
+	// can suffer (buffered fallback + one background burst + queueing):
+	// the per-hop slack of NAKs, retransmissions and patched routes,
+	// which run outside the contention-free schedule, even at ρ = 0.
+	// slackPerHop, the per-hop slack of scheduled specs, is recoverySlack
+	// under load or store-and-forward and 0 otherwise (arrivals are
+	// exact). backoffBase, τ_S + 2μα, is the delay between a NAK reaching
+	// the source and the first retransmission, doubling per attempt.
+	slackBase, slackPerHop, recoverySlack, backoffBase simnet.Time
 
 	arcBase []int32 // arcBase[u] = number of arcs leaving nodes < u
 
@@ -168,15 +150,22 @@ type Manager struct {
 // NewManager builds a repair controller for x under network parameters
 // p (must equal the Params of the runs it is attached to — deadlines
 // are computed from them).
-func NewManager(x *core.IHC, p simnet.Params, cfg Config) *Manager {
+func NewManager(x *core.IHC, p simnet.Params) *Manager {
 	p = p.Defaulted()
 	g := x.Graph()
 	n := g.N()
+	pt := p.PacketTime()
 	m := &Manager{
-		x: x, g: g, p: p, cfg: cfg.withDefaults(p),
-		arcBase:  make([]int32, n+1),
-		deadInc:  make([]int32, n),
-		deadNode: make([]bool, n),
+		x: x, g: g, p: p,
+		slackBase:     pt + p.TauS + p.D,
+		recoverySlack: 2 * (2*pt + p.TauS + p.D),
+		backoffBase:   p.TauS + 2*pt,
+		arcBase:       make([]int32, n+1),
+		deadInc:       make([]int32, n),
+		deadNode:      make([]bool, n),
+	}
+	if p.Rho > 0 || p.Mode != simnet.VirtualCutThrough {
+		m.slackPerHop = m.recoverySlack
 	}
 	for u := 0; u < n; u++ {
 		m.arcBase[u+1] = m.arcBase[u] + int32(g.Degree(topology.Node(u)))
@@ -234,31 +223,23 @@ func (m *Manager) deadline(inject simnet.Time, routeLen, flits int, perHop simne
 		pt = simnet.Time(flits) * m.p.Alpha
 	}
 	hops := simnet.Time(routeLen - 1)
-	return inject + m.p.TauS + pt + (hops-1)*m.p.Alpha + m.cfg.SlackBase + hops*m.perHopOr(perHop)
+	return inject + m.p.TauS + pt + (hops-1)*m.p.Alpha + m.slackBase + hops*m.perHopOr(perHop)
 }
 
 func (m *Manager) perHopOr(perHop simnet.Time) simnet.Time {
-	if perHop > m.cfg.SlackPerHop {
+	if perHop > m.slackPerHop {
 		return perHop
 	}
-	return m.cfg.SlackPerHop
-}
-
-// recoverySlackPerHop is the per-hop slack for NAKs, retransmissions,
-// and patched routes: these run outside the contention-free schedule
-// (they can collide with data traffic and each other), so they always
-// get the generous bound even at ρ = 0.
-func (m *Manager) recoverySlackPerHop() simnet.Time {
-	return 2 * (2*m.p.PacketTime() + m.p.TauS + m.p.D)
+	return m.slackPerHop
 }
 
 // DeadlineFor exposes the detection deadline of a stage data spec for
-// tests: the closed-form arrival of its final copy plus configured
-// slack.
+// tests: the closed-form arrival of its final copy plus the slack
+// derived from the network parameters.
 func (m *Manager) DeadlineFor(s simnet.PacketSpec) simnet.Time {
 	perHop := simnet.Time(0)
 	if len(s.Route) != m.x.N() {
-		perHop = m.recoverySlackPerHop()
+		perHop = m.recoverySlack
 	}
 	return m.deadline(s.Inject, len(s.Route), s.Flits, perHop)
 }
@@ -303,7 +284,7 @@ func (m *Manager) Attach(rt *simnet.Runtime, specs []simnet.PacketSpec) {
 		m.tracked = append(m.tracked, &tracks[i])
 		perHop := simnet.Time(0)
 		if !sched || m.stats.DeadLinks > 0 {
-			perHop = m.recoverySlackPerHop()
+			perHop = m.recoverySlack
 		}
 		rt.SetTimer(m.deadline(s.Inject, len(s.Route), s.Flits, perHop), token(int32(i), tokDeadline))
 	}
@@ -355,7 +336,7 @@ func (m *Manager) backoff(o *origin) simnet.Time {
 	if shift > 16 {
 		shift = 16
 	}
-	return m.cfg.Backoff << uint(shift)
+	return m.backoffBase << uint(shift)
 }
 
 // OnTimer dispatches deadline checks and retransmission firings.
@@ -411,7 +392,7 @@ func (m *Manager) checkDeadline(tr *track, at simnet.Time) {
 	// This spec delivered everywhere on its own route, yet the origin
 	// still misses destinations (a partial-coverage retransmission):
 	// skip the NAK round-trip and go straight to another attempt.
-	if o.attempts >= m.cfg.MaxAttempts {
+	if o.attempts >= maxAttempts {
 		m.stats.GaveUp += o.missing
 		return
 	}
@@ -430,7 +411,7 @@ func firstMissing(tr *track) int {
 	return -1
 }
 
-// suspectArc accumulates loss evidence; at SuspectThreshold the
+// suspectArc accumulates loss evidence; at suspectThreshold the
 // underlying link is diagnosed dead (link faults in the fault model cut
 // both directions, so diagnosis is per undirected link), and a node
 // accumulating two dead links is flagged so detours avoid relaying
@@ -438,7 +419,7 @@ func firstMissing(tr *track) int {
 func (m *Manager) suspectArc(u, v topology.Node) {
 	a, r := m.arcID(u, v), m.arcID(v, u)
 	m.suspect[a]++
-	if m.dead[a] || int(m.suspect[a]+m.suspect[r]) < m.cfg.SuspectThreshold {
+	if m.dead[a] || int(m.suspect[a]+m.suspect[r]) < suspectThreshold {
 		return
 	}
 	m.dead[a], m.dead[r] = true, true
@@ -458,7 +439,7 @@ func (m *Manager) suspectArc(u, v topology.Node) {
 // are 1 flit, tee so every relay learns of the loss, and carry
 // Seq = -attempt so graders can filter them out of coverage.
 func (m *Manager) sendNak(o *origin, tr *track, at simnet.Time) {
-	if o.attempts >= m.cfg.MaxAttempts {
+	if o.attempts >= maxAttempts {
 		m.stats.GaveUp += o.missing
 		return
 	}
@@ -499,7 +480,7 @@ func (m *Manager) sendNak(o *origin, tr *track, at simnet.Time) {
 	nt := &track{kind: kindNak, route: route, got: make([]bool, m.x.N()), o: o, dest: src}
 	nt.got[route[0]] = true
 	m.trackAt(idx, nt)
-	m.rt.SetTimer(m.deadline(at, len(route), 1, m.recoverySlackPerHop()), token(idx, tokDeadline))
+	m.rt.SetTimer(m.deadline(at, len(route), 1, m.recoverySlack), token(idx, tokDeadline))
 }
 
 // fireRetrans re-injects the lost packet from its source. Preferred
@@ -508,7 +489,7 @@ func (m *Manager) sendNak(o *origin, tr *track, at simnet.Time) {
 // that never saw the original). If no consistent patched cycle exists,
 // it degrades to per-destination shortest paths around the faults.
 func (m *Manager) fireRetrans(o *origin, at simnet.Time) {
-	if o.missing == 0 || o.attempts > m.cfg.MaxAttempts {
+	if o.missing == 0 || o.attempts > maxAttempts {
 		return
 	}
 	routes := m.recoveryRoutes(o)
@@ -535,7 +516,7 @@ func (m *Manager) fireRetrans(o *origin, at simnet.Time) {
 		rt := &track{kind: kindRetrans, route: r, got: make([]bool, m.x.N()), o: o}
 		rt.got[r[0]] = true
 		m.trackAt(idx, rt)
-		m.rt.SetTimer(m.deadline(at, len(r), 0, m.recoverySlackPerHop()), token(idx, tokDeadline))
+		m.rt.SetTimer(m.deadline(at, len(r), 0, m.recoverySlack), token(idx, tokDeadline))
 	}
 }
 

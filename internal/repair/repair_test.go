@@ -90,7 +90,7 @@ func TestFaultFreeNoFalsePositives(t *testing.T) {
 
 // runRepaired executes a repair-enabled broadcast against a set of
 // permanently broken links and returns the result, stats, and coverage.
-func runRepaired(t *testing.T, x *core.IHC, broken []topology.Edge, rcfg Config) (*core.Result, Stats, [][]int) {
+func runRepaired(t *testing.T, x *core.IHC, broken []topology.Edge) (*core.Result, Stats, [][]int) {
 	t.Helper()
 	tp := &fault.TemporalPlan{}
 	for _, e := range broken {
@@ -106,7 +106,7 @@ func runRepaired(t *testing.T, x *core.IHC, broken []topology.Edge, rcfg Config)
 		RecordDeliveries: true,
 		Fault:            inj,
 	}
-	res, st, err := Run(x, cfg, rcfg)
+	res, st, err := Run(x, cfg, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +134,7 @@ func TestSingleBrokenLinkRecovers(t *testing.T) {
 	for name, x := range testTopologies(t) {
 		g := x.Graph()
 		e := g.Edges()[0]
-		_, st, cov := runRepaired(t, x, []topology.Edge{e}, Config{})
+		_, st, cov := runRepaired(t, x, []topology.Edge{e})
 		assertFullCoverage(t, name, cov)
 		if st.Timeouts == 0 || st.Naks == 0 || st.Retransmissions == 0 {
 			t.Fatalf("%s: no repair activity despite broken link: %+v", name, st)
@@ -189,7 +189,7 @@ func TestBeyondStaticBound(t *testing.T) {
 		if !res.Connected() {
 			t.Fatalf("%s: test setup broke connectivity", name)
 		}
-		_, st, cov := runRepaired(t, x, broken, Config{})
+		_, st, cov := runRepaired(t, x, broken)
 		assertFullCoverage(t, name, cov)
 		if st.DeadLinks == 0 {
 			t.Fatalf("%s: no diagnosis with %d broken links: %+v", name, len(broken), st)
@@ -202,7 +202,7 @@ func TestBeyondStaticBound(t *testing.T) {
 // the whole stage otherwise).
 func TestPatchedRouteValidity(t *testing.T) {
 	x := newIHC(t, topology.MustSquareTorus(4))
-	m := NewManager(x, simnet.Params{}.Defaulted(), Config{})
+	m := NewManager(x, simnet.Params{}.Defaulted())
 	g := x.Graph()
 	// Diagnose three links dead by brute suspicion.
 	for _, e := range g.Edges()[:3] {
@@ -250,7 +250,7 @@ func TestPatchedRouteValidity(t *testing.T) {
 // links and reach the source.
 func TestNakRouteSurvives(t *testing.T) {
 	x := newIHC(t, topology.MustSquareTorus(4))
-	m := NewManager(x, simnet.Params{}.Defaulted(), Config{})
+	m := NewManager(x, simnet.Params{}.Defaulted())
 	g := x.Graph()
 	for _, e := range g.Edges()[:2] {
 		m.suspectArc(e.U, e.V)
@@ -284,7 +284,7 @@ func TestDeadlineIsSufficient(t *testing.T) {
 	for name, x := range testTopologies(t) {
 		for _, rho := range []float64{0, 0.1, 0.3} {
 			p := simnet.Params{TauS: 100, Alpha: 20, Mu: 2, D: 37, Rho: rho, Seed: 11}
-			m := NewManager(x, p, Config{})
+			m := NewManager(x, p)
 			specs, err := x.StagePackets(nil, 0, 2, 0, nil)
 			if err != nil {
 				t.Fatal(err)

@@ -12,12 +12,12 @@ import (
 // Note for graders: NAK packets appear in Result.Deliveriesv with
 // negative Seq — coverage accounting must filter them out (see
 // reliable.EvaluateRepaired).
-func Run(x *core.IHC, cfg core.Config, rcfg Config) (*core.Result, Stats, error) {
+func Run(x *core.IHC, cfg core.Config, _ Config) (*core.Result, Stats, error) {
 	cfg.Params = cfg.Params.Defaulted()
 	if cfg.Eta == 0 {
 		cfg.Eta = cfg.Params.Mu
 	}
-	m := NewManager(x, cfg.Params, rcfg)
+	m := NewManager(x, cfg.Params)
 	cfg.Control = m
 	cfg.PatchRoutes = m.PatchSpecs
 	res, err := x.Run(cfg)

@@ -2,7 +2,6 @@ package stream
 
 import (
 	"cmp"
-	"container/heap"
 	"math/rand"
 	"slices"
 	"time"
@@ -31,58 +30,63 @@ import (
 // while the surviving subgraph stays connected, rotation finds a holder
 // and the pull converges.
 
-// Want names one expected broadcast copy: source s's message on
-// directed Hamiltonian cycle j.
-type Want struct {
-	Source  topology.Node
-	Channel uint8
-}
-
-// pull is one planned repair action: send a NAK for Want to provider.
+// pull is one planned repair action: send provider a NAK for the copy
+// in the given epoch store slot.
 type pull struct {
-	Want
+	slot     int
 	provider topology.Node
 }
 
+// pullState is one copy's pull state, held by value in the planner's
+// slot-indexed slice.
 type pullState struct {
-	w         Want
 	providers []topology.Node
+	nextAt    time.Time
 	idx       int // rotation position
 	attempts  int
-	nextAt    time.Time
-	satisfied bool
 	seq       int // insertion index: emission order and heap tie-break
-	slot      int // index in planner.live, -1 once out of it
+	expected  bool
+	satisfied bool
 }
 
-// planner tracks every copy of one epoch a node still expects and
-// decides, given the current time, which NAKs to send to whom. Each
-// want times its own retries from its own attempt count by the Retry
-// profile's rule: after its k-th pull it waits retry.Delay(k−1), and
-// half the wait its count gives after a MISS. The jitter comes from one
-// random source per planner, seeded by the profile's Seed. Not safe for
-// concurrent use; the node's event loop owns it.
+// planner tracks every copy of one epoch a node still expects, keyed by
+// the copy's epoch store slot (source·γ + channel), and decides, given
+// the current time, which NAKs to send to whom. Each copy times its own
+// retries from its own attempt count by the Retry profile's rule: after
+// its k-th pull it waits retry.Delay(k−1), and half the wait its count
+// gives after a MISS. The jitter comes from one random source per
+// planner, seeded by the profile's Seed. Not safe for concurrent use;
+// the node's event loop owns it.
 //
-// Wants that can still be pulled sit in a min-heap keyed by (nextAt,
-// insertion index), so the event loop's per-iteration nextWake and due
-// cost the due wants, not every want. A satisfied want is dropped
-// lazily, when it reaches the top; one that exhausts its attempts
-// leaves the heap and is counted, so terminal is O(1).
+// Copies that can still be pulled sit in a min-heap of slots keyed by
+// (nextAt, insertion index), so the event loop's per-iteration nextWake
+// and due cost the due copies, not every copy. A satisfied copy is
+// dropped lazily, when it reaches the top; one that exhausts its
+// attempts leaves the heap and is counted, so terminal is O(1).
 type planner struct {
 	maxAttempts int
 	retry       transport.BackoffConfig
 	rng         *rand.Rand
-	wants       map[Want]*pullState
-	live        wantHeap
-	scratch     []*pullState // due's
+	slots       []pullState
+	live        []int // heap of pullable slots
+	scratch     []int // due's
+	expected    int
 	pending     int
-	exhausted   int // unsatisfied wants that burned maxAttempts
+	exhausted   int // unsatisfied copies that burned maxAttempts
 }
 
-// newPlanner returns an empty planner that sends at most maxAttempts
-// NAKs per missing copy, spaced by the retry profile.
-func newPlanner(maxAttempts int, retry transport.BackoffConfig) *planner {
-	return &planner{maxAttempts: maxAttempts, retry: retry, rng: retry.Rand(), wants: make(map[Want]*pullState)}
+// newPlanner returns a planner over slots store slots, none expected
+// yet, that sends at most maxAttempts NAKs per missing copy, spaced by
+// the retry profile.
+func newPlanner(slots, maxAttempts int, retry transport.BackoffConfig) *planner {
+	return &planner{
+		maxAttempts: maxAttempts,
+		retry:       retry,
+		rng:         retry.Rand(),
+		slots:       make([]pullState, slots),
+		live:        make([]int, 0, slots),
+		scratch:     make([]int, 0, slots),
+	}
 }
 
 // wait is how long st waits for its next pull: the profile's delay for
@@ -91,26 +95,27 @@ func (p *planner) wait(st *pullState) time.Duration {
 	return p.retry.Delay(st.attempts-1, p.rng.Float64())
 }
 
-// expect registers a copy the node is owed. deadline is when the
-// schedule's closed form (stage start + hops·per-hop latency + slack)
-// says it should have arrived; the first pull fires then. providers is
-// the rotation order, normally the cycle predecessor followed by the
-// node's remaining graph neighbors.
-func (p *planner) expect(w Want, deadline time.Time, providers []topology.Node) {
-	if _, dup := p.wants[w]; dup {
+// expect registers the copy in slot as one the node is owed. deadline
+// is when the schedule's closed form (stage start + hops·per-hop
+// latency + slack) says it should have arrived; the first pull fires
+// then. providers is the rotation order, normally the cycle predecessor
+// followed by the node's remaining graph neighbors.
+func (p *planner) expect(slot int, deadline time.Time, providers []topology.Node) {
+	st := &p.slots[slot]
+	if st.expected {
 		return
 	}
-	st := &pullState{w: w, providers: providers, nextAt: deadline, seq: len(p.wants)}
-	p.wants[w] = st
-	heap.Push(&p.live, st)
+	*st = pullState{providers: providers, nextAt: deadline, seq: p.expected, expected: true}
+	p.expected++
 	p.pending++
+	p.push(slot)
 }
 
-// got marks a copy received. Reports whether it was still pending (the
-// first copy; duplicates return false).
-func (p *planner) got(w Want) bool {
-	st, ok := p.wants[w]
-	if !ok || st.satisfied {
+// got marks the copy in slot received. Reports whether it was still
+// pending (the first copy; duplicates return false).
+func (p *planner) got(slot int) bool {
+	st := &p.slots[slot]
+	if !st.expected || st.satisfied {
 		return false
 	}
 	st.satisfied = true
@@ -124,47 +129,48 @@ func (p *planner) got(w Want) bool {
 // miss records a provider answering "I don't hold that copy either":
 // rotation has already advanced past it, so the only adjustment is to
 // retry after half the wait a deadline miss would.
-func (p *planner) miss(w Want, now time.Time) {
-	st, ok := p.wants[w]
-	if !ok || st.satisfied || st.attempts >= p.maxAttempts {
+func (p *planner) miss(slot int, now time.Time) {
+	st := &p.slots[slot]
+	if !st.expected || st.satisfied || st.attempts >= p.maxAttempts {
 		return
 	}
 	next := now.Add(p.wait(st) / 2)
 	if next.Before(st.nextAt) {
 		st.nextAt = next
-		heap.Fix(&p.live, st.slot)
+		p.up(slices.Index(p.live, slot))
 	}
 }
 
 // due returns the pulls whose time has come, in insertion order,
-// advancing each want's rotation, attempt count, and next-retry time.
+// advancing each copy's rotation, attempt count, and next-retry time.
 // peerDown (optional) lets the rotation skip providers whose circuit
-// breakers are open; if every provider is down the want just waits
-// out its backoff.
+// breakers are open; if every provider is down the copy just waits out
+// its backoff.
 func (p *planner) due(now time.Time, peerDown func(topology.Node) bool) []pull {
-	// Pop every due want before rescheduling any, so a retry that is
-	// due again at once waits for the next call.
+	// Pop every due copy before rescheduling any, so a retry that is due
+	// again at once waits for the next call.
 	p.scratch = p.scratch[:0]
-	for len(p.live) > 0 && !now.Before(p.live[0].nextAt) {
-		if st := heap.Pop(&p.live).(*pullState); !st.satisfied {
-			p.scratch = append(p.scratch, st)
+	for len(p.live) > 0 && !now.Before(p.slots[p.live[0]].nextAt) {
+		if s := p.pop(); !p.slots[s].satisfied {
+			p.scratch = append(p.scratch, s)
 		}
 	}
-	slices.SortFunc(p.scratch, func(a, b *pullState) int { return cmp.Compare(a.seq, b.seq) })
-	var out []pull
-	for _, st := range p.scratch {
+	slices.SortFunc(p.scratch, func(a, b int) int { return cmp.Compare(p.slots[a].seq, p.slots[b].seq) })
+	out := make([]pull, 0, len(p.scratch))
+	for _, s := range p.scratch {
+		st := &p.slots[s]
 		provider, ok := p.pickProvider(st, peerDown)
 		st.attempts++
 		st.nextAt = now.Add(p.wait(st))
 		if st.attempts < p.maxAttempts {
-			heap.Push(&p.live, st)
+			p.push(s)
 		} else {
 			p.exhausted++
 		}
 		if !ok {
 			continue // all providers down; burn the attempt slot and wait
 		}
-		out = append(out, pull{Want: st.w, provider: provider})
+		out = append(out, pull{slot: s, provider: provider})
 	}
 	return out
 }
@@ -180,16 +186,16 @@ func (p *planner) pickProvider(st *pullState, peerDown func(topology.Node) bool)
 	return 0, false
 }
 
-// nextWake returns the earliest time any unsatisfied, unexhausted want
+// nextWake returns the earliest time any unsatisfied, unexhausted copy
 // becomes due. ok is false when nothing is left to do.
 func (p *planner) nextWake() (at time.Time, ok bool) {
-	for len(p.live) > 0 && p.live[0].satisfied {
-		heap.Pop(&p.live)
+	for len(p.live) > 0 && p.slots[p.live[0]].satisfied {
+		p.pop()
 	}
 	if len(p.live) == 0 {
 		return at, false
 	}
-	return p.live[0].nextAt, true
+	return p.slots[p.live[0]].nextAt, true
 }
 
 // done reports whether every expected copy has arrived.
@@ -198,7 +204,7 @@ func (p *planner) done() bool { return p.pending == 0 }
 // terminal reports whether the planner has no live work left: every
 // expected copy has either arrived or burned its full attempt budget.
 // done distinguishes the happy case; terminal && !done means the round
-// ends with copies missing. A late got on an exhausted want still
+// ends with copies missing. A late got on an exhausted copy still
 // counts it satisfied, so a terminal-failed round can be revived by an
 // unsolicited copy (a rejoining node's late injection) as long as the
 // caller keeps feeding the planner.
@@ -206,36 +212,56 @@ func (p *planner) terminal() bool {
 	return p.pending == 0 || p.pending <= p.exhausted
 }
 
-// wantHeap implements container/heap over the planner's pullable
-// wants, keeping each want's slot current for heap.Fix.
-type wantHeap []*pullState
+// The heap of pullable slots, hand-written because container/heap's
+// Push and Pop box each slot (an allocation above 255). A slot is in it
+// at most once: from expect until due exhausts it or it tops satisfied.
 
-func (h wantHeap) Len() int { return len(h) }
+// before orders the heap: earlier nextAt first, then insertion order.
+func (p *planner) before(a, b int) bool {
+	x, y := &p.slots[a], &p.slots[b]
+	return x.nextAt.Before(y.nextAt) || x.nextAt.Equal(y.nextAt) && x.seq < y.seq
+}
 
-func (h wantHeap) Less(i, j int) bool {
-	a, b := h[i], h[j]
-	if a.nextAt.Before(b.nextAt) {
-		return true
+func (p *planner) push(slot int) {
+	p.live = append(p.live, slot)
+	p.up(len(p.live) - 1)
+}
+
+func (p *planner) pop() int {
+	h := p.live
+	top, last := h[0], len(h)-1
+	h[0] = h[last]
+	p.live = h[:last]
+	p.down(0)
+	return top
+}
+
+func (p *planner) up(i int) {
+	h := p.live
+	for i > 0 {
+		parent := (i - 1) / 2
+		if !p.before(h[i], h[parent]) {
+			return
+		}
+		h[i], h[parent] = h[parent], h[i]
+		i = parent
 	}
-	return !b.nextAt.Before(a.nextAt) && a.seq < b.seq
 }
 
-func (h wantHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].slot, h[j].slot = i, j
-}
-
-func (h *wantHeap) Push(x any) {
-	st := x.(*pullState)
-	st.slot = len(*h)
-	*h = append(*h, st)
-}
-
-func (h *wantHeap) Pop() any {
-	old := *h
-	st := old[len(old)-1]
-	old[len(old)-1] = nil
-	*h = old[:len(old)-1]
-	st.slot = -1
-	return st
+func (p *planner) down(i int) {
+	h := p.live
+	for {
+		c := 2*i + 1
+		if c >= len(h) {
+			return
+		}
+		if c+1 < len(h) && p.before(h[c+1], h[c]) {
+			c++
+		}
+		if !p.before(h[c], h[i]) {
+			return
+		}
+		h[i], h[c] = h[c], h[i]
+		i = c
+	}
 }

@@ -18,8 +18,8 @@ var doubling = transport.BackoffConfig{Base: time.Second, Max: 4 * time.Second, 
 
 func TestPlannerPullLifecycle(t *testing.T) {
 	t0 := time.Unix(100, 0)
-	p := newPlanner(3, doubling)
-	w := Want{Source: 5, Channel: 1}
+	p := newPlanner(8, 3, doubling)
+	const w = 5
 	p.expect(w, t0, []topology.Node{4, 6, 7})
 	p.expect(w, t0.Add(time.Hour), nil) // duplicate: ignored
 
@@ -36,7 +36,7 @@ func TestPlannerPullLifecycle(t *testing.T) {
 	// First pull goes to the cycle predecessor, then the next-retry
 	// time moves out by the profile's first wait, Base.
 	pulls := p.due(t0, nil)
-	if len(pulls) != 1 || pulls[0].provider != 4 || pulls[0].Want != w || p.wants[w].attempts != 1 {
+	if len(pulls) != 1 || pulls[0].provider != 4 || pulls[0].slot != w || p.slots[w].attempts != 1 {
 		t.Fatalf("first pulls = %+v", pulls)
 	}
 	if at, _ := p.nextWake(); !at.Equal(t0.Add(time.Second)) {
@@ -49,7 +49,7 @@ func TestPlannerPullLifecycle(t *testing.T) {
 		t.Fatalf("retry after a MISS at 100ms due at %v, want 600ms", at.Sub(t0))
 	}
 	pulls = p.due(t0.Add(600*time.Millisecond), nil)
-	if len(pulls) != 1 || pulls[0].provider != 6 || p.wants[w].attempts != 2 {
+	if len(pulls) != 1 || pulls[0].provider != 6 || p.slots[w].attempts != 2 {
 		t.Fatalf("post-MISS pulls = %+v", pulls)
 	}
 	// The second pull's wait is the profile's second, Base·Factor.
@@ -59,7 +59,7 @@ func TestPlannerPullLifecycle(t *testing.T) {
 	// The copy arrives: satisfied, no further pulls, duplicate got is
 	// reported as such.
 	if !p.got(w) {
-		t.Fatal("got returned false for a pending want")
+		t.Fatal("got returned false for a pending copy")
 	}
 	if p.got(w) {
 		t.Fatal("duplicate got returned true")
@@ -68,7 +68,7 @@ func TestPlannerPullLifecycle(t *testing.T) {
 		t.Fatalf("pending=%d done=%v after got", p.pending, p.done())
 	}
 	if pulls := p.due(t0.Add(time.Hour), nil); len(pulls) != 0 {
-		t.Fatalf("satisfied want still pulled: %v", pulls)
+		t.Fatalf("satisfied copy still pulled: %v", pulls)
 	}
 	if _, ok := p.nextWake(); ok {
 		t.Fatal("nextWake still scheduled after completion")
@@ -77,8 +77,8 @@ func TestPlannerPullLifecycle(t *testing.T) {
 
 func TestPlannerSkipsDownPeersAndExhausts(t *testing.T) {
 	t0 := time.Unix(0, 0)
-	p := newPlanner(3, doubling)
-	w := Want{Source: 2, Channel: 0}
+	p := newPlanner(8, 3, doubling)
+	const w = 2
 	p.expect(w, t0, []topology.Node{1, 3})
 
 	// Provider 1's breaker is open: rotation lands on 3.
@@ -92,30 +92,30 @@ func TestPlannerSkipsDownPeersAndExhausts(t *testing.T) {
 	if len(pulls) != 0 {
 		t.Fatalf("pulls with all peers down = %+v", pulls)
 	}
-	// Third (final) attempt fires, then the want is exhausted: no more
+	// Third (final) attempt fires, then the copy is exhausted: no more
 	// pulls, no wake, listed as exhausted.
 	pulls = p.due(t0.Add(3*time.Second), nil)
-	if len(pulls) != 1 || p.wants[w].attempts != 3 {
+	if len(pulls) != 1 || p.slots[w].attempts != 3 {
 		t.Fatalf("final-attempt pulls = %+v", pulls)
 	}
 	if pulls := p.due(t0.Add(time.Hour), nil); len(pulls) != 0 {
-		t.Fatalf("exhausted want still pulled: %v", pulls)
+		t.Fatalf("exhausted copy still pulled: %v", pulls)
 	}
 	if _, ok := p.nextWake(); ok {
-		t.Fatal("nextWake scheduled for an exhausted want")
+		t.Fatal("nextWake scheduled for an exhausted copy")
 	}
-	ex := p.exhaustedWants()
+	ex := p.exhaustedSlots()
 	if len(ex) != 1 || ex[0] != w {
 		t.Fatalf("exhausted = %v, want [%v]", ex, w)
 	}
 	if p.done() || !p.terminal() {
-		t.Fatalf("exhausted want: done=%v terminal=%v, want false, true", p.done(), p.terminal())
+		t.Fatalf("exhausted copy: done=%v terminal=%v, want false, true", p.done(), p.terminal())
 	}
 	// A late copy still satisfies it.
 	if !p.got(w) {
 		t.Fatal("late got refused")
 	}
-	if len(p.exhaustedWants()) != 0 || !p.done() {
+	if len(p.exhaustedSlots()) != 0 || !p.done() {
 		t.Fatal("late copy did not clear the exhausted state")
 	}
 }
@@ -134,13 +134,14 @@ func BenchmarkPlannerEpoch(b *testing.B) {
 	retry := Config{}.Defaulted().Retry
 	retry.Seed = 1
 	t0 := time.Unix(1000, 0)
-	want := (g.N() - 1) * len(nbs)
+	gamma := len(nbs)
+	want := (g.N() - 1) * gamma
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		p := newPlanner(maxAttempts, retry)
+		p := newPlanner(g.N()*gamma, maxAttempts, retry)
 		for j, rot := range rotations {
 			for s := 1; s < g.N(); s++ {
-				p.expect(Want{Source: topology.Node(s), Channel: uint8(j)}, t0, rot)
+				p.expect(s*gamma+j, t0, rot)
 			}
 		}
 		pulls := p.due(t0, nil)
@@ -148,7 +149,7 @@ func BenchmarkPlannerEpoch(b *testing.B) {
 			b.Fatalf("%d pulls, want %d", len(pulls), want)
 		}
 		for _, pl := range pulls {
-			p.got(pl.Want)
+			p.got(pl.slot)
 		}
 		if !p.done() {
 			b.Fatal("epoch not done after every copy arrived")
@@ -157,61 +158,60 @@ func BenchmarkPlannerEpoch(b *testing.B) {
 }
 
 // plannerState is what the differential test compares after every
-// call: the counters and verdicts, the exhausted wants in insertion
-// order, and every want's attempt count and next pull time.
+// call: the counters and verdicts, the exhausted slots in insertion
+// order, and every expected slot's attempt count and next pull time.
 type plannerState struct {
 	Pending        int
 	Done, Terminal bool
-	Exhausted      []Want
-	Attempts       map[Want]int
-	RetryAt        map[Want]time.Time
+	Exhausted      []int
+	Attempts       map[int]int
+	RetryAt        map[int]time.Time
 }
 
 // plannerAPI is the method set the differential test drives on both
 // the heap planner and the scan-based reference below.
 type plannerAPI interface {
-	expect(w Want, deadline time.Time, providers []topology.Node)
-	got(w Want) bool
-	miss(w Want, now time.Time)
+	expect(slot int, deadline time.Time, providers []topology.Node)
+	got(slot int) bool
+	miss(slot int, now time.Time)
 	due(now time.Time, peerDown func(topology.Node) bool) []pull
 	nextWake() (time.Time, bool)
 	state() plannerState
 }
 
-// exhaustedWants lists, in insertion order, the wants that burned
-// maxAttempts without a copy arriving.
-func (p *planner) exhaustedWants() []Want {
-	var out []*pullState
-	for _, st := range p.wants {
-		if !st.satisfied && st.attempts >= p.maxAttempts {
-			out = append(out, st)
+// exhaustedSlots lists, in insertion order, the slots whose copies
+// burned maxAttempts without arriving.
+func (p *planner) exhaustedSlots() []int {
+	var out []int
+	for s, st := range p.slots {
+		if st.expected && !st.satisfied && st.attempts >= p.maxAttempts {
+			out = append(out, s)
 		}
 	}
-	slices.SortFunc(out, func(a, b *pullState) int { return cmp.Compare(a.seq, b.seq) })
-	var ws []Want
-	for _, st := range out {
-		ws = append(ws, st.w)
-	}
-	return ws
+	slices.SortFunc(out, func(a, b int) int { return cmp.Compare(p.slots[a].seq, p.slots[b].seq) })
+	return out
 }
 
 func (p *planner) state() plannerState {
 	s := plannerState{
-		Pending: p.pending, Done: p.done(), Terminal: p.terminal(), Exhausted: p.exhaustedWants(),
-		Attempts: map[Want]int{}, RetryAt: map[Want]time.Time{},
+		Pending: p.pending, Done: p.done(), Terminal: p.terminal(), Exhausted: p.exhaustedSlots(),
+		Attempts: map[int]int{}, RetryAt: map[int]time.Time{},
 	}
-	for w, st := range p.wants {
-		s.Attempts[w], s.RetryAt[w] = st.attempts, st.nextAt
+	for slot, st := range p.slots {
+		if st.expected {
+			s.Attempts[slot], s.RetryAt[slot] = st.attempts, st.nextAt
+		}
 	}
 	return s
 }
 
-// runPlannerOps decodes ops into a sequence of planner calls, applies
-// it to a planner and to the reference, both built from one retry
-// profile, and fails at the first differing return value, counter,
-// exhausted list, attempt count or retry time. The first byte picks the attempt
-// budget and whether the profile jitters: without jitter every wait is
-// a whole number of milliseconds, so ties between wants are common.
+// runPlannerOps decodes ops into a sequence of planner calls over the
+// 18 slots of a 6-source, γ = 3 store, applies it to a planner and to
+// the reference, both built from one retry profile, and fails at the
+// first differing return value, counter, exhausted list, attempt count
+// or retry time. The first byte picks the attempt budget and whether
+// the profile jitters: without jitter every wait is a whole number of
+// milliseconds, so ties between copies are common.
 func runPlannerOps(t *testing.T, ops []byte) {
 	if len(ops) == 0 {
 		return
@@ -221,11 +221,12 @@ func runPlannerOps(t *testing.T, ops []byte) {
 	if ops[0]/5%2 == 1 {
 		retry.Jitter = 0.5
 	}
-	planners := [2]plannerAPI{newPlanner(budget, retry), newRefPlanner(budget, retry)}
+	const sources, gamma = 6, 3
+	planners := [2]plannerAPI{newPlanner(sources*gamma, budget, retry), newRefPlanner(budget, retry)}
 	now := time.Unix(1000, 0)
 	for i := 1; i+1 < len(ops); i += 2 {
 		op, arg := ops[i], ops[i+1]
-		w := Want{Source: topology.Node(arg % 6), Channel: (arg / 6) % 3}
+		w := int(arg%sources)*gamma + int(arg/sources%gamma)
 		var got [2]any
 		switch op % 6 {
 		case 0:
@@ -249,7 +250,7 @@ func runPlannerOps(t *testing.T, ops []byte) {
 		case 3:
 			down := func(v topology.Node) bool { return op/6&(1<<(v%5)) != 0 }
 			for k, p := range planners {
-				got[k] = p.due(now, down)
+				got[k] = append([]pull(nil), p.due(now, down)...) // an empty result as nil
 			}
 		case 4:
 			for k, p := range planners {
@@ -297,7 +298,7 @@ func FuzzPlanner(f *testing.F) {
 // differential test's reference, with the same timing rule.
 
 type refPullState struct {
-	w         Want
+	slot      int
 	providers []topology.Node
 	idx       int // rotation position
 	attempts  int
@@ -309,30 +310,30 @@ type refPlanner struct {
 	maxAttempts int
 	retry       transport.BackoffConfig
 	rng         *rand.Rand
-	wants       map[Want]*refPullState
+	wants       map[int]*refPullState
 	order       []*refPullState // insertion order, for deterministic emission
 	pending     int
 }
 
 func newRefPlanner(maxAttempts int, retry transport.BackoffConfig) *refPlanner {
-	return &refPlanner{maxAttempts: maxAttempts, retry: retry, rng: retry.Rand(), wants: make(map[Want]*refPullState)}
+	return &refPlanner{maxAttempts: maxAttempts, retry: retry, rng: retry.Rand(), wants: make(map[int]*refPullState)}
 }
 
 func (p *refPlanner) wait(st *refPullState) time.Duration {
 	return p.retry.Delay(st.attempts-1, p.rng.Float64())
 }
 
-func (p *refPlanner) expect(w Want, deadline time.Time, providers []topology.Node) {
+func (p *refPlanner) expect(w int, deadline time.Time, providers []topology.Node) {
 	if _, dup := p.wants[w]; dup {
 		return
 	}
-	st := &refPullState{w: w, providers: providers, nextAt: deadline}
+	st := &refPullState{slot: w, providers: providers, nextAt: deadline}
 	p.wants[w] = st
 	p.order = append(p.order, st)
 	p.pending++
 }
 
-func (p *refPlanner) got(w Want) bool {
+func (p *refPlanner) got(w int) bool {
 	st, ok := p.wants[w]
 	if !ok || st.satisfied {
 		return false
@@ -342,7 +343,7 @@ func (p *refPlanner) got(w Want) bool {
 	return true
 }
 
-func (p *refPlanner) miss(w Want, now time.Time) {
+func (p *refPlanner) miss(w int, now time.Time) {
 	st, ok := p.wants[w]
 	if !ok || st.satisfied || st.attempts >= p.maxAttempts {
 		return
@@ -365,7 +366,7 @@ func (p *refPlanner) due(now time.Time, peerDown func(topology.Node) bool) []pul
 		if !ok {
 			continue // all providers down; burn the attempt slot and wait
 		}
-		out = append(out, pull{Want: st.w, provider: provider})
+		out = append(out, pull{slot: st.slot, provider: provider})
 	}
 	return out
 }
@@ -393,11 +394,11 @@ func (p *refPlanner) nextWake() (at time.Time, ok bool) {
 	return at, ok
 }
 
-func (p *refPlanner) exhaustedWants() []Want {
-	var out []Want
+func (p *refPlanner) exhaustedSlots() []int {
+	var out []int
 	for _, st := range p.order {
 		if !st.satisfied && st.attempts >= p.maxAttempts {
-			out = append(out, st.w)
+			out = append(out, st.slot)
 		}
 	}
 	return out
@@ -406,8 +407,8 @@ func (p *refPlanner) exhaustedWants() []Want {
 func (p *refPlanner) state() plannerState {
 	s := plannerState{
 		Pending: p.pending, Done: p.pending == 0,
-		Terminal:  p.pending == 0 || p.pending <= len(p.exhaustedWants()),
-		Exhausted: p.exhaustedWants(), Attempts: map[Want]int{}, RetryAt: map[Want]time.Time{},
+		Terminal:  p.pending == 0 || p.pending <= len(p.exhaustedSlots()),
+		Exhausted: p.exhaustedSlots(), Attempts: map[int]int{}, RetryAt: map[int]time.Time{},
 	}
 	for w, st := range p.wants {
 		s.Attempts[w], s.RetryAt[w] = st.attempts, st.nextAt

@@ -97,7 +97,7 @@ type Config struct {
 	// the whole cluster (atomic deltas); nil is a no-op sink.
 	Gauges *observe.StreamGauges
 	Clock  *hlc.Clock
-	// CollectPayloads retains delivered payload bytes in EpochResults
+	// CollectPayloads keeps each epoch's store in its EpochResult
 	// (tests); per-source channel sets are always kept.
 	CollectPayloads bool
 }
@@ -151,11 +151,12 @@ type EpochResult struct {
 	Latency   time.Duration // scheduled start → local completion (live epochs)
 	Repaired  int           // copies that arrived via the pull path
 	Items     int           // client payloads delivered across all sources
-	// Copies[s] lists the channels source s's copies arrived on;
-	// Payloads maps each (source, channel) to its delivered payload
-	// bytes (CollectPayloads only).
+	// Copies[s] lists, in channel order, the channels source s's copies
+	// arrived on. Payloads is the epoch store (CollectPayloads only):
+	// Payloads[s·γ + j] holds the bytes of source s's channel-j copy, nil
+	// if it never arrived.
 	Copies   map[topology.Node][]uint8
-	Payloads map[Want][]byte
+	Payloads [][]byte
 }
 
 // Result is a streaming node's final accounting.
@@ -168,18 +169,16 @@ type Result struct {
 
 // epochState is one open round's protocol state.
 type epochState struct {
-	epoch     uint32
-	scheduled time.Time // Epoch0 + e·Period
-	started   time.Time // actual local open (injection base)
-	planner   *planner
-	store     [][]byte // accepted payloads by slot source·γ + channel; see keep
-	ledger    *simnet.CopyLedger
-	copies    map[topology.Node][]uint8
-	injected  []bool
-	payload   []byte // own injection payload (epoch batch)
-	repaired  int
-	catchup   bool
-	stalled   bool // every pending want exhausted; waiting on a revival
+	epoch    uint32
+	started  time.Time // actual local open (injection base)
+	planner  *planner
+	store    [][]byte // accepted payloads by slot source·γ + channel; see keep
+	ledger   *simnet.CopyLedger
+	injected int    // own stages injected, always in stage order
+	payload  []byte // own injection payload (epoch batch)
+	repaired int
+	catchup  bool
+	stalled  bool // every pending copy exhausted; waiting on a revival
 }
 
 // Node runs the streaming protocol on one endpoint. Construct with
@@ -188,7 +187,6 @@ type epochState struct {
 // are the only cross-goroutine surfaces.
 type Node struct {
 	cfg     Config
-	clock   *hlc.Clock
 	ingress *Ingress
 
 	n, gamma  int
@@ -232,7 +230,6 @@ func NewNode(cfg Config) (*Node, error) {
 	}
 	nd := &Node{
 		cfg:      cfg,
-		clock:    cfg.Clock,
 		ingress:  NewIngress(cfg.Ingress, cfg.Gauges),
 		n:        cfg.IHC.N(),
 		gamma:    cfg.IHC.Gamma(),
@@ -275,13 +272,15 @@ func (nd *Node) stageOf(s topology.Node, j int) int {
 	return nd.cfg.IHC.ID(j, s) % nd.cfg.Eta
 }
 
-// slot returns w's index in an epoch store, or -1 when w names no
-// copy of this network (an unsigned NAK can claim anything).
-func (nd *Node) slot(w Want) int {
-	if w.Source < 0 || int(w.Source) >= nd.n || int(w.Channel) >= nd.gamma {
+// slot returns the epoch store index of source s's copy on channel
+// ch, source·γ + channel: the one key of a copy in the store, the
+// planner and EpochResult.Payloads. It is -1 when (s, ch) names no copy
+// of this network (an unsigned NAK or MISS can claim anything).
+func (nd *Node) slot(s topology.Node, ch uint8) int {
+	if s < 0 || int(s) >= nd.n || int(ch) >= nd.gamma {
 		return -1
 	}
-	return int(w.Source)*nd.gamma + int(w.Channel)
+	return int(s)*nd.gamma + int(ch)
 }
 
 // keep stores a copy's payload in an empty slot of an epoch store.
@@ -290,8 +289,8 @@ func (nd *Node) slot(w Want) int {
 // an epoch, and each retained epoch, holds one payload per source, not
 // γ. Copies that differ (a two-faced source) keep their own bytes. A
 // nil slot is an empty one, so an empty payload is stored non-nil.
-func (nd *Node) keep(store [][]byte, w Want, payload []byte) {
-	base := int(w.Source) * nd.gamma
+func (nd *Node) keep(store [][]byte, slot int, payload []byte) {
+	base := slot - slot%nd.gamma
 	for _, held := range store[base : base+nd.gamma] {
 		if held != nil && bytes.Equal(held, payload) {
 			payload = held
@@ -301,7 +300,7 @@ func (nd *Node) keep(store [][]byte, w Want, payload []byte) {
 	if payload == nil {
 		payload = []byte{}
 	}
-	store[base+int(w.Channel)] = payload
+	store[slot] = payload
 }
 
 // liveOpen counts open epochs against the MaxInflight cap. Stalled
@@ -336,21 +335,18 @@ func (nd *Node) openEpochIDs() []uint32 {
 // catchup epochs (rejoin recovery) get immediate pull deadlines and
 // immediate own-copy injection; live epochs follow the stage schedule
 // from effectiveStart = max(scheduled, now).
-func (nd *Node) openEpoch(e uint32, now time.Time, catchup bool) *epochState {
+func (nd *Node) openEpoch(e uint32, now time.Time, catchup bool) {
 	start := nd.scheduled(e)
 	if start.Before(now) {
 		start = now
 	}
 	st := &epochState{
-		epoch:     e,
-		scheduled: nd.scheduled(e),
-		started:   start,
-		planner:   newPlanner(maxAttempts, nd.cfg.Retry),
-		store:     make([][]byte, nd.n*nd.gamma),
-		ledger:    simnet.NewCopyLedger(nd.n),
-		copies:    make(map[topology.Node][]uint8),
-		injected:  make([]bool, nd.cfg.Eta),
-		catchup:   catchup,
+		epoch:   e,
+		started: start,
+		planner: newPlanner(nd.n*nd.gamma, maxAttempts, nd.cfg.Retry),
+		store:   make([][]byte, nd.n*nd.gamma),
+		ledger:  simnet.NewCopyLedger(nd.n),
+		catchup: catchup,
 	}
 	// Injection payload: the ingress batch drained at open (the
 	// compaction step; a bounded stream's last epoch closes the
@@ -381,32 +377,53 @@ func (nd *Node) openEpoch(e uint32, now time.Time, catchup bool) *epochState {
 					Add(time.Duration(nd.hops(nd.cfg.Self, src, j)) * nd.cfg.HopLatency).
 					Add(nd.cfg.Slack)
 			}
-			st.planner.expect(Want{Source: src, Channel: uint8(j)}, deadline, nd.providers[j])
+			st.planner.expect(s*nd.gamma+j, deadline, nd.providers[j])
 		}
 	}
 	nd.open[e] = st
-	if e >= nd.next {
-		nd.next = e + 1
-	}
 	nd.cfg.Gauges.LiveEpochs(nd.liveOpen())
 	if catchup {
-		for stg := 0; stg < nd.cfg.Eta; stg++ {
-			nd.injectStage(st, stg)
-		}
+		nd.injectThrough(st, nd.cfg.Eta-1)
 	}
-	return st
+}
+
+// openDue is the one opener of live epochs: it opens next, then the
+// epochs after it in order, while a pipeline slot is free and the
+// wall-clock schedule or a signed frame (highest) has reached the epoch.
+// Opening in order keeps every epoch of the stream: none is skipped,
+// and next never moves back.
+func (nd *Node) openDue(now time.Time) {
+	for nd.cfg.Epochs <= 0 || int(nd.next) < nd.cfg.Epochs {
+		if nd.liveOpen() >= MaxInflight {
+			return
+		}
+		if now.Before(nd.scheduled(nd.next)) && nd.highest < nd.next {
+			return
+		}
+		nd.openEpoch(nd.next, now, false)
+		nd.next++
+	}
 }
 
 // Run executes the stream until cfg.Epochs rounds have closed (plus
 // the drain window for stragglers) or ctx is cancelled. The error is
 // non-nil only for transport-level failures or cancellation; per-epoch
 // verdicts live in the Result.
+//
+// Run is the node's only reader of the wall clock: it reads it once per
+// wakeup and hands that instant to handle, step, finished and wakeIn.
 func (nd *Node) Run(ctx context.Context) (*Result, error) {
 	timer := time.NewTimer(time.Millisecond)
 	defer timer.Stop()
+	var body []byte // the frame that woke the loop, if one did
 	for {
-		nd.step(time.Now())
-		if nd.finished(time.Now()) {
+		now := time.Now()
+		if body != nil {
+			nd.handle(body, now)
+			body = nil
+		}
+		nd.step(now)
+		if nd.finished(now) {
 			return nd.result(), nil
 		}
 		if !timer.Stop() {
@@ -415,16 +432,16 @@ func (nd *Node) Run(ctx context.Context) (*Result, error) {
 			default:
 			}
 		}
-		timer.Reset(nd.wakeIn())
+		timer.Reset(nd.wakeIn(now))
 		select {
 		case <-ctx.Done():
 			return nd.result(), ctx.Err()
 		case <-timer.C:
-		case body, ok := <-nd.cfg.Endpoint.Recv():
+		case b, ok := <-nd.cfg.Endpoint.Recv():
 			if !ok {
 				return nd.result(), fmt.Errorf("stream: endpoint closed under node %d", nd.cfg.Self)
 			}
-			nd.handle(body)
+			body = b
 		}
 	}
 }
@@ -455,25 +472,12 @@ func (nd *Node) step(now time.Time) {
 		nd.stepJoin(now)
 		return
 	}
-	// Open live epochs: wall-clock schedule plus HLC-carried
-	// fast-forward (highest signed epoch seen), gated by MaxInflight.
-	for int(nd.next) < nd.cfg.Epochs || nd.cfg.Epochs <= 0 {
-		if nd.liveOpen() >= MaxInflight {
-			break
-		}
-		if now.Before(nd.scheduled(nd.next)) && nd.highest < nd.next {
-			break
-		}
-		nd.openEpoch(nd.next, now, false)
-	}
+	nd.openDue(now)
 	for _, e := range nd.openEpochIDs() {
 		st := nd.open[e]
 		// Stage injections due by the local schedule.
-		elapsed := now.Sub(st.started)
-		for stg := 0; stg < nd.cfg.Eta; stg++ {
-			if !st.injected[stg] && elapsed >= time.Duration(stg)*nd.cfg.StageDur {
-				nd.injectStage(st, stg)
-			}
+		if elapsed := now.Sub(st.started); elapsed >= 0 {
+			nd.injectThrough(st, int(elapsed/nd.cfg.StageDur))
 		}
 		// Repair pulls due.
 		for _, p := range st.planner.due(now, nd.cfg.Endpoint.PeerDown) {
@@ -508,7 +512,7 @@ func (nd *Node) stepJoin(now time.Time) {
 	target := nd.neighbors[nd.joinIdx%len(nd.neighbors)]
 	nd.joinIdx++
 	nd.joinAt = now.Add(nd.joinInterval())
-	f := &transport.Frame{Kind: transport.FrameJoin, From: nd.cfg.Self, Source: nd.cfg.Self, HLC: nd.clock.Now()}
+	f := &transport.Frame{Kind: transport.FrameJoin, From: nd.cfg.Self, Source: nd.cfg.Self, HLC: nd.cfg.Clock.Now()}
 	nd.cfg.Endpoint.Send(target, f)
 	nd.cfg.Gauges.Join()
 }
@@ -542,10 +546,9 @@ func (nd *Node) adoptEpoch(e uint32, now time.Time) {
 	}
 }
 
-// wakeIn returns how long the event loop may sleep.
-func (nd *Node) wakeIn() time.Duration {
+// wakeIn returns how long the event loop may sleep after now.
+func (nd *Node) wakeIn(now time.Time) time.Duration {
 	const idle = 250 * time.Millisecond
-	now := time.Now()
 	wake := now.Add(idle)
 	if !nd.joined {
 		if nd.joinAt.Before(wake) {
@@ -558,12 +561,9 @@ func (nd *Node) wakeIn() time.Duration {
 			}
 		}
 		for _, st := range nd.open {
-			for stg := 0; stg < nd.cfg.Eta; stg++ {
-				if !st.injected[stg] {
-					if t := st.started.Add(time.Duration(stg) * nd.cfg.StageDur); t.Before(wake) {
-						wake = t
-					}
-					break
+			if st.injected < nd.cfg.Eta {
+				if t := st.started.Add(time.Duration(st.injected) * nd.cfg.StageDur); t.Before(wake) {
+					wake = t
 				}
 			}
 			if t, ok := st.planner.nextWake(); ok && t.Before(wake) {
@@ -571,22 +571,29 @@ func (nd *Node) wakeIn() time.Duration {
 			}
 		}
 	}
-	d := time.Until(wake)
+	d := wake.Sub(now)
 	if d < time.Millisecond {
 		d = time.Millisecond
 	}
 	return d
 }
 
+// injectThrough emits this node's own copies of one epoch for every
+// stage up to and including last that it has not injected yet, in
+// stage order.
+func (nd *Node) injectThrough(st *epochState, last int) {
+	for ; st.injected <= last && st.injected < nd.cfg.Eta; st.injected++ {
+		nd.injectStage(st, st.injected)
+	}
+}
+
 // injectStage emits this node's own copies of one epoch scheduled for
 // stage stg.
 func (nd *Node) injectStage(st *epochState, stg int) {
-	st.injected[stg] = true
 	for j := 0; j < nd.gamma; j++ {
 		if nd.stageOf(nd.cfg.Self, j) != stg {
 			continue
 		}
-		w := Want{Source: nd.cfg.Self, Channel: uint8(j)}
 		f := &transport.Frame{
 			Kind:    transport.FrameData,
 			From:    nd.cfg.Self,
@@ -599,8 +606,8 @@ func (nd *Node) injectStage(st *epochState, stg int) {
 		if err := transport.SignFrame(nd.cfg.Keyring, f); err != nil {
 			continue
 		}
-		if st.store[nd.slot(w)] == nil {
-			nd.keep(st.store, w, st.payload)
+		if slot := nd.slot(nd.cfg.Self, uint8(j)); st.store[slot] == nil {
+			nd.keep(st.store, slot, st.payload)
 		}
 		nd.forward(f)
 	}
@@ -617,7 +624,7 @@ func (nd *Node) forward(f *transport.Frame) {
 	out := *f
 	out.From = nd.cfg.Self
 	out.Hop = uint16(nd.hops(nd.cfg.Self, f.Source, j))
-	out.HLC = nd.clock.Now()
+	out.HLC = nd.cfg.Clock.Now()
 	nd.cfg.Endpoint.Send(nd.succ[j], &out)
 }
 
@@ -634,18 +641,17 @@ func (nd *Node) receive(body []byte) (*transport.Frame, bool) {
 		return nil, false // bad MAC == drop-equivalent corruption: not even the clock learns from it
 	}
 	if f.Kind.Signed() {
-		nd.clock.Update(f.HLC)
+		nd.cfg.Clock.Update(f.HLC)
 	}
 	return f, true
 }
 
-// handle processes one raw inbound frame body.
-func (nd *Node) handle(body []byte) {
+// handle processes one raw inbound frame body that arrived at now.
+func (nd *Node) handle(body []byte, now time.Time) {
 	f, ok := nd.receive(body)
 	if !ok {
 		return
 	}
-	now := time.Now()
 	// Epoch learning: every signed frame carries an authenticated
 	// epoch. JOIN/NAK/MISS are unsigned and must not fast-forward us.
 	if f.Kind.Signed() {
@@ -663,7 +669,9 @@ func (nd *Node) handle(body []byte) {
 		nd.serveNak(f)
 	case transport.FrameMiss:
 		if st, ok := nd.open[f.Epoch]; ok {
-			st.planner.miss(Want{Source: f.Source, Channel: f.Channel}, now)
+			if slot := nd.slot(f.Source, f.Channel); slot >= 0 {
+				st.planner.miss(slot, now)
+			}
 		}
 	case transport.FrameJoin:
 		nd.serveJoin(f)
@@ -678,8 +686,7 @@ func (nd *Node) handle(body []byte) {
 // own pull and may come from any neighbor. Either is relayed on from
 // this node's own position.
 func (nd *Node) acceptCopy(f *transport.Frame, now time.Time) {
-	w := Want{Source: f.Source, Channel: f.Channel}
-	slot := nd.slot(w)
+	slot := nd.slot(f.Source, f.Channel)
 	if slot < 0 || f.Source == nd.cfg.Self {
 		return
 	}
@@ -688,34 +695,25 @@ func (nd *Node) acceptCopy(f *transport.Frame, now time.Time) {
 	}
 	st, isOpen := nd.open[f.Epoch]
 	if !isOpen {
-		if _, closed := nd.retained[f.Epoch]; closed {
-			return // late duplicate for a finished round
-		}
-		if !nd.joined || f.Epoch < nd.next {
-			return // round from before our join horizon: not ours to track
-		}
-		// A future epoch arrived before our wall clock opened it —
-		// HLC fast-forward. Respect the pipeline cap: if we are full,
-		// drop; the schedule or a pull will bring it back.
-		if nd.liveOpen() >= MaxInflight {
+		// The signed frame may have raised highest: let the opener
+		// catch up, in order and under the pipeline cap. A copy whose
+		// epoch is still not open (closed, before our join horizon, or
+		// past the cap) is dropped; the schedule or a pull brings back
+		// what this node still owes.
+		nd.openDue(now)
+		if st, isOpen = nd.open[f.Epoch]; !isOpen {
 			return
 		}
-		st = nd.openEpoch(f.Epoch, now, false)
 	}
 	// A frame from stage k of this epoch proves the cluster reached
 	// stage k: start our own ≤k injections now.
-	for stg := 0; stg <= int(f.Stage) && stg < nd.cfg.Eta; stg++ {
-		if !st.injected[stg] {
-			nd.injectStage(st, stg)
-		}
-	}
+	nd.injectThrough(st, int(f.Stage))
 	if st.store[slot] != nil {
 		return
 	}
-	nd.keep(st.store, w, f.Payload)
+	nd.keep(st.store, slot, f.Payload)
 	st.ledger.Add(nd.cfg.Self, f.Source)
-	st.copies[f.Source] = append(st.copies[f.Source], f.Channel)
-	if first := st.planner.got(w); first && f.Kind == transport.FrameRepair {
+	if first := st.planner.got(slot); first && f.Kind == transport.FrameRepair {
 		st.repaired++
 		nd.cfg.Gauges.Repaired()
 	}
@@ -731,13 +729,12 @@ func (nd *Node) acceptCopy(f *transport.Frame, now time.Time) {
 // one from the copy's own source, before signing: no honest node pulls
 // its own message, and the source drops any copy of it on arrival.
 func (nd *Node) serveNak(f *transport.Frame) {
-	w := Want{Source: f.Source, Channel: f.Channel}
 	requester := f.From
 	if requester == f.Source || !nd.cfg.IHC.Graph().HasEdge(nd.cfg.Self, requester) {
 		return
 	}
 	var payload []byte
-	if slot := nd.slot(w); slot >= 0 {
+	if slot := nd.slot(f.Source, f.Channel); slot >= 0 {
 		if st, ok := nd.open[f.Epoch]; ok {
 			payload = st.store[slot]
 		} else if store, ok := nd.retained[f.Epoch]; ok {
@@ -747,7 +744,7 @@ func (nd *Node) serveNak(f *transport.Frame) {
 	if payload == nil {
 		miss := &transport.Frame{
 			Kind: transport.FrameMiss, From: nd.cfg.Self,
-			Source: f.Source, Epoch: f.Epoch, Channel: f.Channel, HLC: nd.clock.Now(),
+			Source: f.Source, Epoch: f.Epoch, Channel: f.Channel, HLC: nd.cfg.Clock.Now(),
 		}
 		nd.cfg.Endpoint.Send(requester, miss)
 		return
@@ -755,12 +752,12 @@ func (nd *Node) serveNak(f *transport.Frame) {
 	rep := &transport.Frame{
 		Kind:    transport.FrameRepair,
 		From:    nd.cfg.Self,
-		Source:  w.Source,
+		Source:  f.Source,
 		Epoch:   f.Epoch,
-		Channel: w.Channel,
-		Stage:   uint8(nd.stageOf(w.Source, int(w.Channel))),
-		Hop:     uint16(nd.hops(requester, w.Source, int(w.Channel)) - 1),
-		HLC:     nd.clock.Now(),
+		Channel: f.Channel,
+		Stage:   uint8(nd.stageOf(f.Source, int(f.Channel))),
+		Hop:     uint16(nd.hops(requester, f.Source, int(f.Channel)) - 1),
+		HLC:     nd.cfg.Clock.Now(),
 		Payload: payload,
 	}
 	if err := transport.SignFrame(nd.cfg.Keyring, rep); err != nil {
@@ -788,7 +785,7 @@ func (nd *Node) serveJoin(f *transport.Frame) {
 		From:   nd.cfg.Self,
 		Source: nd.cfg.Self,
 		Epoch:  cur,
-		HLC:    nd.clock.Now(),
+		HLC:    nd.cfg.Clock.Now(),
 	}
 	if err := transport.SignFrame(nd.cfg.Keyring, rep); err != nil {
 		return
@@ -803,10 +800,10 @@ func (nd *Node) sendNak(epoch uint32, p pull) {
 	f := &transport.Frame{
 		Kind:    transport.FrameNak,
 		From:    nd.cfg.Self,
-		Source:  p.Source,
+		Source:  topology.Node(p.slot / nd.gamma),
 		Epoch:   epoch,
-		Channel: p.Channel,
-		HLC:     nd.clock.Now(),
+		Channel: uint8(p.slot % nd.gamma),
+		HLC:     nd.cfg.Clock.Now(),
 	}
 	nd.cfg.Endpoint.Send(p.provider, f)
 }
@@ -817,11 +814,7 @@ func (nd *Node) sendNak(epoch uint32, p pull) {
 func (nd *Node) finalize(st *epochState, completed bool, now time.Time) {
 	// Every copy this node expects can arrive before its own later
 	// stages start (large η); its peers still need those copies.
-	for stg := 0; stg < nd.cfg.Eta; stg++ {
-		if !st.injected[stg] {
-			nd.injectStage(st, stg)
-		}
-	}
+	nd.injectThrough(st, nd.cfg.Eta-1)
 	delete(nd.open, st.epoch)
 	nd.cfg.Gauges.LiveEpochs(nd.liveOpen())
 	res := EpochResult{
@@ -831,10 +824,15 @@ func (nd *Node) finalize(st *epochState, completed bool, now time.Time) {
 		CatchUp:   st.catchup,
 		LedgerErr: st.ledger.VerifyReceiver(nd.cfg.Self, nd.gamma),
 		Repaired:  st.repaired,
-		Copies:    st.copies,
+		Copies:    make(map[topology.Node][]uint8),
 	}
 	if completed && !st.catchup {
-		res.Latency = now.Sub(st.scheduled)
+		res.Latency = now.Sub(nd.scheduled(st.epoch))
+	}
+	for i, p := range st.store {
+		if s := topology.Node(i / nd.gamma); p != nil && s != nd.cfg.Self {
+			res.Copies[s] = append(res.Copies[s], uint8(i%nd.gamma))
+		}
 	}
 	items, size := 0, 0
 	for s := 0; s < nd.n; s++ {
@@ -855,12 +853,7 @@ func (nd *Node) finalize(st *epochState, completed bool, now time.Time) {
 	}
 	res.Items = items
 	if nd.cfg.CollectPayloads {
-		res.Payloads = make(map[Want][]byte)
-		for i, p := range st.store {
-			if p != nil {
-				res.Payloads[Want{Source: topology.Node(i / nd.gamma), Channel: uint8(i % nd.gamma)}] = p
-			}
-		}
+		res.Payloads = st.store
 	}
 	nd.results = append(nd.results, res)
 	if completed {

@@ -3,7 +3,9 @@ package stream
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"fmt"
+	"math"
 	"testing"
 	"time"
 	"unsafe"
@@ -40,7 +42,7 @@ func (e *memEndpoint) Stats() transport.EndpointStats { return transport.Endpoin
 func (e *memEndpoint) Close() error                   { return nil }
 
 // q4 is the IHC schedule of Q4 (N = 16, γ = 4).
-func q4(t *testing.T) *core.IHC {
+func q4(t testing.TB) *core.IHC {
 	t.Helper()
 	g := topology.MustHypercube(4)
 	cycles, err := hamilton.Decompose(g)
@@ -56,22 +58,30 @@ func q4(t *testing.T) *core.IHC {
 
 // testNode builds node 0 of a Q4 stream on an in-memory endpoint.
 // Epoch 0 is scheduled an hour out, so only the frames a test hands
-// to handle open it.
+// to handle, or a step at its scheduled time, open it.
 func testNode(t *testing.T, clock *hlc.Clock) (*Node, *memEndpoint, *reliable.Keyring) {
 	t.Helper()
 	x := q4(t)
-	ep := &memEndpoint{self: 0, recv: make(chan []byte, 1)}
 	kr := reliable.NewKeyring(x.N(), 3)
+	nd, ep := nodeOn(t, x, kr, time.Now().Add(time.Hour), clock)
+	return nd, ep, kr
+}
+
+// nodeOn builds node 0 of x's stream on an in-memory endpoint, with
+// epoch 0 scheduled at epoch0.
+func nodeOn(t testing.TB, x *core.IHC, kr *reliable.Keyring, epoch0 time.Time, clock *hlc.Clock) (*Node, *memEndpoint) {
+	t.Helper()
+	ep := &memEndpoint{self: 0, recv: make(chan []byte, 1)}
 	nd, err := NewNode(Config{
 		IHC: x, Eta: 2, Self: 0, Endpoint: ep, Keyring: kr,
-		Epoch0: time.Now().Add(time.Hour), Period: time.Second, StageDur: 50 * time.Millisecond,
+		Epoch0: epoch0, Period: time.Second, StageDur: 50 * time.Millisecond,
 		HopLatency: time.Millisecond, Payload: func(uint32) []byte { return []byte("own batch") },
 		Clock: clock, CollectPayloads: true,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return nd, ep, kr
+	return nd, ep
 }
 
 // TestNewNodeDefaults builds a node from its schedule and identity
@@ -97,7 +107,8 @@ func TestNewNodeDefaults(t *testing.T) {
 	if c := nd.cfg; c.Retain != 64 || c.Drain != 5*time.Second {
 		t.Errorf("Retain %d, Drain %s; want 64, 5s", c.Retain, c.Drain)
 	}
-	st := nd.openEpoch(0, epoch0, false)
+	nd.step(epoch0)
+	st := nd.open[0]
 	var first time.Time
 	for j := 0; j < nd.gamma; j++ {
 		for s := 1; s < nd.n; s++ {
@@ -115,7 +126,7 @@ func TestNewNodeDefaults(t *testing.T) {
 	if len(pulls) == 0 {
 		t.Fatal("no pull due at the first deadline")
 	}
-	if retry := st.planner.wants[pulls[0].Want].nextAt; retry.After(first.Add(10 * time.Millisecond)) {
+	if retry := st.planner.slots[pulls[0].slot].nextAt; retry.After(first.Add(10 * time.Millisecond)) {
 		t.Errorf("first retry due %s after the first pull, want at most 10ms", retry.Sub(first))
 	}
 	if st.planner.maxAttempts != 60 {
@@ -151,15 +162,15 @@ func TestNewNodeRejectsNegative(t *testing.T) {
 func TestEachCopyRetriesOnItsOwnCount(t *testing.T) {
 	nd, ep, _ := testNode(t, nil)
 	t0 := nd.scheduled(0)
-	nd.openEpoch(0, t0, true)
+	nd.adoptEpoch(0, t0)
 	missing := (nd.n - 1) * nd.gamma
-	naks := func(now time.Time) map[Want]int {
+	naks := func(now time.Time) map[int]int {
 		ep.sent = nil
 		nd.step(now)
-		out := map[Want]int{}
+		out := map[int]int{}
 		for _, sf := range ep.sent {
 			if sf.f.Kind == transport.FrameNak {
-				out[Want{Source: sf.f.Source, Channel: sf.f.Channel}]++
+				out[nd.slot(sf.f.Source, sf.f.Channel)]++
 			}
 		}
 		return out
@@ -211,15 +222,15 @@ func TestStoreSharesOneCopyPerSource(t *testing.T) {
 	const src = 5
 	batch := bytes.Repeat([]byte("batch"), 100)
 	for j := 0; j < nd.gamma; j++ {
-		nd.handle(copyBody(t, nd, kr, src, j, batch, hlc.Timestamp{}))
+		nd.handle(copyBody(t, nd, kr, src, j, batch, hlc.Timestamp{}), nd.scheduled(0))
 	}
 	st := nd.open[0]
 	if st == nil {
 		t.Fatal("epoch 0 not opened by its copies")
 	}
-	first := st.store[nd.slot(Want{Source: src})]
+	first := st.store[nd.slot(src, 0)]
 	for j := 0; j < nd.gamma; j++ {
-		got := st.store[nd.slot(Want{Source: src, Channel: uint8(j)})]
+		got := st.store[nd.slot(src, uint8(j))]
 		if !bytes.Equal(got, batch) {
 			t.Fatalf("channel %d stored %d bytes, want the batch", j, len(got))
 		}
@@ -248,7 +259,7 @@ func TestStoreTwoFacedSource(t *testing.T) {
 			if s == liar {
 				p = faces(j)
 			}
-			nd.handle(copyBody(t, nd, kr, topology.Node(s), j, p, hlc.Timestamp{}))
+			nd.handle(copyBody(t, nd, kr, topology.Node(s), j, p, hlc.Timestamp{}), nd.scheduled(0))
 		}
 	}
 	if len(nd.results) != 1 || !nd.results[0].Completed {
@@ -262,18 +273,17 @@ func TestStoreTwoFacedSource(t *testing.T) {
 	if st == nil {
 		t.Fatal("closed epoch not retained")
 	}
-	a := unsafe.SliceData(st[nd.slot(Want{Source: liar, Channel: 0})])
-	if c := unsafe.SliceData(st[nd.slot(Want{Source: liar, Channel: 2})]); c != a {
+	a := unsafe.SliceData(st[nd.slot(liar, 0)])
+	if c := unsafe.SliceData(st[nd.slot(liar, 2)]); c != a {
 		t.Error("the liar's two equal faces are stored twice")
 	}
 	requester := nd.neighbors[0]
 	for j := 0; j < nd.gamma; j++ {
-		w := Want{Source: liar, Channel: uint8(j)}
-		if got := res.Payloads[w]; !bytes.Equal(got, faces(j)) {
+		if got := res.Payloads[nd.slot(liar, uint8(j))]; !bytes.Equal(got, faces(j)) {
 			t.Errorf("collected channel %d: %q, want %q", j, got, faces(j))
 		}
 		ep.sent = nil
-		nd.handle(encode(t, kr, &transport.Frame{Kind: transport.FrameNak, From: requester, Source: liar, Channel: uint8(j)}))
+		nd.handle(encode(t, kr, &transport.Frame{Kind: transport.FrameNak, From: requester, Source: liar, Channel: uint8(j)}), nd.scheduled(0))
 		if len(ep.sent) != 1 || ep.sent[0].to != requester || ep.sent[0].f.Kind != transport.FrameRepair {
 			t.Fatalf("NAK for channel %d answered with %+v", j, ep.sent)
 		}
@@ -324,7 +334,7 @@ func TestHLCMergesOnlyVerifiedFrames(t *testing.T) {
 			nd, ep, kr := testNode(t, clock)
 			body := tc.body(nd, kr)
 			if via == "handle" {
-				nd.handle(body)
+				nd.handle(body, nd.scheduled(0))
 			} else {
 				ep.recv <- body
 				close(ep.recv)
@@ -362,17 +372,24 @@ func TestRelayStaysOnCycle(t *testing.T) {
 		}
 		return out
 	}
+	// stored returns the channels of source s's copies held in v's
+	// epoch-0 store, and how many copies v's planner counted arrived.
+	stored := func(nd *Node, s topology.Node) (chans []int, counted int) {
+		st := nd.open[0]
+		for j := 0; j < nd.gamma; j++ {
+			if st.store[nd.slot(s, uint8(j))] != nil {
+				chans = append(chans, j)
+			}
+		}
+		return chans, st.planner.expected - st.planner.pending
+	}
 	// held asserts that v stored and counted copy (s, j) exactly once
 	// and relayed it on its cycle and nowhere else.
 	held := func(c check) {
 		t.Helper()
 		nd, v := c.nd, c.nd.cfg.Self
-		st := nd.open[0]
-		if got := st.copies[c.s]; len(got) != 1 || int(got[0]) != c.j {
-			t.Errorf("%s: counted channels %v, want [%d]", c.tag, got, c.j)
-		}
-		if st.store[nd.slot(Want{Source: c.s, Channel: uint8(c.j)})] == nil {
-			t.Errorf("%s: copy not stored", c.tag)
+		if chans, counted := stored(nd, c.s); len(chans) != 1 || chans[0] != c.j || counted != 1 {
+			t.Errorf("%s: stored channels %v and counted %d copies, want [%d] and 1", c.tag, chans, counted, c.j)
 		}
 		sent := relays(c)
 		if nd.succ[c.j] == c.s {
@@ -392,7 +409,7 @@ func TestRelayStaysOnCycle(t *testing.T) {
 	}
 	fresh := func() (*Node, *memEndpoint, *reliable.Keyring) {
 		nd, ep, kr := testNode(t, nil)
-		nd.openEpoch(0, time.Now(), false)
+		nd.step(nd.scheduled(0))
 		return nd, ep, kr
 	}
 	probe, _, _ := testNode(t, nil)
@@ -410,10 +427,9 @@ func TestRelayStaysOnCycle(t *testing.T) {
 				}
 				f := copyFrame(nd, s, j, payload, hlc.Timestamp{})
 				f.From = nb
-				nd.handle(encode(t, kr, f))
+				nd.handle(encode(t, kr, f), nd.scheduled(0))
 			}
-			w := Want{Source: s, Channel: uint8(j)}
-			if st := nd.open[0]; st.store[nd.slot(w)] != nil || len(st.copies[s]) != 0 {
+			if chans, counted := stored(nd, s); len(chans) != 0 || counted != 0 {
 				t.Errorf("copy (%d, %d) from off its cycle was stored or counted", s, j)
 			}
 			if sent := relays(c); len(sent) != 0 {
@@ -422,8 +438,8 @@ func TestRelayStaysOnCycle(t *testing.T) {
 			f := copyFrame(nd, s, j, payload, hlc.Timestamp{Wall: 12345, Logical: 9})
 			f.Hop = 0xBEEF
 			body := encode(t, kr, f)
-			nd.handle(body)
-			nd.handle(body)
+			nd.handle(body, nd.scheduled(0))
+			nd.handle(body, nd.scheduled(0))
 			c.tag = fmt.Sprintf("DATA (%d, %d) from pred %d", s, j, nd.pred[j])
 			held(c)
 
@@ -431,7 +447,7 @@ func TestRelayStaysOnCycle(t *testing.T) {
 				nd, ep, kr := fresh()
 				rep := copyFrame(nd, s, j, payload, hlc.Timestamp{})
 				rep.Kind, rep.From, rep.Hop = transport.FrameRepair, nb, uint16(nd.hops(nd.cfg.Self, s, j)-1)
-				nd.handle(encode(t, kr, rep))
+				nd.handle(encode(t, kr, rep), nd.scheduled(0))
 				held(check{nd: nd, ep: ep, s: s, j: j, tag: fmt.Sprintf("REPAIR (%d, %d) from %d", s, j, nb)})
 			}
 		}
@@ -447,14 +463,15 @@ func TestRelayStaysOnCycle(t *testing.T) {
 func TestNakFromNonNeighborIgnored(t *testing.T) {
 	for _, via := range []string{"handle", "Serve"} {
 		nd, ep, kr := testNode(t, nil)
-		nd.handle(copyBody(t, nd, kr, 5, 0, []byte("batch"), hlc.Timestamp{}))
+		t0 := nd.scheduled(0)
+		nd.handle(copyBody(t, nd, kr, 5, 0, []byte("batch"), hlc.Timestamp{}), t0)
 		nb := nd.neighbors[0]
-		nd.handle(copyBody(t, nd, kr, nb, 0, []byte("batch"), hlc.Timestamp{}))
+		nd.handle(copyBody(t, nd, kr, nb, 0, []byte("batch"), hlc.Timestamp{}), t0)
 		deliver := func(bodies ...[]byte) {
 			ep.sent = nil
 			if via == "handle" {
 				for _, b := range bodies {
-					nd.handle(b)
+					nd.handle(b, t0)
 				}
 				return
 			}
@@ -484,4 +501,136 @@ func TestNakFromNonNeighborIgnored(t *testing.T) {
 			t.Fatalf("%s: JOIN from neighbor %d answered with %+v, want one EPOCH frame", via, nb, ep.sent)
 		}
 	}
+}
+
+// TestOpenerKeepsEveryEpoch hands node 0, whose next epoch is 0, a copy
+// of epoch 1 before either epoch is due on its schedule. The signed
+// epoch lets the opener open epochs 0 and 1, in order, so a copy of
+// epoch 0 that arrives afterwards is stored, not dropped as one from
+// before the node's horizon.
+func TestOpenerKeepsEveryEpoch(t *testing.T) {
+	nd, _, kr := testNode(t, nil)
+	now := nd.scheduled(0).Add(-time.Minute)
+	later := copyFrame(nd, 5, 0, []byte("epoch 1"), hlc.Timestamp{})
+	later.Epoch = 1
+	nd.handle(encode(t, kr, later), now)
+	nd.handle(copyBody(t, nd, kr, 5, 0, []byte("epoch 0"), hlc.Timestamp{}), now)
+	for e, want := range []string{"epoch 0", "epoch 1"} {
+		st := nd.open[uint32(e)]
+		if st == nil {
+			t.Fatalf("epoch %d not open after an epoch-1 copy (next %d)", e, nd.next)
+		}
+		if got := st.store[nd.slot(5, 0)]; string(got) != want {
+			t.Errorf("epoch %d stored %q, want %q", e, got, want)
+		}
+	}
+}
+
+// TestOpenerIgnoresLastEpoch hands a node that has opened epoch 0 one
+// validly signed copy of epoch 2³²−1, which any source can sign. The
+// opener still opens only the next epoch under the pipeline cap: that
+// epoch stays closed, and next does not wrap to 0.
+func TestOpenerIgnoresLastEpoch(t *testing.T) {
+	nd, _, kr := testNode(t, nil)
+	now := nd.scheduled(0)
+	nd.step(now)
+	before := nd.next
+	last := copyFrame(nd, 5, 0, []byte("batch"), hlc.Timestamp{})
+	last.Epoch = math.MaxUint32
+	nd.handle(encode(t, kr, last), now)
+	if nd.next < before {
+		t.Errorf("next fell from %d to %d", before, nd.next)
+	}
+	if _, open := nd.open[math.MaxUint32]; open {
+		t.Error("epoch 2³²−1 opened")
+	}
+}
+
+// fuzzFrameLen is the fixed part of one fuzzed frame: kind, from,
+// source, epoch (4 bytes), channel, stage, hop (2 bytes), payload
+// length and the clock's advance in milliseconds before the frame.
+const fuzzFrameLen = 13
+
+// fuzzFrames decodes fuzzer bytes into frames and the time each one
+// arrives, one fixed header and up to 15 payload bytes per frame.
+func fuzzFrames(data []byte, start time.Time) (frames []*transport.Frame, at []time.Time) {
+	now := start
+	for len(data) >= fuzzFrameLen {
+		h := data[:fuzzFrameLen]
+		f := &transport.Frame{
+			Kind:    transport.FrameKind(h[0] % 7),
+			From:    topology.Node(int8(h[1])),
+			Source:  topology.Node(int8(h[2])),
+			Epoch:   binary.LittleEndian.Uint32(h[3:]),
+			Channel: h[7],
+			Stage:   h[8],
+			Hop:     binary.LittleEndian.Uint16(h[9:]),
+		}
+		data = data[fuzzFrameLen:]
+		n := min(int(h[11]%16), len(data))
+		f.Payload, data = data[:n], data[n:]
+		now = now.Add(time.Duration(h[12]) * time.Millisecond)
+		frames, at = append(frames, f), append(at, now)
+	}
+	return frames, at
+}
+
+// fuzzFrameBytes is fuzzFrames' inverse for one frame, for the seeds.
+func fuzzFrameBytes(kind transport.FrameKind, from, src topology.Node, epoch uint32, ch uint8, payload string) []byte {
+	b := []byte{byte(kind), byte(int8(from)), byte(int8(src))}
+	b = binary.LittleEndian.AppendUint32(b, epoch)
+	b = append(b, ch, 0, 0, 0, byte(len(payload)), 1)
+	return append(b, payload...)
+}
+
+// FuzzNodeHandle feeds frames built from fuzzer bytes to a Q4 node
+// through handle, stepping it on a synthetic clock between frames, and
+// to a second node through Serve. Signed kinds are signed with the
+// test keyring, so they pass verification and reach the protocol.
+// Neither node may panic, send to a node that is not its neighbor, or
+// move next back.
+func FuzzNodeHandle(f *testing.F) {
+	x := q4(f)
+	n, gamma := topology.Node(x.N()), uint8(x.Gamma())
+	kr := reliable.NewKeyring(x.N(), 3)
+	f.Add(fuzzFrameBytes(transport.FrameMiss, 1, n, 0, gamma, ""))
+	f.Add(fuzzFrameBytes(transport.FrameNak, 1, n, 0, gamma, ""))
+	f.Add(fuzzFrameBytes(transport.FrameRepair, 1, 5, math.MaxUint32, 0, "last"))
+	f.Add(append(fuzzFrameBytes(transport.FrameData, 8, 5, 1, 0, "data"),
+		fuzzFrameBytes(transport.FrameNak, 2, 5, 1, 0, "")...))
+	epoch0 := time.Unix(1_000_000, 0)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		frames, at := fuzzFrames(data, epoch0)
+		var bodies [][]byte
+		nd, ep := nodeOn(t, x, kr, epoch0, hlc.NewAt(func() int64 { return epoch0.UnixNano() }))
+		nd.step(epoch0) // epoch 0 is open, so a MISS reaches its planner
+		for i, fr := range frames {
+			if fr.Kind.Signed() && transport.SignFrame(kr, fr) != nil {
+				continue // a source with no key: nothing can sign it
+			}
+			body, err := transport.EncodeFrame(fr)
+			if err != nil {
+				continue
+			}
+			bodies = append(bodies, body)
+			next := nd.next
+			nd.handle(body, at[i])
+			nd.step(at[i])
+			if nd.next < next {
+				t.Fatalf("frame %d: next fell from %d to %d", i, next, nd.next)
+			}
+		}
+		srv, srvEp := nodeOn(t, x, kr, epoch0, nil)
+		srvEp.recv = make(chan []byte, len(bodies))
+		for _, body := range bodies {
+			srvEp.recv <- body
+		}
+		close(srvEp.recv)
+		srv.Serve(context.Background())
+		for _, sent := range append(ep.sent, srvEp.sent...) {
+			if !x.Graph().HasEdge(0, sent.to) {
+				t.Fatalf("sent a %s frame to %d, not a neighbor of 0", sent.f.Kind, sent.to)
+			}
+		}
+	})
 }
