@@ -44,7 +44,9 @@ bench:
 # Re-measure the engine's headline Q10 ATA microbenchmark at GOMAXPROCS
 # 1 and record events/sec, ns/event, allocs/event, and live-heap
 # footprint (with the pre-flat-array baseline for comparison) in
-# BENCH_engine.json, plus the multi-core scaling series at 1/2/4/8
+# BENCH_engine.json, the repair-on figure (100 repaired Q6 placements:
+# ns/event, bytes and allocs per placement, beside the delivery-log
+# grader's), plus the multi-core scaling series at 1/2/4/8
 # engine workers: point w runs at GOMAXPROCS w, so the engine drains the
 # stages' arc-disjoint directed cycles on up to w goroutines (each point
 # re-checks event-count determinism against the one-worker run and is
@@ -88,6 +90,8 @@ fuzz:
 # runs, damping single-run noise), the values recorded in
 # BENCH_engine.json — the event loop must stay allocation-free and
 # calendar-queue fast even with the repair controller layer compiled in.
+# Then 100 repaired Q6 placements; fails if bytes per placement exceed
+# 1.5x, or ns/event 1.15x (best of three), the recorded repair-on figure.
 smoke-engine:
 	$(GO) run ./cmd/enginebench -quick -check -o /dev/null
 

@@ -24,19 +24,33 @@
 // point w runs at GOMAXPROCS w. A point with fewer cores than workers
 // is annotated "cores_limited" (its speedup measures core starvation,
 // not the engine) and -check never grades speedup on it.
+//
+// A second workload measures the engine's repair-on path: the repaired
+// fault campaign's unit of work on the BenchmarkRepairedPointQ6
+// distribution (Q6, t alternating γ and γ+1 permanently broken links,
+// one seeded placement each), recording ns/event and bytes and allocs
+// per placement beside the same figures for the grader that rebuilt
+// copy lists from an ordered delivery log, measured on the same host.
+// The recorded figure is the median of three measurements; -check fails
+// when bytes per placement exceed 1.5x the recorded value or ns/event
+// exceeds 1+(-tolerance) of it (best of three).
 package main
 
 import (
+	"cmp"
 	"encoding/json"
 	"flag"
 	"fmt"
+	"math/rand"
 	"os"
 	"runtime"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
 	"time"
 
+	"ihc/internal/campaign"
 	"ihc/internal/core"
 	"ihc/internal/hamilton"
 	"ihc/internal/simnet"
@@ -84,6 +98,10 @@ type report struct {
 	// ns/event.
 	Hooked         *metrics `json:"hooked_observer,omitempty"`
 	HookOverheadNs float64  `json:"hook_overhead_ns_per_event,omitempty"`
+	// Repaired is the repair-on workload (measureRepaired), and
+	// RepairedBaseline the same measurement of the delivery-log grader.
+	Repaired         *repairedMetrics `json:"repaired_q6,omitempty"`
+	RepairedBaseline *repairedMetrics `json:"repaired_q6_baseline_delivery_log,omitempty"`
 	// EngineWorkersSeries records the same workload with each stage's
 	// directed cycles drained on up to each requested number of workers
 	// (-engine-workers) — the multi-core scaling curve behind the
@@ -105,6 +123,71 @@ type workerPoint struct {
 	// be graded.
 	GoMaxProcs   int  `json:"gomaxprocs"`
 	CoresLimited bool `json:"cores_limited,omitempty"`
+}
+
+// repairedMetrics is one measurement of the repair-on workload.
+type repairedMetrics struct {
+	Placements         int     `json:"placements"`
+	EventsPerPlacement float64 `json:"events_per_placement"`
+	NsPerEvent         float64 `json:"ns_per_event"`
+	NsPerPlacement     float64 `json:"ns_per_placement"`
+	BytesPerPlacement  float64 `json:"bytes_per_placement"`
+	AllocsPerPlacement float64 `json:"allocs_per_placement"`
+}
+
+// repairedBaseline is the repair-on workload measured, on the host that
+// recorded BENCH_engine.json's repair-on figure (2-vCPU KVM guest, Go
+// 1.24.0), with the graders that appended every delivery to an ordered
+// log and rebuilt per-pair copy lists from it.
+var repairedBaseline = repairedMetrics{
+	Placements:         100,
+	EventsPerPlacement: 35407.35,
+	NsPerEvent:         258.9,
+	NsPerPlacement:     9.167e6,
+	BytesPerPlacement:  7.462e6,
+	AllocsPerPlacement: 4172.1,
+}
+
+// repairedPlacements is the repair-on workload's size: the same seeded
+// placements every measurement, about a second of work.
+const repairedPlacements = 100
+
+// measureRepaired grades repairedPlacements placements of the
+// BenchmarkRepairedPointQ6 distribution at GOMAXPROCS 1 (a repaired run
+// holds one engine worker): each is screened for connectivity, then
+// run with the repair layer beside its fault-free baseline and graded.
+// A violating placement is a failure, not a measurement.
+func measureRepaired(x *core.IHC) repairedMetrics {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	edges := x.Graph().Edges()
+	rng := rand.New(rand.NewSource(6))
+	var events int64
+	var ms0, ms1 runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&ms0)
+	t0 := time.Now()
+	for i := 0; i < repairedPlacements; i++ {
+		pl := rng.Perm(len(edges))[:x.Gamma()+i%2]
+		out, _, err := campaign.GradeRepaired(x, edges, pl, int64(i))
+		if err != nil {
+			fail(err)
+		}
+		if out.Wrong > 0 || out.Missing > 0 {
+			fail(fmt.Errorf("repaired placement %v: %d wrong, %d missing", pl, out.Wrong, out.Missing))
+		}
+		events += out.Events
+	}
+	elapsed := time.Since(t0)
+	runtime.ReadMemStats(&ms1)
+	k := float64(repairedPlacements)
+	return repairedMetrics{
+		Placements:         repairedPlacements,
+		EventsPerPlacement: float64(events) / k,
+		NsPerEvent:         float64(elapsed.Nanoseconds()) / float64(events),
+		NsPerPlacement:     float64(elapsed.Nanoseconds()) / k,
+		BytesPerPlacement:  float64(ms1.TotalAlloc-ms0.TotalAlloc) / k,
+		AllocsPerPlacement: float64(ms1.Mallocs-ms0.Mallocs) / k,
+	}
 }
 
 // parseWorkerList parses the -engine-workers flag: a comma-separated
@@ -146,15 +229,8 @@ func main() {
 		fail(err)
 	}
 
-	g := topology.MustHypercube(10)
-	cycles, err := hamilton.Hypercube(10)
-	if err != nil {
-		fail(err)
-	}
-	x, err := core.New(g, cycles)
-	if err != nil {
-		fail(err)
-	}
+	x := hypercube(10)
+	g := x.Graph()
 	p := simnet.Params{TauS: 100, Alpha: 20, Mu: 2, D: 37}
 
 	runs := 1
@@ -236,17 +312,28 @@ func main() {
 	if counter.hops == 0 || counter.dels == 0 {
 		fail(fmt.Errorf("hooked run observed %d hops, %d deliveries", counter.hops, counter.dels))
 	}
+	q6 := hypercube(6)
+	repaired := measureRepaired(q6)
+	if !*quick {
+		// The recorded figure is the median of three measurements, so
+		// -check's best of three is held to a typical run, not a lucky one.
+		ms := []repairedMetrics{repaired, measureRepaired(q6), measureRepaired(q6)}
+		slices.SortFunc(ms, func(a, b repairedMetrics) int { return cmp.Compare(a.NsPerEvent, b.NsPerEvent) })
+		repaired = ms[1]
+	}
 	rep := report{
-		Benchmark:      "EngineQ10ATA",
-		Date:           time.Now().UTC().Format("2006-01-02"),
-		GoVersion:      runtime.Version(),
-		GoMaxProc:      runtime.GOMAXPROCS(0),
-		Runs:           runs,
-		Current:        cur,
-		Baseline:       baseline,
-		Speedup:        cur.EventsPerSec / baseline.EventsPerSec,
-		Hooked:         &hooked,
-		HookOverheadNs: hooked.NsPerEvent - cur.NsPerEvent,
+		Benchmark:        "EngineQ10ATA",
+		Date:             time.Now().UTC().Format("2006-01-02"),
+		GoVersion:        runtime.Version(),
+		GoMaxProc:        runtime.GOMAXPROCS(0),
+		Runs:             runs,
+		Current:          cur,
+		Baseline:         baseline,
+		Speedup:          cur.EventsPerSec / baseline.EventsPerSec,
+		Hooked:           &hooked,
+		HookOverheadNs:   hooked.NsPerEvent - cur.NsPerEvent,
+		Repaired:         &repaired,
+		RepairedBaseline: &repairedBaseline,
 	}
 	for _, w := range workerCounts {
 		m := measure(nil, w)
@@ -282,6 +369,9 @@ func main() {
 		hooked.NsPerEvent, rep.HookOverheadNs, hooked.AllocsPerEvent)
 	fmt.Printf("memory: %.1f MiB live heap after run, %.0f bytes/node\n",
 		float64(cur.PeakHeapBytes)/(1<<20), cur.HeapBytesPerNode)
+	fmt.Printf("repaired Q6: %.1f ns/event, %.2f ms, %.0f bytes and %.0f allocs per placement (delivery-log grader %.1f ns/event, %.0f bytes)\n",
+		repaired.NsPerEvent, repaired.NsPerPlacement/1e6, repaired.BytesPerPlacement, repaired.AllocsPerPlacement,
+		repairedBaseline.NsPerEvent, repairedBaseline.BytesPerPlacement)
 	for _, pt := range rep.EngineWorkersSeries {
 		note := ""
 		if pt.CoresLimited {
@@ -313,6 +403,15 @@ func main() {
 		if err := checkSpeed(best, *against, *tolerance); err != nil {
 			fail(err)
 		}
+		// The repair-on gate, best of three on ns/event likewise.
+		for retry := 0; checkRepaired(repaired, *against, *tolerance) != nil && retry < 2; retry++ {
+			if m := measureRepaired(q6); m.NsPerEvent < repaired.NsPerEvent {
+				repaired = m
+			}
+		}
+		if err := checkRepaired(repaired, *against, *tolerance); err != nil {
+			fail(err)
+		}
 		// Scaling-series grade: the 1-worker point re-measures the
 		// headline, and a multi-worker point that has its cores must not
 		// lose to one worker. Core-starved points measure the host, not
@@ -336,7 +435,22 @@ func main() {
 			cur.AllocsPerEvent, hooked.AllocsPerEvent)
 		fmt.Printf("enginebench: %.1f ns/event within +%.0f%% of recorded — ok\n",
 			best.NsPerEvent, *tolerance*100)
+		fmt.Printf("enginebench: repaired Q6 %.1f ns/event within +%.0f%% and %.0f bytes/placement within 1.5x of recorded — ok\n",
+			repaired.NsPerEvent, *tolerance*100, repaired.BytesPerPlacement)
 	}
+}
+
+// recorded reads the report -check compares against.
+func recorded(path string) (report, error) {
+	var rec report
+	buf, err := os.ReadFile(path)
+	if err != nil {
+		return rec, fmt.Errorf("check: reading recorded report: %w", err)
+	}
+	if err := json.Unmarshal(buf, &rec); err != nil {
+		return rec, fmt.Errorf("check: parsing %s: %w", path, err)
+	}
+	return rec, nil
 }
 
 // checkSpeed is the wall-clock regression gate: the measured ns/event
@@ -344,13 +458,9 @@ func main() {
 // the allocation gate this tracks real time, so callers damp single-run
 // noise by re-measuring before failing.
 func checkSpeed(cur metrics, path string, tolerance float64) error {
-	buf, err := os.ReadFile(path)
+	rec, err := recorded(path)
 	if err != nil {
-		return fmt.Errorf("check: reading recorded report: %w", err)
-	}
-	var rec report
-	if err := json.Unmarshal(buf, &rec); err != nil {
-		return fmt.Errorf("check: parsing %s: %w", path, err)
+		return err
 	}
 	if rec.Current.NsPerEvent <= 0 {
 		return fmt.Errorf("check: %s records non-positive ns/event %g", path, rec.Current.NsPerEvent)
@@ -369,13 +479,9 @@ func checkSpeed(cur metrics, path string, tolerance float64) error {
 // multiplies this figure by orders of magnitude and trips the gate long
 // before it shows up in wall-clock noise.
 func checkAllocs(cur metrics, path string) error {
-	buf, err := os.ReadFile(path)
+	rec, err := recorded(path)
 	if err != nil {
-		return fmt.Errorf("check: reading recorded report: %w", err)
-	}
-	var rec report
-	if err := json.Unmarshal(buf, &rec); err != nil {
-		return fmt.Errorf("check: parsing %s: %w", path, err)
+		return err
 	}
 	if rec.Current.AllocsPerEvent <= 0 {
 		return fmt.Errorf("check: %s records non-positive allocs/event %g", path, rec.Current.AllocsPerEvent)
@@ -386,6 +492,42 @@ func checkAllocs(cur metrics, path string) error {
 			cur.AllocsPerEvent, limit, rec.Current.AllocsPerEvent, path)
 	}
 	return nil
+}
+
+// checkRepaired is the repair-on gate: bytes per placement must stay
+// within 1.5x, and ns/event within 1+tolerance, of the recorded
+// repair-on figures. Callers re-measure before failing on time.
+func checkRepaired(cur repairedMetrics, path string, tolerance float64) error {
+	rec, err := recorded(path)
+	if err != nil {
+		return err
+	}
+	r := rec.Repaired
+	if r == nil || r.NsPerEvent <= 0 || r.BytesPerPlacement <= 0 {
+		return fmt.Errorf("check: %s records no positive repaired_q6 ns/event and bytes/placement", path)
+	}
+	if limit := 1.5 * r.BytesPerPlacement; cur.BytesPerPlacement > limit {
+		return fmt.Errorf("check: repaired bytes/placement regressed: measured %.0f > limit %.0f (1.5x recorded %.0f in %s)",
+			cur.BytesPerPlacement, limit, r.BytesPerPlacement, path)
+	}
+	if limit := (1 + tolerance) * r.NsPerEvent; cur.NsPerEvent > limit {
+		return fmt.Errorf("check: repaired ns/event regressed: measured %.1f > limit %.1f (recorded %.1f +%.0f%% in %s)",
+			cur.NsPerEvent, limit, r.NsPerEvent, tolerance*100, path)
+	}
+	return nil
+}
+
+// hypercube builds the IHC schedule on Q_dim.
+func hypercube(dim int) *core.IHC {
+	cycles, err := hamilton.Hypercube(dim)
+	if err != nil {
+		fail(err)
+	}
+	x, err := core.New(topology.MustHypercube(dim), cycles)
+	if err != nil {
+		fail(err)
+	}
+	return x
 }
 
 func fail(err error) {

@@ -107,6 +107,57 @@ func TestCheckSpeedGate(t *testing.T) {
 	}
 }
 
+// TestCheckRepairedGate pins the repair-on gate: a report without the
+// repaired figures fails loudly, bytes per placement beyond 1.5x or
+// ns/event beyond tolerance trip it, and measurements within (or at)
+// the envelope pass.
+func TestCheckRepairedGate(t *testing.T) {
+	dir := t.TempDir()
+	write := func(name, content string) string {
+		p := filepath.Join(dir, name)
+		if err := os.WriteFile(p, []byte(content), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	good := write("good.json", `{"repaired_q6": {"ns_per_event": 100, "bytes_per_placement": 2e6}}`)
+	absent := write("absent.json", `{"current": {"ns_per_event": 100}}`)
+	zero := write("zero.json", `{"repaired_q6": {"ns_per_event": 100, "bytes_per_placement": 0}}`)
+
+	cases := []struct {
+		name    string
+		cur     repairedMetrics
+		against string
+		wantErr string
+	}{
+		{"missing file", repairedMetrics{NsPerEvent: 100, BytesPerPlacement: 2e6}, filepath.Join(dir, "nope.json"), "reading recorded report"},
+		{"absent", repairedMetrics{NsPerEvent: 100, BytesPerPlacement: 2e6}, absent, "records no positive"},
+		{"zero recorded", repairedMetrics{NsPerEvent: 100, BytesPerPlacement: 2e6}, zero, "records no positive"},
+		{"bytes regression", repairedMetrics{NsPerEvent: 100, BytesPerPlacement: 3.1e6}, good, "bytes/placement regressed"},
+		{"speed regression", repairedMetrics{NsPerEvent: 116, BytesPerPlacement: 2e6}, good, "ns/event regressed"},
+		{"pass", repairedMetrics{NsPerEvent: 100, BytesPerPlacement: 2e6}, good, ""},
+		{"pass at limit", repairedMetrics{NsPerEvent: 114.9, BytesPerPlacement: 2.99e6}, good, ""},
+		{"pass improved", repairedMetrics{NsPerEvent: 40, BytesPerPlacement: 1e6}, good, ""},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			err := checkRepaired(tc.cur, tc.against, 0.15)
+			if tc.wantErr == "" {
+				if err != nil {
+					t.Fatalf("unexpected gate failure: %v", err)
+				}
+				return
+			}
+			if err == nil {
+				t.Fatalf("gate passed silently, want error containing %q", tc.wantErr)
+			}
+			if !strings.Contains(err.Error(), tc.wantErr) {
+				t.Fatalf("error %q does not mention %q", err, tc.wantErr)
+			}
+		})
+	}
+}
+
 // TestParseWorkerList covers the -engine-workers flag parsing.
 func TestParseWorkerList(t *testing.T) {
 	got, err := parseWorkerList("1,2,4,8")

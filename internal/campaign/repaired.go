@@ -83,7 +83,7 @@ func RunRepairedPoint(x *core.IHC, t int, cfg Search, seed int64) (*RepairedRepo
 			return ErrCanceled
 		default:
 		}
-		out, connected, err := gradeRepaired(x, edges, elems, seed)
+		out, connected, err := GradeRepaired(x, edges, elems, seed)
 		if err != nil {
 			return fmt.Errorf("campaign: repaired grading on %s t=%d: %w", g.Name(), t, err)
 		}
@@ -132,11 +132,12 @@ func RunRepairedPoint(x *core.IHC, t int, cfg Search, seed int64) (*RepairedRepo
 	return rep, nil
 }
 
-// gradeRepaired is the repaired campaign's unit of work: it screens
+// GradeRepaired is the repaired campaign's unit of work: it screens
 // one broken-link placement (elems index edges) and, when the residual
 // graph stays connected, grades it through the engine with the repair
 // layer attached. connected is false for a screened-out placement.
-func gradeRepaired(x *core.IHC, edges []topology.Edge, elems []int, seed int64) (out reliable.RepairedOutcome, connected bool, err error) {
+// BenchmarkRepairedPointQ6 and cmd/enginebench time it.
+func GradeRepaired(x *core.IHC, edges []topology.Edge, elems []int, seed int64) (out reliable.RepairedOutcome, connected bool, err error) {
 	res := topology.New("residual", x.N())
 	dead := make(map[int]bool, len(elems))
 	for _, ei := range elems {

@@ -92,7 +92,7 @@ func BenchmarkRepairedPointQ6(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		pl := elems[:gamma+i%2]
 		sampleSubset(rng, len(edges), pl)
-		out, _, err := gradeRepaired(x, edges, pl, int64(i))
+		out, _, err := GradeRepaired(x, edges, pl, int64(i))
 		if err != nil {
 			b.Fatal(err)
 		}

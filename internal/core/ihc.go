@@ -226,7 +226,9 @@ type Config struct {
 	Fault simnet.FaultHook
 	// RecordDeliveries collects every delivery (with its corruption flag)
 	// across all stages into Result.Deliveriesv, in simulation order
-	// within each stage run. Required by the timed reliability grader.
+	// within each stage run. perfbench's traced repair.Run probe sets it,
+	// and the engine and repair tests pin the ordered log through it;
+	// the reliability graders tally copies through Observe instead.
 	RecordDeliveries bool
 	// Control attaches an online controller to every stage's simulation
 	// run (see simnet.Controller): it observes deliveries, sets timers,

@@ -104,8 +104,10 @@ func (tp *TemporalPlan) Validate(g *topology.Graph) error {
 	return nil
 }
 
-// window is a compiled link-fault interval.
-type window struct {
+// linkWindow is a compiled link-fault interval as one endpoint sees it:
+// the link to peer misbehaves during [from, until).
+type linkWindow struct {
+	peer        topology.Node
 	from, until simnet.Time
 	corrupt     bool
 }
@@ -114,14 +116,13 @@ type window struct {
 // simnet.FaultHook. Node state is dense (one kind and one activation time
 // per node), so the common all-nodes-healthy-links-only and
 // all-links-healthy-nodes-only plans cost a couple of array reads per
-// hop; link windows live in a map consulted only when the plan has link
-// faults at all.
+// hop. Link windows are listed per node, each under both of its link's
+// endpoints, so a hop scans only the few windows at its relaying node.
 type Injector struct {
-	seed     int64
-	kind     []Kind
-	at       []simnet.Time
-	windows  map[topology.Edge][]window
-	hasLinks bool
+	seed  int64
+	kind  []Kind
+	at    []simnet.Time
+	links [][]linkWindow // per node; nil when the plan has no link faults
 }
 
 // Compile validates tp against g and builds the engine hook.
@@ -142,11 +143,10 @@ func (tp *TemporalPlan) Compile(g *topology.Graph) (*Injector, error) {
 		in.at[nf.Node] = nf.At
 	}
 	if len(tp.Links) > 0 {
-		in.hasLinks = true
-		in.windows = make(map[topology.Edge][]window, len(tp.Links))
+		in.links = make([][]linkWindow, g.N())
 		for _, lf := range tp.Links {
-			e := topology.NewEdge(lf.U, lf.V)
-			in.windows[e] = append(in.windows[e], window{lf.From, lf.Until, lf.Corrupt})
+			in.links[lf.U] = append(in.links[lf.U], linkWindow{lf.V, lf.From, lf.Until, lf.Corrupt})
+			in.links[lf.V] = append(in.links[lf.V], linkWindow{lf.U, lf.From, lf.Until, lf.Corrupt})
 		}
 	}
 	return in, nil
@@ -179,9 +179,9 @@ func (in *Injector) Relay(id simnet.PacketID, hop int, from, to topology.Node, d
 			}
 		}
 	}
-	if in.hasLinks {
-		for _, w := range in.windows[topology.NewEdge(from, to)] {
-			if depart >= w.from && depart < w.until {
+	if in.links != nil {
+		for _, w := range in.links[from] {
+			if w.peer == to && depart >= w.from && depart < w.until {
 				if !w.corrupt {
 					return simnet.FaultDrop
 				}

@@ -181,7 +181,8 @@ func TestInjectorMatchesTraceRoute(t *testing.T) {
 
 // TestInjectorTemporalWindows exercises what the static model cannot
 // express: a node that crashes mid-run and a link that is down for a
-// window and then recovers.
+// window and then recovers. The link is listed twice, the second time
+// reversed and corrupting over a window that overlaps the drop.
 func TestInjectorTemporalWindows(t *testing.T) {
 	g := topology.MustHypercube(3)
 	tp := &TemporalPlan{
@@ -189,6 +190,7 @@ func TestInjectorTemporalWindows(t *testing.T) {
 		Links: []LinkFault{
 			{U: 2, V: 3, From: 500, Until: 600},
 			{U: 2, V: 6, From: 0, Until: Forever, Corrupt: true},
+			{U: 3, V: 2, From: 550, Until: 700, Corrupt: true},
 		},
 	}
 	in, err := tp.Compile(g)
@@ -207,14 +209,29 @@ func TestInjectorTemporalWindows(t *testing.T) {
 	if act := in.Relay(id, 0, 1, 0, 5000); act != simnet.FaultNone {
 		t.Errorf("node 1 as source at t=5000: %v, want none (hop 0 exempt)", act)
 	}
-	// Link {2,3} is down only inside [500, 600).
+	// Link {2,3} is down inside [500, 600), where the drop dominates the
+	// overlapping corrupt window, and corrupts inside [600, 700), in
+	// both directions.
 	for _, c := range []struct {
 		at   simnet.Time
 		want simnet.FaultAction
-	}{{499, simnet.FaultNone}, {500, simnet.FaultDrop}, {599, simnet.FaultDrop}, {600, simnet.FaultNone}} {
-		if act := in.Relay(id, 2, 2, 3, c.at); act != c.want {
-			t.Errorf("link {2,3} at t=%d: %v, want %v", c.at, act, c.want)
+	}{
+		{499, simnet.FaultNone}, {500, simnet.FaultDrop}, {550, simnet.FaultDrop}, {599, simnet.FaultDrop},
+		{600, simnet.FaultCorrupt}, {699, simnet.FaultCorrupt}, {700, simnet.FaultNone},
+	} {
+		for _, arc := range [][2]topology.Node{{2, 3}, {3, 2}} {
+			if act := in.Relay(id, 2, arc[0], arc[1], c.at); act != c.want {
+				t.Errorf("link %d→%d at t=%d: %v, want %v", arc[0], arc[1], c.at, act, c.want)
+			}
 		}
+	}
+	// The windows name only their own link: node 2's other links and
+	// node 3's are healthy then.
+	if act := in.Relay(id, 2, 2, 0, 550); act != simnet.FaultNone {
+		t.Errorf("link 2→0 at t=550: %v, want none", act)
+	}
+	if act := in.Relay(id, 2, 3, 7, 650); act != simnet.FaultNone {
+		t.Errorf("link 3→7 at t=650: %v, want none", act)
 	}
 	// Noisy link corrupts in both directions, forever.
 	if act := in.Relay(id, 3, 6, 2, 1e9); act != simnet.FaultCorrupt {

@@ -5,6 +5,7 @@ import (
 
 	"ihc/internal/core"
 	"ihc/internal/fault"
+	"ihc/internal/simnet"
 	"ihc/internal/topology"
 )
 
@@ -42,91 +43,137 @@ func EvaluateIHC(x *core.IHC, plan *fault.Plan, signed bool, kr *Keyring) (Outco
 	if err := plan.Validate(x.Graph()); err != nil {
 		return Outcome{}, fmt.Errorf("reliable: EvaluateIHC: %w", err)
 	}
-	n := x.N()
-	gamma := x.Gamma()
-	// copies[recv][src] collects the copies each receiver got.
-	copies := make([][][]Copy, n)
-	for r := range copies {
-		copies[r] = make([][]Copy, n)
+	kind := make([]fault.Kind, x.N())
+	for v := range kind {
+		kind[v] = plan.Node(topology.Node(v))
 	}
-	for j := 0; j < gamma; j++ {
+	t := newTally(kind)
+	for j := 0; j < x.Gamma(); j++ {
 		c := x.DirectedCycle(j)
-		for p := 0; p < len(c); p++ {
-			src := c[p]
-			payload := TruthPayload(src)
-			if plan.Node(src) == fault.Byzantine && j%2 == 1 {
-				payload = TwoFacedPayload(src)
-			}
+		for p := range c {
 			route := routeOf(c, p)
 			fates := plan.TraceRoute(route, j)
 			for k := 1; k < len(route); k++ {
-				recv := route[k]
-				var cp Copy
-				switch fates[k] {
-				case fault.Lost:
-					continue
-				case fault.Intact:
-					cp = Copy{Payload: payload, Valid: true}
-				case fault.Corrupted:
-					// A corrupting relay cannot forge the source MAC.
-					cp = Copy{Payload: CorruptPayload(payload), Valid: false}
+				if fates[k] != fault.Lost {
+					t.add(route[k], route[0], j, fates[k] == fault.Corrupted)
 				}
-				if signed && kr != nil && cp.Valid {
-					// Round-trip through real MACs to exercise the crypto
-					// path rather than trusting the Valid flag. Sources come
-					// from the cycle, so they are always keyed; an error here
-					// means the keyring is sized for a different graph.
-					msg, err := kr.Sign(Message{Source: src, Payload: cp.Payload})
-					if err == nil {
-						cp.Valid, err = kr.Verify(msg)
-					}
-					if err != nil {
-						return Outcome{}, fmt.Errorf("reliable: EvaluateIHC: %w", err)
-					}
-				}
-				copies[recv][src] = append(copies[recv][src], cp)
 			}
 		}
 	}
-
-	return gradeCopies(n, copies, signed, func(v topology.Node) bool {
-		return plan.Node(v) != fault.Healthy
-	}), nil
+	out, err := t.grade(signed, kr)
+	if err != nil {
+		return Outcome{}, fmt.Errorf("reliable: EvaluateIHC: %w", err)
+	}
+	return out, nil
 }
 
-// gradeCopies applies the selected voter at every fault-free receiver for
-// every fault-free source and tallies the outcomes against the truth —
-// the shared back half of the combinatorial and timed evaluators.
-func gradeCopies(n int, copies [][][]Copy, signed bool, faulty func(topology.Node) bool) Outcome {
+// tally counts, per (receiver, source) pair, the copies a run delivered
+// of each of the four kinds a source's copy can take: its payload (the
+// truth, or for a Byzantine source the two-faced alternative on odd
+// channels), intact or corrupted. A vote needs only these counts, not
+// the copies' order, so every grader fills a tally as copies arrive.
+// As the engine graders' simnet.Observer it skips NAKs (negative Seq)
+// and counts a retransmitted copy as a genuine one.
+type tally struct {
+	kind   []fault.Kind // the plan's fault per node; non-Healthy nodes are not graded
+	counts [][4]int32   // [recv·N+src][payload kind·2 + corrupted]
+}
+
+func newTally(kind []fault.Kind) *tally {
+	return &tally{kind: kind, counts: make([][4]int32, len(kind)*len(kind))}
+}
+
+// add counts one copy from src delivered to recv on channel.
+func (t *tally) add(recv, src topology.Node, channel int, corrupted bool) {
+	k := 0
+	if t.kind[src] == fault.Byzantine && channel%2 == 1 {
+		k = 2
+	}
+	if corrupted {
+		k++
+	}
+	t.counts[int(recv)*len(t.kind)+int(src)][k]++
+}
+
+// OnHop implements simnet.Observer; the grade needs no hops.
+func (t *tally) OnHop(simnet.HopEvent) {}
+
+// OnDeliver implements simnet.Observer.
+func (t *tally) OnDeliver(d simnet.Delivery) {
+	if d.ID.Seq >= 0 {
+		t.add(d.Node, d.ID.Source, d.ID.Channel, d.Corrupted)
+	}
+}
+
+// grade applies the selected voter at every fault-free receiver for
+// every fault-free source and tallies the outcomes against the truth.
+// Each source's kinds of copy are built once; in signed mode with a
+// keyring each of its payloads round-trips through real MACs, to
+// exercise the crypto path rather than trust a flag, which fails for a
+// keyring sized for a smaller graph. A pair's counts
+// expand into one reused buffer, so the voters see the pair's copies as
+// a multiset, which is all they decide by.
+func (t *tally) grade(signed bool, kr *Keyring) (Outcome, error) {
+	n := len(t.kind)
+	kinds := make([][4]Copy, n)
+	for s := range kinds {
+		v := topology.Node(s)
+		pays := [2][]byte{TruthPayload(v)}
+		if t.kind[s] == fault.Byzantine {
+			pays[1] = TwoFacedPayload(v)
+		}
+		for i, p := range pays {
+			if p == nil {
+				continue
+			}
+			valid := true
+			if signed && kr != nil {
+				msg, err := kr.Sign(Message{Source: v, Payload: p})
+				if err == nil {
+					valid, err = kr.Verify(msg)
+				}
+				if err != nil {
+					return Outcome{}, err
+				}
+			}
+			// A corrupting relay cannot forge the source MAC.
+			kinds[s][2*i] = Copy{Payload: p, Valid: valid}
+			kinds[s][2*i+1] = Copy{Payload: CorruptPayload(p)}
+		}
+	}
+	vote := VoteUnsigned
+	if signed {
+		vote = VoteSigned
+	}
 	var out Outcome
-	truth := truthPayloads(n)
+	var buf []Copy
 	for r := 0; r < n; r++ {
-		if faulty(topology.Node(r)) {
+		if t.kind[r] != fault.Healthy {
 			continue
 		}
 		for s := 0; s < n; s++ {
-			if r == s || faulty(topology.Node(s)) {
+			if r == s || t.kind[s] != fault.Healthy {
 				continue
 			}
-			out.Pairs++
-			var payload []byte
-			var ok bool
-			if signed {
-				payload, ok = VoteSigned(copies[r][s])
-			} else {
-				payload, ok = VoteUnsigned(copies[r][s])
+			buf = buf[:0]
+			for k, c := range t.counts[r*n+s] {
+				for ; c > 0; c-- {
+					buf = append(buf, kinds[s][k])
+				}
 			}
+			payload, ok := vote(buf)
+			out.Pairs++
 			switch {
 			case !ok:
 				out.Missing++
-			case string(payload) == string(truth[s]):
+			case string(payload) == string(kinds[s][0].Payload):
 				out.Correct++
 			default:
 				out.Wrong++
 			}
 		}
 	}
-	return out
+	return out, nil
 }
 
 // routeOf returns the IHC packet route for the node at position p of

@@ -129,16 +129,6 @@ func TruthPayload(v topology.Node) []byte {
 	return buf[:]
 }
 
-// truthPayloads returns TruthPayload(v) for every node v < n, so that
-// graders compute each source's payload once rather than per copy.
-func truthPayloads(n int) [][]byte {
-	out := make([][]byte, n)
-	for v := range out {
-		out[v] = TruthPayload(topology.Node(v))
-	}
-	return out
-}
-
 // CorruptPayload is what a corrupting relay turns a payload into; it is a
 // deterministic function of the original so experiments are repeatable.
 func CorruptPayload(p []byte) []byte {

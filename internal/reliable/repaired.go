@@ -5,8 +5,8 @@ import (
 
 	"ihc/internal/core"
 	"ihc/internal/fault"
+	"ihc/internal/observe"
 	"ihc/internal/repair"
-	"ihc/internal/topology"
 )
 
 // RepairedOutcome is the grade of a repair-enabled run plus the repair
@@ -33,49 +33,33 @@ type RepairedOutcome struct {
 //
 // cfg selects the execution exactly as in EvaluateTimed; rcfg goes to
 // repair.Run, which derives every repair value from cfg.Params. The
-// fault-free baseline run used for the overhead figure shares cfg but
-// has no faults and no repair layer.
+// fault-free baseline run used for the overhead figure shares cfg
+// (cfg.Observe included) but has no faults, no repair layer and no
+// tally.
 func EvaluateRepaired(x *core.IHC, tplan *fault.TemporalPlan, signed bool, kr *Keyring, cfg core.Config, rcfg repair.Config) (RepairedOutcome, error) {
-	inj, err := tplan.Compile(x.Graph())
+	t, err := prepareTimed(x, tplan, &cfg)
 	if err != nil {
 		return RepairedOutcome{}, err
 	}
-	cfg.Params = cfg.Params.Defaulted()
-	if cfg.Eta == 0 {
-		cfg.Eta = cfg.Params.Mu
-	}
-	cfg.RecordDeliveries = true
-	cfg.SkipCopies = true
 
 	base := cfg
 	base.Fault = nil
-	base.RecordDeliveries = false
 	baseRes, err := x.Run(base)
 	if err != nil {
 		return RepairedOutcome{}, fmt.Errorf("reliable: repaired baseline run: %w", err)
 	}
 
-	cfg.Fault = inj
+	cfg.Observe = observe.Tee(cfg.Observe, t)
 	res, st, err := repair.Run(x, cfg, rcfg)
 	if err != nil {
 		return RepairedOutcome{}, fmt.Errorf("reliable: repaired evaluation run: %w", err)
 	}
-
-	n := x.N()
-	kind := make([]fault.Kind, n)
-	if tplan != nil {
-		for _, nf := range tplan.Nodes {
-			kind[nf.Node] = nf.Kind
-		}
-	}
-	copies, err := deliveredCopies(n, res.Deliveriesv, kind, signed, kr)
+	grade, err := t.grade(signed, kr)
 	if err != nil {
 		return RepairedOutcome{}, fmt.Errorf("reliable: repaired evaluation: %w", err)
 	}
 	out := RepairedOutcome{
-		Outcome: gradeCopies(n, copies, signed, func(v topology.Node) bool {
-			return kind[v] != fault.Healthy
-		}),
+		Outcome:  grade,
 		Stats:    st,
 		Finish:   int64(res.Finish),
 		Baseline: int64(baseRes.Finish),

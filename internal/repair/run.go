@@ -9,9 +9,9 @@ import (
 // Params are defaulted and η defaults to μ, mirroring the reliability
 // graders. The returned Stats describe everything the repair layer did.
 //
-// Note for graders: NAK packets appear in Result.Deliveriesv with
-// negative Seq — coverage accounting must filter them out (see
-// reliable.EvaluateRepaired).
+// NAK packets are delivered like copies, with negative Seq, to
+// cfg.Observe and to any delivery log; coverage accounting must skip
+// them, as reliable.EvaluateRepaired's tally does.
 func Run(x *core.IHC, cfg core.Config, _ Config) (*core.Result, Stats, error) {
 	cfg.Params = cfg.Params.Defaulted()
 	if cfg.Eta == 0 {

@@ -170,7 +170,11 @@ type Options struct {
 	Copies *CopyMatrix
 	// Log, when non-nil, has every delivery appended to it in the
 	// engine's deterministic (time, key) order. A log keeps the run on
-	// one worker.
+	// one worker. Outside tests its one user is
+	// core.Config.RecordDeliveries, which perfbench's traced repair.Run
+	// probe sets; the engine and repair tests pin the ordered log
+	// through both. A sink that needs no order should count deliveries
+	// through Observe.
 	Log *[]Delivery
 	// Saturated models the heavy-traffic limiting regime of the paper's
 	// worst-case analysis (Table IV): every hop is performed from
