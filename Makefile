@@ -71,7 +71,8 @@ bench-fault:
 # against the scan-based reference, retry times included), the stream
 # node's frame handling (validly signed or unsigned hostile frames never
 # panic it, never make it send to a non-neighbor, never move its next
-# epoch back), and the decomposition registry
+# epoch back), the epoch-batch count helper (fails exactly when the
+# decoder does, and otherwise agrees with it), and the decomposition registry
 # (family constructors never panic on arbitrary parameters; valid
 # instances build and their names round-trip), mirroring the CI budget.
 fuzz:
@@ -83,6 +84,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzFrameDecode -fuzztime=15s ./internal/transport
 	$(GO) test -fuzz=FuzzPlanner -fuzztime=15s ./internal/stream
 	$(GO) test -fuzz=FuzzNodeHandle -fuzztime=15s ./internal/stream
+	$(GO) test -fuzz=FuzzBatchCount -fuzztime=15s ./internal/stream
 	$(GO) test -fuzz=FuzzFamilyParams -fuzztime=15s ./internal/hamilton
 
 # Engine-regression smoke: one measured Q10 ATA run; fails if

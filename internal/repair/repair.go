@@ -139,6 +139,8 @@ type Manager struct {
 	// they depend only on the graph, so one max-flow per arc serves the
 	// Manager's whole lifetime.
 	detours [][][]topology.Node
+	// shortestRoutes' BFS scratch: each node's parent, and the queue.
+	bfsPrev, bfsQueue []topology.Node
 
 	stats Stats
 
@@ -163,6 +165,8 @@ func NewManager(x *core.IHC, p simnet.Params) *Manager {
 		arcBase:       make([]int32, n+1),
 		deadInc:       make([]int32, n),
 		deadNode:      make([]bool, n),
+		bfsPrev:       make([]topology.Node, n),
+		bfsQueue:      make([]topology.Node, 0, n),
 	}
 	if p.Rho > 0 || p.Mode != simnet.VirtualCutThrough {
 		m.slackPerHop = m.recoverySlack

@@ -1,6 +1,8 @@
 package repair
 
 import (
+	"math/rand"
+	"reflect"
 	"testing"
 
 	"ihc/internal/core"
@@ -306,6 +308,67 @@ func TestDeadlineIsSufficient(t *testing.T) {
 					t.Fatalf("%s ρ=%g: packet %v reached node %d at %d, after its deadline %d",
 						name, rho, d.ID, d.Node, d.At, byID[d.ID])
 				}
+			}
+		}
+	}
+}
+
+// TestShortestRoutesMatchPerDestinationSearch compares the one-BFS
+// recovery routes with the search they replace, one
+// ShortestPathAvoiding per missing destination, over random sets of
+// dead arcs and dead nodes on Q4 and Q6: every route, and their order,
+// must be identical.
+func TestShortestRoutesMatchPerDestinationSearch(t *testing.T) {
+	reference := func(m *Manager, o *origin) [][]topology.Node {
+		src := o.route[0]
+		var out [][]topology.Node
+		seen := make(map[topology.Node]bool, len(o.route))
+		for _, w := range o.route[1:] {
+			if seen[w] || o.got[w] {
+				seen[w] = true
+				continue
+			}
+			seen[w] = true
+			p := m.g.ShortestPathAvoiding(src, w, func(a, b topology.Node) bool {
+				return m.deadEdge(a, b) || (b != w && m.deadNode[b])
+			})
+			if p != nil {
+				out = append(out, p)
+			}
+		}
+		return out
+	}
+	rng := rand.New(rand.NewSource(5))
+	for _, dim := range []int{4, 6} {
+		x := newIHC(t, topology.MustHypercube(dim))
+		n := x.N()
+		for trial := 0; trial < 300; trial++ {
+			m := NewManager(x, simnet.Params{}.Defaulted())
+			pArc, pNode := []float64{0.02, 0.1, 0.3}[trial%3], []float64{0, 0.1, 0.4}[trial/3%3]
+			for a := range m.dead {
+				m.dead[a] = rng.Float64() < pArc
+			}
+			for v := range m.deadNode {
+				m.deadNode[v] = rng.Float64() < pNode
+			}
+			j := rng.Intn(x.Gamma())
+			c := x.DirectedCycle(j)
+			src := topology.Node(rng.Intn(n))
+			p := x.ID(j, src)
+			route := make([]topology.Node, 0, n+4)
+			for i := 0; i < n; i++ {
+				route = append(route, c[(p+i)%n])
+			}
+			for i := rng.Intn(4); i > 0; i-- { // revisits, the source among them
+				route = append(route, route[rng.Intn(len(route))])
+			}
+			got := make([]bool, n)
+			for v := range got {
+				got[v] = rng.Float64() < 0.3
+			}
+			o := &origin{route: route, got: got}
+			if want, have := reference(m, o), m.shortestRoutes(o); !reflect.DeepEqual(have, want) {
+				t.Fatalf("Q%d trial %d: one BFS gave %v, per-destination search %v", dim, trial, have, want)
 			}
 		}
 	}

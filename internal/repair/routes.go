@@ -173,7 +173,39 @@ func (m *Manager) recoveryRoutes(o *origin) [][]topology.Node {
 		}
 		return [][]topology.Node{full}
 	}
+	return m.shortestRoutes(o)
+}
+
+// shortestRoutes returns, for every node of o's route still missing
+// its copy, in route order and once each, a shortest path from the
+// source that crosses no dead link and relays through no dead node; an
+// unreachable node gets none. One BFS from the source serves them all:
+// it reaches dead nodes, so each can be a destination, but never
+// expands them. Each destination w therefore gets the path, with the
+// same discovery order and parents, that its own
+// ShortestPathAvoiding(src, w, deadEdge || (b != w && deadNode[b]))
+// returns.
+func (m *Manager) shortestRoutes(o *origin) [][]topology.Node {
 	src := o.route[0]
+	prev := m.bfsPrev
+	for i := range prev {
+		prev[i] = -1
+	}
+	prev[src] = src
+	queue := append(m.bfsQueue[:0], src)
+	for len(queue) > 0 {
+		u := queue[0]
+		queue = queue[1:]
+		for i, v := range m.g.Neighbors(u) {
+			if prev[v] >= 0 || m.dead[m.arcBase[u]+int32(i)] {
+				continue
+			}
+			prev[v] = u
+			if !m.deadNode[v] {
+				queue = append(queue, v)
+			}
+		}
+	}
 	var out [][]topology.Node
 	seen := make(map[topology.Node]bool, len(o.route))
 	for _, w := range o.route[1:] {
@@ -182,12 +214,18 @@ func (m *Manager) recoveryRoutes(o *origin) [][]topology.Node {
 			continue
 		}
 		seen[w] = true
-		p := m.g.ShortestPathAvoiding(src, w, func(a, b topology.Node) bool {
-			return m.deadEdge(a, b) || (b != w && m.deadNode[b])
-		})
-		if p != nil {
-			out = append(out, p)
+		if prev[w] < 0 {
+			continue
 		}
+		hops := 0
+		for v := w; v != src; v = prev[v] {
+			hops++
+		}
+		p := make([]topology.Node, hops+1)
+		for v, i := w, hops; i >= 0; v, i = prev[v], i-1 {
+			p[i] = v
+		}
+		out = append(out, p)
 	}
 	return out
 }

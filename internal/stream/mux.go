@@ -75,39 +75,69 @@ func EncodeBatch(items []Item) ([]byte, error) {
 
 // DecodeBatch parses an epoch payload. Every length is validated
 // before use; trailing bytes are an error (a truncated or padded batch
-// must not half-decode).
+// must not half-decode). Each item's data is copied out of b.
 func DecodeBatch(b []byte) ([]Item, error) {
+	n, _, err := batchCount(b)
+	if err != nil {
+		return nil, err
+	}
+	items := make([]Item, 0, n)
+	// b passed batchCount's walk, so this one cannot fail.
+	_ = walkBatch(b, func(high bool, data []byte) {
+		it := Item{High: high}
+		if len(data) > 0 {
+			it.Data = append([]byte(nil), data...)
+		}
+		items = append(items, it)
+	})
+	return items, nil
+}
+
+// batchCount returns a batch's item count and the total of its items'
+// data lengths, allocating nothing. It fails exactly when DecodeBatch
+// does.
+func batchCount(b []byte) (items, size int, err error) {
+	err = walkBatch(b, func(_ bool, data []byte) {
+		items++
+		size += len(data)
+	})
+	if err != nil {
+		return 0, 0, err
+	}
+	return items, size, nil
+}
+
+// walkBatch is the one validating pass over an encoded batch: it checks
+// every length before use and calls item for each item in order, data
+// aliasing b. A batch that fails a check is ErrBatchCorrupt, and item
+// may have seen some of its items by then.
+func walkBatch(b []byte, item func(high bool, data []byte)) error {
 	if len(b) < batchHdr {
-		return nil, ErrBatchCorrupt
+		return ErrBatchCorrupt
 	}
 	count := int(binary.LittleEndian.Uint16(b))
 	if count > maxBatchLen {
-		return nil, ErrBatchCorrupt
+		return ErrBatchCorrupt
 	}
-	items := make([]Item, 0, count)
 	off := batchHdr
 	for i := 0; i < count; i++ {
 		if len(b) < off+itemOverhead {
-			return nil, ErrBatchCorrupt
+			return ErrBatchCorrupt
 		}
 		flags := b[off]
 		if flags > 1 {
-			return nil, ErrBatchCorrupt
+			return ErrBatchCorrupt
 		}
 		l := int(binary.LittleEndian.Uint16(b[off+1:]))
 		off += itemOverhead
 		if len(b) < off+l {
-			return nil, ErrBatchCorrupt
+			return ErrBatchCorrupt
 		}
-		it := Item{High: flags&1 != 0}
-		if l > 0 {
-			it.Data = append([]byte(nil), b[off:off+l]...)
-		}
-		items = append(items, it)
+		item(flags&1 != 0, b[off:off+l])
 		off += l
 	}
 	if off != len(b) {
-		return nil, ErrBatchCorrupt
+		return ErrBatchCorrupt
 	}
-	return items, nil
+	return nil
 }

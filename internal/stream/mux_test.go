@@ -33,6 +33,9 @@ func TestBatchRoundTrip(t *testing.T) {
 				t.Fatalf("case %d item %d: got %+v want %+v", i, j, got[j], items[j])
 			}
 		}
+		if allocs := testing.AllocsPerRun(10, func() { batchCount(b) }); allocs != 0 {
+			t.Fatalf("case %d: batchCount allocated %.0f times", i, allocs)
+		}
 	}
 }
 
@@ -82,4 +85,37 @@ func TestBatchEncodeLimits(t *testing.T) {
 	if _, err := EncodeBatch([]Item{{Data: make([]byte, 1<<16)}}); err == nil {
 		t.Fatal("oversized item encoded")
 	}
+}
+
+// FuzzBatchCount checks the count helper against DecodeBatch on
+// arbitrary bytes: it fails exactly when DecodeBatch fails, and
+// otherwise gives the same item count and data byte total.
+func FuzzBatchCount(f *testing.F) {
+	good, err := EncodeBatch([]Item{{Data: []byte("hello")}, {High: true, Data: []byte("world")}, {}})
+	if err != nil {
+		f.Fatal(err)
+	}
+	heartbeat, _ := EncodeBatch(nil)
+	f.Add(good)
+	f.Add(heartbeat)
+	f.Add(good[:len(good)-1])
+	f.Add(append(append([]byte(nil), good...), 0))
+	f.Add([]byte("not a batch"))
+	f.Fuzz(func(t *testing.T, b []byte) {
+		items, decErr := DecodeBatch(b)
+		n, size, err := batchCount(b)
+		if (err != nil) != (decErr != nil) {
+			t.Fatalf("batchCount error %v, DecodeBatch error %v", err, decErr)
+		}
+		if err != nil {
+			return
+		}
+		want := 0
+		for _, it := range items {
+			want += len(it.Data)
+		}
+		if n != len(items) || size != want {
+			t.Fatalf("batchCount gave %d items and %d bytes, DecodeBatch %d and %d", n, size, len(items), want)
+		}
+	})
 }

@@ -200,7 +200,7 @@ type Node struct {
 	open     map[uint32]*epochState
 	retained map[uint32][][]byte // closed epochs' stores, for serving pulls
 	next     uint32              // next epoch to open
-	highest  uint32              // highest epoch seen in any signed frame
+	highest  uint32              // highest plausible epoch seen in any signed frame
 	joined   bool                // epoch base known
 	joinIdx  int                 // JOIN target rotation
 	joinAt   time.Time
@@ -391,9 +391,10 @@ func (nd *Node) openEpoch(e uint32, now time.Time, catchup bool) {
 // epochs after it in order, while a pipeline slot is free and the
 // wall-clock schedule or a signed frame (highest) has reached the epoch.
 // Opening in order keeps every epoch of the stream: none is skipped,
-// and next never moves back.
+// and next never moves back. A node that has not joined has no epoch
+// base and opens nothing.
 func (nd *Node) openDue(now time.Time) {
-	for nd.cfg.Epochs <= 0 || int(nd.next) < nd.cfg.Epochs {
+	for nd.joined && (nd.cfg.Epochs <= 0 || int(nd.next) < nd.cfg.Epochs) {
 		if nd.liveOpen() >= MaxInflight {
 			return
 		}
@@ -646,6 +647,19 @@ func (nd *Node) receive(body []byte) (*transport.Frame, bool) {
 	return f, true
 }
 
+// plausible reports whether epoch e can have started by now: e is at
+// most one past the epoch the schedule has reached, ⌊(now − Epoch0) /
+// Period⌋, or 0 before Epoch0. Any source can sign any epoch, so a later
+// one teaches the node nothing. The bound comes from now, since
+// scheduled(e) overflows for a large e.
+func (nd *Node) plausible(e uint32, now time.Time) bool {
+	reached := int64(0)
+	if d := now.Sub(nd.cfg.Epoch0); d > 0 {
+		reached = int64(d / nd.cfg.Period)
+	}
+	return int64(e) <= reached+1
+}
+
 // handle processes one raw inbound frame body that arrived at now.
 func (nd *Node) handle(body []byte, now time.Time) {
 	f, ok := nd.receive(body)
@@ -653,8 +667,9 @@ func (nd *Node) handle(body []byte, now time.Time) {
 		return
 	}
 	// Epoch learning: every signed frame carries an authenticated
-	// epoch. JOIN/NAK/MISS are unsigned and must not fast-forward us.
-	if f.Kind.Signed() {
+	// epoch. JOIN/NAK/MISS are unsigned and must not fast-forward us,
+	// and neither may a signed epoch the schedule cannot have reached.
+	if f.Kind.Signed() && nd.plausible(f.Epoch, now) {
 		if f.Epoch > nd.highest {
 			nd.highest = f.Epoch
 		}
@@ -841,11 +856,9 @@ func (nd *Node) finalize(st *epochState, completed bool, now time.Time) {
 		if topology.Node(s) == nd.cfg.Self || payload == nil {
 			continue
 		}
-		if batch, err := DecodeBatch(payload); err == nil {
-			for _, it := range batch {
-				items++
-				size += len(it.Data)
-			}
+		if n, sz, err := batchCount(payload); err == nil {
+			items += n
+			size += sz
 		} else if len(payload) > 0 {
 			items++
 			size += len(payload)

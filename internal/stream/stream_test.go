@@ -546,6 +546,69 @@ func TestOpenerIgnoresLastEpoch(t *testing.T) {
 	}
 }
 
+// TestFarFutureEpochTeachesNothing hands one validly signed REPAIR of
+// epoch 2³²−1, which any source can sign, to a live node 30 minutes
+// before epoch 0 and to a rejoiner. The live node opens only what an
+// untouched twin opens at the same instant, and answers a JOIN with the
+// schedule's epoch. The rejoiner stays unjoined and keeps sending JOINs,
+// then joins on a plausible EPOCH.
+func TestFarFutureEpochTeachesNothing(t *testing.T) {
+	x := q4(t)
+	kr := reliable.NewKeyring(x.N(), 3)
+	epoch0 := time.Unix(1_000_000, 0)
+	repair := func(nd *Node) []byte {
+		f := copyFrame(nd, 5, 0, []byte("batch"), hlc.Timestamp{})
+		f.Kind, f.From, f.Epoch = transport.FrameRepair, 1, math.MaxUint32
+		return encode(t, kr, f)
+	}
+	join := encode(t, kr, &transport.Frame{Kind: transport.FrameJoin, From: 1, Source: 1})
+
+	now := epoch0.Add(-30 * time.Minute)
+	live, ep := nodeOn(t, x, kr, epoch0, nil)
+	twin, _ := nodeOn(t, x, kr, epoch0, nil)
+	live.handle(repair(live), now)
+	live.step(now)
+	twin.step(now)
+	if live.next != twin.next || len(live.open) != len(twin.open) || live.highest != 0 {
+		t.Fatalf("after the REPAIR: next %d, %d open, highest %d; untouched: next %d, %d open",
+			live.next, len(live.open), live.highest, twin.next, len(twin.open))
+	}
+	live.handle(join, now)
+	for _, s := range ep.sent {
+		if s.f.Kind == transport.FrameEpoch && s.f.Epoch > 0 {
+			t.Fatalf("answered a JOIN 30 minutes before epoch 0 with epoch %d", s.f.Epoch)
+		}
+	}
+
+	now = epoch0.Add(3500 * time.Millisecond) // the schedule has reached epoch 3
+	jep := &memEndpoint{self: 0, recv: make(chan []byte, 1)}
+	joiner, err := NewNode(Config{
+		IHC: x, Eta: 2, Self: 0, Endpoint: jep, Keyring: kr,
+		Epoch0: epoch0, Period: time.Second, Epochs: 10, Join: true,
+		Payload: func(uint32) []byte { return []byte("own batch") },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	joiner.handle(repair(joiner), now)
+	joiner.step(now)
+	joiner.step(now.Add(joiner.joinInterval()))
+	joins := 0
+	for _, s := range jep.sent {
+		if s.f.Kind == transport.FrameJoin {
+			joins++
+		}
+	}
+	if joiner.joined || len(joiner.open) != 0 || joins != 2 {
+		t.Fatalf("after the REPAIR: joined %v, %d open, %d JOINs sent; want unjoined, none open, 2 JOINs",
+			joiner.joined, len(joiner.open), joins)
+	}
+	joiner.handle(encode(t, kr, &transport.Frame{Kind: transport.FrameEpoch, From: 1, Source: 1, Epoch: 3}), now)
+	if !joiner.joined || joiner.next != 4 {
+		t.Fatalf("after EPOCH 3: joined %v, next %d; want joined, next 4", joiner.joined, joiner.next)
+	}
+}
+
 // fuzzFrameLen is the fixed part of one fuzzed frame: kind, from,
 // source, epoch (4 bytes), channel, stage, hop (2 bytes), payload
 // length and the clock's advance in milliseconds before the frame.

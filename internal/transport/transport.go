@@ -4,8 +4,9 @@
 // protocol node (internal/stream), the cluster harness and the ihcd
 // daemon are written against, with two implementations:
 //
-//   - Loopback: an in-process test double. Frames cross
-//     per-directed-link FIFO queues after a fixed per-hop latency, so
+//   - Loopback: an in-process test double. Every frame in flight waits
+//     in one delivery queue, ordered by release time, for a fixed
+//     per-hop latency; one goroutine drains it into the inboxes. So
 //     protocol logic can be driven — and chaos-tested — without
 //     sockets, under the per-link FIFO and adjacency discipline a
 //     store-and-forward mesh has.
@@ -28,9 +29,10 @@ import (
 	"ihc/internal/topology"
 )
 
-// queueLen bounds every queue an endpoint keeps: each loopback link
-// and inbox, and each TCP peer's outbound queue and TCP inbox. A frame
-// that finds its queue full is dropped and counted.
+// queueLen bounds every queue an endpoint keeps: the frames in flight
+// on each loopback link, each loopback inbox, and each TCP peer's
+// outbound queue and TCP inbox. A frame that finds its queue full is
+// dropped and counted.
 const queueLen = 1024
 
 // Endpoint is one node's attachment to a mesh. Send is adjacency-
@@ -94,7 +96,12 @@ func (e *PeerDownError) Error() string {
 // adjacency returns an error unless {from,to} is an edge of g.
 func adjacency(g *topology.Graph, from, to topology.Node) error {
 	if !g.HasEdge(from, to) {
-		return fmt.Errorf("transport: %d->%d is not a link of %s", from, to, g.Name())
+		return notLink(g, from, to)
 	}
 	return nil
+}
+
+// notLink is the error for a send on a pair that is not a link of g.
+func notLink(g *topology.Graph, from, to topology.Node) error {
+	return fmt.Errorf("transport: %d->%d is not a link of %s", from, to, g.Name())
 }
