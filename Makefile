@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race vet fmt-check transport-deps bench bench-engine bench-fault fuzz smoke-engine sharded-quick golden-full recovery-quick oracle-quick families-quick transport-quick soak-quick launch-seeds perfbench-check q14-smoke verify
+.PHONY: all build test race vet fmt-check transport-deps bench bench-engine bench-fault fuzz smoke-engine sharded-quick golden-full golden-examples recovery-quick oracle-quick families-quick transport-quick soak-quick launch-seeds perfbench-check q14-smoke verify
 
 all: verify
 
@@ -137,6 +137,25 @@ golden-full:
 		diff $(GOLDEN_FULL) $$tmp | head -40; rm -f $$tmp; exit 1; \
 	fi
 
+# Library-surface regression: run every example under examples/ and
+# compare its stdout byte for byte with examples/testdata/<name>.golden
+# (fault draws, grades and tables the example prints). An example that
+# exits non-zero, or has no golden file, fails too. A change meant to
+# alter an example's output records the new file in the same commit.
+EXAMPLES := $(patsubst examples/%/main.go,%,$(wildcard examples/*/main.go))
+golden-examples:
+	@tmp=$$(mktemp -d); status=0; \
+	for e in $(EXAMPLES); do \
+		if ! $(GO) run ./examples/$$e >$$tmp/$$e.out 2>$$tmp/$$e.err; then \
+			echo "golden-examples: example $$e failed:"; cat $$tmp/$$e.err; status=1; \
+		elif cmp -s $$tmp/$$e.out examples/testdata/$$e.golden; then \
+			echo "golden-examples: $$e stdout matches examples/testdata/$$e.golden"; \
+		else \
+			echo "golden-examples: $$e stdout differs from examples/testdata/$$e.golden:"; \
+			diff examples/testdata/$$e.golden $$tmp/$$e.out | head -20; status=1; \
+		fi; \
+	done; rm -rf $$tmp; exit $$status
+
 # Quick self-healing sweep: the repaired broken-link frontier must beat
 # the static γ bound on every topology (exits non-zero otherwise).
 recovery-quick:
@@ -247,8 +266,9 @@ perfbench-check:
 # gate + build + tests, then the same tests under the race detector
 # (the parallel sweep executor must stay race-clean), then the
 # engine-allocation smoke, the multi-worker engine
-# equivalence smoke, the quick recovery sweep, the quick oracle sweep,
+# equivalence smoke, the examples' stdout against their golden files,
+# the quick recovery sweep, the quick oracle sweep,
 # the quick family-registry gate, the real-transport multi-process
 # smoke, the streaming chaos soak, and the benchmark's build and
 # self-test.
-verify: vet fmt-check transport-deps build test race smoke-engine sharded-quick recovery-quick oracle-quick families-quick transport-quick soak-quick perfbench-check
+verify: vet fmt-check transport-deps build test race smoke-engine sharded-quick golden-examples recovery-quick oracle-quick families-quick transport-quick soak-quick perfbench-check

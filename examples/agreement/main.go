@@ -19,7 +19,6 @@ import (
 	"ihc"
 	"ihc/internal/fault"
 	"ihc/internal/reliable"
-	"ihc/internal/topology"
 )
 
 const (
@@ -76,8 +75,7 @@ func main() {
 
 	// A single faulty node is *always* tolerated (it can block at most
 	// one direction of each undirected cycle).
-	one := fault.NewPlan(1)
-	one.Nodes[7] = fault.Corrupt
+	one := &fault.TemporalPlan{Seed: 1, Nodes: []fault.NodeFault{{Node: 7, Kind: fault.Corrupt}}}
 	o1, err := reliable.EvaluateIHC(x, one, true, kr)
 	if err != nil {
 		log.Fatal(err)
@@ -100,12 +98,10 @@ func main() {
 	}
 
 	// And a two-faced proposer: signed receivers detect the inconsistency.
-	twoFaced := fault.NewPlan(9)
-	twoFaced.Nodes[3] = fault.Byzantine
+	twoFaced := &fault.TemporalPlan{Seed: 9, Nodes: []fault.NodeFault{{Node: 3, Kind: fault.Byzantine}}}
 	o, err := reliable.EvaluateIHC(x, twoFaced, true, kr)
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("two-faced proposer (node 3): fault-free pairs all correct: %v\n", o.Correct == o.Pairs)
-	_ = topology.Node(0)
 }

@@ -20,7 +20,6 @@ import (
 
 	"ihc"
 	"ihc/internal/fault"
-	"ihc/internal/topology"
 )
 
 const (
@@ -48,7 +47,11 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	isFaulty := func(v int) bool { return plan.Node(topology.Node(v)) != fault.Healthy }
+	faulty := make([]bool, n)
+	for _, v := range plan.FaultyNodes() {
+		faulty[v] = true
+	}
+	isFaulty := func(v int) bool { return faulty[v] }
 	fmt.Printf("network %s, %d Byzantine node(s): %v\n", x.Graph(), tByzantine, plan.FaultyNodes())
 	fmt.Printf("round  max skew among fault-free nodes (µs)\n")
 	fmt.Printf("  0    %.2f\n", skew(clocks, isFaulty))

@@ -134,13 +134,6 @@ func newGrader(x *core.IHC, seed int64) *grader {
 	return gr
 }
 
-// byzCoin reproduces fault.Plan.TraceRoute's per-copy Byzantine decision
-// for node v at route position k of channel j: 0 drop, 1 corrupt, 2 pass.
-func (gr *grader) byzCoin(v topology.Node, j, k int) uint64 {
-	h := uint64(gr.seed) ^ uint64(v)*2654435761 ^ uint64(j)*40503 ^ uint64(k)*97
-	return h % 3
-}
-
 // pairCopies returns how many of the pair's γ copies arrive intact and
 // how many corrupted under the placement (the rest are lost).
 func (gr *grader) pairCopies(elems []int, domain Domain, kind fault.Kind, s, r int) (intact, corrupted int) {
@@ -184,10 +177,10 @@ func (gr *grader) pairCopies(elems []int, domain Domain, kind fault.Kind, s, r i
 				case fault.Corrupt:
 					tainted = true
 				case fault.Byzantine:
-					switch gr.byzCoin(topology.Node(vi), j, int(k)) {
-					case 0:
+					switch fault.ByzantineFate(gr.seed, topology.Node(vi), j, int(k)) {
+					case fault.Lost:
 						lost = true
-					case 1:
+					case fault.Corrupted:
 						tainted = true
 					}
 				}
@@ -254,22 +247,20 @@ func (gr *grader) grade(elems []int, domain Domain, kind fault.Kind, signed bool
 // not decide on the true payload.
 func violates(o reliable.Outcome) bool { return o.Wrong > 0 || o.Missing > 0 }
 
-// buildPlan materializes a placement as a combinatorial fault.Plan, for
-// cross-checking against reliable.EvaluateIHC and for reporting.
-func (gr *grader) buildPlan(elems []int, domain Domain, kind fault.Kind) *fault.Plan {
-	p := fault.NewPlan(gr.seed)
+// buildPlan materializes a placement as a static fault.TemporalPlan,
+// seeded with seed: elems index edges (DomainLinks: broken for Crash,
+// noisy for any other kind) or name nodes (DomainNodes). It is the one
+// way a campaign placement becomes a plan — for the cross-check against
+// reliable.EvaluateIHC, the timed confirmation and the repaired grade.
+func buildPlan(edges []topology.Edge, elems []int, domain Domain, kind fault.Kind, seed int64) *fault.TemporalPlan {
+	p := &fault.TemporalPlan{Seed: seed}
 	for _, el := range elems {
-		switch domain {
-		case DomainLinks:
-			e := gr.edges[el]
-			if kind == fault.Crash {
-				p.Links[e] = true
-			} else {
-				p.Noisy[e] = true
-			}
-		case DomainNodes:
-			p.Nodes[topology.Node(el)] = kind
+		if domain == DomainNodes {
+			p.Nodes = append(p.Nodes, fault.NodeFault{Node: topology.Node(el), Kind: kind})
+			continue
 		}
+		e := edges[el]
+		p.Links = append(p.Links, fault.LinkFault{U: e.U, V: e.V, Until: fault.Forever, Corrupt: kind != fault.Crash})
 	}
 	return p
 }

@@ -55,7 +55,7 @@ func TestGraderMatchesEvaluateIHC(t *testing.T) {
 				sampleSubset(rng, size, elems)
 				for _, signed := range []bool{false, true} {
 					got := gr.grade(elems, c.domain, c.kind, signed)
-					want, err := reliable.EvaluateIHC(x, gr.buildPlan(elems, c.domain, c.kind), signed, kr)
+					want, err := reliable.EvaluateIHC(x, buildPlan(gr.edges, elems, c.domain, c.kind, gr.seed), signed, kr)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -245,7 +245,7 @@ func TestShrinkIsOneMinimal(t *testing.T) {
 	if len(shrunk) >= len(fat) {
 		t.Fatalf("shrink did not shrink: %d -> %d", len(fat), len(shrunk))
 	}
-	out, err := reliable.EvaluateIHC(x, gr.buildPlan(shrunk, DomainLinks, fault.Corrupt), false, nil)
+	out, err := reliable.EvaluateIHC(x, buildPlan(gr.edges, shrunk, DomainLinks, fault.Corrupt, gr.seed), false, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -254,7 +254,7 @@ func TestShrinkIsOneMinimal(t *testing.T) {
 	}
 	for i := range shrunk {
 		sub := append(append([]int(nil), shrunk[:i]...), shrunk[i+1:]...)
-		out, err := reliable.EvaluateIHC(x, gr.buildPlan(sub, DomainLinks, fault.Corrupt), false, nil)
+		out, err := reliable.EvaluateIHC(x, buildPlan(gr.edges, sub, DomainLinks, fault.Corrupt, gr.seed), false, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

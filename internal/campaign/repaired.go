@@ -151,11 +151,7 @@ func GradeRepaired(x *core.IHC, edges []topology.Edge, elems []int, seed int64) 
 	if !res.Connected() {
 		return out, false, nil
 	}
-	tp := &fault.TemporalPlan{Seed: seed}
-	for _, ei := range elems {
-		e := edges[ei]
-		tp.Links = append(tp.Links, fault.LinkFault{U: e.U, V: e.V, Until: fault.Forever})
-	}
+	tp := buildPlan(edges, elems, DomainLinks, fault.Crash, seed)
 	out, err = reliable.EvaluateRepaired(x, tp, false, nil, core.Config{}, repair.Config{})
 	return out, true, err
 }

@@ -147,7 +147,7 @@ func RunPoint(pt Point, cfg Search) (*Report, error) {
 		graded++
 		out := gr.grade(elems, pt.Domain, pt.Kind, pt.Signed)
 		if cfg.CrossCheck > 0 && graded%cfg.CrossCheck == 1 {
-			ref, err := reliable.EvaluateIHC(pt.X, gr.buildPlan(elems, pt.Domain, pt.Kind), pt.Signed, kr)
+			ref, err := reliable.EvaluateIHC(pt.X, buildPlan(gr.edges, elems, pt.Domain, pt.Kind, gr.seed), pt.Signed, kr)
 			if err != nil {
 				return fmt.Errorf("campaign: cross-check: %w", err)
 			}
@@ -208,13 +208,13 @@ func RunPoint(pt Point, cfg Search) (*Report, error) {
 		shrunk := gr.shrink(firstViolation, pt.Domain, pt.Kind, pt.Signed)
 		rep.Counterexample = gr.describe(shrunk, pt.Domain)
 		rep.CounterexampleT = len(shrunk)
-		plan := gr.buildPlan(shrunk, pt.Domain, pt.Kind)
+		plan := buildPlan(gr.edges, shrunk, pt.Domain, pt.Kind, gr.seed)
 		out, err := reliable.EvaluateIHC(pt.X, plan, pt.Signed, kr)
 		if err != nil {
 			return nil, fmt.Errorf("campaign: counterexample grading: %w", err)
 		}
 		rep.CounterexampleOutcome = &out
-		timed, err := reliable.EvaluateTimed(pt.X, fault.FromStatic(plan), pt.Signed, kr, core.Config{})
+		timed, err := reliable.EvaluateTimed(pt.X, plan, pt.Signed, kr, core.Config{})
 		if err != nil {
 			return nil, fmt.Errorf("campaign: timed confirmation: %w", err)
 		}

@@ -5,13 +5,14 @@
 // in-process loopback mesh or as a real socket-level TCP proxy
 // interposed per link of a live cluster (proxy.go).
 //
-// The plan compiles from the same fault.TemporalPlan grammar the
-// simulation campaigns use: link windows in simulated ticks map to
-// wall-clock offsets at a configurable tick duration, so a placement the
-// campaign found interesting can be replayed against real sockets
-// unchanged. On top of the windows, seeded per-frame background rates
-// (splitmix64 of link × frame-index, same mixer the engine uses for
-// background traffic) exercise the retry machinery continuously.
+// The plan is the fault.TemporalPlan the simulation campaigns use,
+// compiled by the same fault.Injector the engine runs: a frame at wall
+// offset d from the plan's epoch reads the Injector's link verdict at
+// tick ⌊d / TickDur⌋, so a placement the campaign found interesting can
+// be replayed against real sockets unchanged. On top of the windows,
+// seeded per-frame background rates (splitmix64 of link × frame-index,
+// same mixer the engine uses for background traffic) exercise the retry
+// machinery continuously.
 //
 // Every chaos outcome is drop-equivalent to the protocol: corrupted
 // frames fail their HMAC and are discarded, duplicates are deduped
@@ -25,6 +26,7 @@ import (
 	"time"
 
 	"ihc/internal/fault"
+	"ihc/internal/simnet"
 	"ihc/internal/topology"
 	"ihc/internal/transport"
 )
@@ -34,9 +36,9 @@ type Config struct {
 	Graph *topology.Graph
 	// Plan supplies link-fault windows on the simulated-tick axis:
 	// Corrupt windows corrupt frames in flight, non-Corrupt windows
-	// partition the link (drop everything, sever connections). Node
-	// crash entries are not interpreted here — the harness or
-	// launcher kills the process/goroutine itself.
+	// partition the link (drop everything, sever connections). No node
+	// entry touches a frame: Crashes lists the crash entries for the
+	// harness or launcher to execute, and other kinds are ignored.
 	Plan *fault.TemporalPlan
 	// TickDur maps the plan's tick axis to wall time. Default 1ms.
 	TickDur time.Duration
@@ -56,17 +58,12 @@ type Config struct {
 	Epoch time.Time
 }
 
-type linkWindow struct {
-	from, until time.Duration // wall offsets from Epoch
-	corrupt     bool
-}
-
 // Plan is a compiled chaos plan. It implements transport.LinkFilter for
 // the loopback mesh; proxies consult the same verdicts for TCP. Safe
 // for concurrent use.
 type Plan struct {
-	cfg     Config
-	windows map[[2]topology.Node][]linkWindow
+	cfg Config
+	inj *fault.Injector // cfg.Plan compiled against cfg.Graph
 
 	mu       sync.Mutex
 	frameSeq map[[2]topology.Node]uint64
@@ -100,54 +97,30 @@ func NewPlan(cfg Config) (*Plan, error) {
 	if cfg.Epoch.IsZero() {
 		cfg.Epoch = time.Now()
 	}
-	p := &Plan{
-		cfg:      cfg,
-		windows:  make(map[[2]topology.Node][]linkWindow),
-		frameSeq: make(map[[2]topology.Node]uint64),
+	inj, err := cfg.Plan.Compile(cfg.Graph)
+	if err != nil {
+		return nil, err
 	}
-	if cfg.Plan != nil {
-		if err := cfg.Plan.Validate(cfg.Graph); err != nil {
-			return nil, err
-		}
-		for _, lf := range cfg.Plan.Links {
-			w := linkWindow{
-				from:    time.Duration(lf.From) * cfg.TickDur,
-				until:   time.Duration(lf.Until) * cfg.TickDur,
-				corrupt: lf.Corrupt,
-			}
-			if lf.Until == fault.Forever {
-				w.until = time.Duration(1<<62 - 1)
-			}
-			// Link faults are undirected: both arcs misbehave.
-			p.windows[[2]topology.Node{lf.U, lf.V}] = append(p.windows[[2]topology.Node{lf.U, lf.V}], w)
-			p.windows[[2]topology.Node{lf.V, lf.U}] = append(p.windows[[2]topology.Node{lf.V, lf.U}], w)
-		}
-	}
-	return p, nil
+	return &Plan{cfg: cfg, inj: inj, frameSeq: make(map[[2]topology.Node]uint64)}, nil
 }
 
 // Epoch returns the wall-clock anchor of the plan's tick axis.
 func (p *Plan) Epoch() time.Time { return p.cfg.Epoch }
 
+// link is the plan's verdict on the directed link from→to at wall
+// offset now: the compiled Injector's link verdict at tick
+// ⌊now / TickDur⌋. An offset before the epoch is fault-free.
+func (p *Plan) link(from, to topology.Node, now time.Duration) simnet.FaultAction {
+	if now < 0 {
+		return simnet.FaultNone
+	}
+	return p.inj.Link(from, to, simnet.Time(now/p.cfg.TickDur))
+}
+
 // Partitioned reports whether the directed link from→to is inside a
 // (non-corrupt) outage window at wall offset now.
 func (p *Plan) Partitioned(from, to topology.Node, now time.Duration) bool {
-	for _, w := range p.windows[[2]topology.Node{from, to}] {
-		if !w.corrupt && now >= w.from && now < w.until {
-			return true
-		}
-	}
-	return false
-}
-
-// corruptWindow reports whether the link is inside a corruption window.
-func (p *Plan) corruptWindow(from, to topology.Node, now time.Duration) bool {
-	for _, w := range p.windows[[2]topology.Node{from, to}] {
-		if w.corrupt && now >= w.from && now < w.until {
-			return true
-		}
-	}
-	return false
+	return p.link(from, to, now) == simnet.FaultDrop
 }
 
 // coin returns the k-th seeded uniform in [0,1) for this link's next
@@ -170,11 +143,11 @@ func (p *Plan) coins(from, to topology.Node) (drop, dup, corrupt, delay float64)
 // the proxy's per-frame decision procedure.
 func (p *Plan) Filter(from, to topology.Node, now time.Duration) transport.FilterAction {
 	var act transport.FilterAction
-	if p.Partitioned(from, to, now) {
+	switch p.link(from, to, now) {
+	case simnet.FaultDrop:
 		act.Drop = true
 		return act
-	}
-	if p.corruptWindow(from, to, now) {
+	case simnet.FaultCorrupt:
 		act.Corrupt = true
 	}
 	cDrop, cDup, cCorrupt, cDelay := p.coins(from, to)

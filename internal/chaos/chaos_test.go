@@ -2,11 +2,13 @@ package chaos
 
 import (
 	"math"
+	"math/rand"
 	"net"
 	"testing"
 	"time"
 
 	"ihc/internal/fault"
+	"ihc/internal/simnet"
 	"ihc/internal/topology"
 	"ihc/internal/transport"
 )
@@ -102,6 +104,77 @@ func TestWindowsHalfOpenOnBothArcs(t *testing.T) {
 		if act := p.Filter(0, 2, c.at); act != (transport.FilterAction{}) {
 			t.Errorf("0->2 at %s: %+v, want no fault on a link outside the plan", c.at, act)
 		}
+	}
+}
+
+// TestChaosMatchesInjector: the wall-clock chaos layer and the engine
+// give one link verdict. Over 200 seeded random plans on Q4 — node
+// faults of every kind at any time, and up to six link windows, broken
+// or corrupting, a third of them Forever, often on a link already
+// listed (so windows overlap), in either orientation — with every
+// background rate 0, Filter's Drop and Corrupt and Partitioned at a
+// wall offset equal the compiled Injector's verdict at tick
+// ⌊offset / TickDur⌋, on every arc and at offsets on every window edge;
+// every offset before the plan's epoch is fault-free. The engine's
+// verdict is Relay at hop 0, where no node fault acts.
+func TestChaosMatchesInjector(t *testing.T) {
+	g := topology.MustHypercube(4)
+	edges := g.Edges()
+	rng := rand.New(rand.NewSource(29))
+	seen := map[simnet.FaultAction]int{}
+	for trial := 0; trial < 200; trial++ {
+		tp := &fault.TemporalPlan{Seed: rng.Int63()}
+		for _, v := range rng.Perm(g.N())[:rng.Intn(3)] {
+			tp.Nodes = append(tp.Nodes, fault.NodeFault{Node: topology.Node(v), Kind: fault.Kind(1 + rng.Intn(3)), At: simnet.Time(rng.Intn(40))})
+		}
+		for i := rng.Intn(7); i > 0; i-- {
+			e := edges[rng.Intn(len(edges))]
+			if len(tp.Links) > 0 && rng.Intn(2) == 0 {
+				prev := tp.Links[rng.Intn(len(tp.Links))]
+				e = topology.Edge{U: prev.V, V: prev.U}
+			}
+			lf := fault.LinkFault{U: e.U, V: e.V, From: simnet.Time(rng.Intn(40)), Until: fault.Forever, Corrupt: rng.Intn(2) == 0}
+			if rng.Intn(3) > 0 {
+				lf.Until = lf.From + 1 + simnet.Time(rng.Intn(40))
+			}
+			tp.Links = append(tp.Links, lf)
+		}
+		tick := []time.Duration{time.Millisecond, 7 * time.Millisecond, 250 * time.Microsecond}[rng.Intn(3)]
+		p, err := NewPlan(Config{Graph: g, Plan: tp, TickDur: tick, Seed: int64(trial)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		in, err := tp.Compile(g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		offsets := []time.Duration{-time.Hour, -tick, -1, 0, time.Hour}
+		for _, lf := range tp.Links {
+			for _, at := range []simnet.Time{lf.From, lf.Until} {
+				if at != fault.Forever {
+					edge := time.Duration(at) * tick
+					offsets = append(offsets, edge-1, edge, edge+tick-1)
+				}
+			}
+		}
+		for _, a := range g.Arcs() {
+			for _, off := range offsets {
+				want := simnet.FaultNone
+				if off >= 0 {
+					want = in.Relay(simnet.PacketID{}, 0, a.From, a.To, simnet.Time(off/tick))
+				}
+				seen[want]++
+				act := p.Filter(a.From, a.To, off)
+				if act != (transport.FilterAction{Drop: want == simnet.FaultDrop, Corrupt: want == simnet.FaultCorrupt}) ||
+					p.Partitioned(a.From, a.To, off) != (want == simnet.FaultDrop) {
+					t.Fatalf("trial %d: %d->%d at %s (tick %s): filter %+v, partitioned %v; injector %v\nplan %+v",
+						trial, a.From, a.To, off, tick, act, p.Partitioned(a.From, a.To, off), want, tp)
+				}
+			}
+		}
+	}
+	if seen[simnet.FaultDrop] == 0 || seen[simnet.FaultCorrupt] == 0 {
+		t.Fatalf("plans too tame: verdicts %v", seen)
 	}
 }
 

@@ -1,6 +1,7 @@
 package fault
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 
@@ -8,6 +9,11 @@ import (
 )
 
 func route(nodes ...topology.Node) []topology.Node { return nodes }
+
+// static returns a static plan with the given node faults.
+func static(seed int64, nodes ...NodeFault) *TemporalPlan {
+	return &TemporalPlan{Seed: seed, Nodes: nodes}
+}
 
 func TestKindAndFateStrings(t *testing.T) {
 	for _, k := range []Kind{Healthy, Crash, Corrupt, Byzantine, Kind(9)} {
@@ -23,8 +29,7 @@ func TestKindAndFateStrings(t *testing.T) {
 }
 
 func TestTraceRouteFaultFree(t *testing.T) {
-	p := NewPlan(1)
-	fates := p.TraceRoute(route(0, 1, 2, 3), 0)
+	fates := static(1).TraceRoute(route(0, 1, 2, 3), 0)
 	for k := 1; k < 4; k++ {
 		if fates[k] != Intact {
 			t.Fatalf("fault-free fate[%d] = %v", k, fates[k])
@@ -33,15 +38,16 @@ func TestTraceRouteFaultFree(t *testing.T) {
 }
 
 func TestTraceRouteNilPlanIsHealthy(t *testing.T) {
-	var p *Plan
-	if p.Node(3) != Healthy || p.LinkBroken(0, 1) {
-		t.Fatal("nil plan not healthy")
+	var p *TemporalPlan
+	for k, f := range p.TraceRoute(route(0, 1, 2, 3), 0) {
+		if f != Intact {
+			t.Fatalf("nil plan: fate[%d] = %v", k, f)
+		}
 	}
 }
 
 func TestTraceRouteCrashKillsDownstream(t *testing.T) {
-	p := NewPlan(1)
-	p.Nodes[2] = Crash
+	p := static(1, NodeFault{Node: 2, Kind: Crash})
 	fates := p.TraceRoute(route(0, 1, 2, 3, 4), 0)
 	want := []CopyFate{Intact, Intact, Intact, Lost, Lost}
 	for k := 1; k < 5; k++ {
@@ -52,8 +58,7 @@ func TestTraceRouteCrashKillsDownstream(t *testing.T) {
 }
 
 func TestTraceRouteCorruptTaintsDownstream(t *testing.T) {
-	p := NewPlan(1)
-	p.Nodes[1] = Corrupt
+	p := static(1, NodeFault{Node: 1, Kind: Corrupt})
 	fates := p.TraceRoute(route(0, 1, 2, 3), 0)
 	// Node 1 itself receives intact (the copy passes through its FIFO
 	// before its faulty relay logic), nodes 2, 3 get the tainted copy.
@@ -63,8 +68,7 @@ func TestTraceRouteCorruptTaintsDownstream(t *testing.T) {
 }
 
 func TestTraceRouteFinalNodeFaultIrrelevant(t *testing.T) {
-	p := NewPlan(1)
-	p.Nodes[3] = Crash
+	p := static(1, NodeFault{Node: 3, Kind: Crash})
 	fates := p.TraceRoute(route(0, 1, 2, 3), 0)
 	if fates[3] != Intact {
 		t.Fatalf("copy to the final (faulty) node should still arrive intact, got %v", fates[3])
@@ -72,8 +76,7 @@ func TestTraceRouteFinalNodeFaultIrrelevant(t *testing.T) {
 }
 
 func TestTraceRouteBrokenLink(t *testing.T) {
-	p := NewPlan(1)
-	p.Links[topology.NewEdge(1, 2)] = true
+	p := &TemporalPlan{Links: []LinkFault{{U: 1, V: 2, Until: Forever}}}
 	fates := p.TraceRoute(route(0, 1, 2, 3), 0)
 	if fates[1] != Intact || fates[2] != Lost || fates[3] != Lost {
 		t.Fatalf("fates = %v", fates)
@@ -86,9 +89,7 @@ func TestTraceRouteBrokenLink(t *testing.T) {
 }
 
 func TestByzantineDeterministic(t *testing.T) {
-	p := NewPlan(99)
-	p.Nodes[1] = Byzantine
-	p.Nodes[2] = Byzantine
+	p := static(99, NodeFault{Node: 1, Kind: Byzantine}, NodeFault{Node: 2, Kind: Byzantine})
 	a := p.TraceRoute(route(0, 1, 2, 3, 4), 5)
 	b := p.TraceRoute(route(0, 1, 2, 3, 4), 5)
 	for k := range a {
@@ -112,31 +113,38 @@ func TestByzantineDeterministic(t *testing.T) {
 	}
 }
 
+// TestRandomNodeFaults pins the draw: the same seed names the same
+// nodes as the map-based plan this type replaced drew (the examples and
+// the reliability experiment print them), every one static and of the
+// requested kind.
 func TestRandomNodeFaults(t *testing.T) {
-	p, err := RandomNodeFaults(16, 5, Crash, 7, 0, 15)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(p.FaultyNodes()) != 5 {
-		t.Fatalf("got %d faults", len(p.FaultyNodes()))
-	}
-	for _, v := range p.FaultyNodes() {
-		if v == 0 || v == 15 {
-			t.Fatalf("excluded node %d is faulty", v)
+	for _, c := range []struct {
+		n, t    int
+		kind    Kind
+		seed    int64
+		exclude []topology.Node
+		want    string
+	}{
+		{16, 5, Crash, 7, []topology.Node{0, 15}, "[4 6 8 13 14]"},
+		{64, 7, Byzantine, 3, nil, "[29 32 33 43 44 57 58]"},
+	} {
+		p, err := RandomNodeFaults(c.n, c.t, c.kind, c.seed, c.exclude...)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if p.Node(v) != Crash {
-			t.Fatalf("node %d kind %v", v, p.Node(v))
+		if got := fmt.Sprint(p.FaultyNodes()); got != c.want {
+			t.Errorf("seed %d: drew %s, want %s", c.seed, got, c.want)
 		}
-	}
-	// Determinism.
-	q, err := RandomNodeFaults(16, 5, Crash, 7, 0, 15)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, b := p.FaultyNodes(), q.FaultyNodes()
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatal("not deterministic")
+		if len(p.Nodes) != c.t || p.Seed != c.seed {
+			t.Errorf("seed %d: %d node faults, seed %d", c.seed, len(p.Nodes), p.Seed)
+		}
+		for _, nf := range p.Nodes {
+			if nf.Kind != c.kind || nf.At != 0 {
+				t.Errorf("seed %d: node fault %+v, want static %v", c.seed, nf, c.kind)
+			}
+		}
+		if err := p.ValidateStatic(topology.MustHypercube(6)); err != nil {
+			t.Errorf("seed %d: %v", c.seed, err)
 		}
 	}
 }
@@ -152,25 +160,6 @@ func TestRandomNodeFaultsErrorsWhenImpossible(t *testing.T) {
 	}
 }
 
-func TestRandomLinkFaults(t *testing.T) {
-	g := topology.MustHypercube(3)
-	p, err := RandomLinkFaults(g, 4, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(p.Links) != 4 {
-		t.Fatalf("got %d broken links", len(p.Links))
-	}
-	for e := range p.Links {
-		if !g.HasEdge(e.U, e.V) {
-			t.Fatalf("broken non-edge %v", e)
-		}
-	}
-	if _, err := RandomLinkFaults(g, len(g.Edges())+1, 3); err == nil {
-		t.Fatal("no error breaking more links than exist")
-	}
-}
-
 // Property: the number of Lost/Corrupted receivers never decreases as
 // more faults are added along a route.
 func TestQuickFaultMonotone(t *testing.T) {
@@ -178,11 +167,11 @@ func TestQuickFaultMonotone(t *testing.T) {
 	f := func(aRaw, bRaw uint8) bool {
 		a := topology.Node(aRaw%6 + 1)
 		b := topology.Node(bRaw%6 + 1)
-		p1 := NewPlan(1)
-		p1.Nodes[a] = Crash
-		p2 := NewPlan(1)
-		p2.Nodes[a] = Crash
-		p2.Nodes[b] = Crash
+		p1 := static(1, NodeFault{Node: a, Kind: Crash})
+		p2 := static(1, NodeFault{Node: a, Kind: Crash})
+		if b != a {
+			p2.Nodes = append(p2.Nodes, NodeFault{Node: b, Kind: Crash})
+		}
 		bad1, bad2 := 0, 0
 		for k, f := range p1.TraceRoute(base, 0) {
 			if k > 0 && f != Intact {

@@ -48,10 +48,12 @@ func planFromRaw(raw []byte) *TemporalPlan {
 	return tp
 }
 
-// FuzzTemporalPlan: Validate and Compile on arbitrary plans never panic
-// or index out of bounds, they agree (Compile errors exactly when
-// Validate does), and a successfully compiled injector answers Relay for
-// every in-graph arc and a sweep of times without panicking.
+// FuzzTemporalPlan: Validate, ValidateStatic and Compile on arbitrary
+// plans never panic or index out of bounds, they agree (Compile errors
+// exactly when Validate does, and a static plan is a valid one), and a
+// successfully compiled injector answers Relay for every in-graph arc
+// and a sweep of times without panicking, its link-only verdict equal
+// to Relay's at hop 0, where node faults do not act.
 func FuzzTemporalPlan(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{2, 64, 65, 66, 70, 1, 80, 3, 64, 65, 66, 67, 68})
@@ -65,6 +67,9 @@ func FuzzTemporalPlan(f *testing.F) {
 		if (verr == nil) != (cerr == nil) {
 			t.Fatalf("Validate err=%v but Compile err=%v", verr, cerr)
 		}
+		if serr := tp.ValidateStatic(g); serr == nil && verr != nil {
+			t.Fatalf("ValidateStatic accepted a plan Validate rejects: %v", verr)
+		}
 		if cerr != nil {
 			return
 		}
@@ -72,7 +77,9 @@ func FuzzTemporalPlan(f *testing.F) {
 		for _, e := range g.Edges() {
 			for _, at := range []simnet.Time{0, 1, 999, 100_000, Forever - 1} {
 				inj.Relay(id, 1, e.U, e.V, at)
-				inj.Relay(id, 0, e.V, e.U, at)
+				if got, want := inj.Link(e.V, e.U, at), inj.Relay(id, 0, e.V, e.U, at); got != want {
+					t.Fatalf("Link %d→%d at %d = %v, Relay at hop 0 = %v", e.V, e.U, at, got, want)
+				}
 			}
 		}
 	})

@@ -8,62 +8,44 @@ import (
 	"ihc/internal/topology"
 )
 
-func TestPlanValidate(t *testing.T) {
-	g := topology.MustHypercube(3)
-	ok := NewPlan(1)
-	ok.Nodes[3] = Crash
-	ok.Links[topology.NewEdge(0, 1)] = true
-	ok.Noisy[topology.NewEdge(0, 2)] = true
-	if err := ok.Validate(g); err != nil {
-		t.Fatalf("valid plan rejected: %v", err)
-	}
-	if err := (*Plan)(nil).Validate(g); err != nil {
-		t.Fatalf("nil plan rejected: %v", err)
-	}
-
-	badNode := NewPlan(1)
-	badNode.Nodes[8] = Crash // Q3 has nodes 0..7
-	if err := badNode.Validate(g); err == nil {
-		t.Fatal("plan naming node 8 in Q3 accepted")
-	}
-	badLink := NewPlan(1)
-	badLink.Links[topology.NewEdge(0, 7)] = true // 000-111 is not a Q3 edge
-	if err := badLink.Validate(g); err == nil {
-		t.Fatal("plan breaking non-edge {0,7} accepted")
-	}
-	badNoisy := NewPlan(1)
-	badNoisy.Noisy[topology.NewEdge(0, 7)] = true
-	if err := badNoisy.Validate(g); err == nil {
-		t.Fatal("plan with noisy non-edge {0,7} accepted")
-	}
-}
-
+// TestTemporalPlanValidate: Validate accepts a plan whose every entry
+// exists in the graph with a non-negative time and a non-empty window,
+// and Compile agrees with it; ValidateStatic accepts only the valid
+// plans whose entries all start at 0 and never end.
 func TestTemporalPlanValidate(t *testing.T) {
 	g := topology.MustHypercube(3)
 	cases := []struct {
-		name string
-		tp   TemporalPlan
-		ok   bool
+		name       string
+		tp         *TemporalPlan
+		ok, static bool
 	}{
-		{"empty", TemporalPlan{}, true},
-		{"good", TemporalPlan{
+		{"nil", nil, true, true},
+		{"empty", &TemporalPlan{}, true, true},
+		{"static", &TemporalPlan{
+			Nodes: []NodeFault{{Node: 3, Kind: Crash}},
+			Links: []LinkFault{{U: 0, V: 1, Until: Forever}, {U: 0, V: 2, Until: Forever, Corrupt: true}},
+		}, true, true},
+		{"timed node", &TemporalPlan{
 			Nodes: []NodeFault{{Node: 1, Kind: Crash, At: 500}},
 			Links: []LinkFault{{U: 0, V: 1, From: 0, Until: Forever}},
-		}, true},
-		{"node out of range", TemporalPlan{Nodes: []NodeFault{{Node: 8, Kind: Crash}}}, false},
-		{"node twice", TemporalPlan{Nodes: []NodeFault{{Node: 1, Kind: Crash}, {Node: 1, Kind: Corrupt, At: 9}}}, false},
-		{"negative activation", TemporalPlan{Nodes: []NodeFault{{Node: 1, Kind: Crash, At: -1}}}, false},
-		{"non-edge link", TemporalPlan{Links: []LinkFault{{U: 0, V: 7, Until: Forever}}}, false},
-		{"empty window", TemporalPlan{Links: []LinkFault{{U: 0, V: 1, From: 10, Until: 10}}}, false},
-		{"inverted window", TemporalPlan{Links: []LinkFault{{U: 0, V: 1, From: 10, Until: 5}}}, false},
+		}, true, false},
+		{"late window", &TemporalPlan{Links: []LinkFault{{U: 0, V: 1, From: 5, Until: Forever}}}, true, false},
+		{"finite window", &TemporalPlan{Links: []LinkFault{{U: 0, V: 1, Until: 10, Corrupt: true}}}, true, false},
+		{"node out of range", &TemporalPlan{Nodes: []NodeFault{{Node: 8, Kind: Crash}}}, false, false},
+		{"node twice", &TemporalPlan{Nodes: []NodeFault{{Node: 1, Kind: Crash}, {Node: 1, Kind: Corrupt, At: 9}}}, false, false},
+		{"negative activation", &TemporalPlan{Nodes: []NodeFault{{Node: 1, Kind: Crash, At: -1}}}, false, false},
+		{"non-edge link", &TemporalPlan{Links: []LinkFault{{U: 0, V: 7, Until: Forever}}}, false, false},
+		{"noisy non-edge link", &TemporalPlan{Links: []LinkFault{{U: 0, V: 7, Until: Forever, Corrupt: true}}}, false, false},
+		{"empty window", &TemporalPlan{Links: []LinkFault{{U: 0, V: 1, From: 10, Until: 10}}}, false, false},
+		{"inverted window", &TemporalPlan{Links: []LinkFault{{U: 0, V: 1, From: 10, Until: 5}}}, false, false},
 	}
 	for _, c := range cases {
 		err := c.tp.Validate(g)
-		if c.ok && err != nil {
-			t.Errorf("%s: rejected: %v", c.name, err)
+		if c.ok != (err == nil) {
+			t.Errorf("%s: Validate error %v, want ok %v", c.name, err, c.ok)
 		}
-		if !c.ok && err == nil {
-			t.Errorf("%s: accepted", c.name)
+		if serr := c.tp.ValidateStatic(g); c.static != (serr == nil) {
+			t.Errorf("%s: ValidateStatic error %v, want ok %v", c.name, serr, c.static)
 		}
 		if _, cerr := c.tp.Compile(g); (cerr == nil) != (err == nil) {
 			t.Errorf("%s: Compile and Validate disagree (%v vs %v)", c.name, cerr, err)
@@ -72,8 +54,7 @@ func TestTemporalPlanValidate(t *testing.T) {
 }
 
 func TestTraceRouteNoisyLink(t *testing.T) {
-	p := NewPlan(0)
-	p.Noisy[topology.NewEdge(2, 3)] = true
+	p := &TemporalPlan{Links: []LinkFault{{U: 2, V: 3, Until: Forever, Corrupt: true}}}
 	route := []topology.Node{0, 1, 2, 3, 4}
 	fates := p.TraceRoute(route, 0)
 	want := []CopyFate{Intact, Intact, Intact, Corrupted, Corrupted}
@@ -82,14 +63,35 @@ func TestTraceRouteNoisyLink(t *testing.T) {
 			t.Errorf("position %d: fate %v, want %v", k, fates[k], want[k])
 		}
 	}
-	// Broken dominates noisy on the same link.
-	p.Links[topology.NewEdge(2, 3)] = true
-	fates = p.TraceRoute(route, 0)
-	for _, k := range []int{3, 4} {
-		if fates[k] != Lost {
-			t.Errorf("broken+noisy link: position %d fate %v, want lost", k, fates[k])
+	// Broken dominates noisy on the same link, in either order.
+	for _, links := range [][]LinkFault{
+		{{U: 2, V: 3, Until: Forever, Corrupt: true}, {U: 3, V: 2, Until: Forever}},
+		{{U: 3, V: 2, Until: Forever}, {U: 2, V: 3, Until: Forever, Corrupt: true}},
+	} {
+		p.Links = links
+		fates = p.TraceRoute(route, 0)
+		for _, k := range []int{3, 4} {
+			if fates[k] != Lost {
+				t.Errorf("broken+noisy link %v: position %d fate %v, want lost", links, k, fates[k])
+			}
 		}
 	}
+}
+
+// randomStaticPlan draws a static plan on g: one to three faulty nodes
+// (Crash, Corrupt or Byzantine), two broken and two noisy links, which
+// may coincide.
+func randomStaticPlan(rng *rand.Rand, g *topology.Graph) *TemporalPlan {
+	p := &TemporalPlan{Seed: rng.Int63()}
+	for _, v := range rng.Perm(g.N())[:1+rng.Intn(3)] {
+		p.Nodes = append(p.Nodes, NodeFault{Node: topology.Node(v), Kind: Kind(1 + rng.Intn(3))})
+	}
+	edges := g.Edges()
+	for i := 0; i < 4; i++ {
+		e := edges[rng.Intn(len(edges))]
+		p.Links = append(p.Links, LinkFault{U: e.U, V: e.V, Until: Forever, Corrupt: i%2 == 1})
+	}
+	return p
 }
 
 // randomSimpleRoute returns a random simple route of up to maxLen nodes
@@ -149,18 +151,9 @@ func foldRelay(in *Injector, route []topology.Node, channel int, depart simnet.T
 func TestInjectorMatchesTraceRoute(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	g := topology.MustHypercube(4)
-	edges := g.Edges()
 	for trial := 0; trial < 300; trial++ {
-		p := NewPlan(rng.Int63())
-		for i := 0; i < 3; i++ {
-			v := topology.Node(rng.Intn(g.N()))
-			p.Nodes[v] = Kind(1 + rng.Intn(3)) // Crash, Corrupt, or Byzantine
-		}
-		for i := 0; i < 2; i++ {
-			p.Links[edges[rng.Intn(len(edges))]] = true
-			p.Noisy[edges[rng.Intn(len(edges))]] = true
-		}
-		in, err := FromStatic(p).Compile(g)
+		p := randomStaticPlan(rng, g)
+		in, err := p.Compile(g)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -205,9 +198,13 @@ func TestInjectorTemporalWindows(t *testing.T) {
 	if act := in.Relay(id, 1, 1, 0, 1000); act != simnet.FaultDrop {
 		t.Errorf("node 1 at t=1000: %v, want drop", act)
 	}
-	// Node faults do not apply at hop 0 (the source's own hop).
+	// Node faults do not apply at hop 0 (the source's own hop), nor to
+	// the link-only verdict.
 	if act := in.Relay(id, 0, 1, 0, 5000); act != simnet.FaultNone {
 		t.Errorf("node 1 as source at t=5000: %v, want none (hop 0 exempt)", act)
+	}
+	if act := in.Link(1, 0, 5000); act != simnet.FaultNone {
+		t.Errorf("Link 1→0 at t=5000: %v, want none (node faults are not link faults)", act)
 	}
 	// Link {2,3} is down inside [500, 600), where the drop dominates the
 	// overlapping corrupt window, and corrupts inside [600, 700), in
@@ -222,6 +219,9 @@ func TestInjectorTemporalWindows(t *testing.T) {
 		for _, arc := range [][2]topology.Node{{2, 3}, {3, 2}} {
 			if act := in.Relay(id, 2, arc[0], arc[1], c.at); act != c.want {
 				t.Errorf("link %d→%d at t=%d: %v, want %v", arc[0], arc[1], c.at, act, c.want)
+			}
+			if act := in.Link(arc[0], arc[1], c.at); act != c.want {
+				t.Errorf("Link %d→%d at t=%d: %v, want %v", arc[0], arc[1], c.at, act, c.want)
 			}
 		}
 	}

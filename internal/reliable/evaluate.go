@@ -28,26 +28,21 @@ func (o Outcome) CorrectFraction() float64 {
 
 // EvaluateIHC runs the IHC all-to-all broadcast combinatorially (fault
 // propagation along each directed-cycle route; timing is irrelevant to
-// correctness) under the given fault plan, applies the selected voter at
+// correctness) under a static fault plan, applies the selected voter at
 // every fault-free receiver, and grades the result against the truth.
+// It has no clock, so a plan with a timed entry is an error
+// (fault.TemporalPlan.ValidateStatic); EvaluateTimed grades those.
 //
 // Sources that are Byzantine are two-faced: they send TwoFacedPayload on
 // odd-numbered directed cycles. Copies relayed through Corrupt or
 // Byzantine nodes are corrupted (with valid=false in signed mode, since
 // the relay cannot forge the source's MAC); copies through Crash nodes or
 // broken links are lost.
-func EvaluateIHC(x *core.IHC, plan *fault.Plan, signed bool, kr *Keyring) (Outcome, error) {
-	// A plan naming nonexistent nodes or links would grade as vacuously
-	// healthy (no route ever meets the phantom fault); that's a caller
-	// bug, so it is reported rather than silently graded.
-	if err := plan.Validate(x.Graph()); err != nil {
+func EvaluateIHC(x *core.IHC, plan *fault.TemporalPlan, signed bool, kr *Keyring) (Outcome, error) {
+	if err := plan.ValidateStatic(x.Graph()); err != nil {
 		return Outcome{}, fmt.Errorf("reliable: EvaluateIHC: %w", err)
 	}
-	kind := make([]fault.Kind, x.N())
-	for v := range kind {
-		kind[v] = plan.Node(topology.Node(v))
-	}
-	t := newTally(kind)
+	t := newTally(nodeKinds(x.N(), plan))
 	for j := 0; j < x.Gamma(); j++ {
 		c := x.DirectedCycle(j)
 		for p := range c {
@@ -81,6 +76,19 @@ type tally struct {
 
 func newTally(kind []fault.Kind) *tally {
 	return &tally{kind: kind, counts: make([][4]int32, len(kind)*len(kind))}
+}
+
+// nodeKinds returns each of n nodes' kind in plan: every node the plan
+// names keeps its kind whatever its activation time, so the graders
+// exclude it from the graded pairs.
+func nodeKinds(n int, plan *fault.TemporalPlan) []fault.Kind {
+	kind := make([]fault.Kind, n)
+	if plan != nil {
+		for _, nf := range plan.Nodes {
+			kind[nf.Node] = nf.Kind
+		}
+	}
+	return kind
 }
 
 // add counts one copy from src delivered to recv on channel.
@@ -187,10 +195,15 @@ func routeOf(c []topology.Node, p int) []topology.Node {
 	return route
 }
 
-// BlockablePair reports whether the fault plan's faulty nodes cut every
-// directed-cycle path from src to recv — the structural condition for
-// delivery failure between a fault-free pair under crash faults.
-func BlockablePair(x *core.IHC, plan *fault.Plan, src, recv topology.Node) bool {
+// BlockablePair reports whether the static fault plan's faulty nodes cut
+// every directed-cycle path from src to recv — the structural condition
+// for delivery failure between a fault-free pair under crash faults. A
+// plan with a timed entry is an error, as in EvaluateIHC.
+func BlockablePair(x *core.IHC, plan *fault.TemporalPlan, src, recv topology.Node) (bool, error) {
+	if err := plan.ValidateStatic(x.Graph()); err != nil {
+		return false, fmt.Errorf("reliable: BlockablePair: %w", err)
+	}
+	kind := nodeKinds(x.N(), plan)
 	for j := 0; j < x.Gamma(); j++ {
 		c := x.DirectedCycle(j)
 		pos := x.ID(j, src)
@@ -200,14 +213,14 @@ func BlockablePair(x *core.IHC, plan *fault.Plan, src, recv topology.Node) bool 
 			if route[k] == recv {
 				break
 			}
-			if plan.Node(route[k]) != fault.Healthy {
+			if kind[route[k]] != fault.Healthy {
 				clean = false
 				break
 			}
 		}
 		if clean {
-			return false
+			return false, nil
 		}
 	}
-	return true
+	return true, nil
 }

@@ -6,6 +6,7 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -30,7 +31,7 @@ func mustIHC(t *testing.T, g *topology.Graph) *core.IHC {
 }
 
 // mustEval grades a plan that the test knows to be valid.
-func mustEval(t *testing.T, x *core.IHC, plan *fault.Plan, signed bool, kr *Keyring) Outcome {
+func mustEval(t *testing.T, x *core.IHC, plan *fault.TemporalPlan, signed bool, kr *Keyring) Outcome {
 	t.Helper()
 	out, err := EvaluateIHC(x, plan, signed, kr)
 	if err != nil {
@@ -40,7 +41,7 @@ func mustEval(t *testing.T, x *core.IHC, plan *fault.Plan, signed bool, kr *Keyr
 }
 
 // mustNodeFaults draws a plan the test knows to be satisfiable.
-func mustNodeFaults(t *testing.T, n, tf int, kind fault.Kind, seed int64) *fault.Plan {
+func mustNodeFaults(t *testing.T, n, tf int, kind fault.Kind, seed int64) *fault.TemporalPlan {
 	t.Helper()
 	p, err := fault.RandomNodeFaults(n, tf, kind, seed)
 	if err != nil {
@@ -246,7 +247,7 @@ func TestEvaluateFaultFree(t *testing.T) {
 	for _, g := range []*topology.Graph{topology.MustHypercube(4), topology.MustHexMesh(3)} {
 		x := mustIHC(t, g)
 		for _, signed := range []bool{false, true} {
-			out := mustEval(t, x, fault.NewPlan(1), signed, NewKeyring(g.N(), 1))
+			out := mustEval(t, x, &fault.TemporalPlan{Seed: 1}, signed, NewKeyring(g.N(), 1))
 			n := g.N()
 			if out.Pairs != n*(n-1) || out.Correct != out.Pairs || out.Wrong != 0 || out.Missing != 0 {
 				t.Fatalf("%s signed=%v: %+v", g.Name(), signed, out)
@@ -264,8 +265,7 @@ func TestSingleFaultAlwaysTolerated(t *testing.T) {
 	kr := NewKeyring(g.N(), 3)
 	for v := topology.Node(0); int(v) < g.N(); v++ {
 		for _, kind := range []fault.Kind{fault.Crash, fault.Corrupt, fault.Byzantine} {
-			plan := fault.NewPlan(11)
-			plan.Nodes[v] = kind
+			plan := &fault.TemporalPlan{Seed: 11, Nodes: []fault.NodeFault{{Node: v, Kind: kind}}}
 			signed := kind != fault.Corrupt && kind != fault.Byzantine
 			out := mustEval(t, x, plan, true, kr)
 			_ = signed
@@ -322,13 +322,21 @@ func TestCrashFailureMatchesStructure(t *testing.T) {
 	for seed := int64(0); seed < 10; seed++ {
 		plan := mustNodeFaults(t, g.N(), 3, fault.Crash, seed)
 		out := mustEval(t, x, plan, true, kr)
+		faulty := make(map[topology.Node]bool)
+		for _, v := range plan.FaultyNodes() {
+			faulty[v] = true
+		}
 		blocked := 0
 		for r := topology.Node(0); int(r) < g.N(); r++ {
 			for s := topology.Node(0); int(s) < g.N(); s++ {
-				if r == s || plan.Node(r) != fault.Healthy || plan.Node(s) != fault.Healthy {
+				if r == s || faulty[r] || faulty[s] {
 					continue
 				}
-				if BlockablePair(x, plan, s, r) {
+				cut, err := BlockablePair(x, plan, s, r)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if cut {
 					blocked++
 				}
 			}
@@ -350,8 +358,7 @@ func TestByzantineSourceDoesNotPolluteOthers(t *testing.T) {
 	g := topology.MustSquareTorus(4)
 	x := mustIHC(t, g)
 	kr := NewKeyring(g.N(), 9)
-	plan := fault.NewPlan(1)
-	plan.Nodes[5] = fault.Byzantine
+	plan := &fault.TemporalPlan{Seed: 1, Nodes: []fault.NodeFault{{Node: 5, Kind: fault.Byzantine}}}
 	out := mustEval(t, x, plan, true, kr)
 	if out.Correct != out.Pairs {
 		t.Fatalf("byzantine source disrupted fault-free pairs: %+v", out)
@@ -367,8 +374,7 @@ func TestSingleLinkFaultTolerated(t *testing.T) {
 	x := mustIHC(t, g)
 	kr := NewKeyring(g.N(), 5)
 	for _, e := range g.Edges() {
-		plan := fault.NewPlan(1)
-		plan.Links[e] = true
+		plan := &fault.TemporalPlan{Seed: 1, Links: []fault.LinkFault{{U: e.U, V: e.V, Until: fault.Forever}}}
 		out := mustEval(t, x, plan, true, kr)
 		if out.Correct != out.Pairs {
 			t.Fatalf("link %v: %+v", e, out)
@@ -389,13 +395,12 @@ func TestQuickNestedCrashMonotone(t *testing.T) {
 	f := func(seedRaw uint8) bool {
 		seed := int64(seedRaw)
 		p2 := mustNodeFaults(t, g.N(), 2, fault.Crash, seed)
-		p4 := fault.NewPlan(seed)
-		for v, k := range p2.Nodes {
-			p4.Nodes[v] = k
-		}
+		p4 := &fault.TemporalPlan{Seed: seed, Nodes: slices.Clone(p2.Nodes)}
 		extra := mustNodeFaults(t, g.N(), 2, fault.Crash, seed+1000)
-		for v, k := range extra.Nodes {
-			p4.Nodes[v] = k
+		for _, nf := range extra.Nodes {
+			if !slices.Contains(p2.FaultyNodes(), nf.Node) {
+				p4.Nodes = append(p4.Nodes, nf)
+			}
 		}
 		o2 := mustEval(t, x, p2, true, kr)
 		o4 := mustEval(t, x, p4, true, kr)
@@ -403,5 +408,41 @@ func TestQuickNestedCrashMonotone(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30, Rand: rand.New(rand.NewSource(7))}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// BenchmarkEvaluateIHCQ6 times the combinatorial grader on Q6 over 16
+// static placements: 1–7 faulty nodes of each kind, every fourth plan
+// also with two broken and two noisy links. TraceRoute scans the plan's
+// entries at every hop, so this is the loop that shows its cost.
+func BenchmarkEvaluateIHCQ6(b *testing.B) {
+	g := topology.MustHypercube(6)
+	cycles, err := hamilton.Decompose(g)
+	if err != nil {
+		b.Fatal(err)
+	}
+	x, err := core.New(g, cycles)
+	if err != nil {
+		b.Fatal(err)
+	}
+	edges := g.Edges()
+	rng := rand.New(rand.NewSource(3))
+	var plans []*fault.TemporalPlan
+	for i := 0; i < 16; i++ {
+		p, err := fault.RandomNodeFaults(g.N(), 1+i%7, fault.Kind(1+i%3), int64(i))
+		if err != nil {
+			b.Fatal(err)
+		}
+		for k := 0; i%4 == 0 && k < 4; k++ {
+			e := edges[rng.Intn(len(edges))]
+			p.Links = append(p.Links, fault.LinkFault{U: e.U, V: e.V, Until: fault.Forever, Corrupt: k%2 == 1})
+		}
+		plans = append(plans, p)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := EvaluateIHC(x, plans[i%len(plans)], false, nil); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

@@ -209,7 +209,7 @@ func TestTallyMatchesDeliveryLog(t *testing.T) {
 	g := topology.MustHypercube(4)
 	x := mustIHC(t, g)
 	short := NewKeyring(g.N()-1, 4)
-	if _, err := EvaluateIHC(x, fault.NewPlan(1), true, short); err == nil {
+	if _, err := EvaluateIHC(x, &fault.TemporalPlan{Seed: 1}, true, short); err == nil {
 		t.Error("EvaluateIHC accepted a keyring smaller than the graph")
 	}
 	if _, err := EvaluateTimed(x, &fault.TemporalPlan{}, true, short, core.Config{}); err == nil {

@@ -29,8 +29,8 @@ import (
 // later — the payload choice happens at injection, which the engine does
 // not model per-payload.
 //
-// For a statically-lifted plan the two evaluators agree exactly:
-// EvaluateTimed(x, fault.FromStatic(p), ...) == EvaluateIHC(x, p, ...).
+// For a static plan p the two evaluators agree exactly:
+// EvaluateTimed(x, p, ...) == EvaluateIHC(x, p, ...).
 func EvaluateTimed(x *core.IHC, tplan *fault.TemporalPlan, signed bool, kr *Keyring, cfg core.Config) (Outcome, error) {
 	t, err := prepareTimed(x, tplan, &cfg)
 	if err != nil {
@@ -61,11 +61,5 @@ func prepareTimed(x *core.IHC, tplan *fault.TemporalPlan, cfg *core.Config) (*ta
 	}
 	cfg.Fault = inj
 	cfg.SkipCopies = true
-	kind := make([]fault.Kind, x.N())
-	if tplan != nil {
-		for _, nf := range tplan.Nodes {
-			kind[nf.Node] = nf.Kind
-		}
-	}
-	return newTally(kind), nil
+	return newTally(nodeKinds(x.N(), tplan)), nil
 }

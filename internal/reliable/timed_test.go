@@ -13,7 +13,8 @@ import (
 // TestTimedMatchesCombinatorial is the bridge theorem of the timed
 // grader: for every static plan, running the schedule through the event
 // engine with the compiled injector grades identically to TraceRoute
-// fate propagation — same pairs, same correct/wrong/missing counts.
+// fate propagation — same pairs, same correct/wrong/missing counts. A
+// plan may name a link twice, broken and noisy, where loss dominates.
 func TestTimedMatchesCombinatorial(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	for _, g := range []*topology.Graph{topology.MustSquareTorus(4), topology.MustHexMesh(3)} {
@@ -21,19 +22,19 @@ func TestTimedMatchesCombinatorial(t *testing.T) {
 		kr := NewKeyring(g.N(), 2)
 		edges := g.Edges()
 		for trial := 0; trial < 8; trial++ {
-			p := fault.NewPlan(rng.Int63())
-			for i := 0; i < rng.Intn(4); i++ {
-				p.Nodes[topology.Node(rng.Intn(g.N()))] = fault.Kind(1 + rng.Intn(3))
+			p := &fault.TemporalPlan{Seed: rng.Int63()}
+			for _, v := range rng.Perm(g.N())[:rng.Intn(4)] {
+				p.Nodes = append(p.Nodes, fault.NodeFault{Node: topology.Node(v), Kind: fault.Kind(1 + rng.Intn(3))})
 			}
-			for i := 0; i < rng.Intn(3); i++ {
-				p.Links[edges[rng.Intn(len(edges))]] = true
-			}
-			for i := 0; i < rng.Intn(3); i++ {
-				p.Noisy[edges[rng.Intn(len(edges))]] = true
+			for _, corrupt := range []bool{false, true} {
+				for i := 0; i < rng.Intn(3); i++ {
+					e := edges[rng.Intn(len(edges))]
+					p.Links = append(p.Links, fault.LinkFault{U: e.U, V: e.V, Until: fault.Forever, Corrupt: corrupt})
+				}
 			}
 			for _, signed := range []bool{false, true} {
 				want := mustEval(t, x, p, signed, kr)
-				got, err := EvaluateTimed(x, fault.FromStatic(p), signed, kr, core.Config{})
+				got, err := EvaluateTimed(x, p, signed, kr, core.Config{})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -75,14 +76,11 @@ func TestTimedTemporalWindow(t *testing.T) {
 	x := mustIHC(t, g)
 	const victim = topology.Node(5)
 
-	static := fault.NewPlan(0)
 	var lfs []fault.LinkFault
 	for _, v := range g.Neighbors(victim) {
-		e := topology.NewEdge(victim, v)
-		static.Links[e] = true
-		lfs = append(lfs, fault.LinkFault{U: e.U, V: e.V})
+		lfs = append(lfs, fault.LinkFault{U: victim, V: v, Until: fault.Forever})
 	}
-	wantBroken := mustEval(t, x, static, false, nil)
+	wantBroken := mustEval(t, x, &fault.TemporalPlan{Links: lfs}, false, nil)
 	// Isolated receiver + isolated sender: 2(N-1) missing pairs.
 	if want := 2 * (g.N() - 1); wantBroken.Missing != want {
 		t.Fatalf("isolating node %d: %+v, want %d missing", victim, wantBroken, want)
@@ -136,17 +134,22 @@ func TestTimedCrashMidRun(t *testing.T) {
 	// Find two crash nodes that structurally cut all γ routes from source
 	// 0 to some receiver (single crashes are always tolerated: each one
 	// blocks only γ/2 of a pair's routes).
-	var plan *fault.Plan
+	var plan *fault.TemporalPlan
 	for a := 1; a < n && plan == nil; a++ {
 		for b := a + 1; b < n && plan == nil; b++ {
-			cand := fault.NewPlan(0)
-			cand.Nodes[topology.Node(a)] = fault.Crash
-			cand.Nodes[topology.Node(b)] = fault.Crash
+			cand := &fault.TemporalPlan{Nodes: []fault.NodeFault{
+				{Node: topology.Node(a), Kind: fault.Crash},
+				{Node: topology.Node(b), Kind: fault.Crash},
+			}}
 			for r := 1; r < n; r++ {
 				if r == a || r == b {
 					continue
 				}
-				if BlockablePair(x, cand, 0, topology.Node(r)) {
+				cut, err := BlockablePair(x, cand, 0, topology.Node(r))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if cut {
 					plan = cand
 					break
 				}
@@ -166,8 +169,8 @@ func TestTimedCrashMidRun(t *testing.T) {
 		t.Fatal(err)
 	}
 	tp := &fault.TemporalPlan{}
-	for v := range plan.Nodes {
-		tp.Nodes = append(tp.Nodes, fault.NodeFault{Node: v, Kind: fault.Crash, At: res.StageFinish[0] + 1})
+	for _, nf := range plan.Nodes {
+		tp.Nodes = append(tp.Nodes, fault.NodeFault{Node: nf.Node, Kind: fault.Crash, At: res.StageFinish[0] + 1})
 	}
 	late, err := EvaluateTimed(x, tp, false, nil, core.Config{Eta: 2})
 	if err != nil {
@@ -179,4 +182,37 @@ func TestTimedCrashMidRun(t *testing.T) {
 	if late.Correct <= full.Correct || late.Missing >= full.Missing {
 		t.Fatalf("late crash %+v not strictly better than crash-from-birth %+v", late, full)
 	}
+}
+
+// TestStaticGradersRejectTimedPlans: EvaluateIHC and BlockablePair have
+// no clock, so each refuses a plan with a timed entry — a node fault
+// that activates late, a window that opens late, or one that closes —
+// instead of grading it as static; EvaluateTimed grades the same plans,
+// and the same entries at time 0 and forever pass everywhere.
+func TestStaticGradersRejectTimedPlans(t *testing.T) {
+	x := mustIHC(t, topology.MustHypercube(3))
+	check := func(name string, tp *fault.TemporalPlan, static bool) {
+		t.Helper()
+		if _, err := EvaluateIHC(x, tp, false, nil); (err == nil) != static {
+			t.Errorf("%s: EvaluateIHC error %v, want static %v", name, err, static)
+		}
+		if _, err := BlockablePair(x, tp, 0, 7); (err == nil) != static {
+			t.Errorf("%s: BlockablePair error %v, want static %v", name, err, static)
+		}
+		if _, err := EvaluateTimed(x, tp, false, nil, core.Config{}); err != nil {
+			t.Errorf("%s: EvaluateTimed: %v", name, err)
+		}
+	}
+	node := fault.NodeFault{Node: 3, Kind: fault.Crash}
+	link := fault.LinkFault{U: 0, V: 1, Until: fault.Forever}
+	check("static", &fault.TemporalPlan{Nodes: []fault.NodeFault{node}, Links: []fault.LinkFault{link}}, true)
+	late := node
+	late.At = 1
+	check("late node", &fault.TemporalPlan{Nodes: []fault.NodeFault{late}}, false)
+	opens := link
+	opens.From = 1
+	check("late window", &fault.TemporalPlan{Links: []fault.LinkFault{link, opens}}, false)
+	closes := link
+	closes.Until = 1000
+	check("closing window", &fault.TemporalPlan{Links: []fault.LinkFault{closes}}, false)
 }

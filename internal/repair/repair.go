@@ -47,7 +47,7 @@ type Stats struct {
 	Naks            int // NAK packets injected
 	Retransmissions int // retransmission packets injected
 	Recovered       int // copies delivered to a previously-missing destination
-	GaveUp          int // copies abandoned (maxAttempts exhausted or no route)
+	GaveUp          int // copies abandoned (maxAttempts exhausted or no route) and never delivered
 	DeadLinks       int // links diagnosed dead
 	DeadNodes       int // nodes with ≥2 dead links, avoided as detour relays
 	Detours         int // stage routes rewritten by PatchSpecs
@@ -71,6 +71,9 @@ type origin struct {
 	missing  int    // expected destinations still without a copy
 	attempts int
 	timedOut bool
+	// abandoned marks an origin given up on: its missing copies count in
+	// Stats.GaveUp, each once, until one arrives after all.
+	abandoned bool
 }
 
 // track is the per-spec view (data, NAK, or retransmission packet).
@@ -310,7 +313,7 @@ func (m *Manager) OnDeliver(pkt int32, node topology.Node, at simnet.Time) {
 		// tr.got aliases o.got.
 		if !tr.got[node] {
 			tr.got[node] = true
-			tr.o.missing--
+			m.arrived(tr.o)
 		}
 	case kindRetrans:
 		if !tr.got[node] {
@@ -318,7 +321,7 @@ func (m *Manager) OnDeliver(pkt int32, node topology.Node, at simnet.Time) {
 		}
 		if !tr.o.got[node] {
 			tr.o.got[node] = true
-			tr.o.missing--
+			m.arrived(tr.o)
 			m.stats.Recovered++
 		}
 	case kindNak:
@@ -329,6 +332,24 @@ func (m *Manager) OnDeliver(pkt int32, node topology.Node, at simnet.Time) {
 			tr.done = true
 			m.rt.SetTimer(at+m.backoff(tr.o), token(tr.o.specIdx, tokRetrans))
 		}
+	}
+}
+
+// arrived counts a copy of o reaching a destination that missed it; a
+// copy of an abandoned origin leaves Stats.GaveUp.
+func (m *Manager) arrived(o *origin) {
+	o.missing--
+	if o.abandoned {
+		m.stats.GaveUp--
+	}
+}
+
+// giveUp abandons o: the copies it still misses count in Stats.GaveUp,
+// once however many of its routes miss a deadline afterwards.
+func (m *Manager) giveUp(o *origin) {
+	if !o.abandoned {
+		o.abandoned = true
+		m.stats.GaveUp += o.missing
 	}
 }
 
@@ -397,7 +418,7 @@ func (m *Manager) checkDeadline(tr *track, at simnet.Time) {
 	// still misses destinations (a partial-coverage retransmission):
 	// skip the NAK round-trip and go straight to another attempt.
 	if o.attempts >= maxAttempts {
-		m.stats.GaveUp += o.missing
+		m.giveUp(o)
 		return
 	}
 	o.attempts++
@@ -444,7 +465,7 @@ func (m *Manager) suspectArc(u, v topology.Node) {
 // Seq = -attempt so graders can filter them out of coverage.
 func (m *Manager) sendNak(o *origin, tr *track, at simnet.Time) {
 	if o.attempts >= maxAttempts {
-		m.stats.GaveUp += o.missing
+		m.giveUp(o)
 		return
 	}
 	p := firstMissing(tr)
@@ -465,7 +486,7 @@ func (m *Manager) sendNak(o *origin, tr *track, at simnet.Time) {
 	o.attempts++
 	route := m.nakRoute(detector, src)
 	if route == nil {
-		m.stats.GaveUp += o.missing
+		m.giveUp(o)
 		return
 	}
 	spec := simnet.PacketSpec{
@@ -477,7 +498,7 @@ func (m *Manager) sendNak(o *origin, tr *track, at simnet.Time) {
 	}
 	idx, err := m.rt.Inject(spec)
 	if err != nil {
-		m.stats.GaveUp += o.missing
+		m.giveUp(o)
 		return
 	}
 	m.stats.Naks++
@@ -498,7 +519,7 @@ func (m *Manager) fireRetrans(o *origin, at simnet.Time) {
 	}
 	routes := m.recoveryRoutes(o)
 	if len(routes) == 0 {
-		m.stats.GaveUp += o.missing
+		m.giveUp(o)
 		return
 	}
 	for _, r := range routes {

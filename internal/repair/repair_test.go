@@ -373,3 +373,57 @@ func TestShortestRoutesMatchPerDestinationSearch(t *testing.T) {
 		}
 	}
 }
+
+// copyLog records which data copies a run delivered, per (source,
+// channel, receiver): retransmissions count, NAKs do not.
+type copyLog struct {
+	n, gamma int
+	got      []bool
+}
+
+func (c *copyLog) OnHop(simnet.HopEvent) {}
+
+func (c *copyLog) OnDeliver(d simnet.Delivery) {
+	if d.ID.Seq >= 0 {
+		c.got[(int(d.ID.Source)*c.gamma+d.ID.Channel)*c.n+int(d.Node)] = true
+	}
+}
+
+// TestGaveUpCountsEachCopyOnce: Stats.GaveUp counts a copy once, when
+// its origin is abandoned, and only if the copy never arrives after
+// all, so Recovered + GaveUp ≤ Timeouts and GaveUp equals the copies
+// the run never delivered. On Q4 with node 5 crashed every timed-out
+// copy is recovered, yet an exhausted origin used to add its missing
+// copies again at every route's missed deadline (GaveUp 36 against
+// Timeouts 420 and Recovered 420); with node 0's neighbours crashed,
+// node 0 is cut off and copies stay undelivered.
+func TestGaveUpCountsEachCopyOnce(t *testing.T) {
+	x := newIHC(t, topology.MustHypercube(4))
+	n, gamma := x.N(), x.Gamma()
+	p := simnet.Params{}.Defaulted()
+	for _, crashed := range [][]topology.Node{{5}, {1, 2, 4, 8}} {
+		tp := &fault.TemporalPlan{}
+		for _, v := range crashed {
+			tp.Nodes = append(tp.Nodes, fault.NodeFault{Node: v, Kind: fault.Crash})
+		}
+		inj, err := tp.Compile(x.Graph())
+		if err != nil {
+			t.Fatal(err)
+		}
+		log := &copyLog{n: n, gamma: gamma, got: make([]bool, n*gamma*n)}
+		_, st, err := Run(x, core.Config{Eta: p.Mu, Params: p, SkipCopies: true, Fault: inj, Observe: log}, Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		undelivered := 0
+		for i, got := range log.got {
+			if src, dst := i/(gamma*n), i%n; src != dst && !got {
+				undelivered++
+			}
+		}
+		if st.Recovered+st.GaveUp > st.Timeouts || st.GaveUp != undelivered {
+			t.Errorf("crashed %v: Timeouts %d, Recovered %d, GaveUp %d; want Recovered + GaveUp ≤ Timeouts and GaveUp = %d undelivered copies",
+				crashed, st.Timeouts, st.Recovered, st.GaveUp, undelivered)
+		}
+	}
+}

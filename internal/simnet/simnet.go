@@ -261,8 +261,9 @@ type FaultHook interface {
 	// Relay decides the fate of the hop from→to of packet id. hop is the
 	// index of `from` along the packet's route (0 = source injection; the
 	// conventional fault models apply node relay faults only at hop >= 1,
-	// matching fault.Plan.TraceRoute, where a source's own fault is the
-	// caller's concern). depart is the header departure time at `from`.
+	// matching fault.TemporalPlan.TraceRoute, where a source's own fault
+	// is the caller's concern). depart is the header departure time at
+	// `from`.
 	Relay(id PacketID, hop int, from, to topology.Node, depart Time) FaultAction
 }
 

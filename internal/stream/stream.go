@@ -200,7 +200,7 @@ type Node struct {
 	open     map[uint32]*epochState
 	retained map[uint32][][]byte // closed epochs' stores, for serving pulls
 	next     uint32              // next epoch to open
-	highest  uint32              // highest plausible epoch seen in any signed frame
+	highest  int64               // highest plausible epoch seen in any signed frame; -1 before the first
 	joined   bool                // epoch base known
 	joinIdx  int                 // JOIN target rotation
 	joinAt   time.Time
@@ -235,6 +235,7 @@ func NewNode(cfg Config) (*Node, error) {
 		gamma:    cfg.IHC.Gamma(),
 		open:     make(map[uint32]*epochState),
 		retained: make(map[uint32][][]byte),
+		highest:  -1,
 		joined:   !cfg.Join,
 	}
 	nd.neighbors = cfg.IHC.Graph().Neighbors(cfg.Self)
@@ -398,7 +399,7 @@ func (nd *Node) openDue(now time.Time) {
 		if nd.liveOpen() >= MaxInflight {
 			return
 		}
-		if now.Before(nd.scheduled(nd.next)) && nd.highest < nd.next {
+		if now.Before(nd.scheduled(nd.next)) && nd.highest < int64(nd.next) {
 			return
 		}
 		nd.openEpoch(nd.next, now, false)
@@ -670,9 +671,7 @@ func (nd *Node) handle(body []byte, now time.Time) {
 	// epoch. JOIN/NAK/MISS are unsigned and must not fast-forward us,
 	// and neither may a signed epoch the schedule cannot have reached.
 	if f.Kind.Signed() && nd.plausible(f.Epoch, now) {
-		if f.Epoch > nd.highest {
-			nd.highest = f.Epoch
-		}
+		nd.highest = max(nd.highest, int64(f.Epoch))
 		if !nd.joined {
 			nd.adoptEpoch(f.Epoch, now)
 		}
@@ -791,15 +790,11 @@ func (nd *Node) serveJoin(f *transport.Frame) {
 	if !nd.joined || nd.next == 0 {
 		return // we do not know the epoch either
 	}
-	cur := nd.next - 1
-	if nd.highest > cur {
-		cur = nd.highest
-	}
 	rep := &transport.Frame{
 		Kind:   transport.FrameEpoch,
 		From:   nd.cfg.Self,
 		Source: nd.cfg.Self,
-		Epoch:  cur,
+		Epoch:  uint32(max(int64(nd.next)-1, nd.highest)),
 		HLC:    nd.cfg.Clock.Now(),
 	}
 	if err := transport.SignFrame(nd.cfg.Keyring, rep); err != nil {

@@ -526,6 +526,44 @@ func TestOpenerKeepsEveryEpoch(t *testing.T) {
 	}
 }
 
+// TestNoEpochOpensBeforeItsSchedule steps a node 30 minutes and then
+// 1 ms before Epoch0: it opens nothing until Epoch0, when it opens
+// epoch 0. A twin handed a plausible signed copy of epoch 0 10 ms
+// before Epoch0 opens epoch 0 then and stores the copy, since the copy
+// shows the cluster has reached it. No signed epoch seen is not epoch 0
+// seen: a node that read it so opened epoch 0 at its first step.
+func TestNoEpochOpensBeforeItsSchedule(t *testing.T) {
+	x := q4(t)
+	kr := reliable.NewKeyring(x.N(), 3)
+	epoch0 := time.Unix(1_000_000, 0)
+	nd, _ := nodeOn(t, x, kr, epoch0, nil)
+	for _, early := range []time.Duration{30 * time.Minute, time.Millisecond} {
+		nd.step(epoch0.Add(-early))
+		if nd.next != 0 || len(nd.open) != 0 {
+			t.Fatalf("stepped %s before Epoch0: next %d, %d epochs open", early, nd.next, len(nd.open))
+		}
+	}
+	nd.step(epoch0)
+	if nd.next != 1 || nd.open[0] == nil {
+		t.Fatalf("stepped at Epoch0: next %d, epoch 0 open: %v", nd.next, nd.open[0] != nil)
+	}
+
+	twin, _ := nodeOn(t, x, kr, epoch0, nil)
+	now := epoch0.Add(-10 * time.Millisecond)
+	twin.step(now)
+	if len(twin.open) != 0 {
+		t.Fatalf("twin stepped 10ms before Epoch0: %d epochs open", len(twin.open))
+	}
+	twin.handle(copyBody(t, twin, kr, 5, 0, []byte("epoch 0"), hlc.Timestamp{}), now)
+	st := twin.open[0]
+	if twin.next != 1 || st == nil {
+		t.Fatalf("twin handed a copy of epoch 0: next %d, epoch 0 open: %v", twin.next, st != nil)
+	}
+	if got := st.store[twin.slot(5, 0)]; string(got) != "epoch 0" {
+		t.Errorf("twin stored %q, want the copy", got)
+	}
+}
+
 // TestOpenerIgnoresLastEpoch hands a node that has opened epoch 0 one
 // validly signed copy of epoch 2³²−1, which any source can sign. The
 // opener still opens only the next epoch under the pipeline cap: that
@@ -569,9 +607,9 @@ func TestFarFutureEpochTeachesNothing(t *testing.T) {
 	live.handle(repair(live), now)
 	live.step(now)
 	twin.step(now)
-	if live.next != twin.next || len(live.open) != len(twin.open) || live.highest != 0 {
-		t.Fatalf("after the REPAIR: next %d, %d open, highest %d; untouched: next %d, %d open",
-			live.next, len(live.open), live.highest, twin.next, len(twin.open))
+	if live.next != twin.next || len(live.open) != len(twin.open) || live.highest != twin.highest {
+		t.Fatalf("after the REPAIR: next %d, %d open, highest %d; untouched: next %d, %d open, highest %d",
+			live.next, len(live.open), live.highest, twin.next, len(twin.open), twin.highest)
 	}
 	live.handle(join, now)
 	for _, s := range ep.sent {
