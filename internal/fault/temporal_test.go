@@ -8,37 +8,18 @@ import (
 	"ihc/internal/topology"
 )
 
-// TestTemporalPlanValidate: Validate accepts a plan whose every entry
-// exists in the graph with a non-negative time and a non-empty window,
-// and Compile agrees with it; ValidateStatic accepts only the valid
-// plans whose entries all start at 0 and never end.
-func TestTemporalPlanValidate(t *testing.T) {
-	g := topology.MustHypercube(3)
-	cases := []struct {
-		name       string
-		tp         *TemporalPlan
-		ok, static bool
-	}{
-		{"nil", nil, true, true},
-		{"empty", &TemporalPlan{}, true, true},
-		{"static", &TemporalPlan{
-			Nodes: []NodeFault{{Node: 3, Kind: Crash}},
-			Links: []LinkFault{{U: 0, V: 1, Until: Forever}, {U: 0, V: 2, Until: Forever, Corrupt: true}},
-		}, true, true},
-		{"timed node", &TemporalPlan{
-			Nodes: []NodeFault{{Node: 1, Kind: Crash, At: 500}},
-			Links: []LinkFault{{U: 0, V: 1, From: 0, Until: Forever}},
-		}, true, false},
-		{"late window", &TemporalPlan{Links: []LinkFault{{U: 0, V: 1, From: 5, Until: Forever}}}, true, false},
-		{"finite window", &TemporalPlan{Links: []LinkFault{{U: 0, V: 1, Until: 10, Corrupt: true}}}, true, false},
-		{"node out of range", &TemporalPlan{Nodes: []NodeFault{{Node: 8, Kind: Crash}}}, false, false},
-		{"node twice", &TemporalPlan{Nodes: []NodeFault{{Node: 1, Kind: Crash}, {Node: 1, Kind: Corrupt, At: 9}}}, false, false},
-		{"negative activation", &TemporalPlan{Nodes: []NodeFault{{Node: 1, Kind: Crash, At: -1}}}, false, false},
-		{"non-edge link", &TemporalPlan{Links: []LinkFault{{U: 0, V: 7, Until: Forever}}}, false, false},
-		{"noisy non-edge link", &TemporalPlan{Links: []LinkFault{{U: 0, V: 7, Until: Forever, Corrupt: true}}}, false, false},
-		{"empty window", &TemporalPlan{Links: []LinkFault{{U: 0, V: 1, From: 10, Until: 10}}}, false, false},
-		{"inverted window", &TemporalPlan{Links: []LinkFault{{U: 0, V: 1, From: 10, Until: 5}}}, false, false},
-	}
+// validateCase is one plan and what Validate and ValidateStatic should
+// say of it.
+type validateCase struct {
+	name       string
+	tp         *TemporalPlan
+	ok, static bool
+}
+
+// checkValidate runs Validate, ValidateStatic and Compile on each case;
+// Compile must agree with Validate.
+func checkValidate(t *testing.T, g *topology.Graph, cases []validateCase) {
+	t.Helper()
 	for _, c := range cases {
 		err := c.tp.Validate(g)
 		if c.ok != (err == nil) {
@@ -51,6 +32,42 @@ func TestTemporalPlanValidate(t *testing.T) {
 			t.Errorf("%s: Compile and Validate disagree (%v vs %v)", c.name, cerr, err)
 		}
 	}
+}
+
+// TestPlanValidate: a static placement (node faults at 0, link windows
+// [0, Forever)) is valid, and static, exactly when every node and link
+// it names exists in the graph.
+func TestPlanValidate(t *testing.T) {
+	checkValidate(t, topology.MustHypercube(3), []validateCase{
+		{"nil", nil, true, true},
+		{"empty", &TemporalPlan{}, true, true},
+		{"static", &TemporalPlan{
+			Nodes: []NodeFault{{Node: 3, Kind: Crash}},
+			Links: []LinkFault{{U: 0, V: 1, Until: Forever}, {U: 0, V: 2, Until: Forever, Corrupt: true}},
+		}, true, true},
+		{"node out of range", &TemporalPlan{Nodes: []NodeFault{{Node: 8, Kind: Crash}}}, false, false},
+		{"non-edge link", &TemporalPlan{Links: []LinkFault{{U: 0, V: 7, Until: Forever}}}, false, false},
+		{"noisy non-edge link", &TemporalPlan{Links: []LinkFault{{U: 0, V: 7, Until: Forever, Corrupt: true}}}, false, false},
+	})
+}
+
+// TestTemporalPlanValidate: Validate accepts a timed plan whose every
+// entry has a non-negative time and a non-empty window, and
+// ValidateStatic rejects every plan with an entry that does not start at
+// 0 or ends.
+func TestTemporalPlanValidate(t *testing.T) {
+	checkValidate(t, topology.MustHypercube(3), []validateCase{
+		{"timed node", &TemporalPlan{
+			Nodes: []NodeFault{{Node: 1, Kind: Crash, At: 500}},
+			Links: []LinkFault{{U: 0, V: 1, From: 0, Until: Forever}},
+		}, true, false},
+		{"late window", &TemporalPlan{Links: []LinkFault{{U: 0, V: 1, From: 5, Until: Forever}}}, true, false},
+		{"finite window", &TemporalPlan{Links: []LinkFault{{U: 0, V: 1, Until: 10, Corrupt: true}}}, true, false},
+		{"node twice", &TemporalPlan{Nodes: []NodeFault{{Node: 1, Kind: Crash}, {Node: 1, Kind: Corrupt, At: 9}}}, false, false},
+		{"negative activation", &TemporalPlan{Nodes: []NodeFault{{Node: 1, Kind: Crash, At: -1}}}, false, false},
+		{"empty window", &TemporalPlan{Links: []LinkFault{{U: 0, V: 1, From: 10, Until: 10}}}, false, false},
+		{"inverted window", &TemporalPlan{Links: []LinkFault{{U: 0, V: 1, From: 10, Until: 5}}}, false, false},
+	})
 }
 
 func TestTraceRouteNoisyLink(t *testing.T) {
